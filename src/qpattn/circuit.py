@@ -301,21 +301,32 @@ def _batch_angles(qs, ks, params: QpaParams, independent: bool):
 _CHUNK = 1 << 14
 
 
-def score_batch(qs, ks, params: QpaParams, independent: bool = False) -> np.ndarray:
-    """Vectorised mu over broadcastable arrays of inputs."""
-    qs, ks = np.broadcast_arrays(
-        np.asarray(qs, dtype=float), np.asarray(ks, dtype=float)
-    )
-    if qs.size <= _CHUNK:
-        phi0, phi1, ent = _batch_angles(qs, ks, params, independent)
-        return circuit_mu(phi0, phi1, ent, params.beta)
+def _chunked(fn, qs, ks, leads):
+    """Evaluate ``fn(q, k)`` over ``_CHUNK``-sized pieces of the broadcast inputs.
+
+    ``fn`` maps input pieces to one array per entry of ``leads``, of shape
+    ``lead + piece.shape``; the pieces are written into preallocated outputs of
+    shape ``lead + broadcast shape``, which are returned.
+    """
+    qs, ks = np.broadcast_arrays(np.asarray(qs, dtype=float), np.asarray(ks, dtype=float))
+    if qs.size <= _CHUNK:  # one piece: skip the flat copies (scalars stay numpy scalars)
+        return list(fn(qs, ks))
     qf, kf = qs.ravel(), ks.ravel()
-    out = np.empty(qs.size)
+    outs = [np.empty(lead + (qs.size,)) for lead in leads]
     for start in range(0, qs.size, _CHUNK):
         sl = slice(start, start + _CHUNK)
-        phi0, phi1, ent = _batch_angles(qf[sl], kf[sl], params, independent)
-        out[sl] = circuit_mu(phi0, phi1, ent, params.beta)
-    return out.reshape(qs.shape)
+        for out, part in zip(outs, fn(qf[sl], kf[sl])):
+            out[..., sl] = part
+    return [out.reshape(lead + qs.shape) for lead, out in zip(leads, outs)]
+
+
+def score_batch(qs, ks, params: QpaParams, independent: bool = False) -> np.ndarray:
+    """Vectorised mu over broadcastable arrays of inputs."""
+
+    def mu(q, k):
+        return (circuit_mu(*_batch_angles(q, k, params, independent), params.beta),)
+
+    return _chunked(mu, qs, ks, [()])[0]
 
 
 def score_grad_batch(qs, ks, params: QpaParams, independent: bool = False):
@@ -324,27 +335,14 @@ def score_grad_batch(qs, ks, params: QpaParams, independent: bool = False):
     Returns ``(mu, d_q, d_k, d_params)`` where ``d_params`` has shape
     ``(5,) + mu.shape`` in (theta_s, gamma_d, gamma_s, alpha, beta) order.
     """
-    qs, ks = np.broadcast_arrays(
-        np.asarray(qs, dtype=float), np.asarray(ks, dtype=float)
-    )
-    if qs.size > _CHUNK:
-        qf, kf = qs.ravel(), ks.ravel()
-        mu = np.empty(qs.size)
-        d_q = np.empty(qs.size)
-        d_k = np.empty(qs.size)
-        d_params = np.empty((5, qs.size))
-        for start in range(0, qs.size, _CHUNK):
-            sl = slice(start, start + _CHUNK)
-            mu[sl], d_q[sl], d_k[sl], d_params[:, sl] = score_grad_batch(
-                qf[sl], kf[sl], params, independent
-            )
-        shape = qs.shape
-        return (
-            mu.reshape(shape),
-            d_q.reshape(shape),
-            d_k.reshape(shape),
-            d_params.reshape((5,) + shape),
-        )
+
+    def grad(q, k):
+        return _score_grad(q, k, params, independent)
+
+    return tuple(_chunked(grad, qs, ks, [(), (), (), (5,)]))
+
+
+def _score_grad(qs, ks, params: QpaParams, independent: bool):
     phi0, phi1, ent = _batch_angles(qs, ks, params, independent)
     mu, g0, g1, ge, gb = circuit_mu_partials(phi0, phi1, ent, params.beta)
 
@@ -458,7 +456,10 @@ def score_noisy_batch(
     qs, ks, params: QpaParams, channel: str, gamma: float, independent: bool = False
 ) -> np.ndarray:
     """Vectorised noisy score over broadcastable input arrays."""
-    phi0, phi1, ent = _batch_angles(qs, ks, params, independent)
-    probs = circuit_probs(phi0, phi1, ent, params.beta)
-    noisy = noisy_probs(probs, channel, gamma)
-    return noisy[..., 0] + noisy[..., 3]
+
+    def mu(q, k):
+        probs = circuit_probs(*_batch_angles(q, k, params, independent), params.beta)
+        noisy = noisy_probs(probs, channel, gamma)
+        return (noisy[..., 0] + noisy[..., 3],)
+
+    return _chunked(mu, qs, ks, [()])[0]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuit, lab, training, vit
+from . import circuit, lab, qcore, scorers, training, vit
 from .data import ImageDataset, SyntheticSpec, load_idx, split, synthetic_dataset
 from .training import TrainConfig, significance_stars
 
@@ -77,10 +77,10 @@ _COMMON_KEYS: dict[str, tuple] = {
     "weight_decay": (float, 0.0),
 }
 
-_TRAIN_KEYS = {**_COMMON_KEYS, "scorer": (str, "qpa"), "seed": (int, 1)}
+_TRAIN_KEYS = {**_COMMON_KEYS, "scorer": (str, scorers.DEFAULT_KINDS[0]), "seed": (int, 1)}
 _COMPARE_KEYS = {
     **_COMMON_KEYS,
-    "scorers": ("list_str", ["qpa", "dot"]),
+    "scorers": ("list_str", list(scorers.DEFAULT_KINDS)),
     "seeds": ("list_int", [1, 2, 3, 4, 5]),
 }
 
@@ -326,6 +326,9 @@ def cmd_compare(args) -> int:
         raise CliError("compare requires at least 2 seeds (t-test undefined otherwise)")
     if len(scorers_list) < 2:
         raise CliError("compare requires at least 2 scorer kinds")
+    unknown = [s for s in scorers_list if s not in scorers.KINDS]
+    if unknown:
+        raise CliError(f"unknown scorers {unknown}; expected some of {scorers.SCORER_KINDS}")
     outdir = _output_dir(args.out)
 
     unique_scorers = list(dict.fromkeys(scorers_list))
@@ -399,7 +402,7 @@ def cmd_compare(args) -> int:
 
 def cmd_noise_sweep(args) -> int:
     model = vit.load_checkpoint(args.checkpoint)
-    if model.config.scorer not in ("qpa", "qpa-ind"):
+    if not scorers.KINDS[model.config.scorer].quantum:
         raise CliError(
             f"noise sweep requires a quantum-scorer checkpoint, got {model.config.scorer!r}"
         )
@@ -411,7 +414,7 @@ def cmd_noise_sweep(args) -> int:
     gammas = [float(g) for g in args.gammas.split(",")]
     channels = [c.strip().upper() for c in args.channels.split(",")]
     for channel in channels:
-        if channel not in ("AD", "DP", "BF", "PF"):
+        if channel not in qcore.CHANNELS:
             raise CliError(f"unknown noise channel {channel!r}")
 
     def sweep_eval(noise):
@@ -542,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="dataset/split config matching the training run")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
     p.add_argument("--gammas", default="0,0.02,0.04,0.06,0.08,0.10")
-    p.add_argument("--channels", default="AD,DP,BF,PF")
+    p.add_argument("--channels", default=",".join(qcore.CHANNELS))
     p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_noise_sweep)
 

@@ -9,18 +9,19 @@ scores, so their entries always lie in ``[0, D]`` with no extra scaling.
 
 Each scorer with trainable parameters also exposes a ``*_backward`` companion
 returning input and parameter gradients given the upstream score gradient.
+The `KINDS` table at the end names the seven kinds and gives, for each, what a
+ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import circuit
 from .circuit import QpaParams
-
-SCORER_KINDS = ("qpa", "dot", "mlp49", "mlp585", "cosine", "linear", "qpa-ind")
 
 COSINE_SCALE_CAP = 100.0
 COSINE_NORM_EPS = 1e-12
@@ -40,18 +41,27 @@ def _pairwise(Q: np.ndarray, K: np.ndarray, depth: int):
     return Q[..., :, None, :depth], K[..., None, :, :depth]
 
 
+def _circuit_scores(Q, K, params: QpaParams, depth: int, independent=False, noise=None):
+    # (A, mu): the score matrix and the (..., N, N, D) per-pair circuit scores,
+    # optionally under a noise channel (name, gamma).
+    qs, ks = _pairwise(Q, K, depth)
+    if noise is None:
+        mu = circuit.score_batch(qs, ks, params, independent)
+    else:
+        mu = circuit.score_noisy_batch(qs, ks, params, *noise, independent)
+    return mu.sum(axis=-1), mu
+
+
 def qpa_scores(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int) -> np.ndarray:
     """Sum of per-dimension circuit scores: A[i, j] = sum_d mu(Q[i, d], K[j, d])."""
-    qs, ks = _pairwise(Q, K, depth)
-    return circuit.score_batch(qs, ks, params).sum(axis=-1)
+    return _circuit_scores(Q, K, params, depth)[0]
 
 
 def qpa_ind_scores(
     Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int
 ) -> np.ndarray:
     """Ablation scorer with single-parameter independent encoding, same circuit body."""
-    qs, ks = _pairwise(Q, K, depth)
-    return circuit.score_batch(qs, ks, params, independent=True).sum(axis=-1)
+    return _circuit_scores(Q, K, params, depth, independent=True)[0]
 
 
 def quantum_scores_backward(
@@ -391,3 +401,105 @@ def row_softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     """Gradient through a row softmax given its output P and upstream dP."""
     inner = (dP * P).sum(axis=-1, keepdims=True)
     return P * (dP - inner)
+
+
+# ---------------------------------------------------------------------------
+# The scorer-kind table.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScorerKind:
+    """Everything a ViT layer needs to know about one scorer kind.
+
+    ``p`` is the layer's own ``{name: array}`` scorer parameters with the names
+    of ``shapes(heads)``. ``scores(Q, K, p, depth, noise)`` returns the score
+    matrix and the per-pair circuit scores (None for classical kinds; only
+    ``quantum`` kinds accept a noise channel). ``backward(Q, K, p, depth, dA)``
+    returns ``(dQ, dK, grads)`` with one gradient per key of ``p``. Linear
+    attention has no ``scores``: it skips the softmax and runs
+    `linear_attention` instead.
+    """
+
+    shapes: Callable[[int], dict[str, tuple]]
+    init: Callable[[np.random.Generator, int], dict[str, np.ndarray]]
+    scores: Callable | None = None
+    backward: Callable | None = None
+    uses_depth: bool = False
+    quantum: bool = False
+
+
+def _no_params(*_):
+    return {}
+
+
+def _quantum_kind(independent: bool) -> ScorerKind:
+    def scores(Q, K, p, depth, noise):
+        return _circuit_scores(Q, K, QpaParams.from_array(p["qpa"]), depth, independent, noise)
+
+    def backward(Q, K, p, depth, dA):
+        dQ, dK, d_theta = quantum_scores_backward(
+            Q, K, QpaParams.from_array(p["qpa"]), depth, dA, independent=independent
+        )
+        return dQ, dK, {"qpa": d_theta}
+
+    return ScorerKind(
+        shapes=lambda heads: {"qpa": (5,)},
+        init=lambda rng, heads: {"qpa": QpaParams.init_random(rng).to_array()},
+        scores=scores,
+        backward=backward,
+        uses_depth=True,
+        quantum=True,
+    )
+
+
+def _mlp_kind(variant: str) -> ScorerKind:
+    def scores(Q, K, p, depth, noise):
+        return mlp_scores(Q, K, MlpScorerParams.from_dict(p), depth), None
+
+    def backward(Q, K, p, depth, dA):
+        return mlp_scores_backward(Q, K, MlpScorerParams.from_dict(p), depth, dA)
+
+    return ScorerKind(
+        shapes=lambda heads: dict(_MLP_SHAPES[variant]),
+        init=lambda rng, heads: init_mlp_params(variant, rng).to_dict(),
+        scores=scores,
+        backward=backward,
+        uses_depth=True,
+    )
+
+
+def _dot_backward(Q, K, p, depth, dA):
+    return (*dot_scores_backward(Q, K, dA), {})
+
+
+def _cosine_tau(p):
+    return np.exp(p["log_tau"])[:, None, None]  # one temperature per head
+
+
+def _cosine_backward(Q, K, p, depth, dA):
+    dQ, dK, d_log_tau = cosine_scores_backward(Q, K, _cosine_tau(p), dA)
+    return dQ, dK, {"log_tau": d_log_tau.reshape(p["log_tau"].shape)}
+
+
+KINDS: dict[str, ScorerKind] = {
+    "qpa": _quantum_kind(independent=False),
+    "dot": ScorerKind(
+        shapes=_no_params,
+        init=_no_params,
+        scores=lambda Q, K, p, depth, noise: (dot_scores(Q, K), None),
+        backward=_dot_backward,
+    ),
+    "mlp49": _mlp_kind("mlp49"),
+    "mlp585": _mlp_kind("mlp585"),
+    "cosine": ScorerKind(
+        shapes=lambda heads: {"log_tau": (heads,)},
+        init=lambda rng, heads: {"log_tau": np.zeros(heads)},
+        scores=lambda Q, K, p, depth, noise: (cosine_scores(Q, K, _cosine_tau(p)), None),
+        backward=_cosine_backward,
+    ),
+    "linear": ScorerKind(shapes=_no_params, init=_no_params),
+    "qpa-ind": _quantum_kind(independent=True),
+}
+SCORER_KINDS = tuple(KINDS)
+DEFAULT_KINDS = ("qpa", "dot")  # the paper's scorer, then its dot-product baseline

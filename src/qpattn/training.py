@@ -3,9 +3,8 @@
 SGD with classical momentum, linear-warmup + cosine-annealing schedule, early
 stopping on validation accuracy, confusion-matrix metrics with a rank-based
 AUC, paired t-tests with Cohen's d and confidence intervals, and the
-confidence-stratified accuracy breakdown. The Student-t CDF is computed here
-directly (continued-fraction incomplete beta) so statistical results do not
-depend on an external stats library.
+confidence-stratified accuracy breakdown. The Student-t CDF and its inverse
+come from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import stdtr, stdtrit
 from scipy.stats import rankdata
 
 from . import vit
@@ -129,82 +129,18 @@ def compute_metrics(labels, predicted, positive_scores) -> Metrics:
 # ---------------------------------------------------------------------------
 
 
-def _betacf(a: float, b: float, x: float) -> float:
-    # Lentz continued fraction for the incomplete beta function.
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 400):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-14:
-            return h
-    raise RuntimeError("incomplete beta continued fraction failed to converge")
-
-
-def _betainc(a: float, b: float, x: float) -> float:
-    # Regularised incomplete beta I_x(a, b).
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ln_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _betacf(a, b, x) / a
-    return 1.0 - front * _betacf(b, a, 1.0 - x) / b
-
-
 def student_t_cdf(t: float, dof: float) -> float:
-    """CDF of the Student-t distribution via the incomplete beta function."""
+    """CDF of the Student-t distribution."""
     if dof <= 0:
         raise ValueError("degrees of freedom must be positive")
-    x = dof / (dof + t * t)
-    tail = 0.5 * _betainc(dof / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
+    return float(stdtr(dof, t))
 
 
 def student_t_ppf(p: float, dof: float) -> float:
-    """Inverse CDF by bisection on the monotone `student_t_cdf`."""
+    """Inverse CDF of the Student-t distribution."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    lo, hi = -1e6, 1e6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, dof) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return float(stdtrit(dof, p))
 
 
 @dataclass

@@ -18,8 +18,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.special import ndtr
 
-from . import circuit, scorers
-from .circuit import QpaParams
+from . import scorers
 
 CHECKPOINT_SCHEMA_VERSION = 1
 LN_EPS = 1e-12
@@ -35,7 +34,7 @@ class VitConfig:
     hidden_size: int
     mlp_hidden: int
     num_classes: int
-    scorer: str = "qpa"
+    scorer: str = scorers.DEFAULT_KINDS[0]
     depth: int = 16
 
     def __post_init__(self):
@@ -70,26 +69,13 @@ class VitConfig:
 
     @property
     def uses_depth(self) -> bool:
-        return self.scorer in ("qpa", "qpa-ind", "mlp49", "mlp585")
+        return scorers.KINDS[self.scorer].uses_depth
 
 
 @dataclass
 class VitModel:
     config: VitConfig
     params: dict[str, np.ndarray]
-
-
-def _scorer_param_shapes(config: VitConfig) -> dict[str, tuple]:
-    if config.scorer in ("qpa", "qpa-ind"):
-        return {"scorer.qpa": (5,)}
-    if config.scorer in ("mlp49", "mlp585"):
-        return {
-            f"scorer.{name}": shape
-            for name, shape in scorers._MLP_SHAPES[config.scorer].items()
-        }
-    if config.scorer == "cosine":
-        return {"scorer.log_tau": (config.heads,)}
-    return {}
 
 
 def param_spec(config: VitConfig) -> dict[str, tuple]:
@@ -109,8 +95,8 @@ def param_spec(config: VitConfig) -> dict[str, tuple]:
             spec[prefix + "attn." + name] = (hd, hd)
         for name in ("bq", "bk", "bv", "bo"):
             spec[prefix + "attn." + name] = (hd,)
-        for name, shape in _scorer_param_shapes(config).items():
-            spec[prefix + name] = shape
+        for name, shape in scorers.KINDS[config.scorer].shapes(config.heads).items():
+            spec[prefix + "scorer." + name] = shape
         spec[prefix + "ln2.g"] = (hd,)
         spec[prefix + "ln2.b"] = (hd,)
         spec[prefix + "ffn.w1"] = (config.mlp_hidden, hd)
@@ -157,15 +143,8 @@ def init_model(config: VitConfig, seed: int = 0) -> VitModel:
             params[name] = np.zeros(shape)
 
     for layer in range(config.num_layers):
-        prefix = f"layers.{layer}.scorer."
-        if config.scorer in ("qpa", "qpa-ind"):
-            params[prefix + "qpa"] = QpaParams.init_random(rng_scorer).to_array()
-        elif config.scorer in ("mlp49", "mlp585"):
-            mlp = scorers.init_mlp_params(config.scorer, rng_scorer)
-            for name, arr in mlp.to_dict().items():
-                params[prefix + name] = arr
-        elif config.scorer == "cosine":
-            params[prefix + "log_tau"] = np.zeros(config.heads)
+        for name, arr in scorers.KINDS[config.scorer].init(rng_scorer, config.heads).items():
+            params[f"layers.{layer}.scorer.{name}"] = arr
 
     # Re-order to match param_spec exactly.
     ordered = {name: params[name] for name in param_spec(config)}
@@ -258,47 +237,10 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(B, N, H * dh)
 
 
-# ---------------------------------------------------------------------------
-# Scorer dispatch inside a layer.
-# ---------------------------------------------------------------------------
-
-
-def _layer_scorer_params(model: VitModel, layer: int):
-    prefix = f"layers.{layer}.scorer."
+def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
     cfg = model.config
-    if cfg.scorer in ("qpa", "qpa-ind"):
-        return QpaParams.from_array(model.params[prefix + "qpa"])
-    if cfg.scorer in ("mlp49", "mlp585"):
-        return scorers.MlpScorerParams.from_dict(
-            {k.removeprefix(prefix): v for k, v in model.params.items() if k.startswith(prefix)}
-        )
-    if cfg.scorer == "cosine":
-        return model.params[prefix + "log_tau"]
-    return None
-
-
-def _attention_scores(model, layer, qh, kh, noise):
-    cfg = model.config
-    sp = _layer_scorer_params(model, layer)
-    if cfg.scorer in ("qpa", "qpa-ind"):
-        independent = cfg.scorer == "qpa-ind"
-        qs, ks = scorers._pairwise(qh, kh, cfg.depth)
-        if noise is not None:
-            channel, gamma = noise
-            mu = circuit.score_noisy_batch(qs, ks, sp, channel, gamma, independent)
-        else:
-            mu = circuit.score_batch(qs, ks, sp, independent)
-        return mu.sum(axis=-1), mu
-    if noise is not None:
-        raise ValueError("noise injection requires a quantum scorer")
-    if cfg.scorer == "dot":
-        return scorers.dot_scores(qh, kh), None
-    if cfg.scorer in ("mlp49", "mlp585"):
-        return scorers.mlp_scores(qh, kh, sp, cfg.depth), None
-    if cfg.scorer == "cosine":
-        tau = np.exp(sp)[:, None, None]
-        return scorers.cosine_scores(qh, kh, tau), None
-    raise AssertionError(f"unreachable scorer {cfg.scorer}")
+    names = scorers.KINDS[cfg.scorer].shapes(cfg.heads)
+    return {name: model.params[f"layers.{layer}.scorer.{name}"] for name in names}
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +251,9 @@ def _attention_scores(model, layer, qh, kh, noise):
 def _forward(model: VitModel, images: np.ndarray, noise=None, collect_mu=False):
     cfg = model.config
     P = model.params
+    kind = scorers.KINDS[cfg.scorer]
+    if noise is not None and not kind.quantum:
+        raise ValueError("noise injection requires a quantum scorer")
     tokens, patches = patch_embed(images, cfg, P["patch.w"], P["patch.b"])
     B = tokens.shape[0]
     cls = np.broadcast_to(P["cls"], (B, 1, cfg.hidden_size))
@@ -327,13 +272,11 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, collect_mu=False):
         qh, kh, vh = (_split_heads(t, cfg.heads) for t in (q, k, v))
         lc.update(qh=qh, kh=kh, vh=vh)
 
-        if cfg.scorer == "linear":
-            if noise is not None:
-                raise ValueError("noise injection requires a quantum scorer")
+        if kind.scores is None:
             ctx = scorers.linear_attention(qh, kh, vh)
             lc.update(A=None, attn_probs=None)
         else:
-            A, mu = _attention_scores(model, layer, qh, kh, noise)
+            A, mu = kind.scores(qh, kh, _layer_scorer_params(model, layer), cfg.depth, noise)
             if collect_mu and mu is not None:
                 mu_sum += float(mu.sum())
                 mu_count += mu.size
@@ -405,6 +348,7 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy loss and gradients for every parameter."""
     cfg = model.config
     P = model.params
+    kind = scorers.KINDS[cfg.scorer]
     logits, caches, _ = _forward(model, images)
     loss, dlogits = cross_entropy(logits, labels)
 
@@ -440,29 +384,17 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
         dctx = _split_heads(dmerged, cfg.heads)
         qh, kh, vh = lc["qh"], lc["kh"], lc["vh"]
 
-        sp = _layer_scorer_params(model, layer)
-        if cfg.scorer == "linear":
+        if kind.scores is None:
             dqh, dkh, dvh = scorers.linear_attention_backward(qh, kh, vh, dctx)
         else:
             probs = lc["attn_probs"]
             dprobs = dctx @ np.swapaxes(vh, -1, -2)
             dvh = np.swapaxes(probs, -1, -2) @ dctx
             dA = scorers.row_softmax_backward(probs, dprobs)
-            if cfg.scorer in ("qpa", "qpa-ind"):
-                dqh, dkh, dtheta = scorers.quantum_scores_backward(
-                    qh, kh, sp, cfg.depth, dA, independent=cfg.scorer == "qpa-ind"
-                )
-                grads[pre + "scorer.qpa"] += dtheta
-            elif cfg.scorer == "dot":
-                dqh, dkh = scorers.dot_scores_backward(qh, kh, dA)
-            elif cfg.scorer in ("mlp49", "mlp585"):
-                dqh, dkh, mlp_grads = scorers.mlp_scores_backward(qh, kh, sp, cfg.depth, dA)
-                for name, g in mlp_grads.items():
-                    grads[pre + "scorer." + name] += g
-            elif cfg.scorer == "cosine":
-                tau = np.exp(sp)[:, None, None]
-                dqh, dkh, dlt = scorers.cosine_scores_backward(qh, kh, tau, dA)
-                grads[pre + "scorer.log_tau"] += dlt.reshape(cfg.heads)
+            sp = _layer_scorer_params(model, layer)
+            dqh, dkh, scorer_grads = kind.backward(qh, kh, sp, cfg.depth, dA)
+            for name, g in scorer_grads.items():
+                grads[pre + "scorer." + name] += g
 
         dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
         dh = np.zeros_like(lc["h"])

@@ -182,6 +182,16 @@ class TestCompare:
         )
         assert code == 2
 
+    def test_unknown_scorer_refused_before_any_run(self, tmp_path, monkeypatch):
+        def no_training(*args):
+            raise AssertionError("training started before the scorer list was checked")
+
+        monkeypatch.setattr(cli, "_run_training", no_training)
+        code = cli.main(
+            ["compare", "--set", "scorers=qpa,bogus", "--set", "seeds=1,2", *TINY, "--out", str(tmp_path)]
+        )
+        assert code == 2
+
 
 @pytest.fixture(scope="module")
 def qpa_checkpoint(tmp_path_factory):

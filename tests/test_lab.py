@@ -170,6 +170,11 @@ class TestClaims:
         failed = [r.claim_id for r in results if not r.passed]
         assert not failed, f"failing claims: {failed}"
 
+    def test_gradient_claim_passes_at_seed_29(self):
+        # At a finite-difference step of 1e-4 the O(h^2) error alone was 1.35e-6.
+        (result,) = lab.run_claims(seed=29, only="gradient-parameter-shift")
+        assert result.passed, result.witness
+
     def test_filter_selects_subset(self):
         results = lab.run_claims(seed=0, only="lemma2")
         ids = [r.claim_id for r in results]

@@ -357,3 +357,43 @@ class TestBackwardPasses:
         assert np.allclose(
             dA, fd_grad(lambda x: float((scorers.row_softmax(x) * W).sum()), A.copy()), atol=1e-6
         )
+
+
+@pytest.mark.parametrize("name", scorers.KINDS)
+class TestKindTable:
+    HEADS = 2
+
+    def layer_params(self, name):
+        return scorers.KINDS[name].init(np.random.default_rng(22), self.HEADS)
+
+    def test_init_matches_shapes_and_param_spec(self, name):
+        from qpattn import vit
+
+        kind = scorers.KINDS[name]
+        p = self.layer_params(name)
+        shapes = kind.shapes(self.HEADS)
+        assert {k: v.shape for k, v in p.items()} == shapes
+        config = vit.VitConfig(8, 1, 4, 2, self.HEADS, 8, 16, 2, scorer=name, depth=4)
+        spec = vit.param_spec(config)
+        for layer in range(2):
+            prefix = f"layers.{layer}.scorer."
+            layer_spec = {k.removeprefix(prefix): v for k, v in spec.items() if k.startswith(prefix)}
+            assert list(layer_spec.items()) == list(shapes.items())
+
+    def test_scores_and_backward_cover_every_param(self, name):
+        kind = scorers.KINDS[name]
+        if kind.scores is None:  # linear attention: no score matrix, no softmax
+            assert kind.backward is None and not kind.shapes(self.HEADS)
+            return
+        rng = np.random.default_rng(23)
+        Q, K = rng.normal(size=(2, 1, self.HEADS, 3, 4))
+        dA = rng.normal(size=(1, self.HEADS, 3, 3))
+        p = self.layer_params(name)
+        A, mu = kind.scores(Q, K, p, 4, None)
+        assert A.shape == dA.shape
+        assert (mu is not None) == kind.quantum
+        dQ, dK, grads = kind.backward(Q, K, p, 4, dA)
+        assert dQ.shape == Q.shape and dK.shape == K.shape
+        assert set(grads) == set(p)
+        for key, g in grads.items():
+            assert np.shape(g) == p[key].shape, key

@@ -1,6 +1,8 @@
 """Model tests: patch embedding, forward determinism, full gradient checks,
 parameter accounting, checkpoint round trips."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -227,3 +229,67 @@ class TestCheckpoint:
             np_.savez(f, **payload)
         with pytest.raises(ValueError):
             vit.load_checkpoint(path)
+
+
+def _digest(named) -> str:
+    h = hashlib.sha256()
+    for name, arr in named:
+        arr = np.ascontiguousarray(arr, dtype=np.float64)
+        h.update(f"{name}:{arr.shape};".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()[:16]
+
+
+# sha256 prefixes of (init params, forward logits, loss + backward grads),
+# names and order included, for two-layer tiny models. They pin every scorer
+# kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
+# mismatch on another machine calls for re-deriving them at a trusted commit.
+GOLDEN = {
+    ("qpa", 0): ("9e083236108b1465", "0f572edcddb1b7f7", "dfbe60827268b438"),
+    ("qpa", 1): ("6e900635197dd0b4", "6170126733f1239a", "6902c5786b4773e5"),
+    ("dot", 0): ("94a5ef27f5c36ef5", "980e4e72ce6e247e", "5f856fa5a899e2ec"),
+    ("dot", 1): ("82fd715b40798094", "2e492482f8cdee3e", "fc72f0c9838d0aba"),
+    ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "11df1d07b625a223"),
+    ("mlp49", 1): ("e320bd81cd0ae494", "3d16bdd0782411aa", "b6c1c78d16f5a956"),
+    ("mlp585", 0): ("7dd9132b8e1ef00d", "23a65299d1c8a2f3", "718ad3c3d12c5803"),
+    ("mlp585", 1): ("fc751192e80627fc", "86bb1d143cffc480", "5114205c5d5758e4"),
+    ("cosine", 0): ("3657f4e9fe6bb0c2", "88da1b8abc643a2a", "2d4c80e4a31fd779"),
+    ("cosine", 1): ("10f6333bcdeaea79", "f8ddf7fea862a1b5", "31bcc5301aa3443d"),
+    ("linear", 0): ("94a5ef27f5c36ef5", "77a1d2c5a04ad0aa", "9247e35d0a57fbbf"),
+    ("linear", 1): ("82fd715b40798094", "93f129243b139ded", "de39e13fb61b36bb"),
+    ("qpa-ind", 0): ("9e083236108b1465", "3bb897d582173fef", "5c9851dbfeb0b5c6"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "aa7fa67dad8ba967", "8261faff6325736b"),
+}
+
+# (logits, loss + grads) of one-layer quantum models whose 36992 scored
+# (pair, dimension) entries span three circuit chunks.
+GOLDEN_CHUNKED = {
+    "qpa": ("49bbbed0ea3472e9", "7329cfff4ace44e4"),
+    "qpa-ind": ("8bac02f4b07cc857", "22fb35bcf33099da"),
+}
+
+
+class TestGolden:
+    @pytest.mark.parametrize("kind, seed", GOLDEN)
+    def test_init_forward_backward_bit_identical(self, kind, seed):
+        model = init_model(tiny_config(kind, num_layers=2), seed)
+        images = np.random.default_rng(100 + seed).uniform(0, 1, size=(3, 1, 8, 8))
+        loss, grads = vit.backward(model, images, np.array([0, 1, 0]))
+        got = (
+            _digest(model.params.items()),
+            _digest([("logits", vit.forward(model, images))]),
+            _digest([("loss", loss), *grads.items()]),
+        )
+        assert got == GOLDEN[kind, seed]
+
+    @pytest.mark.parametrize("kind", GOLDEN_CHUNKED)
+    def test_chunked_circuit_path_bit_identical(self, kind):
+        config = VitConfig(16, 1, 4, 1, 2, 32, 16, 2, scorer=kind, depth=16)
+        model = init_model(config, 2)
+        images = np.random.default_rng(102).uniform(0, 1, size=(4, 1, 16, 16))
+        loss, grads = vit.backward(model, images, np.array([0, 1, 0, 1]))
+        got = (
+            _digest([("logits", vit.forward(model, images))]),
+            _digest([("loss", loss), *grads.items()]),
+        )
+        assert got == GOLDEN_CHUNKED[kind]
