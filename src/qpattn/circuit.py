@@ -11,9 +11,12 @@ measurement finds both qubits in the same state, P(|00>) + P(|11>), after:
 Scalar entry points (`score`, `score_gradient`, ...) walk the circuit through
 the generic gate machinery in :mod:`qpattn.qcore`; the ``*_batch`` functions
 evaluate the same circuit with vectorised real arithmetic for array-shaped
-inputs and are the hot path used by attention layers. Gradients use the exact
+inputs, and `score_batch` / `score_noisy_batch` are the attention forward.
+`score_grad_batch` and `score_gradient` differentiate with the exact
 parameter-shift rule (evaluations at +-pi/2 shifted angles) on every rotation
-gate, chained through the linear maps from parameters/inputs to gate angles.
+gate, chained through the linear maps from parameters/inputs to gate angles;
+they are the gradient oracle. The attention backward instead uses the exact
+Fourier form of mu (`fourier_coefficients`, `FOURIER_FREQS`, `ANGLE_JACOBIAN`).
 """
 
 from __future__ import annotations
@@ -280,6 +283,68 @@ def circuit_mu_partials(phi0, phi1, ent, beta):
     d_m1 = (shifted(base, 8, +1) - shifted(base, 8, -1)) / 2
     d_beta = 2 * (d_m0 + d_m1)
     return mu, d_phi0, d_phi1, d_ent, d_beta
+
+
+# ---------------------------------------------------------------------------
+# Exact Fourier form.
+#
+# Each gate angle enters mu with trigonometric degree at most 1, so in the
+# shifted angles x = (phi0 - pi/4, phi1 - pi/4, ent) mu is a Fourier series
+# over the 27 frequencies {-1, 0, 1}^3. Whatever beta, at most 15 terms are
+# nonzero: the constant and seven conjugate pairs, one of each listed below.
+# ---------------------------------------------------------------------------
+
+#: Frequencies (a, b, c) of the terms exp(i (a x0 + b x1 + c xe)) of mu: the
+#: constant, then one of each conjugate pair.
+FOURIER_FREQS = np.array(
+    [(0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 1, -1), (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
+)
+
+#: The shifted angles are linear in the parameters and in (q, k):
+#: x = W @ (q, k) with W = tensordot(params.to_array(), ANGLE_JACOBIAN[independent], 1).
+#: Shape (5, 3, 2): one d W / d parameter per row of (theta_s, gamma_d, gamma_s,
+#: alpha, beta). For `qpa`, W = [[lambda1, lambda2], [lambda2, lambda1],
+#: [alpha, alpha]]; for the `qpa-ind` ablation, [[theta_s, 0], [0, theta_s],
+#: [alpha, alpha]]. Beta does not enter W.
+ANGLE_JACOBIAN = {
+    False: np.array(
+        [
+            [[1, 0], [0, 1], [0, 0]],
+            [[1, -1], [-1, 1], [0, 0]],
+            [[1, 1], [1, 1], [0, 0]],
+            [[0, 0], [0, 0], [1, 1]],
+            [[0, 0], [0, 0], [0, 0]],
+        ],
+        dtype=float,
+    ),
+    True: np.array(
+        [
+            [[1, 0], [0, 1], [0, 0]],
+            [[0, 0], [0, 0], [0, 0]],
+            [[0, 0], [0, 0], [0, 0]],
+            [[0, 0], [0, 0], [1, 1]],
+            [[0, 0], [0, 0], [0, 0]],
+        ],
+        dtype=float,
+    ),
+}
+
+
+def fourier_coefficients(beta: float):
+    """Coefficients of mu = Re sum_n c_n exp(i FOURIER_FREQS[n] . x), and dc_n/dbeta.
+
+    ``x`` is the shifted angle vector (phi0 - pi/4, phi1 - pi/4, ent); each
+    conjugate pair is folded into one term with twice the coefficient. Both
+    come exactly from one 3x3x3-point DFT of `circuit_mu_partials`, whose beta
+    partial is the parameter-shift one. Returns two complex arrays of shape (8,).
+    """
+    grid = 2 * np.pi * np.arange(3) / 3
+    x0, x1, xe = np.meshgrid(grid, grid, grid, indexing="ij")
+    mu, _, _, _, d_beta = circuit_mu_partials(ANGLE_OFFSET + x0, ANGLE_OFFSET + x1, xe, beta)
+    spectra = np.fft.fftn(np.stack([mu, d_beta]), axes=(1, 2, 3)) / 27
+    fold = np.where(FOURIER_FREQS.any(axis=1), 2.0, 1.0)
+    c, dc = spectra[(slice(None), *(FOURIER_FREQS % 3).T)] * fold
+    return c, dc
 
 
 def _batch_angles(qs, ks, params: QpaParams, independent: bool):

@@ -46,6 +46,14 @@ def _parse_scalar(kind, raw: str):
     return raw
 
 
+def _parse_list(kind, raw: str, what: str) -> list:
+    """Comma-separated values of one type; at least one is required."""
+    values = [_parse_scalar(kind, part.strip()) for part in raw.split(",") if part.strip()]
+    if not values:
+        raise CliError(f"{what} needs at least one value")
+    return values
+
+
 _COMMON_KEYS: dict[str, tuple] = {
     # dataset
     "dataset": (str, "synthetic"),
@@ -121,9 +129,7 @@ def resolve_config(
         if kind == "list_str":
             values[key] = [part.strip() for part in value.split(",") if part.strip()]
         elif kind == "list_int":
-            values[key] = [
-                _parse_scalar(int, part.strip()) for part in value.split(",") if part.strip()
-            ]
+            values[key] = _parse_list(int, value, key)
         else:
             values[key] = _parse_scalar(kind, value)
     return values
@@ -246,6 +252,7 @@ def cmd_verify(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
+    _train_config(cfg, cfg["seed"])  # refuse a bad optimiser setting before any work
     outdir = _output_dir(args.out)
     best_model, result = _run_training(cfg, cfg["scorer"], cfg["seed"])
 
@@ -320,6 +327,8 @@ _COMPARE_FIELDS = [
 
 
 def cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _apply_depth_default(resolve_config(_COMPARE_KEYS, args.config, args.set or []))
     scorers_list, seeds = cfg["scorers"], cfg["seeds"]
     if len(seeds) < 2:
@@ -329,6 +338,7 @@ def cmd_compare(args) -> int:
     unknown = [s for s in scorers_list if s not in scorers.KINDS]
     if unknown:
         raise CliError(f"unknown scorers {unknown}; expected some of {scorers.SCORER_KINDS}")
+    _train_config(cfg, seeds[0])  # refuse a bad optimiser setting before any run
     outdir = _output_dir(args.out)
 
     unique_scorers = list(dict.fromkeys(scorers_list))
@@ -401,6 +411,13 @@ def cmd_compare(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
+    gammas = _parse_list(float, args.gammas, "--gammas")
+    if not all(0.0 <= g <= 1.0 for g in gammas):
+        raise CliError(f"noise strengths must lie in [0, 1], got {args.gammas!r}")
+    channels = [c.strip().upper() for c in args.channels.split(",")]
+    for channel in channels:
+        if channel not in qcore.CHANNELS:
+            raise CliError(f"unknown noise channel {channel!r}")
     model = vit.load_checkpoint(args.checkpoint)
     if not scorers.KINDS[model.config.scorer].quantum:
         raise CliError(
@@ -411,11 +428,6 @@ def cmd_noise_sweep(args) -> int:
     _, valid_ds = split(dataset, cfg["train_n"], cfg["valid_n"], cfg["seed"])
     if valid_ds.n == 0:
         raise CliError("validation split is empty; set valid_n > 0")
-    gammas = [float(g) for g in args.gammas.split(",")]
-    channels = [c.strip().upper() for c in args.channels.split(",")]
-    for channel in channels:
-        if channel not in qcore.CHANNELS:
-            raise CliError(f"unknown noise channel {channel!r}")
 
     def sweep_eval(noise):
         correct = 0
@@ -467,9 +479,13 @@ def cmd_noise_sweep(args) -> int:
 
 
 def cmd_shots(args) -> int:
-    shot_counts = [int(s) for s in args.shots.split(",")]
+    shot_counts = _parse_list(int, args.shots, "--shots")
     if any(s < 1 for s in shot_counts):
         raise CliError("shot counts must be positive")
+    if args.reps < 2:
+        raise CliError(f"--reps must be at least 2 for a sample std, got {args.reps}")
+    if args.inputs < 1:
+        raise CliError(f"--inputs must be at least 1, got {args.inputs}")
     rng = np.random.default_rng(args.seed)
     inputs = []
     for _ in range(args.inputs):

@@ -9,6 +9,8 @@ scores, so their entries always lie in ``[0, D]`` with no extra scaling.
 
 Each scorer with trainable parameters also exposes a ``*_backward`` companion
 returning input and parameter gradients given the upstream score gradient.
+The quantum backward works on the circuit's exact Fourier form, so it costs
+two GEMMs per layer instead of circuit evaluations per (pair, dimension).
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 """
@@ -74,18 +76,57 @@ def quantum_scores_backward(
 ):
     """Backward pass of `qpa_scores` / `qpa_ind_scores`.
 
-    Returns ``(dQ, dK, d_params)`` with ``d_params`` a length-5 array; the
-    per-pair parameter gradients are reduced by deterministic-order summation.
+    Returns ``(dQ, dK, d_params)`` with ``d_params`` a length-5 array. This is
+    the exact backward of the circuit's Fourier form
+    (`circuit.fourier_coefficients`): mu(q, k) = Re sum_n c_n F_n(q) G_n(k)
+    with features F_n(q) = exp(i u_n q) and G_n(k) = exp(i v_n k), where the
+    frequencies u, v are linear in the parameters through the angle map
+    (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. Two batched GEMMs,
+    ``dA @ G(K)`` and ``dA^T @ F(Q)``, carry every gradient; the rest is
+    O(N D) work per feature. `circuit.score_grad_batch` (parameter shift) is
+    its oracle in the tests.
     """
-    qs, ks = _pairwise(Q, K, depth)
-    _, d_q, d_k, d_params = circuit.score_grad_batch(qs, ks, params, independent)
-    w = np.asarray(d_scores)[..., None]  # broadcast over the D per-dimension scores
-    dQ = np.zeros_like(np.asarray(Q, dtype=float))
-    dK = np.zeros_like(np.asarray(K, dtype=float))
-    dQ[..., :depth] = (w * d_q).sum(axis=-2)
-    dK[..., :depth] = (w * d_k).sum(axis=-3)
-    d_theta = (d_params * w[None]).reshape(5, -1).sum(axis=1)
-    return dQ, dK, d_theta
+    Q = np.asarray(Q, dtype=float)
+    K = np.asarray(K, dtype=float)
+    _check_depth(Q.shape[-1], depth)
+    dA = np.asarray(d_scores, dtype=float)
+    jac = circuit.ANGLE_JACOBIAN[independent]  # (5, 3, 2)
+    uv = circuit.FOURIER_FREQS @ np.tensordot(params.to_array(), jac, axes=1)  # (M, 2): u, v
+    u, v = uv[:, 0], uv[:, 1]
+    c, dc = circuit.fourier_coefficients(params.beta)
+    qs, ks = Q[..., :depth], K[..., :depth]
+    F = _phasors(qs[..., None] * u)  # (..., N, D, M)
+    G = _phasors(ks[..., None] * v)
+    FH = F * _complex_matmul(dA, G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
+    GH = G * _complex_matmul(np.swapaxes(dA, -1, -2), F)
+
+    dQ = np.zeros_like(Q)
+    dK = np.zeros_like(K)
+    dQ[..., :depth] = (FH @ (1j * u * c)).real
+    dK[..., :depth] = (GH @ (1j * v * c)).real
+    m = len(c)
+    d_u = (1j * c * (qs.reshape(-1) @ FH.reshape(-1, m))).real  # dL/du_n
+    d_v = (1j * c * (ks.reshape(-1) @ GH.reshape(-1, m))).real
+    d_freq = circuit.FOURIER_FREQS.T  # u_n = FOURIER_FREQS[n] . W[:, 0], v_n likewise
+    d_params = jac[:, :, 0] @ (d_freq @ d_u) + jac[:, :, 1] @ (d_freq @ d_v)
+    d_params[4] = (dc @ FH.reshape(-1, m).sum(axis=0)).real  # beta enters through c
+    return dQ, dK, d_params
+
+
+def _phasors(theta: np.ndarray) -> np.ndarray:
+    # exp(i theta) from the real cos and sin, about twice as fast as complex exp.
+    out = np.empty(theta.shape, dtype=np.complex128)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
+def _complex_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
+    # real (..., N, N) @ complex (..., N, D, M) as one real GEMM over the
+    # interleaved (re, im) columns, without upcasting `real` to complex.
+    flat = cplx.reshape(*cplx.shape[:-2], -1).view(np.float64)
+    out = real @ flat
+    return out.view(np.complex128).reshape(out.shape[:-1] + cplx.shape[-2:])
 
 
 def dot_scores(Q: np.ndarray, K: np.ndarray) -> np.ndarray:

@@ -32,6 +32,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.lr0) and self.lr0 >= 0):
+            raise ValueError(f"lr0 must be finite and non-negative, got {self.lr0!r}")
+        for name in ("momentum", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size!r}")
         if not 0 <= self.warmup_epochs < self.epochs:
             raise ValueError("warmup_epochs must satisfy 0 <= warmup < epochs")
         if self.patience < 1:
@@ -295,6 +302,15 @@ def evaluate(model: vit.VitModel, dataset: ImageDataset, batch_size: int = 64):
     return metrics, probs.max(axis=1), predicted == dataset.labels
 
 
+def _check_finite(what: str, arrays: dict[str, np.ndarray], epoch: int, step: int) -> None:
+    """Raise RuntimeError naming the first non-finite array, with epoch and step."""
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise RuntimeError(
+                f"training diverged at epoch {epoch}, step {step}: non-finite {what} {name}"
+            )
+
+
 def train_loop(
     model: vit.VitModel,
     train_ds: ImageDataset,
@@ -318,10 +334,12 @@ def train_loop(
         lr = lr_schedule(epoch, config)
         order = rng.permutation(train_ds.n)
         epoch_loss = 0.0
-        for start in range(0, train_ds.n, config.batch_size):
+        for step, start in enumerate(range(0, train_ds.n, config.batch_size)):
             idx = order[start : start + config.batch_size]
             loss, grads = vit.backward(model, train_ds.images[idx], train_ds.labels[idx])
+            _check_finite("gradient", grads, epoch, step)
             sgd_step(model.params, grads, velocity, lr, config.momentum, config.weight_decay)
+            _check_finite("updated parameter", model.params, epoch, step)
             epoch_loss += loss * idx.size
         epoch_loss /= train_ds.n
         if not math.isfinite(epoch_loss):

@@ -285,6 +285,38 @@ class TestGradient:
         assert abs(g.d_beta) < 1e-12
 
 
+class TestFourierForm:
+    @staticmethod
+    def series(coeffs, q, k, params, independent):
+        x = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN[independent], 1) @ [q, k]
+        return float((coeffs * np.exp(1j * (circuit.FOURIER_FREQS @ x))).sum().real)
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, np.pi / 2, 7.0])
+    def test_series_matches_statevector_score_and_beta_partial(self, independent, beta):
+        rng = np.random.default_rng(40)
+        c, dc = circuit.fourier_coefficients(beta)
+        assert c[0] == pytest.approx(0.5, abs=1e-15)  # the constant term
+        for _ in range(5):
+            p = QpaParams(*rng.normal(0, 1, 4), beta)
+            q, k = rng.normal(0, 2, size=2)
+            mu = circuit.score(q, k, p, independent)
+            assert self.series(c, q, k, p, independent) == pytest.approx(mu, abs=1e-12)
+            d_beta = circuit.score_gradient(q, k, p, independent).d_beta
+            assert self.series(dc, q, k, p, independent) == pytest.approx(d_beta, abs=1e-12)
+
+    def test_angle_jacobian_reproduces_gate_angles(self):
+        rng = np.random.default_rng(41)
+        p = random_params(rng)
+        q, k = rng.normal(size=2)
+        kinds = ((False, circuit.equivalent_angles), (True, circuit.independent_angles))
+        for independent, angles in kinds:
+            x = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN[independent], 1) @ [q, k]
+            phi0, phi1 = angles(q, k, p)
+            expected = [phi0 - circuit.ANGLE_OFFSET, phi1 - circuit.ANGLE_OFFSET, p.alpha * (q + k)]
+            assert np.allclose(x, expected, atol=1e-14)
+
+
 class TestSampled:
     def test_large_shot_limit(self):
         rng = np.random.default_rng(15)

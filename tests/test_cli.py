@@ -276,6 +276,52 @@ class TestShots:
         assert cli.main(["shots", "--shots", "0,100", "--out", str(tmp_path)]) == 2
 
 
+class TestUsageErrorsBeforeAnyWork:
+    """Bad arguments exit 2 with a message, not a traceback, before any work."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the arguments were checked")
+
+        monkeypatch.setattr(cli, "_run_training", refuse)
+        monkeypatch.setattr(cli.vit, "load_checkpoint", refuse)
+        monkeypatch.setattr(cli.circuit, "score_sampled", refuse)
+
+    def run(self, tmp_path, capsys, *argv):
+        code = cli.main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_shots_not_an_integer(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, "shots", "--shots", "abc")
+
+    @pytest.mark.parametrize("reps", ["0", "1"])
+    def test_shots_too_few_reps_for_a_std(self, tmp_path, capsys, reps):
+        self.run(tmp_path, capsys, "shots", "--reps", reps)
+
+    def test_shots_no_inputs(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, "shots", "--inputs", "0")
+
+    @pytest.mark.parametrize("gammas", ["x", "0,1.5", "nan"])
+    def test_noise_sweep_bad_gammas(self, tmp_path, capsys, gammas):
+        self.run(tmp_path, capsys, "noise-sweep", "--checkpoint", "ckpt.npz", "--gammas", gammas)
+
+    def test_compare_zero_jobs(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, "compare", "--jobs", "0", *TINY)
+
+    def test_train_zero_batch_size(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, "train", *TINY, "--set", "batch_size=0")
+
+    @pytest.mark.parametrize("setting", ["lr0=nan", "lr0=inf", "lr0=-0.1", "weight_decay=nan"])
+    def test_train_non_finite_or_negative_optimiser_setting(self, tmp_path, capsys, setting):
+        self.run(tmp_path, capsys, "train", *TINY, "--set", setting)
+
+    def test_compare_bad_lr0(self, tmp_path, capsys):
+        self.run(tmp_path, capsys, "compare", "--set", "seeds=1,2", *TINY, "--set", "lr0=nan")
+
+
 def test_output_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     code = cli.main(["shots", "--shots", "25", "--reps", "50", "--inputs", "2"])

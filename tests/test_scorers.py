@@ -3,8 +3,10 @@ differences."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpattn import scorers
+from qpattn import circuit, scorers
 from qpattn.circuit import QpaParams
 from qpattn.scorers import MlpScorerParams
 
@@ -357,6 +359,63 @@ class TestBackwardPasses:
         assert np.allclose(
             dA, fd_grad(lambda x: float((scorers.row_softmax(x) * W).sum()), A.copy()), atol=1e-6
         )
+
+
+class TestFourierBackward:
+    """`quantum_scores_backward` against the parameter-shift pairwise reduction."""
+
+    @staticmethod
+    def check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, independent):
+        got = scorers.quantum_scores_backward(Q, K, p, depth, dA, independent=independent)
+        ref = parameter_shift_backward(Q, K, p, depth, dA, independent=independent)
+        for name, g, r in zip(("dQ", "dK", "d_params"), got, ref):
+            assert oracle_bound(g, r), (name, np.abs(g - r).max())
+        return got
+
+    @pytest.mark.parametrize("independent", [False, True], ids=["qpa", "qpa-ind"])
+    @pytest.mark.parametrize("n", [1, 17, 50])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, np.pi / 2, 7.0])
+    def test_matches_parameter_shift(
+        self, parameter_shift_backward, oracle_bound, independent, n, beta
+    ):
+        rng = np.random.default_rng(24 + n)
+        p = QpaParams(*rng.normal(0, 0.8, 4), beta)
+        Q, K = rng.normal(0, 1, size=(2, 2, 3, n, 8))  # batch 2, heads 3, head dim 8
+        dA = rng.normal(size=(2, 3, n, n))
+        dQ, dK, _ = self.check(parameter_shift_backward, oracle_bound, Q, K, p, 6, dA, independent)
+        assert not dQ[..., 6:].any() and not dK[..., 6:].any()  # beyond depth: exactly 0
+
+    @pytest.mark.parametrize("independent", [False, True], ids=["qpa", "qpa-ind"])
+    def test_matches_parameter_shift_across_circuit_chunks(
+        self, parameter_shift_backward, oracle_bound, independent
+    ):
+        rng = np.random.default_rng(25)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        Q, K = rng.normal(0, 1, size=(2, 1, 50, 16))
+        dA = rng.normal(size=(1, 50, 50))
+        assert 50 * 50 * 16 > circuit._CHUNK  # the oracle takes its chunked path
+        self.check(parameter_shift_backward, oracle_bound, Q, K, p, 16, dA, independent)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+        n=st.integers(1, 6),
+        head_dim=st.integers(1, 5),
+        depth_cut=st.integers(0, 4),
+        scale=st.floats(0.01, 4.0),
+        independent=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_matches_parameter_shift(
+        self, parameter_shift_backward, oracle_bound, theta, n, head_dim, depth_cut, scale,
+        independent, seed,
+    ):
+        rng = np.random.default_rng(seed)
+        depth = max(1, head_dim - depth_cut)
+        Q, K = rng.normal(0, scale, size=(2, 2, n, head_dim))
+        dA = rng.normal(size=(2, n, n))
+        p = QpaParams.from_array(np.array(theta))
+        self.check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, independent)
 
 
 @pytest.mark.parametrize("name", scorers.KINDS)

@@ -60,6 +60,13 @@ class TestSchedule:
         with pytest.raises(ValueError):
             cfg(patience=0)
 
+    @pytest.mark.parametrize("bad", [{"lr0": float("nan")}, {"lr0": float("inf")},
+                                     {"lr0": -0.1}, {"batch_size": 0},
+                                     {"momentum": float("nan")}, {"weight_decay": float("inf")}])
+    def test_rejects_bad_optimiser_settings(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            cfg(**bad)
+
 
 class TestSgd:
     def test_zero_gradient_keeps_params(self):
@@ -307,6 +314,34 @@ class TestTrainLoop:
         model = vit.init_model(config, 0)
         with pytest.raises(ValueError):
             train_loop(model, train_ds, valid_ds, cfg())
+
+    def test_non_finite_gradient_named(self, monkeypatch):
+        real_backward = vit.backward
+        calls = []
+
+        def poisoned(model, images, labels):
+            loss, grads = real_backward(model, images, labels)
+            calls.append(None)
+            if len(calls) == 5:  # epoch 1, step 1 with 24 images in batches of 8
+                grads["layers.0.attn.wk"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training.vit, "backward", poisoned)
+        expected = "epoch 1, step 1: non-finite gradient layers.0.attn.wk"
+        with pytest.raises(RuntimeError, match=expected):
+            self.tiny_run()
+
+    def test_non_finite_updated_parameter_named(self, monkeypatch):
+        real_step = training.sgd_step
+
+        def overflowing(params, *args, **kwargs):
+            real_step(params, *args, **kwargs)
+            params["head.b"][1] = np.inf
+
+        monkeypatch.setattr(training, "sgd_step", overflowing)
+        expected = "epoch 0, step 0: non-finite updated parameter head.b"
+        with pytest.raises(RuntimeError, match=expected):
+            self.tiny_run()
 
     def test_learns_separable_task(self):
         result = self.tiny_run(lr0=0.3, epochs=15)

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qpattn import vit
+from qpattn import scorers, vit
 from qpattn.vit import VitConfig, init_model
 
 
@@ -245,8 +245,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "0f572edcddb1b7f7", "dfbe60827268b438"),
-    ("qpa", 1): ("6e900635197dd0b4", "6170126733f1239a", "6902c5786b4773e5"),
+    ("qpa", 0): ("9e083236108b1465", "0f572edcddb1b7f7", "510fde4825701434"),
+    ("qpa", 1): ("6e900635197dd0b4", "6170126733f1239a", "bc15b34d060a1f77"),
     ("dot", 0): ("94a5ef27f5c36ef5", "980e4e72ce6e247e", "5f856fa5a899e2ec"),
     ("dot", 1): ("82fd715b40798094", "2e492482f8cdee3e", "fc72f0c9838d0aba"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "11df1d07b625a223"),
@@ -257,16 +257,29 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "f8ddf7fea862a1b5", "31bcc5301aa3443d"),
     ("linear", 0): ("94a5ef27f5c36ef5", "77a1d2c5a04ad0aa", "9247e35d0a57fbbf"),
     ("linear", 1): ("82fd715b40798094", "93f129243b139ded", "de39e13fb61b36bb"),
-    ("qpa-ind", 0): ("9e083236108b1465", "3bb897d582173fef", "5c9851dbfeb0b5c6"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "aa7fa67dad8ba967", "8261faff6325736b"),
+    ("qpa-ind", 0): ("9e083236108b1465", "3bb897d582173fef", "5f3d537d71d7b9d4"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "aa7fa67dad8ba967", "114ed62058399d11"),
 }
 
 # (logits, loss + grads) of one-layer quantum models whose 36992 scored
 # (pair, dimension) entries span three circuit chunks.
 GOLDEN_CHUNKED = {
-    "qpa": ("49bbbed0ea3472e9", "7329cfff4ace44e4"),
-    "qpa-ind": ("8bac02f4b07cc857", "22fb35bcf33099da"),
+    "qpa": ("49bbbed0ea3472e9", "c0772280d9e51c62"),
+    "qpa-ind": ("8bac02f4b07cc857", "7463a0fa6360b42c"),
 }
+
+
+# The inputs of the two bit-identity tests in TestGolden, for its parity check.
+def _golden_case(kind, seed):
+    model = init_model(tiny_config(kind, num_layers=2), seed)
+    images = np.random.default_rng(100 + seed).uniform(0, 1, size=(3, 1, 8, 8))
+    return model, images, np.array([0, 1, 0])
+
+
+def _chunked_case(kind):
+    config = VitConfig(16, 1, 4, 1, 2, 32, 16, 2, scorer=kind, depth=16)
+    images = np.random.default_rng(102).uniform(0, 1, size=(4, 1, 16, 16))
+    return init_model(config, 2), images, np.array([0, 1, 0, 1])
 
 
 class TestGolden:
@@ -293,3 +306,23 @@ class TestGolden:
             _digest([("loss", loss), *grads.items()]),
         )
         assert got == GOLDEN_CHUNKED[kind]
+
+    # The quantum `loss + grads` digests above pin the Fourier-form backward's
+    # rounding; on the same inputs, every gradient must agree with the
+    # parameter-shift backward it replaced.
+    @pytest.mark.parametrize(
+        "case",
+        [(_golden_case, kind, seed) for kind, seed in GOLDEN if scorers.KINDS[kind].quantum]
+        + [(_chunked_case, kind) for kind in GOLDEN_CHUNKED],
+        ids=lambda case: "-".join(map(str, case[1:])),
+    )
+    def test_quantum_grads_match_parameter_shift(
+        self, case, monkeypatch, parameter_shift_backward, oracle_bound
+    ):
+        model, images, labels = case[0](*case[1:])
+        loss, grads = vit.backward(model, images, labels)
+        monkeypatch.setattr(scorers, "quantum_scores_backward", parameter_shift_backward)
+        ref_loss, ref_grads = vit.backward(model, images, labels)
+        assert loss == ref_loss
+        for name, ref in ref_grads.items():
+            assert oracle_bound(grads[name], ref), name
