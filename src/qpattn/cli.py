@@ -202,13 +202,29 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
         raise CliError(str(exc)) from exc
 
 
-def _run_training(cfg: dict, scorer: str, seed: int):
-    """One deterministic training run; shared split/init per seed across scorers."""
-    dataset = _build_dataset(cfg)
-    train_ds, valid_ds = split(dataset, cfg["train_n"], cfg["valid_n"], seed)
+def _splits(cfg: dict, seed: int) -> tuple[ImageDataset, ImageDataset]:
+    """Train and validation splits of the configured dataset; bad settings raise CliError."""
+    try:
+        train_ds, valid_ds = split(_build_dataset(cfg), cfg["train_n"], cfg["valid_n"], seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if valid_ds.n == 0:
         raise CliError("validation split is empty; set valid_n > 0")
-    model = vit.init_model(_vit_config(cfg, dataset, scorer), seed)
+    return train_ds, valid_ds
+
+
+def _prepare_run(cfg: dict, scorer: str, seed: int):
+    """Initial model and splits of one run; bad settings raise CliError."""
+    train_ds, valid_ds = _splits(cfg, seed)
+    if train_ds.n == 0:
+        raise CliError("training split is empty; set train_n > 0")
+    model = vit.init_model(_vit_config(cfg, train_ds, scorer), seed)
+    return model, train_ds, valid_ds
+
+
+def _run_training(cfg: dict, scorer: str, seed: int):
+    """One deterministic training run; shared split/init per seed across scorers."""
+    model, train_ds, valid_ds = _prepare_run(cfg, scorer, seed)
     result = training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
     best_model = vit.VitModel(model.config, result.best_params)
     return best_model, result
@@ -252,16 +268,17 @@ def cmd_verify(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
-    _train_config(cfg, cfg["seed"])  # refuse a bad optimiser setting before any work
+    # Refuse a bad setting before any work or output.
+    train_config = _train_config(cfg, cfg["seed"])
+    model, train_ds, valid_ds = _prepare_run(cfg, cfg["scorer"], cfg["seed"])
     outdir = _output_dir(args.out)
-    best_model, result = _run_training(cfg, cfg["scorer"], cfg["seed"])
+    result = training.train_loop(model, train_ds, valid_ds, train_config)
+    best_model = vit.VitModel(model.config, result.best_params)
 
     _write_jsonl(outdir / "history.jsonl", result.history)
     vit.save_checkpoint(best_model, outdir / "checkpoint.npz")
 
     # Confidence-stratified accuracy of the best model on the validation set.
-    dataset = _build_dataset(cfg)
-    _, valid_ds = split(dataset, cfg["train_n"], cfg["valid_n"], cfg["seed"])
     _, max_probs, correct = training.evaluate(best_model, valid_ds)
     strata = [
         {"stratum": s.name, "low": s.low, "high": s.high, "count": s.count, "accuracy": s.accuracy}
@@ -418,16 +435,16 @@ def cmd_noise_sweep(args) -> int:
     for channel in channels:
         if channel not in qcore.CHANNELS:
             raise CliError(f"unknown noise channel {channel!r}")
-    model = vit.load_checkpoint(args.checkpoint)
+    try:
+        model = vit.load_checkpoint(args.checkpoint)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot load checkpoint {args.checkpoint}: {exc}") from exc
     if not scorers.KINDS[model.config.scorer].quantum:
         raise CliError(
             f"noise sweep requires a quantum-scorer checkpoint, got {model.config.scorer!r}"
         )
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
-    dataset = _build_dataset(cfg)
-    _, valid_ds = split(dataset, cfg["train_n"], cfg["valid_n"], cfg["seed"])
-    if valid_ds.n == 0:
-        raise CliError("validation split is empty; set valid_n > 0")
+    _, valid_ds = _splits(cfg, cfg["seed"])
 
     def sweep_eval(noise):
         correct = 0

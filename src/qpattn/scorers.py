@@ -3,14 +3,17 @@
 Seven interchangeable scorers share one contract: given per-head query/key
 matrices ``Q, K`` of shape ``(..., N, d_h)`` they produce an ``(..., N, N)``
 score matrix fed to a row softmax (the linear-attention variant skips the
-softmax and returns outputs directly). The quantum scorers evaluate the
-two-qubit circuit dimension-by-dimension and sum the first ``D`` per-dimension
-scores, so their entries always lie in ``[0, D]`` with no extra scaling.
+softmax and returns outputs directly). The quantum scorers score every
+(query, key) pair dimension-by-dimension with the two-qubit circuit and sum
+the first ``D`` per-dimension scores, so their entries always lie in
+``[0, D]`` with no extra scaling.
 
 Each scorer with trainable parameters also exposes a ``*_backward`` companion
 returning input and parameter gradients given the upstream score gradient.
-The quantum backward works on the circuit's exact Fourier form, so it costs
-two GEMMs per layer instead of circuit evaluations per (pair, dimension).
+Both directions of the quantum scorers use the circuit's exact Fourier form
+(`circuit.score_batch`, `circuit.fourier_frequencies`, `circuit.phasors`):
+the forward sums the series per (pair, dimension), keeping each per-pair
+score, and the backward costs two GEMMs per layer.
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 """
@@ -90,13 +93,11 @@ def quantum_scores_backward(
     K = np.asarray(K, dtype=float)
     _check_depth(Q.shape[-1], depth)
     dA = np.asarray(d_scores, dtype=float)
-    jac = circuit.ANGLE_JACOBIAN[independent]  # (5, 3, 2)
-    uv = circuit.FOURIER_FREQS @ np.tensordot(params.to_array(), jac, axes=1)  # (M, 2): u, v
-    u, v = uv[:, 0], uv[:, 1]
+    u, v = circuit.fourier_frequencies(params, independent)
     c, dc = circuit.fourier_coefficients(params.beta)
     qs, ks = Q[..., :depth], K[..., :depth]
-    F = _phasors(qs[..., None] * u)  # (..., N, D, M)
-    G = _phasors(ks[..., None] * v)
+    F = circuit.phasors(qs[..., None] * u)  # (..., N, D, M)
+    G = circuit.phasors(ks[..., None] * v)
     FH = F * _complex_matmul(dA, G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
     GH = G * _complex_matmul(np.swapaxes(dA, -1, -2), F)
 
@@ -108,17 +109,10 @@ def quantum_scores_backward(
     d_u = (1j * c * (qs.reshape(-1) @ FH.reshape(-1, m))).real  # dL/du_n
     d_v = (1j * c * (ks.reshape(-1) @ GH.reshape(-1, m))).real
     d_freq = circuit.FOURIER_FREQS.T  # u_n = FOURIER_FREQS[n] . W[:, 0], v_n likewise
+    jac = circuit.ANGLE_JACOBIAN[independent]  # (5, 3, 2): d W / d parameter
     d_params = jac[:, :, 0] @ (d_freq @ d_u) + jac[:, :, 1] @ (d_freq @ d_v)
     d_params[4] = (dc @ FH.reshape(-1, m).sum(axis=0)).real  # beta enters through c
     return dQ, dK, d_params
-
-
-def _phasors(theta: np.ndarray) -> np.ndarray:
-    # exp(i theta) from the real cos and sin, about twice as fast as complex exp.
-    out = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
-    return out
 
 
 def _complex_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:

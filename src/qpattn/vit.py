@@ -4,7 +4,7 @@ Pre-Norm encoder blocks (x <- x + MHSA(LN(x)); x <- x + FFN(LN(x))) over a
 convolutional patch embedding, a learnable CLS token and positional table,
 and a linear head on the CLS representation. Forward and backward are written
 directly in numpy; the quantum scorer enters backpropagation as a primitive
-whose exact partials come from the parameter-shift rule.
+whose forward and exact backward both come from the circuit's Fourier form.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
 which keeps the optimizer, checkpointing and finite-difference checks simple.
@@ -13,6 +13,7 @@ which keeps the optimizer, checkpointing and finite-difference checks simple.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -38,6 +39,13 @@ class VitConfig:
     depth: int = 16
 
     def __post_init__(self):
+        sizes = ("image_size", "channels", "patch_size", "num_layers", "heads", "hidden_size",
+                 "mlp_hidden")
+        for name in sizes:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be at least 2, got {self.num_classes!r}")
         if self.image_size % self.patch_size != 0:
             raise ValueError(
                 f"image size {self.image_size} not divisible by patch size {self.patch_size}"
@@ -433,15 +441,49 @@ def save_checkpoint(model: VitModel, path) -> None:
 
 
 def load_checkpoint(path) -> VitModel:
-    with np.load(path, allow_pickle=False) as blob:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    Raises ValueError when the file is not such a checkpoint or when its arrays
+    do not match `param_spec` of its config, naming every missing, extra,
+    mis-shaped, non-numeric or non-finite parameter.
+    """
+    try:
+        blob = np.load(path, allow_pickle=False)
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not an .npz checkpoint: {exc}") from exc
+    if not isinstance(blob, np.lib.npyio.NpzFile):
+        raise ValueError("not an .npz checkpoint")
+    with blob:
+        missing = {"schema_version", "config_json"} - set(blob.files)
+        if missing:
+            raise ValueError(f"not a checkpoint: no {', '.join(sorted(missing))}")
         version = int(blob["schema_version"])
         if version != CHECKPOINT_SCHEMA_VERSION:
             raise ValueError(f"unsupported checkpoint schema version {version}")
-        config = VitConfig(**json.loads(str(blob["config_json"])))
+        try:
+            config = VitConfig(**json.loads(str(blob["config_json"])))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"invalid checkpoint config: {exc}") from exc
         params = {
             key.removeprefix("param:"): blob[key]
             for key in blob.files
             if key.startswith("param:")
         }
-    ordered = {name: params[name] for name in param_spec(config)}
-    return VitModel(config=config, params=ordered)
+    spec = param_spec(config)
+    present = [name for name in spec if name in params]
+    real = [name for name in present if params[name].dtype.kind in "fiu"]
+    bad = {
+        "missing": [name for name in spec if name not in params],
+        "extra": [name for name in params if name not in spec],
+        "mis-shaped": [
+            f"{name} {params[name].shape} (expected {spec[name]})"
+            for name in present
+            if params[name].shape != spec[name]
+        ],
+        "non-numeric": [name for name in present if name not in real],
+        "non-finite": [name for name in real if not np.isfinite(params[name]).all()],
+    }
+    problems = [f"{what} {', '.join(names)}" for what, names in bad.items() if names]
+    if problems:
+        raise ValueError(f"invalid checkpoint parameters: {'; '.join(problems)}")
+    return VitModel(config=config, params={name: params[name] for name in spec})

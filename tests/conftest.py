@@ -39,3 +39,17 @@ def within_oracle_bound(got, ref) -> bool:
 @pytest.fixture(scope="session")
 def oracle_bound():
     return within_oracle_bound
+
+
+def _edit_checkpoint(path, edit):
+    # Rewrite an .npz checkpoint after ``edit`` changed its {key: array} payload.
+    with np.load(path) as blob:
+        payload = {k: blob[k] for k in blob.files}
+    edit(payload)
+    with open(path, "wb") as f:
+        np.savez(f, **payload)
+
+
+@pytest.fixture(scope="session")
+def edit_checkpoint():
+    return _edit_checkpoint

@@ -5,6 +5,8 @@ products) so the scalar score path, the vectorised batch path, and the
 analytic closed forms are checked against each other from independent routes.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -305,6 +307,20 @@ class TestFourierForm:
             d_beta = circuit.score_gradient(q, k, p, independent).d_beta
             assert self.series(dc, q, k, p, independent) == pytest.approx(d_beta, abs=1e-12)
 
+    @pytest.mark.parametrize("independent", [False, True], ids=["qpa", "qpa-ind"])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, np.pi / 2, 7.0])
+    def test_score_batch_matches_real_amplitude(self, independent, beta):
+        # The batch forward sums the series; the real-amplitude evaluator walks
+        # the gates. Broadcast (50, 1, 16) x (1, 50, 16): 40000 pairs.
+        rng = np.random.default_rng(42)
+        p = QpaParams(*rng.normal(0, 0.8, 4), beta)
+        qs = rng.normal(0, 1.5, size=(50, 1, 16))
+        ks = rng.normal(0, 1.5, size=(1, 50, 16))
+        mu = circuit.score_batch(qs, ks, p, independent)
+        ref = circuit.score_grad_batch(qs, ks, p, independent)[0]
+        assert mu.shape == ref.shape == (50, 50, 16)
+        assert np.abs(mu - ref).max() <= 1e-13
+
     def test_angle_jacobian_reproduces_gate_angles(self):
         rng = np.random.default_rng(41)
         p = random_params(rng)
@@ -394,16 +410,16 @@ class TestNoisy:
 
     def test_probability_map_matches_density_evolution(self):
         rng = np.random.default_rng(21)
-        for channel in ("AD", "DP", "BF", "PF"):
+        for independent, channel in itertools.product((False, True), ("AD", "DP", "BF", "PF")):
             for _ in range(25):
                 p = random_params(rng)
                 q, k = rng.normal(0, 1.5, 2)
                 gamma = rng.uniform(0, 1)
                 fast = circuit.score_noisy_batch(
-                    np.array(q), np.array(k), p, channel, gamma
+                    np.array(q), np.array(k), p, channel, gamma, independent
                 )
                 assert float(fast) == pytest.approx(
-                    circuit.score_noisy(q, k, p, channel, gamma), abs=1e-12
+                    circuit.score_noisy(q, k, p, channel, gamma, independent), abs=1e-12
                 )
 
     def test_validation(self):

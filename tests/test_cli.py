@@ -6,12 +6,16 @@ flip the entangler gate order and watch the verification suite catch it.
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qpattn import circuit, cli, qcore
+from qpattn import circuit, cli, qcore, vit
 from qpattn.cli import CliError, parse_config_text, resolve_config
+from qpattn.data import synthetic_dataset
+
+STRIPE_TASK = Path(__file__).resolve().parents[1] / "configs" / "stripe_task.cfg"
 
 TINY = [
     "--set", "image_size=8",
@@ -130,6 +134,18 @@ class TestTrain:
 
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         assert cli.main(["train", "--set", "bogus=1", "--out", str(tmp_path)]) == 2
+
+    def test_dataset_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return synthetic_dataset(spec)
+
+        monkeypatch.setattr(cli, "synthetic_dataset", counted)
+        args = ["train", "--set", "scorer=dot", *TINY, "--set", "epochs=2", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert len(calls) == 1
 
 
 class TestCompare:
@@ -258,6 +274,31 @@ class TestNoiseSweep:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda pl: pl.pop("param:head.w"), "missing head.w"),
+        (lambda pl: pl.update({"param:head.w": np.zeros((3, 3))}), "mis-shaped head.w"),
+        (None, "not an .npz checkpoint"),
+        (lambda pl: pl["param:layers.0.scorer.qpa"].fill(np.inf), "non-finite layers.0.scorer.qpa"),
+    ],
+    ids=["missing-param", "mis-shaped-param", "not-npz", "non-finite-param"],
+)
+def test_noise_sweep_bad_checkpoint_is_usage_error(tmp_path, capsys, edit_checkpoint, edit, message):
+    path = tmp_path / "checkpoint.npz"
+    config = vit.VitConfig(8, 1, 4, 1, 2, 8, 16, 2, scorer="qpa", depth=4)
+    vit.save_checkpoint(vit.init_model(config, 0), path)
+    if edit is None:
+        path.write_text("not a checkpoint\n")
+    else:
+        edit_checkpoint(path, edit)
+    code = cli.main(["noise-sweep", "--checkpoint", str(path), *TINY, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestShots:
     def test_variance_bound_and_monotonicity(self, tmp_path):
         out = tmp_path / "shots"
@@ -320,6 +361,17 @@ class TestUsageErrorsBeforeAnyWork:
 
     def test_compare_bad_lr0(self, tmp_path, capsys):
         self.run(tmp_path, capsys, "compare", "--set", "seeds=1,2", *TINY, "--set", "lr0=nan")
+
+    @pytest.mark.parametrize(
+        "setting",
+        ["train_n=0", "train_n=100000", "n_per_class=0", "patch_size=0", "heads=0", "num_classes=1"],
+    )
+    def test_train_bad_dataset_split_or_model_setting(self, tmp_path, capsys, monkeypatch, setting):
+        def refuse(*args):
+            raise AssertionError("training started before the settings were checked")
+
+        monkeypatch.setattr(cli.training, "train_loop", refuse)
+        self.run(tmp_path, capsys, "train", "--config", str(STRIPE_TASK), "--set", setting)
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpattn import circuit, scorers
+from qpattn import circuit, qcore, scorers
 from qpattn.circuit import QpaParams
 from qpattn.scorers import MlpScorerParams
 
@@ -393,7 +393,6 @@ class TestFourierBackward:
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         Q, K = rng.normal(0, 1, size=(2, 1, 50, 16))
         dA = rng.normal(size=(1, 50, 50))
-        assert 50 * 50 * 16 > circuit._CHUNK  # the oracle takes its chunked path
         self.check(parameter_shift_backward, oracle_bound, Q, K, p, 16, dA, independent)
 
     @settings(max_examples=60, deadline=None)
@@ -416,6 +415,42 @@ class TestFourierBackward:
         dA = rng.normal(size=(2, n, n))
         p = QpaParams.from_array(np.array(theta))
         self.check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, independent)
+
+
+class TestProperties:
+    """Bounds and identities that hold for any parameters and inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+        n=st.integers(1, 6),
+        head_dim=st.integers(1, 5),
+        depth_cut=st.integers(0, 4),
+        scale=st.floats(0.01, 4.0),
+        independent=st.booleans(),
+        channel=st.sampled_from(sorted(qcore.CHANNELS)),
+        gamma=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_score_bounds_softmax_rows_and_phase_flip(
+        self, theta, n, head_dim, depth_cut, scale, independent, channel, gamma, seed
+    ):
+        rng = np.random.default_rng(seed)
+        depth = max(1, head_dim - depth_cut)
+        Q, K = rng.normal(0, scale, size=(2, 2, n, head_dim))
+        p = QpaParams.from_array(np.array(theta))
+        A = (scorers.qpa_ind_scores if independent else scorers.qpa_scores)(Q, K, p, depth)
+        assert A.shape == (2, n, n)
+        assert A.min() >= -1e-12 and A.max() <= depth + 1e-12
+        for scores in (A, A * rng.uniform(1, 1e3)):
+            assert np.abs(scorers.row_softmax(scores).sum(axis=-1) - 1).max() <= 1e-12
+
+        qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]
+        noisy = circuit.score_noisy_batch(qs, ks, p, channel, gamma, independent)
+        assert noisy.min() >= -1e-12 and noisy.max() <= 1 + 1e-12
+        clean = circuit.score_batch(qs, ks, p, independent)
+        phase_flip = circuit.score_noisy_batch(qs, ks, p, "PF", gamma, independent)
+        assert np.abs(phase_flip - clean).max() <= 1e-12
 
 
 @pytest.mark.parametrize("name", scorers.KINDS)

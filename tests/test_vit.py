@@ -2,11 +2,12 @@
 parameter accounting, checkpoint round trips."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from qpattn import scorers, vit
+from qpattn import circuit, scorers, vit
 from qpattn.vit import VitConfig, init_model
 
 
@@ -231,6 +232,43 @@ class TestCheckpoint:
             vit.load_checkpoint(path)
 
 
+class TestCheckpointValidation:
+    @pytest.mark.parametrize("kind", scorers.KINDS)
+    def test_round_trip_every_kind(self, tmp_path, kind):
+        model = init_model(tiny_config(kind, num_layers=2), 3)
+        vit.save_checkpoint(model, tmp_path / "model.npz")
+        loaded = vit.load_checkpoint(tmp_path / "model.npz")
+        assert loaded.config == model.config
+        assert list(loaded.params) == list(model.params)
+        for name, arr in model.params.items():
+            assert np.array_equal(loaded.params[name], arr), name
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda pl: pl.pop("param:head.w"), "missing head.w"),
+            (lambda pl: pl.update({"param:head.w": np.zeros((3, 3))}), "mis-shaped head.w (3, 3)"),
+            (lambda pl: pl.update({"param:bogus": np.zeros(2)}), "extra bogus"),
+            (lambda pl: pl["param:head.w"].fill(np.nan), "non-finite head.w"),
+            (lambda pl: pl.update({"param:head.b": np.array(["a", "b"])}), "non-numeric head.b"),
+        ],
+        ids=["missing", "mis-shaped", "extra", "non-finite", "non-numeric"],
+    )
+    def test_parameters_checked_against_spec(self, tmp_path, edit_checkpoint, edit, message):
+        path = tmp_path / "model.npz"
+        vit.save_checkpoint(init_model(tiny_config("qpa"), 0), path)
+        edit_checkpoint(path, edit)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            vit.load_checkpoint(path)
+
+    @pytest.mark.parametrize("content", [b"not a checkpoint\n", b"PK\x03\x04 truncated"])
+    def test_non_npz_file_refused(self, tmp_path, content):
+        path = tmp_path / "model.npz"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match="not an .npz checkpoint"):
+            vit.load_checkpoint(path)
+
+
 def _digest(named) -> str:
     h = hashlib.sha256()
     for name, arr in named:
@@ -245,8 +283,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "0f572edcddb1b7f7", "510fde4825701434"),
-    ("qpa", 1): ("6e900635197dd0b4", "6170126733f1239a", "bc15b34d060a1f77"),
+    ("qpa", 0): ("9e083236108b1465", "356139d6f513b958", "c596aa002844c19d"),
+    ("qpa", 1): ("6e900635197dd0b4", "6fed56daeb17c7d3", "b912c7b22f8c4a78"),
     ("dot", 0): ("94a5ef27f5c36ef5", "980e4e72ce6e247e", "5f856fa5a899e2ec"),
     ("dot", 1): ("82fd715b40798094", "2e492482f8cdee3e", "fc72f0c9838d0aba"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "11df1d07b625a223"),
@@ -257,15 +295,15 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "f8ddf7fea862a1b5", "31bcc5301aa3443d"),
     ("linear", 0): ("94a5ef27f5c36ef5", "77a1d2c5a04ad0aa", "9247e35d0a57fbbf"),
     ("linear", 1): ("82fd715b40798094", "93f129243b139ded", "de39e13fb61b36bb"),
-    ("qpa-ind", 0): ("9e083236108b1465", "3bb897d582173fef", "5f3d537d71d7b9d4"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "aa7fa67dad8ba967", "114ed62058399d11"),
+    ("qpa-ind", 0): ("9e083236108b1465", "786ad1c92976afbc", "f510cbf14c47fe8b"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "52f2532132e8e3b9", "721c03fd389bcd86"),
 }
 
-# (logits, loss + grads) of one-layer quantum models whose 36992 scored
-# (pair, dimension) entries span three circuit chunks.
+# (logits, loss + grads) of one-layer quantum models with 36992 scored
+# (pair, dimension) entries per layer, a larger input than GOLDEN's.
 GOLDEN_CHUNKED = {
-    "qpa": ("49bbbed0ea3472e9", "c0772280d9e51c62"),
-    "qpa-ind": ("8bac02f4b07cc857", "7463a0fa6360b42c"),
+    "qpa": ("0f725ae9e559ac46", "59c5a7c82014ad11"),
+    "qpa-ind": ("b5565a8906f83c4b", "5e82574096296542"),
 }
 
 
@@ -280,6 +318,11 @@ def _chunked_case(kind):
     config = VitConfig(16, 1, 4, 1, 2, 32, 16, 2, scorer=kind, depth=16)
     images = np.random.default_rng(102).uniform(0, 1, size=(4, 1, 16, 16))
     return init_model(config, 2), images, np.array([0, 1, 0, 1])
+
+
+# The six quantum-scorer inputs of TestGolden.
+_QUANTUM_CASES = [(_golden_case, kind, seed) for kind, seed in GOLDEN if scorers.KINDS[kind].quantum]
+_QUANTUM_CASES += [(_chunked_case, kind) for kind in GOLDEN_CHUNKED]
 
 
 class TestGolden:
@@ -326,3 +369,16 @@ class TestGolden:
         assert loss == ref_loss
         for name, ref in ref_grads.items():
             assert oracle_bound(grads[name], ref), name
+
+    # The quantum logits digests above pin the Fourier-form forward's rounding;
+    # on the same inputs, the logits must agree with the real-amplitude evaluator.
+    @pytest.mark.parametrize(
+        "case", _QUANTUM_CASES, ids=lambda case: "-".join(map(str, case[1:]))
+    )
+    def test_quantum_logits_match_real_amplitude(self, case, monkeypatch):
+        model, images, _ = case[0](*case[1:])
+        logits = vit.forward(model, images)
+        real_amplitude = circuit.score_grad_batch
+        monkeypatch.setattr(circuit, "score_batch", lambda *args: real_amplitude(*args)[0])
+        ref = vit.forward(model, images)
+        assert np.abs(logits - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
