@@ -18,6 +18,10 @@ backward differentiates it. The coefficients come from a 3x3x3-point DFT of a
 real-amplitude evaluator of the circuit, which with the exact parameter-shift
 rule on every rotation gate (`score_grad_batch`, `score_gradient`) is also the
 gradient oracle.
+
+The independent-encoding ablation (`qpa-ind`) is this circuit at gamma_d =
+gamma_s = 0. Only the statevector path (`build_state`, `score`, `score_noisy`)
+keeps an ``independent`` flag, as the reference the ablation is checked against.
 """
 
 from __future__ import annotations
@@ -293,33 +297,21 @@ FOURIER_FREQS = np.array(
 )
 
 #: The shifted angles are linear in the parameters and in (q, k):
-#: x = W @ (q, k) with W = tensordot(params.to_array(), ANGLE_JACOBIAN[independent], 1).
-#: Shape (5, 3, 2): one d W / d parameter per row of (theta_s, gamma_d, gamma_s,
-#: alpha, beta). For `qpa`, W = [[lambda1, lambda2], [lambda2, lambda1],
-#: [alpha, alpha]]; for the `qpa-ind` ablation, [[theta_s, 0], [0, theta_s],
-#: [alpha, alpha]]. Beta does not enter W.
-ANGLE_JACOBIAN = {
-    False: np.array(
-        [
-            [[1, 0], [0, 1], [0, 0]],
-            [[1, -1], [-1, 1], [0, 0]],
-            [[1, 1], [1, 1], [0, 0]],
-            [[0, 0], [0, 0], [1, 1]],
-            [[0, 0], [0, 0], [0, 0]],
-        ],
-        dtype=float,
-    ),
-    True: np.array(
-        [
-            [[1, 0], [0, 1], [0, 0]],
-            [[0, 0], [0, 0], [0, 0]],
-            [[0, 0], [0, 0], [0, 0]],
-            [[0, 0], [0, 0], [1, 1]],
-            [[0, 0], [0, 0], [0, 0]],
-        ],
-        dtype=float,
-    ),
-}
+#: x = W @ (q, k) with W = tensordot(params.to_array(), ANGLE_JACOBIAN, 1)
+#: = [[lambda1, lambda2], [lambda2, lambda1], [alpha, alpha]]. Shape (5, 3, 2):
+#: one d W / d parameter per row of (theta_s, gamma_d, gamma_s, alpha, beta).
+#: At gamma_d = gamma_s = 0 (the `qpa-ind` ablation) W = [[theta_s, 0],
+#: [0, theta_s], [alpha, alpha]]. Beta does not enter W.
+ANGLE_JACOBIAN = np.array(
+    [
+        [[1, 0], [0, 1], [0, 0]],
+        [[1, -1], [-1, 1], [0, 0]],
+        [[1, 1], [1, 1], [0, 0]],
+        [[0, 0], [0, 0], [1, 1]],
+        [[0, 0], [0, 0], [0, 0]],
+    ],
+    dtype=float,
+)
 
 
 #: Gate angles (phi0, phi1, ent) at the 27 points of the 3x3x3 DFT grid.
@@ -350,13 +342,13 @@ def fourier_coefficients(beta: float):
     return c, dc
 
 
-def fourier_frequencies(params: QpaParams, independent: bool = False):
+def fourier_frequencies(params: QpaParams):
     """Frequencies (u, v), each of shape (8,), of the factored series.
 
     mu(q, k) = Re sum_n c_n exp(i u_n q) exp(i v_n k), where (u_n, v_n) =
     FOURIER_FREQS[n] @ W and W is the angle map from `ANGLE_JACOBIAN`.
     """
-    uv = FOURIER_FREQS @ np.tensordot(params.to_array(), ANGLE_JACOBIAN[independent], axes=1)
+    uv = FOURIER_FREQS @ np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
     return uv[:, 0], uv[:, 1]
 
 
@@ -369,14 +361,14 @@ def phasors(theta) -> np.ndarray:
     return out
 
 
-def _series(qs, ks, params: QpaParams, independent: bool, grid_probs: np.ndarray):
+def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
     # mu = P(00) + P(11) at every broadcast (q, k) pair, from the outcome
     # probabilities at _GRID_ANGLES: c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k). The
     # features live on each input's own shape and one einsum contracts their
     # real views, so no pairwise intermediate is formed: with F' = conj(c F),
     # Re(c F G) = Re F' Re G + Im F' Im G, a dot product of (re, im) pairs.
     c = _fourier_series(grid_probs[..., 0] + grid_probs[..., 3])
-    u, v = fourier_frequencies(params, independent)
+    u, v = fourier_frequencies(params)
     F = phasors(np.asarray(qs, dtype=float)[..., None] * u[1:])
     F *= c[1:]
     np.conjugate(F, out=F)
@@ -386,23 +378,12 @@ def _series(qs, ks, params: QpaParams, independent: bool, grid_probs: np.ndarray
     return mu
 
 
-def score_batch(qs, ks, params: QpaParams, independent: bool = False) -> np.ndarray:
+def score_batch(qs, ks, params: QpaParams) -> np.ndarray:
     """Vectorised mu over broadcastable arrays of inputs, from the Fourier form."""
-    return _series(qs, ks, params, independent, circuit_probs(*_GRID_ANGLES, params.beta))
+    return _series(qs, ks, params, circuit_probs(*_GRID_ANGLES, params.beta))
 
 
-def _batch_angles(qs, ks, params: QpaParams, independent: bool):
-    if independent:
-        phi0 = ANGLE_OFFSET + params.theta_s * qs
-        phi1 = ANGLE_OFFSET + params.theta_s * ks
-    else:
-        l1, l2 = params.lambda1, params.lambda2
-        phi0 = ANGLE_OFFSET + l1 * qs + l2 * ks
-        phi1 = ANGLE_OFFSET + l2 * qs + l1 * ks
-    return phi0, phi1, params.alpha * (qs + ks)
-
-
-def score_grad_batch(qs, ks, params: QpaParams, independent: bool = False):
+def score_grad_batch(qs, ks, params: QpaParams):
     """Vectorised mu and its parameter-shift partials at every input pair.
 
     Returns ``(mu, d_q, d_k, d_params)`` where ``d_params`` has shape
@@ -411,32 +392,24 @@ def score_grad_batch(qs, ks, params: QpaParams, independent: bool = False):
     """
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
-    phi0, phi1, ent = _batch_angles(qs, ks, params, independent)
-    mu, g0, g1, ge, gb = circuit_mu_partials(phi0, phi1, ent, params.beta)
+    l1, l2 = params.lambda1, params.lambda2
+    phi0 = ANGLE_OFFSET + l1 * qs + l2 * ks
+    phi1 = ANGLE_OFFSET + l2 * qs + l1 * ks
+    mu, g0, g1, ge, gb = circuit_mu_partials(phi0, phi1, params.alpha * (qs + ks), params.beta)
 
+    d_theta = qs * g0 + ks * g1
+    d_gd = (qs - ks) * (g0 - g1)
+    d_gs = (qs + ks) * (g0 + g1)
     d_alpha = (qs + ks) * ge
-    if independent:
-        d_theta = qs * g0 + ks * g1
-        zero = np.zeros_like(mu)
-        d_params = np.stack([d_theta, zero, zero, d_alpha, np.broadcast_to(gb, mu.shape)])
-        d_q = params.theta_s * g0 + params.alpha * ge
-        d_k = params.theta_s * g1 + params.alpha * ge
-    else:
-        l1, l2 = params.lambda1, params.lambda2
-        d_theta = qs * g0 + ks * g1
-        d_gd = (qs - ks) * (g0 - g1)
-        d_gs = (qs + ks) * (g0 + g1)
-        d_params = np.stack([d_theta, d_gd, d_gs, d_alpha, np.broadcast_to(gb, mu.shape)])
-        d_q = l1 * g0 + l2 * g1 + params.alpha * ge
-        d_k = l2 * g0 + l1 * g1 + params.alpha * ge
+    d_params = np.stack([d_theta, d_gd, d_gs, d_alpha, np.broadcast_to(gb, mu.shape)])
+    d_q = l1 * g0 + l2 * g1 + params.alpha * ge
+    d_k = l2 * g0 + l1 * g1 + params.alpha * ge
     return mu, d_q, d_k, d_params
 
 
-def score_gradient(
-    q: float, k: float, params: QpaParams, independent: bool = False
-) -> ScoreGradient:
+def score_gradient(q: float, k: float, params: QpaParams) -> ScoreGradient:
     """Exact parameter-shift gradient of mu w.r.t. the circuit parameters and inputs."""
-    _, d_q, d_k, d_params = score_grad_batch(q, k, params, independent)
+    _, d_q, d_k, d_params = score_grad_batch(q, k, params)
     return ScoreGradient(*(float(v) for v in d_params), float(d_q), float(d_k))
 
 
@@ -520,9 +493,7 @@ def noisy_probs(probs: np.ndarray, channel: str, gamma: float) -> np.ndarray:
     return np.asarray(probs) @ np.kron(m, m).T
 
 
-def score_noisy_batch(
-    qs, ks, params: QpaParams, channel: str, gamma: float, independent: bool = False
-) -> np.ndarray:
+def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> np.ndarray:
     """Vectorised noisy score over broadcastable input arrays.
 
     The channel maps outcome probabilities linearly (`noisy_probs`), so the
@@ -530,4 +501,4 @@ def score_noisy_batch(
     come from the same DFT, applied to the noisy probabilities on the grid.
     """
     probs = noisy_probs(circuit_probs(*_GRID_ANGLES, params.beta), channel, gamma)
-    return _series(qs, ks, params, independent, probs)
+    return _series(qs, ks, params, probs)

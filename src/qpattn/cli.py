@@ -132,7 +132,16 @@ def resolve_config(
             values[key] = _parse_list(int, value, key)
         else:
             values[key] = _parse_scalar(kind, value)
+    for key in ("seed", "data_seed", "seeds"):
+        if key in values:
+            _check_seed(key, values[key])
     return values
+
+
+def _check_seed(name: str, value) -> None:
+    # numpy generators refuse negative seeds; one seed or a list of them.
+    if np.min(value) < 0:
+        raise CliError(f"{name} must be non-negative, got {value}")
 
 
 def _output_dir(arg: str | None) -> Path:
@@ -151,18 +160,22 @@ def _apply_depth_default(cfg: dict) -> dict:
 
 
 def _build_dataset(cfg: dict) -> ImageDataset:
-    if cfg["dataset"] == "synthetic":
-        spec = SyntheticSpec(
-            n_per_class=cfg["n_per_class"],
-            image_size=cfg["image_size"],
-            noise_std=cfg["noise_std"],
-            seed=cfg["data_seed"],
-        )
-        return synthetic_dataset(spec)
-    if cfg["dataset"] == "idx":
-        if not cfg["images_path"] or not cfg["labels_path"]:
-            raise CliError("idx dataset requires images_path and labels_path")
-        return load_idx(cfg["images_path"], cfg["labels_path"], cfg["class_a"], cfg["class_b"])
+    """The configured dataset; bad settings raise CliError."""
+    try:
+        if cfg["dataset"] == "synthetic":
+            spec = SyntheticSpec(
+                n_per_class=cfg["n_per_class"],
+                image_size=cfg["image_size"],
+                noise_std=cfg["noise_std"],
+                seed=cfg["data_seed"],
+            )
+            return synthetic_dataset(spec)
+        if cfg["dataset"] == "idx":
+            if not cfg["images_path"] or not cfg["labels_path"]:
+                raise CliError("idx dataset requires images_path and labels_path")
+            return load_idx(cfg["images_path"], cfg["labels_path"], cfg["class_a"], cfg["class_b"])
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     raise CliError(f"unknown dataset kind {cfg['dataset']!r}")
 
 
@@ -202,10 +215,10 @@ def _train_config(cfg: dict, seed: int) -> TrainConfig:
         raise CliError(str(exc)) from exc
 
 
-def _splits(cfg: dict, seed: int) -> tuple[ImageDataset, ImageDataset]:
-    """Train and validation splits of the configured dataset; bad settings raise CliError."""
+def _splits(cfg: dict, dataset: ImageDataset, seed: int) -> tuple[ImageDataset, ImageDataset]:
+    """Train and validation splits of ``dataset``; bad settings raise CliError."""
     try:
-        train_ds, valid_ds = split(_build_dataset(cfg), cfg["train_n"], cfg["valid_n"], seed)
+        train_ds, valid_ds = split(dataset, cfg["train_n"], cfg["valid_n"], seed)
     except ValueError as exc:
         raise CliError(str(exc)) from exc
     if valid_ds.n == 0:
@@ -213,18 +226,17 @@ def _splits(cfg: dict, seed: int) -> tuple[ImageDataset, ImageDataset]:
     return train_ds, valid_ds
 
 
-def _prepare_run(cfg: dict, scorer: str, seed: int):
-    """Initial model and splits of one run; bad settings raise CliError."""
-    train_ds, valid_ds = _splits(cfg, seed)
+def _init_model(cfg: dict, train_ds: ImageDataset, scorer: str, seed: int) -> vit.VitModel:
+    """Initial model of one run on its training split; bad settings raise CliError."""
     if train_ds.n == 0:
         raise CliError("training split is empty; set train_n > 0")
-    model = vit.init_model(_vit_config(cfg, train_ds, scorer), seed)
-    return model, train_ds, valid_ds
+    return vit.init_model(_vit_config(cfg, train_ds, scorer), seed)
 
 
 def _run_training(cfg: dict, scorer: str, seed: int):
     """One deterministic training run; shared split/init per seed across scorers."""
-    model, train_ds, valid_ds = _prepare_run(cfg, scorer, seed)
+    train_ds, valid_ds = _splits(cfg, _build_dataset(cfg), seed)
+    model = _init_model(cfg, train_ds, scorer, seed)
     result = training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
     best_model = vit.VitModel(model.config, result.best_params)
     return best_model, result
@@ -249,6 +261,7 @@ def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
 
 
 def cmd_verify(args) -> int:
+    _check_seed("--seed", args.seed)
     results = lab.run_claims(seed=args.seed, only=args.claim)
     if not results:
         print(f"no claim matches filter {args.claim!r}", file=sys.stderr)
@@ -270,7 +283,8 @@ def cmd_train(args) -> int:
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
     # Refuse a bad setting before any work or output.
     train_config = _train_config(cfg, cfg["seed"])
-    model, train_ds, valid_ds = _prepare_run(cfg, cfg["scorer"], cfg["seed"])
+    train_ds, valid_ds = _splits(cfg, _build_dataset(cfg), cfg["seed"])
+    model = _init_model(cfg, train_ds, cfg["scorer"], cfg["seed"])
     outdir = _output_dir(args.out)
     result = training.train_loop(model, train_ds, valid_ds, train_config)
     best_model = vit.VitModel(model.config, result.best_params)
@@ -308,8 +322,8 @@ def cmd_train(args) -> int:
 
 
 def _compare_worker(payload) -> training.RunStats:
-    cfg, scorer, seed = payload
-    _, result = _run_training(cfg, scorer, seed)
+    cfg, scorer, seed, model, train_ds, valid_ds = payload
+    result = training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
     history = [dict(record, seed=seed, scorer=scorer) for record in result.history]
     return training.RunStats(
         seed=seed,
@@ -356,10 +370,17 @@ def cmd_compare(args) -> int:
     if unknown:
         raise CliError(f"unknown scorers {unknown}; expected some of {scorers.SCORER_KINDS}")
     _train_config(cfg, seeds[0])  # refuse a bad optimiser setting before any run
+    # One dataset and one split per seed for every job; building each job's
+    # model checks every split and model setting before any output.
+    dataset = _build_dataset(cfg)
+    splits = {seed: _splits(cfg, dataset, seed) for seed in seeds}
+    jobs = [
+        (cfg, scorer, seed, _init_model(cfg, splits[seed][0], scorer, seed), *splits[seed])
+        for scorer in dict.fromkeys(scorers_list)
+        for seed in seeds
+    ]
     outdir = _output_dir(args.out)
 
-    unique_scorers = list(dict.fromkeys(scorers_list))
-    jobs = [(cfg, scorer, seed) for scorer in unique_scorers for seed in seeds]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             runs = list(pool.map(_compare_worker, jobs))
@@ -444,7 +465,7 @@ def cmd_noise_sweep(args) -> int:
             f"noise sweep requires a quantum-scorer checkpoint, got {model.config.scorer!r}"
         )
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
-    _, valid_ds = _splits(cfg, cfg["seed"])
+    _, valid_ds = _splits(cfg, _build_dataset(cfg), cfg["seed"])
 
     def sweep_eval(noise):
         correct = 0
@@ -477,20 +498,7 @@ def cmd_noise_sweep(args) -> int:
             )
             print(f"{channel} gamma={gamma:g}: accuracy {acc:.4f} mean_mu {mean_mu:.6f}")
     outdir = _output_dir(args.out)
-    _write_csv(
-        outdir / "noise_sweep.csv",
-        [
-            "schema_version",
-            "channel",
-            "gamma",
-            "val_accuracy",
-            "mean_mu",
-            "mean_mu_shift",
-            "baseline_accuracy",
-            "baseline_mean_mu",
-        ],
-        rows,
-    )
+    _write_csv(outdir / "noise_sweep.csv", list(rows[0]), rows)
     print(f"outputs written to {outdir}")
     return 0
 
@@ -503,6 +511,7 @@ def cmd_shots(args) -> int:
         raise CliError(f"--reps must be at least 2 for a sample std, got {args.reps}")
     if args.inputs < 1:
         raise CliError(f"--inputs must be at least 1, got {args.inputs}")
+    _check_seed("--seed", args.seed)
     rng = np.random.default_rng(args.seed)
     inputs = []
     for _ in range(args.inputs):
@@ -533,11 +542,7 @@ def cmd_shots(args) -> int:
         )
         print(f"S={shots}: max std {max(stds):.4f} (bound 1/(2 sqrt S) = {bound:.4f})")
     outdir = _output_dir(args.out)
-    _write_csv(
-        outdir / "shots.csv",
-        ["schema_version", "shots", "empirical_std_max", "empirical_std_mean", "bound"],
-        rows,
-    )
+    _write_csv(outdir / "shots.csv", list(rows[0]), rows)
     print(f"outputs written to {outdir}")
     return 0
 

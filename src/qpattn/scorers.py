@@ -16,6 +16,8 @@ the forward sums the series per (pair, dimension), keeping each per-pair
 score, and the backward costs two GEMMs per layer.
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
+The `qpa-ind` ablation is the `qpa` kind with gamma_d = gamma_s held at 0: the
+circuit sees those two stored parameters as 0, and their gradient is 0.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ def _pairwise(Q: np.ndarray, K: np.ndarray, depth: int):
     return Q[..., :, None, :depth], K[..., None, :, :depth]
 
 
-def _circuit_scores(Q, K, params: QpaParams, depth: int, independent=False, noise=None):
+def _circuit_scores(Q, K, params: QpaParams, depth: int, noise=None):
     # (A, mu): the score matrix and the (..., N, N, D) per-pair circuit scores,
     # optionally under a noise channel (name, gamma).
     qs, ks = _pairwise(Q, K, depth)
     if noise is None:
-        mu = circuit.score_batch(qs, ks, params, independent)
+        mu = circuit.score_batch(qs, ks, params)
     else:
-        mu = circuit.score_noisy_batch(qs, ks, params, *noise, independent)
+        mu = circuit.score_noisy_batch(qs, ks, params, *noise)
     return mu.sum(axis=-1), mu
 
 
@@ -62,22 +64,14 @@ def qpa_scores(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int) -> n
     return _circuit_scores(Q, K, params, depth)[0]
 
 
-def qpa_ind_scores(
-    Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int
-) -> np.ndarray:
-    """Ablation scorer with single-parameter independent encoding, same circuit body."""
-    return _circuit_scores(Q, K, params, depth, independent=True)[0]
-
-
 def quantum_scores_backward(
     Q: np.ndarray,
     K: np.ndarray,
     params: QpaParams,
     depth: int,
     d_scores: np.ndarray,
-    independent: bool = False,
 ):
-    """Backward pass of `qpa_scores` / `qpa_ind_scores`.
+    """Backward pass of `qpa_scores`.
 
     Returns ``(dQ, dK, d_params)`` with ``d_params`` a length-5 array. This is
     the exact backward of the circuit's Fourier form
@@ -93,7 +87,7 @@ def quantum_scores_backward(
     K = np.asarray(K, dtype=float)
     _check_depth(Q.shape[-1], depth)
     dA = np.asarray(d_scores, dtype=float)
-    u, v = circuit.fourier_frequencies(params, independent)
+    u, v = circuit.fourier_frequencies(params)
     c, dc = circuit.fourier_coefficients(params.beta)
     qs, ks = Q[..., :depth], K[..., :depth]
     F = circuit.phasors(qs[..., None] * u)  # (..., N, D, M)
@@ -109,7 +103,7 @@ def quantum_scores_backward(
     d_u = (1j * c * (qs.reshape(-1) @ FH.reshape(-1, m))).real  # dL/du_n
     d_v = (1j * c * (ks.reshape(-1) @ GH.reshape(-1, m))).real
     d_freq = circuit.FOURIER_FREQS.T  # u_n = FOURIER_FREQS[n] . W[:, 0], v_n likewise
-    jac = circuit.ANGLE_JACOBIAN[independent]  # (5, 3, 2): d W / d parameter
+    jac = circuit.ANGLE_JACOBIAN  # (5, 3, 2): d W / d parameter
     d_params = jac[:, :, 0] @ (d_freq @ d_u) + jac[:, :, 1] @ (d_freq @ d_v)
     d_params[4] = (dc @ FH.reshape(-1, m).sum(axis=0)).real  # beta enters through c
     return dQ, dK, d_params
@@ -468,15 +462,19 @@ def _no_params(*_):
     return {}
 
 
-def _quantum_kind(independent: bool) -> ScorerKind:
+def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
+    # Parameters named in `pinned` enter the circuit as 0 and get zero gradient.
+    free = np.isin(circuit.PARAM_NAMES, pinned, invert=True)
+
+    def params(p):
+        return QpaParams.from_array(np.where(free, p["qpa"], 0.0))
+
     def scores(Q, K, p, depth, noise):
-        return _circuit_scores(Q, K, QpaParams.from_array(p["qpa"]), depth, independent, noise)
+        return _circuit_scores(Q, K, params(p), depth, noise)
 
     def backward(Q, K, p, depth, dA):
-        dQ, dK, d_theta = quantum_scores_backward(
-            Q, K, QpaParams.from_array(p["qpa"]), depth, dA, independent=independent
-        )
-        return dQ, dK, {"qpa": d_theta}
+        dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA)
+        return dQ, dK, {"qpa": np.where(free, d_theta, 0.0)}
 
     return ScorerKind(
         shapes=lambda heads: {"qpa": (5,)},
@@ -518,7 +516,7 @@ def _cosine_backward(Q, K, p, depth, dA):
 
 
 KINDS: dict[str, ScorerKind] = {
-    "qpa": _quantum_kind(independent=False),
+    "qpa": _quantum_kind(),
     "dot": ScorerKind(
         shapes=_no_params,
         init=_no_params,
@@ -534,7 +532,7 @@ KINDS: dict[str, ScorerKind] = {
         backward=_cosine_backward,
     ),
     "linear": ScorerKind(shapes=_no_params, init=_no_params),
-    "qpa-ind": _quantum_kind(independent=True),
+    "qpa-ind": _quantum_kind(pinned=("gamma_d", "gamma_s")),  # independent encoding
 }
 SCORER_KINDS = tuple(KINDS)
 DEFAULT_KINDS = ("qpa", "dot")  # the paper's scorer, then its dot-product baseline

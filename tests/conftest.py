@@ -6,14 +6,14 @@ import pytest
 from qpattn import circuit
 
 
-def _parameter_shift_backward(Q, K, params, depth, d_scores, independent=False):
+def _parameter_shift_backward(Q, K, params, depth, d_scores):
     # The pairwise reduction of `circuit.score_grad_batch` over every
     # (query, key, dimension) triple: the backward of the quantum scorers
     # written out with parameter-shift partials.
     Q = np.asarray(Q, dtype=float)
     K = np.asarray(K, dtype=float)
     qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]
-    _, d_q, d_k, d_params = circuit.score_grad_batch(qs, ks, params, independent)
+    _, d_q, d_k, d_params = circuit.score_grad_batch(qs, ks, params)
     w = np.asarray(d_scores)[..., None]
     dQ = np.zeros_like(Q)
     dK = np.zeros_like(K)

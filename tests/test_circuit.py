@@ -5,6 +5,7 @@ products) so the scalar score path, the vectorised batch path, and the
 analytic closed forms are checked against each other from independent routes.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -18,6 +19,16 @@ ORIGIN_MU = 0.8535533905932737  # cos^2(pi/8)
 
 def random_params(rng, scale=0.8):
     return QpaParams.from_array(rng.normal(0, scale, size=5))
+
+
+def ablation(p):
+    # The parameters at which the `qpa` circuit is the independent-encoding one.
+    return dataclasses.replace(p, gamma_d=0.0, gamma_s=0.0)
+
+
+def fast_path_params(p, independent):
+    # Parameters at which the fast path computes what `score(..., independent)` does.
+    return ablation(p) if independent else p
 
 
 class TestQpaParams:
@@ -248,13 +259,14 @@ class TestGradient:
                 assert abs(fd - exact[j]) < 1e-6
 
     def test_independent_encoding_gradient(self):
+        # At gamma_d = gamma_s = 0 the qpa gradient is the ablation's, checked
+        # against the statevector independent encoding (which ignores gammas).
         rng = np.random.default_rng(14)
         h = 1e-4
         for _ in range(30):
             p = random_params(rng)
             q, k = rng.normal(0, 1.5, 2)
-            g = circuit.score_gradient(q, k, p, independent=True)
-            assert g.d_gamma_d == 0.0 and g.d_gamma_s == 0.0
+            g = circuit.score_gradient(q, k, ablation(p))
             vec = np.concatenate([p.to_array(), [q, k]])
             exact = np.concatenate([g.param_array(), [g.d_q, g.d_k]])
             for j in (0, 3, 4, 5, 6):  # theta_s, alpha, beta, q, k
@@ -289,8 +301,8 @@ class TestGradient:
 
 class TestFourierForm:
     @staticmethod
-    def series(coeffs, q, k, params, independent):
-        x = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN[independent], 1) @ [q, k]
+    def series(coeffs, q, k, params):
+        x = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, 1) @ [q, k]
         return float((coeffs * np.exp(1j * (circuit.FOURIER_FREQS @ x))).sum().real)
 
     @pytest.mark.parametrize("independent", [False, True])
@@ -303,9 +315,10 @@ class TestFourierForm:
             p = QpaParams(*rng.normal(0, 1, 4), beta)
             q, k = rng.normal(0, 2, size=2)
             mu = circuit.score(q, k, p, independent)
-            assert self.series(c, q, k, p, independent) == pytest.approx(mu, abs=1e-12)
-            d_beta = circuit.score_gradient(q, k, p, independent).d_beta
-            assert self.series(dc, q, k, p, independent) == pytest.approx(d_beta, abs=1e-12)
+            fast = fast_path_params(p, independent)
+            assert self.series(c, q, k, fast) == pytest.approx(mu, abs=1e-12)
+            d_beta = circuit.score_gradient(q, k, fast).d_beta
+            assert self.series(dc, q, k, fast) == pytest.approx(d_beta, abs=1e-12)
 
     @pytest.mark.parametrize("independent", [False, True], ids=["qpa", "qpa-ind"])
     @pytest.mark.parametrize("beta", [0.0, 0.3, np.pi / 2, 7.0])
@@ -313,11 +326,11 @@ class TestFourierForm:
         # The batch forward sums the series; the real-amplitude evaluator walks
         # the gates. Broadcast (50, 1, 16) x (1, 50, 16): 40000 pairs.
         rng = np.random.default_rng(42)
-        p = QpaParams(*rng.normal(0, 0.8, 4), beta)
+        p = fast_path_params(QpaParams(*rng.normal(0, 0.8, 4), beta), independent)
         qs = rng.normal(0, 1.5, size=(50, 1, 16))
         ks = rng.normal(0, 1.5, size=(1, 50, 16))
-        mu = circuit.score_batch(qs, ks, p, independent)
-        ref = circuit.score_grad_batch(qs, ks, p, independent)[0]
+        mu = circuit.score_batch(qs, ks, p)
+        ref = circuit.score_grad_batch(qs, ks, p)[0]
         assert mu.shape == ref.shape == (50, 50, 16)
         assert np.abs(mu - ref).max() <= 1e-13
 
@@ -325,12 +338,16 @@ class TestFourierForm:
         rng = np.random.default_rng(41)
         p = random_params(rng)
         q, k = rng.normal(size=2)
-        kinds = ((False, circuit.equivalent_angles), (True, circuit.independent_angles))
-        for independent, angles in kinds:
-            x = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN[independent], 1) @ [q, k]
-            phi0, phi1 = angles(q, k, p)
-            expected = [phi0 - circuit.ANGLE_OFFSET, phi1 - circuit.ANGLE_OFFSET, p.alpha * (q + k)]
-            assert np.allclose(x, expected, atol=1e-14)
+        x = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN, 1) @ [q, k]
+        phi0, phi1 = circuit.equivalent_angles(q, k, p)
+        expected = [phi0 - circuit.ANGLE_OFFSET, phi1 - circuit.ANGLE_OFFSET, p.alpha * (q + k)]
+        assert np.allclose(x, expected, atol=1e-14)
+        # The ablation's encoding is the three-step one at gamma_d = gamma_s = 0.
+        for _ in range(50):
+            p = random_params(rng)
+            q, k = rng.normal(0, 1.5, size=2)
+            got = np.array(circuit.equivalent_angles(q, k, ablation(p)))
+            assert got.tobytes() == np.array(circuit.independent_angles(q, k, p)).tobytes()
 
 
 class TestSampled:
@@ -416,7 +433,7 @@ class TestNoisy:
                 q, k = rng.normal(0, 1.5, 2)
                 gamma = rng.uniform(0, 1)
                 fast = circuit.score_noisy_batch(
-                    np.array(q), np.array(k), p, channel, gamma, independent
+                    np.array(q), np.array(k), fast_path_params(p, independent), channel, gamma
                 )
                 assert float(fast) == pytest.approx(
                     circuit.score_noisy(q, k, p, channel, gamma, independent), abs=1e-12

@@ -202,11 +202,23 @@ class TestCompare:
         def no_training(*args):
             raise AssertionError("training started before the scorer list was checked")
 
-        monkeypatch.setattr(cli, "_run_training", no_training)
+        monkeypatch.setattr(cli.training, "train_loop", no_training)
         code = cli.main(
             ["compare", "--set", "scorers=qpa,bogus", "--set", "seeds=1,2", *TINY, "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_dataset_built_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return synthetic_dataset(spec)
+
+        monkeypatch.setattr(cli, "synthetic_dataset", counted)
+        args = ["compare", "--set", "scorers=dot,linear", "--set", "seeds=1,2", *TINY]
+        assert cli.main([*args, "--set", "epochs=2", "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
 
 @pytest.fixture(scope="module")
@@ -326,14 +338,18 @@ class TestUsageErrorsBeforeAnyWork:
             raise AssertionError("work started before the arguments were checked")
 
         monkeypatch.setattr(cli, "_run_training", refuse)
+        monkeypatch.setattr(cli.training, "train_loop", refuse)
         monkeypatch.setattr(cli.vit, "load_checkpoint", refuse)
         monkeypatch.setattr(cli.circuit, "score_sampled", refuse)
+        monkeypatch.setattr(cli.lab, "run_claims", refuse)
 
     def run(self, tmp_path, capsys, *argv):
         code = cli.main([*argv, "--out", str(tmp_path / "out")])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
         assert not (tmp_path / "out").exists()
+        return err
 
     def test_shots_not_an_integer(self, tmp_path, capsys):
         self.run(tmp_path, capsys, "shots", "--shots", "abc")
@@ -372,6 +388,28 @@ class TestUsageErrorsBeforeAnyWork:
 
         monkeypatch.setattr(cli.training, "train_loop", refuse)
         self.run(tmp_path, capsys, "train", "--config", str(STRIPE_TASK), "--set", setting)
+
+    @pytest.mark.parametrize(
+        "setting", ["train_n=0", "valid_n=100000", "n_per_class=0", "patch_size=3", "depth=32"]
+    )
+    def test_compare_bad_dataset_split_or_model_setting(self, tmp_path, capsys, setting):
+        # depth=32 is refused by mlp49 only, the second scorer.
+        argv = ["compare", "--set", "scorers=dot,mlp49", "--set", "seeds=1,2", *TINY]
+        self.run(tmp_path, capsys, *argv, "--set", setting)
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [
+            ("--seed", ["verify", "--seed", "-1"]),
+            ("--seed", ["shots", "--seed", "-1"]),
+            ("seed", ["train", *TINY, "--set", "seed=-1"]),
+            ("data_seed", ["train", *TINY, "--set", "data_seed=-1"]),
+            ("seeds", ["compare", *TINY, "--set", "seeds=1,-2"]),
+            ("data_seed", ["compare", *TINY, "--set", "data_seed=-1"]),
+        ],
+    )
+    def test_negative_seed_names_the_setting(self, tmp_path, capsys, name, argv):
+        assert self.run(tmp_path, capsys, *argv).startswith(f"error: {name} must be non-negative")
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

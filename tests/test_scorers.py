@@ -1,6 +1,8 @@
 """Scorer tests: values, bounds, equivariance, and backward passes vs finite
 differences."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,17 @@ from qpattn.circuit import QpaParams
 from qpattn.scorers import MlpScorerParams
 
 ORIGIN_MU = 0.8535533905932737
+IND = scorers.KINDS["qpa-ind"]
+
+
+def ablation(p):
+    # The parameters at which `qpa-ind` evaluates the `qpa` circuit.
+    return dataclasses.replace(p, gamma_d=0.0, gamma_s=0.0)
+
+
+def ind_scores(Q, K, p, depth):
+    # The `qpa-ind` kind's score matrix for stored parameters `p`.
+    return IND.scores(Q, K, {"qpa": p.to_array()}, depth, None)[0]
 
 
 def fd_grad(f, x, h=1e-6):
@@ -178,11 +191,11 @@ class TestLinearAttention:
 class TestQpsanIndScores:
     def test_equals_qpa_when_gammas_vanish(self):
         rng = np.random.default_rng(10)
-        p = QpaParams(0.7, 0.0, 0.0, 0.3, -0.2)
+        p = QpaParams(0.7, 0.4, -0.3, 0.3, -0.2)  # stored gammas are ignored
         Q, K = rng.normal(size=(2, 5, 6))
         assert np.allclose(
-            scorers.qpa_ind_scores(Q, K, p, depth=6),
-            scorers.qpa_scores(Q, K, p, depth=6),
+            ind_scores(Q, K, p, depth=6),
+            scorers.qpa_scores(Q, K, ablation(p), depth=6),
             atol=1e-12,
         )
 
@@ -190,11 +203,46 @@ class TestQpsanIndScores:
         rng = np.random.default_rng(11)
         p = QpaParams.from_array(rng.normal(0, 1, 5))
         Q, K = rng.normal(size=(2, 6, 8))
-        A = scorers.qpa_ind_scores(Q, K, p, depth=8)
+        A = ind_scores(Q, K, p, depth=8)
         assert A.min() >= -1e-9 and A.max() <= 8 + 1e-9
         p0 = QpaParams(0.5, 0.3, -0.1, 0.4, 0.0)
-        A0 = scorers.qpa_ind_scores(np.zeros((2, 4)), np.zeros((2, 4)), p0, depth=4)
+        A0 = ind_scores(np.zeros((2, 4)), np.zeros((2, 4)), p0, depth=4)
         assert np.allclose(A0, 4 * ORIGIN_MU, atol=1e-9)
+
+    # The statevector circuit with the independent encoding is the ablation's
+    # reference; nonzero stored gammas must not reach it.
+    P = QpaParams(0.6, 0.4, -0.3, 0.5, 0.2)
+
+    @staticmethod
+    def oracle(Q, K, theta, depth):
+        # A[i, j] = sum_d mu(Q[i, d], K[j, d]), one statevector walk per term.
+        p = QpaParams.from_array(theta)
+        A = np.zeros((len(Q), len(K)))
+        for i, j, d in np.ndindex(len(Q), len(K), depth):
+            A[i, j] += circuit.score(Q[i, d], K[j, d], p, independent=True)
+        return A
+
+    def test_scores_match_statevector_oracle(self):
+        rng = np.random.default_rng(26)
+        Q, K = rng.normal(0, 1.5, size=(2, 5, 4))
+        expected = self.oracle(Q, K, self.P.to_array(), 3)
+        assert np.abs(ind_scores(Q, K, self.P, 3) - expected).max() <= 1e-12
+        assert np.abs(scorers.qpa_scores(Q, K, self.P, 3) - expected).max() > 1e-3
+
+    def test_backward_matches_statevector_oracle(self):
+        rng = np.random.default_rng(27)
+        Q, K = rng.normal(0, 1.5, size=(2, 3, 4))
+        dA = rng.normal(size=(3, 3))
+        theta = self.P.to_array()
+        dQ, dK, grads = IND.backward(Q, K, {"qpa": theta}, 3, dA)
+        assert grads["qpa"][1] == 0.0 and grads["qpa"][2] == 0.0  # gamma_d, gamma_s
+
+        def loss(Q, K, theta):
+            return float((self.oracle(Q, K, theta, 3) * dA).sum())
+
+        assert np.allclose(dQ, fd_grad(lambda x: loss(x, K, theta), Q.copy()), atol=1e-6)
+        assert np.allclose(dK, fd_grad(lambda x: loss(Q, x, theta), K.copy()), atol=1e-6)
+        assert np.allclose(grads["qpa"], fd_grad(lambda v: loss(Q, K, v), theta), atol=1e-6)
 
 
 class TestSoftmaxWeightedSum:
@@ -225,7 +273,7 @@ def attention_output(kind, Q, K, V, depth=4):
     if kind == "qpa":
         A = scorers.qpa_scores(Q, K, QpaParams(0.5, 0.1, -0.2, 0.3, 0.1), depth)
     elif kind == "qpa-ind":
-        A = scorers.qpa_ind_scores(Q, K, QpaParams(0.5, 0.1, -0.2, 0.3, 0.1), depth)
+        A = ind_scores(Q, K, QpaParams(0.5, 0.1, -0.2, 0.3, 0.1), depth)
     elif kind == "dot":
         A = scorers.dot_scores(Q, K)
     elif kind == "mlp49":
@@ -255,12 +303,13 @@ class TestBackwardPasses:
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         Q, K = rng.normal(size=(2, 3, 4))
         W = rng.normal(size=(3, 3))
-        for independent in (False, True):
-            fwd = scorers.qpa_ind_scores if independent else scorers.qpa_scores
+        for kind in (scorers.KINDS["qpa"], IND):
 
-            dQ, dK, dtheta = scorers.quantum_scores_backward(
-                Q, K, p, 3, W, independent=independent
-            )
+            def fwd(Q, K, p, depth):
+                return kind.scores(Q, K, {"qpa": p.to_array()}, depth, None)[0]
+
+            dQ, dK, grads = kind.backward(Q, K, {"qpa": p.to_array()}, 3, W)
+            dtheta = grads["qpa"]
             assert np.allclose(
                 dQ, fd_grad(lambda x: float((fwd(x, K, p, 3) * W).sum()), Q.copy()), atol=1e-6
             )
@@ -365,35 +414,37 @@ class TestFourierBackward:
     """`quantum_scores_backward` against the parameter-shift pairwise reduction."""
 
     @staticmethod
-    def check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, independent):
-        got = scorers.quantum_scores_backward(Q, K, p, depth, dA, independent=independent)
-        ref = parameter_shift_backward(Q, K, p, depth, dA, independent=independent)
+    def check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, pinned):
+        # `pinned` checks the ablation's point, gamma_d = gamma_s = 0.
+        p = ablation(p) if pinned else p
+        got = scorers.quantum_scores_backward(Q, K, p, depth, dA)
+        ref = parameter_shift_backward(Q, K, p, depth, dA)
         for name, g, r in zip(("dQ", "dK", "d_params"), got, ref):
             assert oracle_bound(g, r), (name, np.abs(g - r).max())
         return got
 
-    @pytest.mark.parametrize("independent", [False, True], ids=["qpa", "qpa-ind"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["qpa", "qpa-ind"])
     @pytest.mark.parametrize("n", [1, 17, 50])
     @pytest.mark.parametrize("beta", [0.0, 0.3, np.pi / 2, 7.0])
     def test_matches_parameter_shift(
-        self, parameter_shift_backward, oracle_bound, independent, n, beta
+        self, parameter_shift_backward, oracle_bound, pinned, n, beta
     ):
         rng = np.random.default_rng(24 + n)
         p = QpaParams(*rng.normal(0, 0.8, 4), beta)
         Q, K = rng.normal(0, 1, size=(2, 2, 3, n, 8))  # batch 2, heads 3, head dim 8
         dA = rng.normal(size=(2, 3, n, n))
-        dQ, dK, _ = self.check(parameter_shift_backward, oracle_bound, Q, K, p, 6, dA, independent)
+        dQ, dK, _ = self.check(parameter_shift_backward, oracle_bound, Q, K, p, 6, dA, pinned)
         assert not dQ[..., 6:].any() and not dK[..., 6:].any()  # beyond depth: exactly 0
 
-    @pytest.mark.parametrize("independent", [False, True], ids=["qpa", "qpa-ind"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["qpa", "qpa-ind"])
     def test_matches_parameter_shift_across_circuit_chunks(
-        self, parameter_shift_backward, oracle_bound, independent
+        self, parameter_shift_backward, oracle_bound, pinned
     ):
         rng = np.random.default_rng(25)
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         Q, K = rng.normal(0, 1, size=(2, 1, 50, 16))
         dA = rng.normal(size=(1, 50, 50))
-        self.check(parameter_shift_backward, oracle_bound, Q, K, p, 16, dA, independent)
+        self.check(parameter_shift_backward, oracle_bound, Q, K, p, 16, dA, pinned)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -402,19 +453,19 @@ class TestFourierBackward:
         head_dim=st.integers(1, 5),
         depth_cut=st.integers(0, 4),
         scale=st.floats(0.01, 4.0),
-        independent=st.booleans(),
+        pinned=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_property_matches_parameter_shift(
         self, parameter_shift_backward, oracle_bound, theta, n, head_dim, depth_cut, scale,
-        independent, seed,
+        pinned, seed,
     ):
         rng = np.random.default_rng(seed)
         depth = max(1, head_dim - depth_cut)
         Q, K = rng.normal(0, scale, size=(2, 2, n, head_dim))
         dA = rng.normal(size=(2, n, n))
         p = QpaParams.from_array(np.array(theta))
-        self.check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, independent)
+        self.check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, pinned)
 
 
 class TestProperties:
@@ -427,29 +478,30 @@ class TestProperties:
         head_dim=st.integers(1, 5),
         depth_cut=st.integers(0, 4),
         scale=st.floats(0.01, 4.0),
-        independent=st.booleans(),
+        kind=st.sampled_from(["qpa", "qpa-ind"]),
         channel=st.sampled_from(sorted(qcore.CHANNELS)),
         gamma=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_score_bounds_softmax_rows_and_phase_flip(
-        self, theta, n, head_dim, depth_cut, scale, independent, channel, gamma, seed
+        self, theta, n, head_dim, depth_cut, scale, kind, channel, gamma, seed
     ):
         rng = np.random.default_rng(seed)
         depth = max(1, head_dim - depth_cut)
         Q, K = rng.normal(0, scale, size=(2, 2, n, head_dim))
+        A = scorers.KINDS[kind].scores(Q, K, {"qpa": np.array(theta)}, depth, None)[0]
         p = QpaParams.from_array(np.array(theta))
-        A = (scorers.qpa_ind_scores if independent else scorers.qpa_scores)(Q, K, p, depth)
+        p = ablation(p) if kind == "qpa-ind" else p
         assert A.shape == (2, n, n)
         assert A.min() >= -1e-12 and A.max() <= depth + 1e-12
         for scores in (A, A * rng.uniform(1, 1e3)):
             assert np.abs(scorers.row_softmax(scores).sum(axis=-1) - 1).max() <= 1e-12
 
         qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]
-        noisy = circuit.score_noisy_batch(qs, ks, p, channel, gamma, independent)
+        noisy = circuit.score_noisy_batch(qs, ks, p, channel, gamma)
         assert noisy.min() >= -1e-12 and noisy.max() <= 1 + 1e-12
-        clean = circuit.score_batch(qs, ks, p, independent)
-        phase_flip = circuit.score_noisy_batch(qs, ks, p, "PF", gamma, independent)
+        clean = circuit.score_batch(qs, ks, p)
+        phase_flip = circuit.score_noisy_batch(qs, ks, p, "PF", gamma)
         assert np.abs(phase_flip - clean).max() <= 1e-12
 
 
