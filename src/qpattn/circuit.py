@@ -12,12 +12,16 @@ Scalar entry points (`score`, `score_gradient`, ...) walk the circuit through
 the generic gate machinery in :mod:`qpattn.qcore`. Array-shaped inputs go
 through the circuit's exact Fourier form: mu is a 15-term Fourier series in
 (q, k) whose coefficients depend on beta alone (`fourier_coefficients`,
-`FOURIER_FREQS`, `ANGLE_JACOBIAN`). `score_batch` and `score_noisy_batch`, the
-attention forward, sum that series at every input pair, and the attention
-backward differentiates it. The coefficients come from a 3x3x3-point DFT of a
-real-amplitude evaluator of the circuit, which with the exact parameter-shift
-rule on every rotation gate (`score_grad_batch`, `score_gradient`) is also the
-gradient oracle.
+`FOURIER_FREQS`, `ANGLE_JACOBIAN`), and each term is a query feature times a
+key feature (`fourier_features`, built from three base phasors per input).
+`score_batch` and `score_noisy_batch`, the attention forward, evaluate the
+series at every broadcast input pair as one batched real GEMM of the two
+sides' features: axes where only q varies are its rows, axes where only k
+varies its columns. The attention backward differentiates the same series.
+The coefficients come from a 3x3x3-point DFT of a real-amplitude evaluator of
+the circuit, which with the exact parameter-shift rule on every rotation gate
+(`score_grad_batch`, `score_gradient`) is also the oracle of the series and
+its gradient.
 
 The independent-encoding ablation (`qpa-ind`) is this circuit at gamma_d =
 gamma_s = 0. Only the statevector path (`build_state`, `score`, `score_noisy`)
@@ -26,6 +30,7 @@ keeps an ``independent`` flag, as the reference the ablation is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -352,30 +357,82 @@ def fourier_frequencies(params: QpaParams):
     return uv[:, 0], uv[:, 1]
 
 
-def phasors(theta) -> np.ndarray:
-    """exp(i theta) from the real cos and sin, about twice as fast as complex exp."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty(theta.shape, dtype=np.complex128)
-    np.cos(theta, out=out.real)
-    np.sin(theta, out=out.imag)
+def phasors(theta, out=None) -> np.ndarray:
+    """exp(i theta) = (1 - t^2 + 2 i t) / (1 + t^2) with t = tan(theta / 2).
+
+    Within a few 1e-16 of cos + i sin wherever theta is finite (|t| stays
+    far below overflow for every float64 theta). One tangent replaces a
+    cosine and a sine: numpy vectorises float64 tan but not cos and sin, and
+    on an AVX-512 x86-64 host the whole phasor costs 7 ns per element
+    against 17-20 ns for each of cos and sin.
+    """
+    t = np.multiply(theta, 0.5, out=np.empty(np.shape(theta)))  # an array even when 0-d
+    np.tan(t, out=t)
+    if out is None:
+        out = np.empty(t.shape, dtype=np.complex128)
+    r = np.multiply(t, t, out=np.empty_like(t))
+    r += 1.0
+    np.divide(2.0, r, out=r)  # 2 / (1 + t^2) = 1 + cos(theta)
+    np.multiply(t, r, out=out.imag)
+    np.subtract(r, 1.0, out=out.real)
+    return out
+
+
+def fourier_features(x, w, out: np.ndarray) -> np.ndarray:
+    """Write the features exp(i FOURIER_FREQS[n] . w x), n = 1..7, to out[..., n - 1].
+
+    ``w`` is one column of the angle map W = params . `ANGLE_JACOBIAN`:
+    (lambda1, lambda2, alpha) gives the query features exp(i u_n q), and
+    (lambda2, lambda1, alpha) the key features exp(i v_n k)
+    (`fourier_frequencies`). Only the three base phasors exp(i w_j x) take a
+    tangent (`phasors`); the other features are their complex products.
+    ``out`` is a complex array of shape ``x.shape + (7,)``, or any view of
+    that shape, so each caller gets the features in the layout it reads. The
+    base phasors e1 and e2 are staged in the last two slots, so no complex
+    temporary is made.
+    """
+    x = np.asarray(x, dtype=float)
+    e0, plus, minus, e1, e2 = (out[..., n] for n in (0, 1, 2, 5, 6))
+    phasors(w[0] * x, out=e0)  # (1, 0, 0)
+    phasors(w[1] * x, out=e1)
+    phasors(w[2] * x, out=e2)
+    np.multiply(e1, e2, out=plus)  # (0, 1, 1)
+    np.multiply(e1, np.conjugate(e2, out=e2), out=minus)  # (0, 1, -1)
+    np.multiply(e0, plus, out=out[..., 3])  # (1, 1, 1)
+    np.multiply(e0, minus, out=out[..., 4])  # (1, 1, -1)
+    np.multiply(e0, np.conjugate(minus, out=e1), out=e1)  # (1, -1, 1)
+    np.multiply(e0, np.conjugate(plus, out=e2), out=e2)  # (1, -1, -1)
     return out
 
 
 def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
     # mu = P(00) + P(11) at every broadcast (q, k) pair, from the outcome
-    # probabilities at _GRID_ANGLES: c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k). The
-    # features live on each input's own shape and one einsum contracts their
-    # real views, so no pairwise intermediate is formed: with F' = conj(c F),
-    # Re(c F G) = Re F' Re G + Im F' Im G, a dot product of (re, im) pairs.
+    # probabilities at _GRID_ANGLES: c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k).
+    # Broadcast axes where only q varies are GEMM rows, axes where only k
+    # varies are GEMM columns, and the rest are batch axes, so all pairs come
+    # from one batched real GEMM (batch, rows, 14) @ (batch, 14, cols) over
+    # (re, im) pairs: with F' = conj(c F), Re(c F G) = Re F' Re G + Im F' Im G.
+    # The result is the GEMM's output, transposed back to broadcast order.
     c = _fourier_series(grid_probs[..., 0] + grid_probs[..., 3])
-    u, v = fourier_frequencies(params)
-    F = phasors(np.asarray(qs, dtype=float)[..., None] * u[1:])
+    W = np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
+    qs = np.asarray(qs, dtype=float)
+    ks = np.asarray(ks, dtype=float)
+    shape = np.broadcast_shapes(qs.shape, ks.shape)
+    qs = qs.reshape((1,) * (len(shape) - qs.ndim) + qs.shape)
+    ks = ks.reshape((1,) * (len(shape) - ks.ndim) + ks.shape)
+    # 0: batch axis, 1: row axis (only q varies), 2: column axis (only k varies).
+    role = [1 if k == 1 != q else 2 if q == 1 != k else 0 for q, k in zip(qs.shape, ks.shape)]
+    order = sorted(range(len(shape)), key=role.__getitem__)
+    nb, nr, nc = (math.prod(n for n, r in zip(shape, role) if r == g) for g in range(3))
+    F = np.empty((nb, nr, 7), dtype=np.complex128)
+    fourier_features(qs.transpose(order).reshape(nb, nr), W[:, 0], F)
     F *= c[1:]
     np.conjugate(F, out=F)
-    G = phasors(np.asarray(ks, dtype=float)[..., None] * v[1:])
-    mu = np.einsum("...n,...n->...", F.view(np.float64), G.view(np.float64))
+    G = np.empty((nb, nc, 7), dtype=np.complex128)
+    fourier_features(ks.transpose(order).reshape(nb, nc), W[:, 1], G)
+    mu = F.view(np.float64) @ G.view(np.float64).transpose(0, 2, 1)
     mu += c[0].real
-    return mu
+    return mu.reshape([shape[a] for a in order]).transpose(np.argsort(order))
 
 
 def score_batch(qs, ks, params: QpaParams) -> np.ndarray:

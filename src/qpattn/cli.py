@@ -362,6 +362,10 @@ def cmd_compare(args) -> int:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _apply_depth_default(resolve_config(_COMPARE_KEYS, args.config, args.set or []))
     scorers_list, seeds = cfg["scorers"], cfg["seeds"]
+    for name, values in (("seeds", seeds), ("scorers", scorers_list)):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise CliError(f"{name} repeat {repeated}; list each one once")
     if len(seeds) < 2:
         raise CliError("compare requires at least 2 seeds (t-test undefined otherwise)")
     if len(scorers_list) < 2:
@@ -376,7 +380,7 @@ def cmd_compare(args) -> int:
     splits = {seed: _splits(cfg, dataset, seed) for seed in seeds}
     jobs = [
         (cfg, scorer, seed, _init_model(cfg, splits[seed][0], scorer, seed), *splits[seed])
-        for scorer in dict.fromkeys(scorers_list)
+        for scorer in scorers_list
         for seed in seeds
     ]
     outdir = _output_dir(args.out)

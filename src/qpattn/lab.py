@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, asdict
 from typing import Callable
 
 import numpy as np
+from scipy.special import chdtri
 
 from . import circuit
 from .circuit import QpaParams, PARAM_NAMES
@@ -438,7 +439,20 @@ def _claim_bf_closed_form(rng: np.random.Generator) -> ClaimResult:
     )
 
 
+#: False-alarm rate of the two-sided variance test in `shots-variance-bound`,
+#: per seed: a sweep over 200 seeds then fails by chance with probability
+#: 2e-4. The band is about +-4.9 standard errors, +-22% of the variance.
+SHOT_FALSE_ALARM = 1e-6
+
+
 def _claim_shot_bound(rng: np.random.Generator) -> ClaimResult:
+    # An S-shot estimate is a Binomial(S, mu) count over S: its variance is
+    # mu(1-mu)/S, which mu(1-mu) <= 1/4 bounds by 1/(4S). The bound is checked
+    # on the exact mu. The sample variance of `reps` estimates is then tested
+    # against the exact variance with a two-sided scaled chi-square interval
+    # whose degrees of freedom nu match the sample variance's exact variance,
+    # 2 var^2 / nu = var^2 (2 / (reps - 1) + kappa / reps), kappa being the
+    # binomial excess kurtosis (nu = reps - 1 for normal samples).
     shots = 100
     reps = 1000
     p = _random_params(rng)
@@ -447,10 +461,28 @@ def _claim_shot_bound(rng: np.random.Generator) -> ClaimResult:
     estimates = np.array(
         [circuit.score_sampled(q, k, p, shots, seed=base_seed + i) for i in range(reps)]
     )
-    std = float(estimates.std(ddof=1))
-    return ClaimResult(
-        "shots-variance-bound", std <= 0.05, 0.05, {"empirical_std": std, "shots": shots}
-    )
+    sample_var = float(estimates.var(ddof=1))
+    mu = circuit.score(q, k, p)
+    spread = mu * (1 - mu)
+    var = spread / shots
+    interval = [0.0, 0.0]
+    if spread > 0:
+        kappa = (1 - 6 * spread) / (shots * spread)
+        nu = 2 / (2 / (reps - 1) + kappa / reps)
+        tails = [1 - SHOT_FALSE_ALARM / 2, SHOT_FALSE_ALARM / 2]
+        interval = (var * chdtri(nu, tails) / nu).tolist()
+    ok = var <= 1 / (4 * shots) and interval[0] <= sample_var <= interval[1]
+    witness = {
+        "mu": mu,
+        "exact_var": var,
+        "bound_var": 1 / (4 * shots),
+        "sample_var": sample_var,
+        "interval": interval,
+        "empirical_std": math.sqrt(sample_var),
+        "shots": shots,
+        "reps": reps,
+    }
+    return ClaimResult("shots-variance-bound", ok, SHOT_FALSE_ALARM, witness)
 
 
 _CLAIMS: list[tuple[str, Callable[[np.random.Generator], ClaimResult]]] = [

@@ -11,9 +11,10 @@ the first ``D`` per-dimension scores, so their entries always lie in
 Each scorer with trainable parameters also exposes a ``*_backward`` companion
 returning input and parameter gradients given the upstream score gradient.
 Both directions of the quantum scorers use the circuit's exact Fourier form
-(`circuit.score_batch`, `circuit.fourier_frequencies`, `circuit.phasors`):
-the forward sums the series per (pair, dimension), keeping each per-pair
-score, and the backward costs two GEMMs per layer.
+(`circuit.score_batch`, `circuit.fourier_features`): the forward scores every
+(query, key, dimension) triple by one batched GEMM over the Fourier features
+of Q and K, keeping each per-pair score, and the backward costs two GEMMs
+per layer on features from the same helper.
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 The `qpa-ind` ablation is the `qpa` kind with gamma_d = gamma_s held at 0: the
@@ -89,9 +90,10 @@ def quantum_scores_backward(
     dA = np.asarray(d_scores, dtype=float)
     u, v = circuit.fourier_frequencies(params)
     c, dc = circuit.fourier_coefficients(params.beta)
+    W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
     qs, ks = Q[..., :depth], K[..., :depth]
-    F = circuit.phasors(qs[..., None] * u)  # (..., N, D, M)
-    G = circuit.phasors(ks[..., None] * v)
+    F = _features(qs, W[:, 0])  # (..., N, D, M)
+    G = _features(ks, W[:, 1])
     FH = F * _complex_matmul(dA, G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
     GH = G * _complex_matmul(np.swapaxes(dA, -1, -2), F)
 
@@ -107,6 +109,16 @@ def quantum_scores_backward(
     d_params = jac[:, :, 0] @ (d_freq @ d_u) + jac[:, :, 1] @ (d_freq @ d_v)
     d_params[4] = (dc @ FH.reshape(-1, m).sum(axis=0)).real  # beta enters through c
     return dQ, dK, d_params
+
+
+def _features(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # All eight features exp(i FOURIER_FREQS[n] . w x), the constant first,
+    # written by `circuit.fourier_features` straight into the (..., D, M)
+    # layout that `_complex_matmul` reads.
+    out = np.empty(x.shape + (len(circuit.FOURIER_FREQS),), dtype=np.complex128)
+    out[..., 0] = 1.0
+    circuit.fourier_features(x, w, out[..., 1:])
+    return out
 
 
 def _complex_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
@@ -447,7 +459,8 @@ class ScorerKind:
     ``quantum`` kinds accept a noise channel). ``backward(Q, K, p, depth, dA)``
     returns ``(dQ, dK, grads)`` with one gradient per key of ``p``. Linear
     attention has no ``scores``: it skips the softmax and runs
-    `linear_attention` instead.
+    `linear_attention` instead. ``pinned`` names the circuit parameters that
+    a quantum kind holds at 0 and does not train.
     """
 
     shapes: Callable[[int], dict[str, tuple]]
@@ -456,6 +469,7 @@ class ScorerKind:
     backward: Callable | None = None
     uses_depth: bool = False
     quantum: bool = False
+    pinned: tuple[str, ...] = ()
 
 
 def _no_params(*_):
@@ -483,6 +497,7 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         backward=backward,
         uses_depth=True,
         quantum=True,
+        pinned=pinned,
     )
 
 

@@ -164,9 +164,10 @@ def count_params(model: VitModel) -> int:
 
 
 def scorer_param_count(model: VitModel) -> int:
-    return int(
-        sum(p.size for name, p in model.params.items() if ".scorer." in name)
-    )
+    """Trainable scorer parameters; the circuit parameters a kind pins are left out."""
+    stored = sum(p.size for name, p in model.params.items() if ".scorer." in name)
+    pinned = len(scorers.KINDS[model.config.scorer].pinned) * model.config.num_layers
+    return int(stored - pinned)
 
 
 # ---------------------------------------------------------------------------

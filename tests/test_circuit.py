@@ -10,6 +10,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
 from qpattn import circuit, qcore
 from qpattn.circuit import QpaParams
@@ -348,6 +351,119 @@ class TestFourierForm:
             q, k = rng.normal(0, 1.5, size=2)
             got = np.array(circuit.equivalent_angles(q, k, ablation(p)))
             assert got.tobytes() == np.array(circuit.independent_angles(q, k, p)).tobytes()
+
+
+def real_amplitude_mu(qs, ks, p, noise=None):
+    # The oracle: the real-amplitude evaluator walks the gates at every pair;
+    # a noise channel maps its outcome probabilities (`noisy_probs`).
+    if noise is None:
+        return circuit.score_grad_batch(qs, ks, p)[0]
+    qs, ks = np.broadcast_arrays(np.asarray(qs, dtype=float), np.asarray(ks, dtype=float))
+    l1, l2 = p.lambda1, p.lambda2
+    off = circuit.ANGLE_OFFSET
+    probs = circuit.circuit_probs(off + l1 * qs + l2 * ks, off + l2 * qs + l1 * ks, p.alpha * (qs + ks), p.beta)
+    noisy = circuit.noisy_probs(probs, *noise)
+    return noisy[..., 0] + noisy[..., 3]
+
+
+def pair_scores(qs, ks, p, noise=None):
+    if noise is None:
+        return circuit.score_batch(qs, ks, p)
+    return circuit.score_noisy_batch(qs, ks, p, *noise)
+
+
+#: Broadcast layouts of (q, k) for the pair GEMM: which axes become its batch,
+#: rows and columns, including empty and degenerate ones.
+PAIR_LAYOUTS = {
+    "attention": ((2, 3, 5, 1, 4), (2, 3, 1, 6, 4)),  # (B, H, N, 1, D) x (B, H, 1, N, D)
+    "rows-by-columns": ((5, 1), (1, 6)),
+    "scalars": ((), ()),
+    "elementwise": ((3, 7), (3, 7)),
+    "mixed-rank": ((6,), (4, 1)),
+    "size-1-on-both-sides": ((1, 4, 1, 2), (1, 1, 3, 2)),
+    "empty-rows": ((0, 1), (1, 3)),
+    "empty-batch": ((2, 0, 3), (2, 1, 3)),
+    "empty-elementwise": ((0,), (0,)),
+}
+
+NOISE = [None] + [(channel, 0.13) for channel in sorted(qcore.CHANNELS)]
+
+
+class TestPairGemm:
+    """`score_batch` / `score_noisy_batch` on every broadcast layout."""
+
+    @pytest.mark.parametrize("noise", NOISE, ids=lambda n: n[0] if n else "clean")
+    @pytest.mark.parametrize("layout", PAIR_LAYOUTS)
+    def test_matches_real_amplitude(self, layout, noise):
+        rng = np.random.default_rng(43)
+        p = random_params(rng)
+        q_shape, k_shape = PAIR_LAYOUTS[layout]
+        qs = rng.normal(0, 1.5, size=q_shape)
+        ks = rng.normal(0, 1.5, size=k_shape)
+        mu = pair_scores(qs, ks, p, noise)
+        ref = real_amplitude_mu(qs, ks, p, noise)
+        assert mu.shape == ref.shape == np.broadcast_shapes(q_shape, k_shape)
+        assert np.abs(mu - ref).max(initial=0.0) <= 1e-13
+
+    def test_python_floats_and_lists(self):
+        p = random_params(np.random.default_rng(44))
+        assert np.shape(circuit.score_batch(0.3, -1.2, p)) == ()
+        assert float(circuit.score_batch(0.3, -1.2, p)) == pytest.approx(circuit.score(0.3, -1.2, p), abs=1e-13)
+        got = circuit.score_batch([0.3, 0.1], [[-1.2], [0.4]], p)
+        assert got.shape == (2, 2)
+        assert got[1, 0] == pytest.approx(circuit.score(0.3, 0.4, p), abs=1e-13)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4, min_side=0, max_side=4),
+        theta=st.lists(st.floats(-3, 3), min_size=5, max_size=5),
+        scale=st.floats(0.01, 4.0),
+        noise=st.sampled_from(NOISE),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_property_any_broadcast_layout(self, shapes, theta, scale, noise, seed):
+        rng = np.random.default_rng(seed)
+        p = QpaParams.from_array(np.array(theta))
+        qs = rng.normal(0, scale, size=shapes.input_shapes[0])
+        ks = rng.normal(0, scale, size=shapes.input_shapes[1])
+        mu = pair_scores(qs, ks, p, noise)
+        assert mu.shape == shapes.result_shape
+        assert np.abs(mu - real_amplitude_mu(qs, ks, p, noise)).max(initial=0.0) <= 1e-13
+
+
+class TestFeatures:
+    def test_phasors_match_complex_exp(self):
+        theta = np.concatenate(
+            [np.random.default_rng(45).normal(0, 30, 1000), np.pi * np.arange(-9, 10), [0.0, -0.0]]
+        )
+        assert np.abs(circuit.phasors(theta) - np.exp(1j * theta)).max() <= 1e-15
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(circuit.phasors([np.inf, -np.inf, np.nan])).all()
+        assert circuit.phasors(0.3).shape == ()
+        assert abs(circuit.phasors(0.3) - np.exp(0.3j)) <= 1e-15
+
+    def test_scalar_input(self):
+        w = np.array([0.4, -1.1, 0.7])
+        out = circuit.fourier_features(1.3, w, np.empty(7, dtype=complex))
+        expected = np.exp(1j * 1.3 * (circuit.FOURIER_FREQS[1:] @ w))
+        assert np.abs(out - expected).max() <= 1e-14
+
+    @pytest.mark.parametrize("side", [0, 1], ids=["query", "key"])
+    def test_match_phasors_of_the_frequencies(self, side):
+        rng = np.random.default_rng(46)
+        p = random_params(rng)
+        w = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN, 1)[:, side]
+        freqs = circuit.fourier_frequencies(p)[side][1:]
+        x = rng.normal(0, 2, size=(3, 5))
+        direct = circuit.phasors(x[..., None] * freqs)
+        out = np.empty(x.shape + (7,), dtype=complex)
+        assert circuit.fourier_features(x, w, out) is out
+        assert np.abs(out - direct).max() <= 1e-14
+        # Into a strided view: the backward's (..., 8) layout behind the constant.
+        strided = np.zeros(x.shape + (8,), dtype=complex)
+        circuit.fourier_features(x, w, strided[..., 1:])
+        assert np.abs(strided[..., 1:] - direct).max() <= 1e-14
+        assert not strided[..., 0].any()
 
 
 class TestSampled:

@@ -125,6 +125,12 @@ class TestTrain:
         assert len(history) == 3
         assert (out1 / "checkpoint.npz").exists()
 
+    def test_summary_counts_trained_scorer_params(self, tmp_path):
+        # One layer: qpa-ind trains theta_s, alpha and beta, not its pinned gammas.
+        args = ["train", "--set", "scorer=qpa-ind", *TINY, "--set", "epochs=2"]
+        assert cli.main([*args, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "summary.json").read_text())["scorer_params"] == 3
+
     def test_depth_exceeding_head_dim_is_usage_error(self, tmp_path, capsys):
         code = cli.main(
             ["train", "--set", "scorer=qpa", *TINY, "--set", "depth=32", "--out", str(tmp_path)]
@@ -174,17 +180,6 @@ class TestCompare:
         runs = [json.loads(l) for l in (out / "runs.jsonl").read_text().splitlines()]
         assert {r["scorer"] for r in runs} == {"dot", "cosine"}
         assert all({"seed", "epoch", "train_loss"} <= set(r) for r in runs)
-
-    def test_duplicate_scorer_flags_degenerate(self, tmp_path):
-        out = tmp_path / "cmp"
-        code = cli.main(
-            ["compare", "--set", "scorers=dot,dot", "--set", "seeds=1,2", *TINY, "--out", str(out)]
-        )
-        assert code == 0
-        with open(out / "compare.csv", newline="") as f:
-            ttests = [r for r in csv.DictReader(f) if r["row_type"] == "ttest"]
-        assert ttests[0]["degenerate"] == "True"
-        assert float(ttests[0]["mean_diff"]) == 0.0
 
     def test_single_seed_refused(self, tmp_path):
         code = cli.main(
@@ -374,6 +369,22 @@ class TestUsageErrorsBeforeAnyWork:
     @pytest.mark.parametrize("setting", ["lr0=nan", "lr0=inf", "lr0=-0.1", "weight_decay=nan"])
     def test_train_non_finite_or_negative_optimiser_setting(self, tmp_path, capsys, setting):
         self.run(tmp_path, capsys, "train", *TINY, "--set", setting)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("seeds=1,1", "seeds repeat [1]"),
+            ("seeds=3,1,2,3,1", "seeds repeat [1, 3]"),
+            ("scorers=qpa,qpa", "scorers repeat ['qpa']"),
+            ("scorers=dot,cosine,dot", "scorers repeat ['dot']"),
+        ],
+        ids=lambda v: v if "=" in v else None,
+    )
+    def test_compare_repeated_seeds_or_scorers(self, tmp_path, capsys, setting, message):
+        # A repeated seed would pair one run with itself in the t-test; a
+        # repeated scorer would get two summary rows and a t-test against itself.
+        argv = ["compare", "--set", "scorers=dot,cosine", "--set", "seeds=1,2", *TINY]
+        assert self.run(tmp_path, capsys, *argv, "--set", setting).startswith(f"error: {message}")
 
     def test_compare_bad_lr0(self, tmp_path, capsys):
         self.run(tmp_path, capsys, "compare", "--set", "seeds=1,2", *TINY, "--set", "lr0=nan")

@@ -175,6 +175,34 @@ class TestClaims:
         (result,) = lab.run_claims(seed=29, only="gradient-parameter-shift")
         assert result.passed, result.witness
 
+    @pytest.mark.parametrize("seed", [5, 15, 27, 59])
+    def test_shot_claim_passes_where_a_fixed_std_cap_failed(self, seed):
+        # A cap of 0.05 on the empirical std failed at these seeds: at mu near
+        # 1/2 the exact std equals the cap, so its estimate exceeds it half the time.
+        (result,) = lab.run_claims(seed=seed, only="shots-variance-bound")
+        assert result.passed, result.witness
+        w = result.witness
+        assert w["exact_var"] <= w["bound_var"] == 1 / (4 * w["shots"])
+        assert w["interval"][0] < w["exact_var"] < w["interval"][1]
+        assert result.tolerance == lab.SHOT_FALSE_ALARM
+
+    @pytest.mark.parametrize(
+        "distort",
+        [
+            lambda fn, q, k, p, shots, seed: fn(q, k, p, shots, seed) + (0.2 if seed % 2 else 0.0),
+            lambda fn, q, k, p, shots, seed: fn(q, k, p, 2 * shots, seed),  # half the variance
+            lambda fn, q, k, p, shots, seed: fn(q, k, p, (2 * shots) // 3, seed),  # 1.5x
+        ],
+        ids=["offset-odd-seeds", "variance-halved", "variance-1.5x"],
+    )
+    def test_shot_claim_catches_a_wrong_variance(self, monkeypatch, distort):
+        sampled = circuit.score_sampled
+        monkeypatch.setattr(
+            circuit, "score_sampled", lambda q, k, p, shots, seed=0: distort(sampled, q, k, p, shots, seed)
+        )
+        (result,) = lab.run_claims(seed=0, only="shots-variance-bound")
+        assert not result.passed, result.witness
+
     def test_filter_selects_subset(self):
         results = lab.run_claims(seed=0, only="lemma2")
         ids = [r.claim_id for r in results]

@@ -187,6 +187,16 @@ class TestParamAccounting:
             assert vit.count_params(qpa) == vit.count_params(dot) + 5 * layers
             assert vit.scorer_param_count(qpa) == 5 * layers
 
+    def test_qpa_ind_counts_only_trained_parameters(self):
+        # The ablation stores all five circuit parameters but holds gamma_d and
+        # gamma_s at 0, so it trains theta_s, alpha and beta.
+        for layers in (1, 2, 3):
+            ind = init_model(tiny_config("qpa-ind", num_layers=layers), 0)
+            qpa = init_model(tiny_config("qpa", num_layers=layers), 0)
+            assert vit.count_params(ind) == vit.count_params(qpa)
+            assert vit.scorer_param_count(ind) == 3 * layers
+            assert vit.scorer_param_count(qpa) == 5 * layers
+
     def test_mlp_scorer_counts(self):
         mlp49 = init_model(tiny_config("mlp49"), 0)
         mlp585 = init_model(tiny_config("mlp585"), 0)
@@ -283,8 +293,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "356139d6f513b958", "c596aa002844c19d"),
-    ("qpa", 1): ("6e900635197dd0b4", "6fed56daeb17c7d3", "b912c7b22f8c4a78"),
+    ("qpa", 0): ("9e083236108b1465", "0d7bbad203bd4556", "ba62bff910577fd6"),
+    ("qpa", 1): ("6e900635197dd0b4", "9c0519b0ebc100a7", "33b2b07d4f1e2af0"),
     ("dot", 0): ("94a5ef27f5c36ef5", "980e4e72ce6e247e", "5f856fa5a899e2ec"),
     ("dot", 1): ("82fd715b40798094", "2e492482f8cdee3e", "fc72f0c9838d0aba"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "11df1d07b625a223"),
@@ -295,15 +305,15 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "f8ddf7fea862a1b5", "31bcc5301aa3443d"),
     ("linear", 0): ("94a5ef27f5c36ef5", "77a1d2c5a04ad0aa", "9247e35d0a57fbbf"),
     ("linear", 1): ("82fd715b40798094", "93f129243b139ded", "de39e13fb61b36bb"),
-    ("qpa-ind", 0): ("9e083236108b1465", "786ad1c92976afbc", "f510cbf14c47fe8b"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "52f2532132e8e3b9", "721c03fd389bcd86"),
+    ("qpa-ind", 0): ("9e083236108b1465", "51b3cbd1e88273d5", "0626854754137784"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "ae9180ce0da189de", "7a7de66629f23795"),
 }
 
 # (logits, loss + grads) of one-layer quantum models with 36992 scored
 # (pair, dimension) entries per layer, a larger input than GOLDEN's.
 GOLDEN_CHUNKED = {
-    "qpa": ("0f725ae9e559ac46", "59c5a7c82014ad11"),
-    "qpa-ind": ("b5565a8906f83c4b", "5e82574096296542"),
+    "qpa": ("ebce9d5fb1f9bd02", "eb8e831d8e447bb6"),
+    "qpa-ind": ("eb71a8ae3fdd0616", "29c2e8e8178c9b0e"),
 }
 
 
