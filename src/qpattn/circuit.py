@@ -15,9 +15,12 @@ through the circuit's exact Fourier form: mu is a 15-term Fourier series in
 `FOURIER_FREQS`, `ANGLE_JACOBIAN`), and each term is a query feature times a
 key feature (`fourier_features`, built from three base phasors per input).
 `score_batch` and `score_noisy_batch`, the attention forward, evaluate the
-series at every broadcast input pair as one batched real GEMM of the two
+series at every broadcast input pair as a batched real GEMM of the two
 sides' features: axes where only q varies are its rows, axes where only k
-varies its columns. The attention backward differentiates the same series.
+varies its columns. The GEMM batch runs in tiles of at most `TILE_INPUTS`
+inputs per side, so the feature temporaries stay a few MB whatever the
+batch; only the per-pair output grows with it. The attention backward
+differentiates the same series, on tiles of the same size.
 The coefficients come from a 3x3x3-point DFT of a real-amplitude evaluator of
 the circuit, which with the exact parameter-shift rule on every rotation gate
 (`score_grad_batch`, `score_gradient`) is also the oracle of the series and
@@ -41,6 +44,11 @@ _SQRT2 = np.sqrt(2.0)
 
 #: Offset that keeps the encoding away from the linear response region of RY.
 ANGLE_OFFSET = np.pi / 4
+
+#: Inputs per side in one tile of the vectorised circuit (`score_batch`,
+#: `score_noisy_batch`) and of the quantum scorer's backward: bounds their
+#: temporaries to a few MB whatever the batch.
+TILE_INPUTS = 4096
 
 
 @dataclass(frozen=True)
@@ -410,9 +418,14 @@ def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
     # probabilities at _GRID_ANGLES: c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k).
     # Broadcast axes where only q varies are GEMM rows, axes where only k
     # varies are GEMM columns, and the rest are batch axes, so all pairs come
-    # from one batched real GEMM (batch, rows, 14) @ (batch, 14, cols) over
+    # from a batched real GEMM (batch, rows, 14) @ (batch, 14, cols) over
     # (re, im) pairs: with F' = conj(c F), Re(c F G) = Re F' Re G + Im F' Im G.
-    # The result is the GEMM's output, transposed back to broadcast order.
+    # The batch runs in tiles of at most TILE_INPUTS inputs per side, each
+    # GEMM writing its slice of the one per-pair output, which is returned
+    # transposed back to broadcast order. Tiles give the untiled result bit
+    # for bit, except that a tile with one input on a side rounds it as a
+    # one-input batch does: numpy multiplies a lone complex feature in
+    # another loop, which can move the last bit.
     c = _fourier_series(grid_probs[..., 0] + grid_probs[..., 3])
     W = np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
     qs = np.asarray(qs, dtype=float)
@@ -424,14 +437,18 @@ def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
     role = [1 if k == 1 != q else 2 if q == 1 != k else 0 for q, k in zip(qs.shape, ks.shape)]
     order = sorted(range(len(shape)), key=role.__getitem__)
     nb, nr, nc = (math.prod(n for n, r in zip(shape, role) if r == g) for g in range(3))
-    F = np.empty((nb, nr, 7), dtype=np.complex128)
-    fourier_features(qs.transpose(order).reshape(nb, nr), W[:, 0], F)
-    F *= c[1:]
-    np.conjugate(F, out=F)
-    G = np.empty((nb, nc, 7), dtype=np.complex128)
-    fourier_features(ks.transpose(order).reshape(nb, nc), W[:, 1], G)
-    mu = F.view(np.float64) @ G.view(np.float64).transpose(0, 2, 1)
-    mu += c[0].real
+    qs = qs.transpose(order).reshape(nb, nr)
+    ks = ks.transpose(order).reshape(nb, nc)
+    mu = np.empty((nb, nr, nc))
+    step = max(1, TILE_INPUTS // max(nr, nc, 1))
+    for start in range(0, nb, step):
+        q, k, out = qs[start : start + step], ks[start : start + step], mu[start : start + step]
+        F = fourier_features(q, W[:, 0], np.empty(q.shape + (7,), np.complex128))
+        F *= c[1:]
+        np.conjugate(F, out=F)
+        G = fourier_features(k, W[:, 1], np.empty(k.shape + (7,), np.complex128))
+        np.matmul(F.view(np.float64), G.view(np.float64).transpose(0, 2, 1), out=out)
+        out += c[0].real
     return mu.reshape([shape[a] for a in order]).transpose(np.argsort(order))
 
 

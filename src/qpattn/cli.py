@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuit, lab, qcore, scorers, training, vit
+from . import circuit, files, lab, qcore, scorers, training, vit
 from .data import ImageDataset, SyntheticSpec, load_idx, split, synthetic_dataset
 from .training import TrainConfig, significance_stars
 
@@ -243,13 +243,18 @@ def _run_training(cfg: dict, scorer: str, seed: int):
 
 
 def _write_jsonl(path: Path, records: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with files.atomic_open(path, "w", encoding="utf-8") as f:
         for record in records:
             f.write(json.dumps({"schema_version": SCHEMA_VERSION, **record}) + "\n")
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    with files.atomic_open(path, "w", encoding="utf-8") as f:
+        f.write(json.dumps(obj, indent=2))
+
+
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with files.atomic_open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=fieldnames)
         writer.writeheader()
         writer.writerows(rows)
@@ -274,7 +279,7 @@ def cmd_verify(args) -> int:
     report = lab.claims_report(results, args.seed)
     out = Path(args.out) if args.out else _output_dir(None) / "verify_report.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(report, indent=2), encoding="utf-8")
+    _write_json(out, report)
     print(f"report written to {out}")
     return 0 if report["all_passed"] else 1
 
@@ -312,7 +317,7 @@ def cmd_train(args) -> int:
         "best_metrics": result.best_metrics.as_dict(),
         "confidence_strata": strata,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2), encoding="utf-8")
+    _write_json(outdir / "summary.json", summary)
     print(
         f"scorer={cfg['scorer']} seed={cfg['seed']} best_epoch={result.best_epoch} "
         f"val_accuracy={result.best_accuracy:.4f}"

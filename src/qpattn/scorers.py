@@ -12,9 +12,11 @@ Each scorer with trainable parameters also exposes a ``*_backward`` companion
 returning input and parameter gradients given the upstream score gradient.
 Both directions of the quantum scorers use the circuit's exact Fourier form
 (`circuit.score_batch`, `circuit.fourier_features`): the forward scores every
-(query, key, dimension) triple by one batched GEMM over the Fourier features
-of Q and K, keeping each per-pair score, and the backward costs two GEMMs
-per layer on features from the same helper.
+(query, key, dimension) triple by a batched GEMM over the Fourier features
+of Q and K and sums the per-pair scores over D, and the backward costs two
+GEMMs per (batch, head) item on features from the same helper. Both run on
+tiles of `circuit.TILE_INPUTS` inputs per side, so their temporaries do not
+grow with the batch.
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 The `qpa-ind` ablation is the `qpa` kind with gamma_d = gamma_s held at 0: the
@@ -23,6 +25,7 @@ circuit sees those two stored parameters as 0, and their gradient is 0.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -49,20 +52,19 @@ def _pairwise(Q: np.ndarray, K: np.ndarray, depth: int):
     return Q[..., :, None, :depth], K[..., None, :, :depth]
 
 
-def _circuit_scores(Q, K, params: QpaParams, depth: int, noise=None):
-    # (A, mu): the score matrix and the (..., N, N, D) per-pair circuit scores,
-    # optionally under a noise channel (name, gamma).
+def qpa_scores(
+    Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int, noise=None
+) -> np.ndarray:
+    """Sum of per-dimension circuit scores: A[i, j] = sum_d mu(Q[i, d], K[j, d]).
+
+    ``noise`` optionally puts a channel ``(name, gamma)`` on the circuit.
+    """
     qs, ks = _pairwise(Q, K, depth)
     if noise is None:
         mu = circuit.score_batch(qs, ks, params)
     else:
         mu = circuit.score_noisy_batch(qs, ks, params, *noise)
-    return mu.sum(axis=-1), mu
-
-
-def qpa_scores(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int) -> np.ndarray:
-    """Sum of per-dimension circuit scores: A[i, j] = sum_d mu(Q[i, d], K[j, d])."""
-    return _circuit_scores(Q, K, params, depth)[0]
+    return mu.sum(axis=-1)
 
 
 def quantum_scores_backward(
@@ -81,33 +83,50 @@ def quantum_scores_backward(
     frequencies u, v are linear in the parameters through the angle map
     (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. Two batched GEMMs,
     ``dA @ G(K)`` and ``dA^T @ F(Q)``, carry every gradient; the rest is
-    O(N D) work per feature. `circuit.score_grad_batch` (parameter shift) is
-    its oracle in the tests.
+    O(N D) work per feature. The leading axes are flattened into items, which
+    run in tiles of at most `circuit.TILE_INPUTS` inputs per side: each tile
+    writes its rows of dQ and dK and adds to the parameter sums, so only the
+    outputs grow with the batch. `circuit.score_grad_batch` (parameter shift)
+    is its oracle in the tests.
     """
     Q = np.asarray(Q, dtype=float)
     K = np.asarray(K, dtype=float)
     _check_depth(Q.shape[-1], depth)
-    dA = np.asarray(d_scores, dtype=float)
     u, v = circuit.fourier_frequencies(params)
     c, dc = circuit.fourier_coefficients(params.beta)
     W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
-    qs, ks = Q[..., :depth], K[..., :depth]
-    F = _features(qs, W[:, 0])  # (..., N, D, M)
-    G = _features(ks, W[:, 1])
-    FH = F * _complex_matmul(dA, G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
-    GH = G * _complex_matmul(np.swapaxes(dA, -1, -2), F)
-
-    dQ = np.zeros_like(Q)
-    dK = np.zeros_like(K)
-    dQ[..., :depth] = (FH @ (1j * u * c)).real
-    dK[..., :depth] = (GH @ (1j * v * c)).real
+    # Leading axes flattened to one: (items, N, D) inputs and (items, N, N) dA.
+    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2], np.shape(d_scores)[:-2])
+    items, n_q, n_k = math.prod(lead), Q.shape[-2], K.shape[-2]
+    qs = np.broadcast_to(Q[..., :depth], lead + (n_q, depth)).reshape(items, n_q, depth)
+    ks = np.broadcast_to(K[..., :depth], lead + (n_k, depth)).reshape(items, n_k, depth)
+    dA = np.broadcast_to(np.asarray(d_scores, dtype=float), lead + (n_q, n_k))
+    dA = dA.reshape(items, n_q, n_k)
+    dQ = np.zeros(Q.shape)
+    dK = np.zeros(K.shape)
+    dQ_items = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
+    dK_items = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
     m = len(c)
-    d_u = (1j * c * (qs.reshape(-1) @ FH.reshape(-1, m))).real  # dL/du_n
-    d_v = (1j * c * (ks.reshape(-1) @ GH.reshape(-1, m))).real
+    q_fh, k_gh, sum_fh = (np.zeros(m, dtype=np.complex128) for _ in range(3))
+    step = max(1, circuit.TILE_INPUTS // max(n_q * depth, n_k * depth, 1))
+    for start in range(0, len(qs), step):
+        tile = slice(start, start + step)
+        F = _features(qs[tile], W[:, 0])  # (items, N, D, M)
+        G = _features(ks[tile], W[:, 1])
+        FH = F * _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
+        GH = G * _complex_matmul(np.swapaxes(dA[tile], -1, -2), F)
+        dQ_items[tile] = (FH @ (1j * u * c)).real
+        dK_items[tile] = (GH @ (1j * v * c)).real
+        q_fh += qs[tile].reshape(-1) @ FH.reshape(-1, m)
+        k_gh += ks[tile].reshape(-1) @ GH.reshape(-1, m)
+        sum_fh += FH.reshape(-1, m).sum(axis=0)
+        del F, G, FH, GH  # one tile's arrays alive at a time
+    d_u = (1j * c * q_fh).real  # dL/du_n
+    d_v = (1j * c * k_gh).real
     d_freq = circuit.FOURIER_FREQS.T  # u_n = FOURIER_FREQS[n] . W[:, 0], v_n likewise
     jac = circuit.ANGLE_JACOBIAN  # (5, 3, 2): d W / d parameter
     d_params = jac[:, :, 0] @ (d_freq @ d_u) + jac[:, :, 1] @ (d_freq @ d_v)
-    d_params[4] = (dc @ FH.reshape(-1, m).sum(axis=0)).real  # beta enters through c
+    d_params[4] = (dc @ sum_fh).real  # beta enters through c
     return dQ, dK, d_params
 
 
@@ -124,7 +143,7 @@ def _features(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _complex_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
     # real (..., N, N) @ complex (..., N, D, M) as one real GEMM over the
     # interleaved (re, im) columns, without upcasting `real` to complex.
-    flat = cplx.reshape(*cplx.shape[:-2], -1).view(np.float64)
+    flat = cplx.reshape(*cplx.shape[:-2], math.prod(cplx.shape[-2:])).view(np.float64)
     out = real @ flat
     return out.view(np.complex128).reshape(out.shape[:-1] + cplx.shape[-2:])
 
@@ -455,8 +474,8 @@ class ScorerKind:
 
     ``p`` is the layer's own ``{name: array}`` scorer parameters with the names
     of ``shapes(heads)``. ``scores(Q, K, p, depth, noise)`` returns the score
-    matrix and the per-pair circuit scores (None for classical kinds; only
-    ``quantum`` kinds accept a noise channel). ``backward(Q, K, p, depth, dA)``
+    matrix (only ``quantum`` kinds accept a noise channel; their entries are
+    sums of ``depth`` per-pair circuit scores). ``backward(Q, K, p, depth, dA)``
     returns ``(dQ, dK, grads)`` with one gradient per key of ``p``. Linear
     attention has no ``scores``: it skips the softmax and runs
     `linear_attention` instead. ``pinned`` names the circuit parameters that
@@ -484,7 +503,7 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         return QpaParams.from_array(np.where(free, p["qpa"], 0.0))
 
     def scores(Q, K, p, depth, noise):
-        return _circuit_scores(Q, K, params(p), depth, noise)
+        return qpa_scores(Q, K, params(p), depth, noise)
 
     def backward(Q, K, p, depth, dA):
         dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA)
@@ -503,7 +522,7 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
 
 def _mlp_kind(variant: str) -> ScorerKind:
     def scores(Q, K, p, depth, noise):
-        return mlp_scores(Q, K, MlpScorerParams.from_dict(p), depth), None
+        return mlp_scores(Q, K, MlpScorerParams.from_dict(p), depth)
 
     def backward(Q, K, p, depth, dA):
         return mlp_scores_backward(Q, K, MlpScorerParams.from_dict(p), depth, dA)
@@ -535,7 +554,7 @@ KINDS: dict[str, ScorerKind] = {
     "dot": ScorerKind(
         shapes=_no_params,
         init=_no_params,
-        scores=lambda Q, K, p, depth, noise: (dot_scores(Q, K), None),
+        scores=lambda Q, K, p, depth, noise: dot_scores(Q, K),
         backward=_dot_backward,
     ),
     "mlp49": _mlp_kind("mlp49"),
@@ -543,7 +562,7 @@ KINDS: dict[str, ScorerKind] = {
     "cosine": ScorerKind(
         shapes=lambda heads: {"log_tau": (heads,)},
         init=lambda rng, heads: {"log_tau": np.zeros(heads)},
-        scores=lambda Q, K, p, depth, noise: (cosine_scores(Q, K, _cosine_tau(p)), None),
+        scores=lambda Q, K, p, depth, noise: cosine_scores(Q, K, _cosine_tau(p)),
         backward=_cosine_backward,
     ),
     "linear": ScorerKind(shapes=_no_params, init=_no_params),

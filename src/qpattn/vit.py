@@ -19,7 +19,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy.special import ndtr
 
-from . import scorers
+from . import files, scorers
 
 CHECKPOINT_SCHEMA_VERSION = 1
 LN_EPS = 1e-12
@@ -285,10 +285,10 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, collect_mu=False):
             ctx = scorers.linear_attention(qh, kh, vh)
             lc.update(A=None, attn_probs=None)
         else:
-            A, mu = kind.scores(qh, kh, _layer_scorer_params(model, layer), cfg.depth, noise)
-            if collect_mu and mu is not None:
-                mu_sum += float(mu.sum())
-                mu_count += mu.size
+            A = kind.scores(qh, kh, _layer_scorer_params(model, layer), cfg.depth, noise)
+            if collect_mu and kind.quantum:  # A sums `depth` per-pair scores
+                mu_sum += float(A.sum())
+                mu_count += A.size * cfg.depth
             probs = scorers.row_softmax(A)
             ctx = probs @ vh
             lc.update(A=A, attn_probs=probs)
@@ -433,11 +433,11 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
 
 
 def save_checkpoint(model: VitModel, path) -> None:
-    """Write config + flat parameter arrays to a versioned .npz blob."""
+    """Write config + flat parameter arrays to a versioned .npz blob, atomically."""
     payload = {f"param:{name}": arr for name, arr in model.params.items()}
     payload["config_json"] = np.array(json.dumps(asdict(model.config)))
     payload["schema_version"] = np.array(CHECKPOINT_SCHEMA_VERSION)
-    with open(path, "wb") as f:
+    with files.atomic_open(path, "wb") as f:
         np.savez(f, **payload)
 
 

@@ -431,6 +431,83 @@ class TestPairGemm:
         assert np.abs(mu - real_amplitude_mu(qs, ks, p, noise)).max(initial=0.0) <= 1e-13
 
 
+#: Batches of the pair GEMM around the tile boundary at TILE_INPUTS = 4096,
+#: with the tiles each runs in. Attention layouts at N=17 put 17 inputs per
+#: side in a GEMM item, so a tile holds 4096 // 17 = 240 items.
+TILE_LAYOUTS = {
+    "one-item": (((1, 1, 17, 1, 1), (1, 1, 1, 17, 1)), 1),
+    "exactly-one-tile": (((15, 1, 17, 1, 16), (15, 1, 1, 17, 16)), 1),
+    "one-tile-plus-one": (((241, 1, 17, 1, 1), (241, 1, 1, 17, 1)), 2),
+    "tiles-and-remainder": (((32, 2, 17, 1, 16), (32, 2, 1, 17, 16)), 5),
+    "items-larger-than-a-tile": (((3, 4500, 1), (3, 1, 2)), 3),
+    "elementwise-beyond-a-tile": (((10_000,), (10_000,)), 3),
+}
+
+
+def single_tile(monkeypatch):
+    # Every batch in one tile: the untiled evaluation, for bit-identity checks.
+    monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
+
+
+class TestTiles:
+    """`score_batch` / `score_noisy_batch` across tile boundaries."""
+
+    @pytest.mark.parametrize("layout", TILE_LAYOUTS)
+    def test_tiled_equals_single_tile_and_oracle(self, layout, monkeypatch):
+        (q_shape, k_shape), tiles = TILE_LAYOUTS[layout]
+        rng = np.random.default_rng(47)
+        p = random_params(rng)
+        qs = rng.normal(0, 1.5, size=q_shape)
+        ks = rng.normal(0, 1.5, size=k_shape)
+        calls = []
+        features = circuit.fourier_features
+        monkeypatch.setattr(
+            circuit, "fourier_features", lambda *a: calls.append(1) or features(*a)
+        )
+        tiled = {str(n): pair_scores(qs, ks, p, n) for n in NOISE}
+        assert len(calls) == 2 * tiles * len(NOISE)  # a query and a key block per tile
+        single_tile(monkeypatch)
+        for n in NOISE:
+            whole = pair_scores(qs, ks, p, n)
+            assert tiled[str(n)].shape == whole.shape == np.broadcast_shapes(q_shape, k_shape)
+            assert np.array_equal(tiled[str(n)], whole), n
+        ref = real_amplitude_mu(qs, ks, p)
+        assert np.abs(tiled["None"] - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("layout", PAIR_LAYOUTS)
+    def test_small_tiles_on_every_layout(self, layout, monkeypatch):
+        # One to seven inputs per tile split even the small layouts.
+        rng = np.random.default_rng(48)
+        p = random_params(rng)
+        q_shape, k_shape = PAIR_LAYOUTS[layout]
+        qs = rng.normal(0, 1.5, size=q_shape)
+        ks = rng.normal(0, 1.5, size=k_shape)
+        for tile_inputs in (1, 2, 7):
+            monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+            tiled = [pair_scores(qs, ks, p, n) for n in NOISE]
+            single_tile(monkeypatch)
+            for n, got in zip(NOISE, tiled):
+                whole = pair_scores(qs, ks, p, n)
+                assert got.shape == whole.shape
+                # Bit-identical but for tiles of a single input (next test).
+                assert np.abs(got - whole).max(initial=0.0) <= 2e-16, (tile_inputs, n)
+
+    def test_single_input_tile_rounds_as_a_single_input_batch(self, monkeypatch):
+        # numpy takes another complex-multiply loop for a one-element feature
+        # block than for a longer strided one, which can move the last bit. A
+        # last tile of one input scores it exactly as a one-input batch would.
+        rng = np.random.default_rng(49)
+        p = random_params(rng)
+        qs, ks = rng.normal(0, 1.5, size=(2, circuit.TILE_INPUTS + 1))
+        tiled = circuit.score_batch(qs, ks, p)
+        alone = circuit.score_batch(qs[-1:], ks[-1:], p)
+        single_tile(monkeypatch)
+        whole = circuit.score_batch(qs, ks, p)
+        assert np.array_equal(tiled[:-1], whole[:-1])
+        assert np.array_equal(tiled[-1:], alone)
+        assert abs(tiled[-1] - whole[-1]) <= 2e-16
+
+
 class TestFeatures:
     def test_phasors_match_complex_exp(self):
         theta = np.concatenate(

@@ -2,6 +2,7 @@
 differences."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ def ablation(p):
 
 def ind_scores(Q, K, p, depth):
     # The `qpa-ind` kind's score matrix for stored parameters `p`.
-    return IND.scores(Q, K, {"qpa": p.to_array()}, depth, None)[0]
+    return IND.scores(Q, K, {"qpa": p.to_array()}, depth, None)
 
 
 def fd_grad(f, x, h=1e-6):
@@ -306,7 +307,7 @@ class TestBackwardPasses:
         for kind in (scorers.KINDS["qpa"], IND):
 
             def fwd(Q, K, p, depth):
-                return kind.scores(Q, K, {"qpa": p.to_array()}, depth, None)[0]
+                return kind.scores(Q, K, {"qpa": p.to_array()}, depth, None)
 
             dQ, dK, grads = kind.backward(Q, K, {"qpa": p.to_array()}, 3, W)
             dtheta = grads["qpa"]
@@ -468,6 +469,105 @@ class TestFourierBackward:
         self.check(parameter_shift_backward, oracle_bound, Q, K, p, depth, dA, pinned)
 
 
+#: Q and K shapes (B, H, N, head dim) with a depth, around the backward's tile
+#: boundary, and the tiles each runs in: a tile holds TILE_INPUTS // (N * D)
+#: items per side, 4096 // (17 * 16) = 15 at N=17, D=16, and one item at
+#: N=197, D=21 (4137 inputs, more than a tile).
+BACKWARD_TILES = {
+    "one-item": ((1, 1, 17, 16), 16, 1),
+    "exactly-one-tile": ((5, 3, 17, 16), 16, 1),
+    "one-tile-plus-one": ((16, 1, 17, 16), 16, 2),
+    "tiles-and-remainder": ((32, 2, 17, 16), 16, 5),
+    "items-larger-than-a-tile": ((2, 1, 197, 24), 21, 2),
+}
+
+
+def backward_case(shape, seed=26):
+    rng = np.random.default_rng(seed)
+    p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+    Q, K = rng.normal(0, 1, size=(2, *shape))
+    dA = rng.normal(size=shape[:-1] + shape[-2:-1])
+    return Q, K, p, dA
+
+
+def rows_parameter_shift(parameter_shift_backward, Q, K, p, depth, dA, rows=40):
+    # The parameter-shift oracle over blocks of query rows, so that its
+    # (pair, dimension) arrays stay small at N=197.
+    dQ, dK, d_params = np.zeros(Q.shape), np.zeros(K.shape), np.zeros(5)
+    for i in range(0, Q.shape[-2], rows):
+        q, k, d = parameter_shift_backward(Q[..., i : i + rows, :], K, p, depth, dA[..., i : i + rows, :])
+        dQ[..., i : i + rows, :] = q
+        dK += k
+        d_params += d
+    return dQ, dK, d_params
+
+
+def close(got, ref, bound):
+    return np.abs(got - ref).max(initial=0.0) <= bound * max(1.0, np.abs(ref).max(initial=0.0))
+
+
+class TestBackwardTiles:
+    """`quantum_scores_backward` across tile boundaries."""
+
+    @pytest.mark.parametrize("case", BACKWARD_TILES)
+    def test_tiled_equals_single_tile_and_parameter_shift(
+        self, case, monkeypatch, parameter_shift_backward
+    ):
+        shape, depth, tiles = BACKWARD_TILES[case]
+        Q, K, p, dA = backward_case(shape)
+        calls = []
+        features = scorers._features
+        monkeypatch.setattr(scorers, "_features", lambda *a: calls.append(1) or features(*a))
+        dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, depth, dA)
+        assert len(calls) == 2 * tiles  # a query and a key block per tile
+        monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
+        whole = scorers.quantum_scores_backward(Q, K, p, depth, dA)
+        assert np.array_equal(dQ, whole[0]) and np.array_equal(dK, whole[1])
+        assert close(d_params, whole[2], 1e-13)  # the tiles' sums only reorder
+        ref = rows_parameter_shift(parameter_shift_backward, Q, K, p, depth, dA)
+        for name, got, r in zip(("dQ", "dK", "d_params"), (dQ, dK, d_params), ref):
+            assert close(got, r, 1e-12), name
+        assert not dQ[..., depth:].any() and not dK[..., depth:].any()
+
+    @pytest.mark.parametrize("case", ["tiles-and-remainder", "items-larger-than-a-tile"])
+    def test_d_params_match_central_differences(self, case):
+        shape, depth, _ = BACKWARD_TILES[case]
+        Q, K, p, dA = backward_case(shape)
+        d_params = scorers.quantum_scores_backward(Q, K, p, depth, dA)[2]
+        loss = lambda theta: float((scorers.qpa_scores(Q, K, QpaParams.from_array(theta), depth) * dA).sum())
+        fd = fd_grad(loss, p.to_array(), h=1e-5)
+        assert close(d_params, fd, 1e-6)
+
+    def test_small_tiles_and_empty_batches(self, monkeypatch, parameter_shift_backward):
+        rng = np.random.default_rng(27)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        for shape in [(3, 2, 5, 4), (5, 4), (0, 2, 5, 4), (2, 0, 4)]:
+            Q, K = rng.normal(size=(2, *shape))
+            dA = rng.normal(size=shape[:-1] + shape[-2:-1])
+            ref = parameter_shift_backward(Q, K, p, 3, dA)
+            for tile_inputs in (1, 7, 16, 2**62):
+                monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+                got = scorers.quantum_scores_backward(Q, K, p, 3, dA)
+                for name, g, r in zip(("dQ", "dK", "d_params"), got, ref):
+                    assert g.shape == r.shape and close(g, r, 1e-12), (shape, tile_inputs, name)
+
+    def test_working_memory_does_not_grow_with_the_batch(self):
+        # Traced peak of the call, less its outputs, at B=8 and B=64 (N=17,
+        # D=16): the tiles bound it. Untiled, it grew about 8x between the two.
+        def excess(batch):
+            Q, K, p, dA = backward_case((batch, 2, 17, 16))
+            tracemalloc.start()
+            try:
+                dQ, dK, _ = scorers.quantum_scores_backward(Q, K, p, 16, dA)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - dQ.nbytes - dK.nbytes
+
+        small, large = excess(8), excess(64)
+        assert large <= 1.05 * small, (small, large)
+
+
 class TestProperties:
     """Bounds and identities that hold for any parameters and inputs."""
 
@@ -489,7 +589,7 @@ class TestProperties:
         rng = np.random.default_rng(seed)
         depth = max(1, head_dim - depth_cut)
         Q, K = rng.normal(0, scale, size=(2, 2, n, head_dim))
-        A = scorers.KINDS[kind].scores(Q, K, {"qpa": np.array(theta)}, depth, None)[0]
+        A = scorers.KINDS[kind].scores(Q, K, {"qpa": np.array(theta)}, depth, None)
         p = QpaParams.from_array(np.array(theta))
         p = ablation(p) if kind == "qpa-ind" else p
         assert A.shape == (2, n, n)
@@ -535,9 +635,8 @@ class TestKindTable:
         Q, K = rng.normal(size=(2, 1, self.HEADS, 3, 4))
         dA = rng.normal(size=(1, self.HEADS, 3, 3))
         p = self.layer_params(name)
-        A, mu = kind.scores(Q, K, p, 4, None)
+        A = kind.scores(Q, K, p, 4, None)
         assert A.shape == dA.shape
-        assert (mu is not None) == kind.quantum
         dQ, dK, grads = kind.backward(Q, K, p, 4, dA)
         assert dQ.shape == Q.shape and dK.shape == K.shape
         assert set(grads) == set(p)

@@ -129,6 +129,38 @@ class TestForward:
         assert np.abs(normed.var(axis=-1) - 1.0).max() < 1e-6
 
 
+class TestMeanMu:
+    NOISE = [None] + [(channel, 0.2) for channel in ("AD", "DP", "BF", "PF")]
+
+    @pytest.mark.parametrize("kind", ["qpa", "qpa-ind"])
+    def test_mean_of_every_per_pair_score(self, kind, monkeypatch):
+        # forward_with_stats takes mean mu from the score matrices; it must be
+        # the mean of the per-pair scores the circuit returned.
+        model = init_model(tiny_config(kind, num_layers=2), 4)
+        images = random_images(np.random.default_rng(5))
+        means = {}
+        for noise in self.NOISE:
+            seen = []
+            name = "score_batch" if noise is None else "score_noisy_batch"
+            f = getattr(circuit, name)
+            monkeypatch.setattr(circuit, name, lambda *a, f=f: seen.append(f(*a)) or seen[-1])
+            logits, extras = vit.forward_with_stats(model, images, noise=noise)
+            monkeypatch.undo()
+            per_pair = np.concatenate([mu.ravel() for mu in seen])
+            assert set(extras) == {"mu_sum", "mu_count", "mean_mu"}
+            assert extras["mu_count"] == per_pair.size == 2 * 3 * 2 * 5 * 5 * 4
+            assert abs(extras["mu_sum"] - per_pair.sum()) <= 1e-12 * per_pair.size
+            assert abs(extras["mean_mu"] - per_pair.mean()) <= 1e-12
+            assert np.array_equal(logits, vit.forward(model, images, noise=noise))
+            means[noise[0] if noise else "clean"] = extras["mean_mu"]
+        assert means["PF"] == means["clean"]
+
+    def test_classical_kind_has_no_mean_mu(self):
+        model = init_model(tiny_config("dot"), 4)
+        _, extras = vit.forward_with_stats(model, random_images(np.random.default_rng(6)))
+        assert extras == {"mu_sum": 0.0, "mu_count": 0, "mean_mu": None}
+
+
 class TestBackward:
     @pytest.mark.parametrize("scorer", ["qpa", "dot", "mlp49", "mlp585", "cosine", "linear", "qpa-ind"])
     def test_gradients_match_finite_differences(self, scorer):
@@ -316,6 +348,13 @@ GOLDEN_CHUNKED = {
     "qpa-ind": ("eb71a8ae3fdd0616", "29c2e8e8178c9b0e"),
 }
 
+# (logits, loss + grads) of one-layer quantum models whose circuit forward and
+# backward each run in three tiles (`_tiled_case`).
+GOLDEN_TILED = {
+    "qpa": ("400eba848c014e93", "9b117e1660987f6f"),
+    "qpa-ind": ("ff1b7ac155343e8f", "fee65d55ad05a5ff"),
+}
+
 
 # The inputs of the two bit-identity tests in TestGolden, for its parity check.
 def _golden_case(kind, seed):
@@ -330,9 +369,23 @@ def _chunked_case(kind):
     return init_model(config, 2), images, np.array([0, 1, 0, 1])
 
 
-# The six quantum-scorer inputs of TestGolden.
+def _tiled_case(kind):
+    # 16 images: per layer, 512 GEMM items of the forward (3 tiles of up to
+    # 240) and 32 items of the backward (3 tiles of up to 15).
+    config = VitConfig(16, 1, 4, 1, 2, 32, 16, 2, scorer=kind, depth=16)
+    images = np.random.default_rng(103).uniform(0, 1, size=(16, 1, 16, 16))
+    return init_model(config, 3), images, np.arange(16) % 2
+
+
+# The eight quantum-scorer inputs of TestGolden.
 _QUANTUM_CASES = [(_golden_case, kind, seed) for kind, seed in GOLDEN if scorers.KINDS[kind].quantum]
 _QUANTUM_CASES += [(_chunked_case, kind) for kind in GOLDEN_CHUNKED]
+_QUANTUM_CASES += [(_tiled_case, kind) for kind in GOLDEN_TILED]
+
+
+def _case_id(case):
+    # "qpa-0" for GOLDEN, "qpa" for GOLDEN_CHUNKED, "tiled-qpa" for GOLDEN_TILED.
+    return "-".join((["tiled"] if case[0] is _tiled_case else []) + [str(a) for a in case[1:]])
 
 
 class TestGolden:
@@ -360,14 +413,35 @@ class TestGolden:
         )
         assert got == GOLDEN_CHUNKED[kind]
 
+    @pytest.mark.parametrize("kind", GOLDEN_TILED)
+    def test_tiled_circuit_path_bit_identical(self, kind, monkeypatch):
+        model, images, labels = _tiled_case(kind)
+        calls = []
+        features = circuit.fourier_features
+        monkeypatch.setattr(circuit, "fourier_features", lambda *a: calls.append(1) or features(*a))
+        logits = vit.forward(model, images)
+        assert len(calls) == 2 * 3  # a query and a key block per tile
+        calls.clear()
+        backward_features = scorers._features
+        monkeypatch.setattr(scorers, "_features", lambda *a: calls.append(1) or backward_features(*a))
+        loss, grads = vit.backward(model, images, labels)
+        assert len(calls) == 2 * 3 + 2 * 3 + 2 * 3  # forward tiles, then backward ones
+        got = (_digest([("logits", logits)]), _digest([("loss", loss), *grads.items()]))
+        assert got == GOLDEN_TILED[kind]
+        # In one tile, only the circuit-parameter sums add up in another order.
+        monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
+        assert np.array_equal(vit.forward(model, images), logits)
+        whole_loss, whole = vit.backward(model, images, labels)
+        assert whole_loss == loss
+        for name, g in grads.items():
+            bound = 0.0 if ".scorer." not in name else 1e-13 * np.abs(g).max()
+            assert np.abs(g - whole[name]).max() <= bound, name
+
     # The quantum `loss + grads` digests above pin the Fourier-form backward's
     # rounding; on the same inputs, every gradient must agree with the
     # parameter-shift backward it replaced.
     @pytest.mark.parametrize(
-        "case",
-        [(_golden_case, kind, seed) for kind, seed in GOLDEN if scorers.KINDS[kind].quantum]
-        + [(_chunked_case, kind) for kind in GOLDEN_CHUNKED],
-        ids=lambda case: "-".join(map(str, case[1:])),
+        "case", _QUANTUM_CASES, ids=_case_id
     )
     def test_quantum_grads_match_parameter_shift(
         self, case, monkeypatch, parameter_shift_backward, oracle_bound
@@ -383,7 +457,7 @@ class TestGolden:
     # The quantum logits digests above pin the Fourier-form forward's rounding;
     # on the same inputs, the logits must agree with the real-amplitude evaluator.
     @pytest.mark.parametrize(
-        "case", _QUANTUM_CASES, ids=lambda case: "-".join(map(str, case[1:]))
+        "case", _QUANTUM_CASES, ids=_case_id
     )
     def test_quantum_logits_match_real_amplitude(self, case, monkeypatch):
         model, images, _ = case[0](*case[1:])
