@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -314,7 +315,7 @@ def cmd_train(args) -> int:
         "best_epoch": result.best_epoch,
         "epochs_run": len(result.history),
         "stopped_early": result.stopped_early,
-        "best_metrics": result.best_metrics.as_dict(),
+        "best_metrics": asdict(result.best_metrics),
         "confidence_strata": strata,
     }
     _write_json(outdir / "summary.json", summary)
@@ -333,7 +334,7 @@ def _compare_worker(payload) -> training.RunStats:
     return training.RunStats(
         seed=seed,
         scorer=scorer,
-        metrics=result.best_metrics.as_dict(),
+        metrics=asdict(result.best_metrics),
         best_epoch=result.best_epoch,
         history=history,
     )
@@ -475,6 +476,12 @@ def cmd_noise_sweep(args) -> int:
         )
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
     _, valid_ds = _splits(cfg, _build_dataset(cfg), cfg["seed"])
+    expected = (model.config.channels, model.config.image_size, model.config.image_size)
+    if valid_ds.images.shape[1:] != expected:
+        raise CliError(
+            f"dataset images have shape {valid_ds.images.shape[1:]}, "
+            f"but the checkpoint expects {expected}"
+        )
 
     def sweep_eval(noise):
         correct = 0

@@ -17,6 +17,10 @@ of Q and K and sums the per-pair scores over D, and the backward costs two
 GEMMs per (batch, head) item on features from the same helper. Both run on
 tiles of `circuit.TILE_INPUTS` inputs per side, so their temporaries do not
 grow with the batch.
+The MLP baselines score each (query, key, dimension) pair with a small MLP
+whose affine first layer splits into a per-query and a per-key term; both
+directions run on tiles of query rows under the same `circuit.TILE_INPUTS`
+budget, and the backward runs each tile's forward again.
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 The `qpa-ind` ablation is the `qpa` kind with gamma_d = gamma_s held at 0: the
@@ -163,51 +167,16 @@ def dot_scores_backward(Q: np.ndarray, K: np.ndarray, d_scores: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# MLP scorers: per-dimension scalar pairs through a small tanh MLP with a
-# sigmoid head, over the feature vector [q, k, q-k, q+k].
+# MLP scorers: each (query, key, dimension) scalar pair (q, k) goes through a
+# small tanh MLP with a sigmoid head over the features [q, k, q-k, q+k]. The
+# first layer is affine in (q, k): w1 @ [q, k, q-k, q+k] = a q + b k with
+# a = w1[:, 0] + w1[:, 2] + w1[:, 3] and b = w1[:, 1] - w1[:, 2] + w1[:, 3],
+# so its pre-activation is q a + b1 per query plus k b per key, and no
+# feature tensor is built. Both directions run on tiles of query rows that
+# hold at most `circuit.TILE_INPUTS` (pair, dimension) entries (or one row,
+# where a row holds more), so the per-pair hidden activations stay a fixed
+# size whatever the batch and N.
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class MlpScorerParams:
-    """Weights of the 49- or 585-parameter per-dimension MLP scorer.
-
-    Two-layer variant: w1 (8, 4), b1 (8,), w_out (8,), b_out () -> 49 scalars.
-    Three-layer variant: w1 (64, 4), b1 (64,), w2 (4, 64), b2 (4,), w_out (4,),
-    b_out () -> 585 scalars.
-    """
-
-    w1: np.ndarray
-    b1: np.ndarray
-    w_out: np.ndarray
-    b_out: np.ndarray
-    w2: np.ndarray | None = None
-    b2: np.ndarray | None = None
-
-    @property
-    def num_params(self) -> int:
-        total = self.w1.size + self.b1.size + self.w_out.size + self.b_out.size
-        if self.w2 is not None:
-            total += self.w2.size + self.b2.size
-        return int(total)
-
-    def to_dict(self) -> dict[str, np.ndarray]:
-        out = {"w1": self.w1, "b1": self.b1, "w_out": self.w_out, "b_out": self.b_out}
-        if self.w2 is not None:
-            out["w2"] = self.w2
-            out["b2"] = self.b2
-        return out
-
-    @classmethod
-    def from_dict(cls, d: dict[str, np.ndarray]) -> "MlpScorerParams":
-        return cls(
-            w1=d["w1"],
-            b1=d["b1"],
-            w_out=d["w_out"],
-            b_out=d["b_out"],
-            w2=d.get("w2"),
-            b2=d.get("b2"),
-        )
 
 
 _MLP_SHAPES = {
@@ -223,8 +192,13 @@ _MLP_SHAPES = {
 }
 
 
-def init_mlp_params(variant: str, rng: np.random.Generator) -> MlpScorerParams:
-    """Uniform +-1/sqrt(fan_in) initialisation of an MLP scorer variant."""
+def init_mlp_params(variant: str, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform +-1/sqrt(fan_in) weights of an MLP scorer variant, by name.
+
+    ``mlp49``: w1 (8, 4), b1 (8,), w_out (8,), b_out () -> 49 scalars.
+    ``mlp585``: w1 (64, 4), b1 (64,), w2 (4, 64), b2 (4,), w_out (4,), b_out ()
+    -> 585 scalars. Biases start at 0.
+    """
     if variant not in _MLP_SHAPES:
         raise ValueError(f"unknown MLP scorer variant {variant!r}")
     arrays = {}
@@ -237,81 +211,124 @@ def init_mlp_params(variant: str, rng: np.random.Generator) -> MlpScorerParams:
             arrays[name] = rng.uniform(-bound, bound, size=shape)
         else:
             arrays[name] = np.zeros(shape)
-    return MlpScorerParams.from_dict(arrays)
+    return arrays
 
 
 def _sigmoid(x):
     return 0.5 * (1 + np.tanh(x / 2))
 
 
-def _mlp_features(q, k):
-    return np.stack([q, k, q - k, q + k], axis=-1)
+def _first_layer(w1: np.ndarray):
+    # (a, b) with w1 @ [q, k, q-k, q+k] = a q + b k.
+    return w1[:, 0] + w1[:, 2] + w1[:, 3], w1[:, 1] - w1[:, 2] + w1[:, 3]
+
+
+def _mlp_forward(q: np.ndarray, k: np.ndarray, p: dict[str, np.ndarray]):
+    # One tile: query rows q (..., R, D) against keys k (..., N, D). Returns
+    # the hidden activations h1 and h2 (None for mlp49), each
+    # (..., R, N, D, hidden), and the per-pair scores s (..., R, N, D).
+    a, b = _first_layer(p["w1"])
+    h1 = (q[..., :, None, :, None] * a + p["b1"]) + k[..., None, :, :, None] * b
+    np.tanh(h1, out=h1)
+    h2 = None
+    if "w2" in p:
+        h2 = np.tanh(h1 @ p["w2"].T + p["b2"])
+    top = h1 if h2 is None else h2
+    return h1, h2, _sigmoid(top @ p["w_out"] + p["b_out"])
+
+
+def _query_tiles(Q: np.ndarray, K: np.ndarray, depth: int, lead: tuple[int, ...]):
+    # Q and K's first `depth` dimensions broadcast to the leading axes `lead`
+    # and flattened to (items, N, D), and the (item slice, query-row slice)
+    # tiles that cover them: whole items while a tile's rows cover one, else
+    # row blocks of one item.
+    items, n_q, n_k = math.prod(lead), Q.shape[-2], K.shape[-2]
+    qs = np.broadcast_to(Q[..., :depth], lead + (n_q, depth)).reshape(items, n_q, depth)
+    ks = np.broadcast_to(K[..., :depth], lead + (n_k, depth)).reshape(items, n_k, depth)
+    rows = max(1, circuit.TILE_INPUTS // max(n_k * depth, 1))
+    per = max(1, rows // max(n_q, 1))
+    tiles = (
+        (slice(i, i + per), slice(r, r + rows))
+        for i in range(0, items, per)
+        for r in range(0, n_q, rows)
+    )
+    return qs, ks, tiles
 
 
 def mlp_scores(
-    Q: np.ndarray, K: np.ndarray, params: MlpScorerParams, depth: int
+    Q: np.ndarray, K: np.ndarray, p: dict[str, np.ndarray], depth: int
 ) -> np.ndarray:
-    """Per-dimension MLP scores summed over the first `depth` dimensions."""
-    qs, ks = _pairwise(Q, K, depth)
-    f = _mlp_features(*np.broadcast_arrays(qs, ks))
-    h = np.tanh(f @ params.w1.T + params.b1)
-    if params.w2 is not None:
-        h = np.tanh(h @ params.w2.T + params.b2)
-    return _sigmoid(h @ params.w_out + params.b_out).sum(axis=-1)
+    """Per-dimension MLP scores summed over the first `depth` dimensions.
 
-
-def mlp_score(q: float, k: float, params: MlpScorerParams) -> float:
-    """Single scalar-pair score in (0, 1)."""
-    q_arr = np.array([[q]])
-    k_arr = np.array([[k]])
-    return float(mlp_scores(q_arr, k_arr, params, 1)[0, 0])
+    ``p`` holds the variant's weights by name, as `init_mlp_params` returns.
+    """
+    Q = np.asarray(Q, dtype=float)
+    K = np.asarray(K, dtype=float)
+    _check_depth(Q.shape[-1], depth)
+    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2])
+    qs, ks, tiles = _query_tiles(Q, K, depth, lead)
+    A = np.empty((len(qs), Q.shape[-2], K.shape[-2]))
+    for it, rt in tiles:
+        A[it, rt] = _mlp_forward(qs[it, rt], ks[it], p)[2].sum(axis=-1)
+    return A.reshape(lead + A.shape[1:])
 
 
 def mlp_scores_backward(
     Q: np.ndarray,
     K: np.ndarray,
-    params: MlpScorerParams,
+    p: dict[str, np.ndarray],
     depth: int,
     d_scores: np.ndarray,
 ):
-    """Backward pass of `mlp_scores`: returns (dQ, dK, grads-dict)."""
-    qs, ks = _pairwise(Q, K, depth)
-    f = _mlp_features(*np.broadcast_arrays(qs, ks))
-    h1 = np.tanh(f @ params.w1.T + params.b1)
-    if params.w2 is not None:
-        h2 = np.tanh(h1 @ params.w2.T + params.b2)
-        top = h2
-    else:
-        h2 = None
-        top = h1
-    s = _sigmoid(top @ params.w_out + params.b_out)
+    """Backward pass of `mlp_scores`: returns ``(dQ, dK, grads)``.
 
-    ds = np.asarray(d_scores)[..., None] * s * (1 - s)  # (..., N, N, D)
-    grads: dict[str, np.ndarray] = {
-        "w_out": (ds[..., None] * top).reshape(-1, top.shape[-1]).sum(axis=0),
-        "b_out": np.asarray(ds.sum()),
-    }
-    d_top = ds[..., None] * params.w_out
-    if h2 is not None:
-        d_pre2 = d_top * (1 - h2**2)
-        grads["w2"] = d_pre2.reshape(-1, d_pre2.shape[-1]).T @ h1.reshape(-1, h1.shape[-1])
-        grads["b2"] = d_pre2.reshape(-1, d_pre2.shape[-1]).sum(axis=0)
-        d_h1 = d_pre2 @ params.w2
-    else:
-        d_h1 = d_top
-    d_pre1 = d_h1 * (1 - h1**2)
-    grads["w1"] = d_pre1.reshape(-1, d_pre1.shape[-1]).T @ f.reshape(-1, f.shape[-1])
-    grads["b1"] = d_pre1.reshape(-1, d_pre1.shape[-1]).sum(axis=0)
-    d_f = d_pre1 @ params.w1  # (..., N, N, D, 4)
-
-    # f = [q, k, q-k, q+k]
-    d_q = d_f[..., 0] + d_f[..., 2] + d_f[..., 3]
-    d_k = d_f[..., 1] - d_f[..., 2] + d_f[..., 3]
-    dQ = np.zeros_like(np.asarray(Q, dtype=float))
-    dK = np.zeros_like(np.asarray(K, dtype=float))
-    dQ[..., :depth] = d_q.sum(axis=-2)
-    dK[..., :depth] = d_k.sum(axis=-3)
-    return dQ, dK, grads
+    ``grads`` holds one gradient per key of ``p``. Each tile runs the forward
+    of `mlp_scores` again and backpropagates it: it writes its rows of dQ and
+    adds to dK and to the weight sums. w1 gets its gradient through the first
+    layer's a and b: dw1 = [da, db, da - db, da + db].
+    """
+    Q = np.asarray(Q, dtype=float)
+    K = np.asarray(K, dtype=float)
+    _check_depth(Q.shape[-1], depth)
+    d_scores = np.asarray(d_scores, dtype=float)
+    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2], d_scores.shape[:-2])
+    qs, ks, tiles = _query_tiles(Q, K, depth, lead)
+    items, n_q, n_k = len(qs), Q.shape[-2], K.shape[-2]
+    dA = np.broadcast_to(d_scores, lead + (n_q, n_k)).reshape(items, n_q, n_k)
+    dQ = np.zeros(lead + Q.shape[-2:])
+    dK = np.zeros(lead + K.shape[-2:])
+    dq = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
+    dk = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
+    a, b = _first_layer(p["w1"])
+    grads = {name: np.zeros_like(w) for name, w in p.items()}  # w1's is set last
+    d_a, d_b = np.zeros_like(a), np.zeros_like(b)
+    for it, rt in tiles:
+        q, k = qs[it, rt], ks[it]
+        h1, h2, s = _mlp_forward(q, k, p)
+        ds = dA[it, rt][..., None] * s * (1 - s)  # (..., R, N, D)
+        top = h1 if h2 is None else h2
+        grads["w_out"] += ds.reshape(-1) @ top.reshape(-1, top.shape[-1])
+        grads["b_out"] += ds.sum()
+        d_h = ds[..., None] * p["w_out"]
+        if h2 is not None:
+            d_h *= 1 - h2**2  # through the second tanh
+            flat = d_h.reshape(-1, d_h.shape[-1])
+            grads["w2"] += flat.T @ h1.reshape(-1, h1.shape[-1])
+            grads["b2"] += flat.sum(axis=0)
+            d_h = d_h @ p["w2"]
+        np.square(h1, out=h1)  # h1 is not read again: d_h *= 1 - h1**2 in its buffer
+        np.subtract(1.0, h1, out=h1)
+        d_h *= h1  # gradient of the first layer's pre-activation q a + b1 + k b
+        d_qa = d_h.sum(axis=-3)  # over keys: (..., R, D, hidden)
+        d_kb = d_h.sum(axis=-4)  # over query rows: (..., N, D, hidden)
+        dq[it, rt] = d_qa @ a
+        dk[it] += d_kb @ b
+        d_a += np.tensordot(q, d_qa, axes=q.ndim)
+        d_b += np.tensordot(k, d_kb, axes=k.ndim)
+        grads["b1"] += d_qa.reshape(-1, d_qa.shape[-1]).sum(axis=0)
+        del h1, h2, d_h, d_kb  # one tile's arrays alive at a time
+    grads["w1"] = np.stack([d_a, d_b, d_a - d_b, d_a + d_b], axis=1)
+    return _unbroadcast(dQ, Q.shape), _unbroadcast(dK, K.shape), grads
 
 
 # ---------------------------------------------------------------------------
@@ -521,17 +538,11 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
 
 
 def _mlp_kind(variant: str) -> ScorerKind:
-    def scores(Q, K, p, depth, noise):
-        return mlp_scores(Q, K, MlpScorerParams.from_dict(p), depth)
-
-    def backward(Q, K, p, depth, dA):
-        return mlp_scores_backward(Q, K, MlpScorerParams.from_dict(p), depth, dA)
-
     return ScorerKind(
         shapes=lambda heads: dict(_MLP_SHAPES[variant]),
-        init=lambda rng, heads: init_mlp_params(variant, rng).to_dict(),
-        scores=scores,
-        backward=backward,
+        init=lambda rng, heads: init_mlp_params(variant, rng),
+        scores=lambda Q, K, p, depth, noise: mlp_scores(Q, K, p, depth),
+        backward=mlp_scores_backward,
         uses_depth=True,
     )
 

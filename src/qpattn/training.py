@@ -10,7 +10,7 @@ come from ``scipy.special``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import stdtr, stdtrit
@@ -88,15 +88,6 @@ class Metrics:
     f1: float
     auc_roc: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auc_roc": self.auc_roc,
-        }
-
 
 def compute_metrics(labels, predicted, positive_scores) -> Metrics:
     """Binary confusion-matrix metrics plus rank-statistic AUC with tie handling.
@@ -161,19 +152,6 @@ class TTestResult:
     ci95_high: float
     n: int
     degenerate: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "mean_diff": self.mean_diff,
-            "t_statistic": self.t_statistic,
-            "p_one_tail": self.p_one_tail,
-            "p_two_tail": self.p_two_tail,
-            "cohens_d": self.cohens_d,
-            "ci95_low": self.ci95_low,
-            "ci95_high": self.ci95_high,
-            "n": self.n,
-            "degenerate": self.degenerate,
-        }
 
 
 def paired_t_test(a, b) -> TTestResult:
@@ -349,7 +327,7 @@ def train_loop(
 
         metrics, _, _ = evaluate(model, valid_ds)
         record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss}
-        record.update({f"val_{k}": v for k, v in metrics.as_dict().items()})
+        record.update({f"val_{k}": v for k, v in asdict(metrics).items()})
         result.history.append(record)
 
         if metrics.accuracy > result.best_accuracy:

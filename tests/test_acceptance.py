@@ -393,6 +393,6 @@ def test_criterion_11_structural_counts():
         assert vit.scorer_param_count(qpa) == 5 * layers
 
     rng = np.random.default_rng(111)
-    assert scorers.init_mlp_params("mlp49", rng).num_params == 49
-    assert scorers.init_mlp_params("mlp585", rng).num_params == 585
+    assert sum(w.size for w in scorers.init_mlp_params("mlp49", rng).values()) == 49
+    assert sum(w.size for w in scorers.init_mlp_params("mlp585", rng).values()) == 585
     _report(11, "QPA adds exactly 5 params/layer; MLP scorers hold exactly 49 / 585")

@@ -268,6 +268,16 @@ class TestNoiseSweep:
         )
         assert code == 2
 
+    def test_image_size_mismatch_refused(self, tmp_path, capsys, qpa_checkpoint):
+        # The checkpoint was trained on 8x8 images; 16x16 ones cannot be embedded.
+        out = tmp_path / "sweep"
+        args = ["noise-sweep", "--checkpoint", str(qpa_checkpoint), *TINY, "--set", "image_size=16"]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "(1, 16, 16)" in err and "(1, 8, 8)" in err
+        assert not out.exists()
+
     def test_unknown_channel_refused(self, tmp_path, qpa_checkpoint):
         code = cli.main(
             [

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from qpattn import circuit, qcore, scorers
 from qpattn.circuit import QpaParams
-from qpattn.scorers import MlpScorerParams
 
 ORIGIN_MU = 0.8535533905932737
 IND = scorers.KINDS["qpa-ind"]
@@ -91,12 +90,15 @@ class TestDotScores:
         assert np.allclose(A, A.T, atol=1e-14)
 
 
+def one_pair(q, k, p):
+    # The MLP score of one scalar pair: a 1x1 `mlp_scores` at depth 1.
+    return float(scorers.mlp_scores(np.array([[q]]), np.array([[k]]), p, 1)[0, 0])
+
+
 class TestMlpScorer:
     def test_zero_weights_give_half(self):
-        p = MlpScorerParams(
-            w1=np.zeros((8, 4)), b1=np.zeros(8), w_out=np.zeros(8), b_out=np.zeros(())
-        )
-        assert scorers.mlp_score(1.7, -2.3, p) == 0.5
+        p = {"w1": np.zeros((8, 4)), "b1": np.zeros(8), "w_out": np.zeros(8), "b_out": np.zeros(())}
+        assert one_pair(1.7, -2.3, p) == 0.5
 
     def test_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
@@ -109,8 +111,10 @@ class TestMlpScorer:
 
     def test_parameter_counts(self):
         rng = np.random.default_rng(4)
-        assert scorers.init_mlp_params("mlp49", rng).num_params == 49
-        assert scorers.init_mlp_params("mlp585", rng).num_params == 585
+        for variant, count in (("mlp49", 49), ("mlp585", 585)):
+            p = scorers.init_mlp_params(variant, rng)
+            assert {k: w.shape for k, w in p.items()} == scorers.KINDS[variant].shapes(1)
+            assert sum(w.size for w in p.values()) == count
 
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
@@ -121,9 +125,7 @@ class TestMlpScorer:
         p = scorers.init_mlp_params("mlp585", rng)
         Q, K = rng.normal(size=(2, 3, 2))
         A = scorers.mlp_scores(Q, K, p, depth=2)
-        expected = scorers.mlp_score(Q[1, 0], K[2, 0], p) + scorers.mlp_score(
-            Q[1, 1], K[2, 1], p
-        )
+        expected = one_pair(Q[1, 0], K[2, 0], p) + one_pair(Q[1, 1], K[2, 1], p)
         assert A[1, 2] == pytest.approx(expected, abs=1e-12)
 
 
@@ -349,13 +351,9 @@ class TestBackwardPasses:
         assert np.allclose(
             dK, fd_grad(lambda x: float((scorers.mlp_scores(Q, x, p, 3) * W).sum()), K.copy()), atol=1e-6
         )
-        for name, arr in p.to_dict().items():
+        for name, arr in p.items():
             def f(v, name=name):
-                d = {k: w.copy() for k, w in p.to_dict().items()}
-                d[name] = v
-                return float(
-                    (scorers.mlp_scores(Q, K, MlpScorerParams.from_dict(d), 3) * W).sum()
-                )
+                return float((scorers.mlp_scores(Q, K, {**p, name: v}, 3) * W).sum())
 
             assert np.allclose(grads[name], fd_grad(f, arr.copy()), atol=1e-6), name
 
@@ -566,6 +564,81 @@ class TestBackwardTiles:
 
         small, large = excess(8), excess(64)
         assert large <= 1.05 * small, (small, large)
+
+
+#: (Q shape, K shape, dA shape, depth, TILE_INPUTS, tiles) around the MLP
+#: scorer's query-row tiles: a tile holds TILE_INPUTS // (N * D) query rows,
+#: at least one, and whole (batch, head) items while those rows cover one.
+MLP_TILES = {
+    "one-query-row-per-tile": ((2, 3, 5, 4), (2, 3, 5, 4), (2, 3, 5, 5), 4, 20, 30),
+    "partial-last-tile": ((7, 5, 4), (7, 5, 4), (7, 5, 5), 4, 200, 4),
+    "item-larger-than-a-tile": ((2, 1, 9, 4), (2, 1, 9, 4), (2, 1, 9, 9), 4, 100, 10),
+    "broadcast-leading-axes": ((2, 1, 5, 4), (1, 3, 5, 4), (3, 5, 5), 4, 60, 12),
+    "depth-below-head-dim": ((2, 2, 6, 5), (2, 2, 6, 5), (2, 2, 6, 6), 3, 4096, 1),
+    "n17-d16": ((2, 1, 17, 16), (2, 1, 17, 16), (2, 1, 17, 17), 16, 4096, 4),
+}
+
+
+def summed_to(grad, shape):
+    # ``grad`` summed over the axes along which an input of ``shape`` (same
+    # number of axes) was broadcast.
+    axes = tuple(i for i, (n, m) in enumerate(zip(shape, grad.shape)) if n == 1 < m)
+    return grad.sum(axis=axes, keepdims=True)
+
+
+class TestMlpTiles:
+    """`mlp_scores` and `mlp_scores_backward` across query-row tiles."""
+
+    @pytest.mark.parametrize("variant", ["mlp49", "mlp585"])
+    @pytest.mark.parametrize("case", MLP_TILES)
+    def test_matches_feature_tensor_reference(self, case, variant, monkeypatch, feature_tensor_mlp):
+        q_shape, k_shape, a_shape, depth, tile_inputs, tiles = MLP_TILES[case]
+        rng = np.random.default_rng(28)
+        p = scorers.init_mlp_params(variant, rng)
+        p = {name: w + rng.normal(0, 0.2, w.shape) for name, w in p.items()}  # nonzero biases
+        Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
+        dA = rng.normal(size=a_shape)
+        monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+        calls = []
+        forward = scorers._mlp_forward
+        monkeypatch.setattr(scorers, "_mlp_forward", lambda *a: calls.append(1) or forward(*a))
+        A = scorers.mlp_scores(Q, K, p, depth)
+        dQ, dK, grads = scorers.mlp_scores_backward(Q, K, p, depth, dA)
+        assert len(calls) == 2 * tiles  # each direction runs the forward once per tile
+
+        lead = np.broadcast_shapes(q_shape[:-2], k_shape[:-2], a_shape[:-2])
+        full = [np.broadcast_to(x, lead + x.shape[-2:]) for x in (Q, K, dA)]
+        ref_dQ, ref_dK, ref_grads = feature_tensor_mlp(*full[:2], p, depth, full[2])
+        assert A.shape == lead + (q_shape[-2], k_shape[-2])
+        assert close(A, feature_tensor_mlp(*full[:2], p, depth), 1e-12)
+        assert dQ.shape == Q.shape and close(dQ, summed_to(ref_dQ, Q.shape), 1e-12)
+        assert dK.shape == K.shape and close(dK, summed_to(ref_dK, K.shape), 1e-12)
+        assert list(grads) == list(p)
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == p[name].shape and close(grads[name], ref, 1e-12), name
+        assert not dQ[..., depth:].any() and not dK[..., depth:].any()
+
+    @pytest.mark.parametrize("variant", ["mlp49", "mlp585"])
+    def test_working_memory_does_not_grow_with_batch_or_tokens(self, variant):
+        # Traced peak of the backward, less its outputs, at B=8 and 64 and at
+        # N=17 and 50 (two heads, D=16): the tiles bound it. On the feature
+        # tensor it grew with B N^2.
+        def excess(batch, n):
+            rng = np.random.default_rng(29)
+            p = scorers.init_mlp_params(variant, rng)
+            Q, K = rng.normal(size=(2, batch, 2, n, 16))
+            dA = rng.normal(size=(batch, 2, n, n))
+            tracemalloc.start()
+            try:
+                dQ, dK, _ = scorers.mlp_scores_backward(Q, K, p, 16, dA)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - dQ.nbytes - dK.nbytes
+
+        small = excess(8, 17)
+        for batch, n in [(64, 17), (8, 50)]:
+            assert excess(batch, n) <= 1.05 * small, (batch, n, small)
 
 
 class TestProperties:

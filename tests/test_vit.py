@@ -1,6 +1,7 @@
 """Model tests: patch embedding, forward determinism, full gradient checks,
 parameter accounting, checkpoint round trips."""
 
+import dataclasses
 import hashlib
 import re
 
@@ -329,10 +330,10 @@ GOLDEN = {
     ("qpa", 1): ("6e900635197dd0b4", "9c0519b0ebc100a7", "33b2b07d4f1e2af0"),
     ("dot", 0): ("94a5ef27f5c36ef5", "980e4e72ce6e247e", "5f856fa5a899e2ec"),
     ("dot", 1): ("82fd715b40798094", "2e492482f8cdee3e", "fc72f0c9838d0aba"),
-    ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "11df1d07b625a223"),
-    ("mlp49", 1): ("e320bd81cd0ae494", "3d16bdd0782411aa", "b6c1c78d16f5a956"),
-    ("mlp585", 0): ("7dd9132b8e1ef00d", "23a65299d1c8a2f3", "718ad3c3d12c5803"),
-    ("mlp585", 1): ("fc751192e80627fc", "86bb1d143cffc480", "5114205c5d5758e4"),
+    ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "ddf81e78766ad192"),
+    ("mlp49", 1): ("e320bd81cd0ae494", "3d16bdd0782411aa", "48cdb43d2393d32b"),
+    ("mlp585", 0): ("7dd9132b8e1ef00d", "23a65299d1c8a2f3", "cae69dfc5b5224af"),
+    ("mlp585", 1): ("fc751192e80627fc", "15b5992c31f51abb", "dc07a86a20ed718f"),
     ("cosine", 0): ("3657f4e9fe6bb0c2", "88da1b8abc643a2a", "2d4c80e4a31fd779"),
     ("cosine", 1): ("10f6333bcdeaea79", "f8ddf7fea862a1b5", "31bcc5301aa3443d"),
     ("linear", 0): ("94a5ef27f5c36ef5", "77a1d2c5a04ad0aa", "9247e35d0a57fbbf"),
@@ -453,6 +454,29 @@ class TestGolden:
         assert loss == ref_loss
         for name, ref in ref_grads.items():
             assert oracle_bound(grads[name], ref), name
+
+    # The mlp49/mlp585 logits and `loss + grads` digests above pin the rounding
+    # of the MLP's first layer split into per-query and per-key terms; on the
+    # same inputs, logits, loss and gradients must agree with the
+    # feature-tensor MLP it replaced.
+    @pytest.mark.parametrize("kind, seed", [key for key in GOLDEN if key[0].startswith("mlp")])
+    def test_mlp_matches_feature_tensor(self, kind, seed, monkeypatch, feature_tensor_mlp):
+        model, images, labels = _golden_case(kind, seed)
+        logits = vit.forward(model, images)
+        loss, grads = vit.backward(model, images, labels)
+        reference = dataclasses.replace(
+            scorers.KINDS[kind],
+            scores=lambda Q, K, p, depth, noise: feature_tensor_mlp(Q, K, p, depth),
+            backward=feature_tensor_mlp,
+        )
+        monkeypatch.setitem(scorers.KINDS, kind, reference)
+        ref_logits = vit.forward(model, images)
+        ref_loss, ref_grads = vit.backward(model, images, labels)
+        assert np.abs(logits - ref_logits).max() <= 1e-12 * max(1.0, np.abs(ref_logits).max())
+        assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        assert list(grads) == list(ref_grads)
+        for name, ref in ref_grads.items():
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), name
 
     # The quantum logits digests above pin the Fourier-form forward's rounding;
     # on the same inputs, the logits must agree with the real-amplitude evaluator.
