@@ -12,15 +12,18 @@ Scalar entry points (`score`, `score_gradient`, ...) walk the circuit through
 the generic gate machinery in :mod:`qpattn.qcore`. Array-shaped inputs go
 through the circuit's exact Fourier form: mu is a 15-term Fourier series in
 (q, k) whose coefficients depend on beta alone (`fourier_coefficients`,
-`FOURIER_FREQS`, `ANGLE_JACOBIAN`), and each term is a query feature times a
-key feature (`fourier_features`, built from three base phasors per input).
+`FOURIER_FREQS`, `ANGLE_JACOBIAN`): a constant c_0 plus seven terms, each a
+query feature times a key feature (`fourier_features`, seven per input, built
+from three base phasors).
 `score_batch` and `score_noisy_batch`, the attention forward, evaluate the
 series at every broadcast input pair as a batched real GEMM of the two
 sides' features: axes where only q varies are its rows, axes where only k
 varies its columns. The GEMM batch runs in tiles of at most `TILE_INPUTS`
 inputs per side, so the feature temporaries stay a few MB whatever the
 batch; only the per-pair output grows with it. The attention backward
-differentiates the same series, on tiles of the same size.
+(`scorers.quantum_scores_backward`) differentiates the same series on the
+same seven features, on tiles of the same size; c_0 enters it only through
+its beta derivative.
 The coefficients come from a 3x3x3-point DFT of a real-amplitude evaluator of
 the circuit, which with the exact parameter-shift rule on every rotation gate
 (`score_grad_batch`, `score_gradient`) is also the oracle of the series and
@@ -355,16 +358,6 @@ def fourier_coefficients(beta: float):
     return c, dc
 
 
-def fourier_frequencies(params: QpaParams):
-    """Frequencies (u, v), each of shape (8,), of the factored series.
-
-    mu(q, k) = Re sum_n c_n exp(i u_n q) exp(i v_n k), where (u_n, v_n) =
-    FOURIER_FREQS[n] @ W and W is the angle map from `ANGLE_JACOBIAN`.
-    """
-    uv = FOURIER_FREQS @ np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
-    return uv[:, 0], uv[:, 1]
-
-
 def phasors(theta, out=None) -> np.ndarray:
     """exp(i theta) = (1 - t^2 + 2 i t) / (1 + t^2) with t = tan(theta / 2).
 
@@ -386,20 +379,20 @@ def phasors(theta, out=None) -> np.ndarray:
     return out
 
 
-def fourier_features(x, w, out: np.ndarray) -> np.ndarray:
-    """Write the features exp(i FOURIER_FREQS[n] . w x), n = 1..7, to out[..., n - 1].
+def fourier_features(x, w) -> np.ndarray:
+    """The features exp(i FOURIER_FREQS[n] . w x), n = 1..7, as an x.shape + (7,) array.
 
     ``w`` is one column of the angle map W = params . `ANGLE_JACOBIAN`:
     (lambda1, lambda2, alpha) gives the query features exp(i u_n q), and
-    (lambda2, lambda1, alpha) the key features exp(i v_n k)
-    (`fourier_frequencies`). Only the three base phasors exp(i w_j x) take a
-    tangent (`phasors`); the other features are their complex products.
-    ``out`` is a complex array of shape ``x.shape + (7,)``, or any view of
-    that shape, so each caller gets the features in the layout it reads. The
-    base phasors e1 and e2 are staged in the last two slots, so no complex
-    temporary is made.
+    (lambda2, lambda1, alpha) the key features exp(i v_n k), with
+    (u_n, v_n) = FOURIER_FREQS[n] @ W. The constant feature (n = 0) is 1 and
+    is left out. Only the three base phasors exp(i w_j x) take a tangent
+    (`phasors`); the other features are their complex products. The base
+    phasors e1 and e2 are staged in the last two slots of the result, so no
+    complex temporary is made.
     """
     x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (7,), dtype=np.complex128)
     e0, plus, minus, e1, e2 = (out[..., n] for n in (0, 1, 2, 5, 6))
     phasors(w[0] * x, out=e0)  # (1, 0, 0)
     phasors(w[1] * x, out=e1)
@@ -443,10 +436,10 @@ def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
     step = max(1, TILE_INPUTS // max(nr, nc, 1))
     for start in range(0, nb, step):
         q, k, out = qs[start : start + step], ks[start : start + step], mu[start : start + step]
-        F = fourier_features(q, W[:, 0], np.empty(q.shape + (7,), np.complex128))
+        F = fourier_features(q, W[:, 0])
         F *= c[1:]
         np.conjugate(F, out=F)
-        G = fourier_features(k, W[:, 1], np.empty(k.shape + (7,), np.complex128))
+        G = fourier_features(k, W[:, 1])
         np.matmul(F.view(np.float64), G.view(np.float64).transpose(0, 2, 1), out=out)
         out += c[0].real
     return mu.reshape([shape[a] for a in order]).transpose(np.argsort(order))

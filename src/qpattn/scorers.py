@@ -1,4 +1,4 @@
-"""Attention score functions and weighted aggregation.
+"""Attention score functions and the row softmax.
 
 Seven interchangeable scorers share one contract: given per-head query/key
 matrices ``Q, K`` of shape ``(..., N, d_h)`` they produce an ``(..., N, N)``
@@ -12,15 +12,19 @@ Each scorer with trainable parameters also exposes a ``*_backward`` companion
 returning input and parameter gradients given the upstream score gradient.
 Both directions of the quantum scorers use the circuit's exact Fourier form
 (`circuit.score_batch`, `circuit.fourier_features`): the forward scores every
-(query, key, dimension) triple by a batched GEMM over the Fourier features
-of Q and K and sums the per-pair scores over D, and the backward costs two
-GEMMs per (batch, head) item on features from the same helper. Both run on
-tiles of `circuit.TILE_INPUTS` inputs per side, so their temporaries do not
-grow with the batch.
+(query, key, dimension) triple by a batched GEMM over the seven Fourier
+features of each input of Q and K and sums the per-pair scores over D, and
+the backward costs two GEMMs per (batch, head) item on the same seven
+features; the series' constant c_0 reaches it only through its beta
+derivative. Both run on tiles of `circuit.TILE_INPUTS` inputs per side, so
+their temporaries do not grow with the batch.
 The MLP baselines score each (query, key, dimension) pair with a small MLP
 whose affine first layer splits into a per-query and a per-key term; both
 directions run on tiles of query rows under the same `circuit.TILE_INPUTS`
 budget, and the backward runs each tile's forward again.
+Both backwards broadcast Q, K and the score gradient to common leading axes,
+flatten those into items (`_items`), and sum dQ and dK back over the axes
+along which Q and K were broadcast.
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 The `qpa-ind` ablation is the `qpa` kind with gamma_d = gamma_s held at 0: the
@@ -82,66 +86,58 @@ def quantum_scores_backward(
 
     Returns ``(dQ, dK, d_params)`` with ``d_params`` a length-5 array. This is
     the exact backward of the circuit's Fourier form
-    (`circuit.fourier_coefficients`): mu(q, k) = Re sum_n c_n F_n(q) G_n(k)
-    with features F_n(q) = exp(i u_n q) and G_n(k) = exp(i v_n k), where the
+    (`circuit.fourier_coefficients`): mu(q, k) = c_0 + Re sum_n c_n F_n(q) G_n(k)
+    over the seven features F_n(q) = exp(i u_n q) and G_n(k) = exp(i v_n k)
+    that the forward reads (`circuit.fourier_features`), where the
     frequencies u, v are linear in the parameters through the angle map
-    (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. Two batched GEMMs,
-    ``dA @ G(K)`` and ``dA^T @ F(Q)``, carry every gradient; the rest is
-    O(N D) work per feature. The leading axes are flattened into items, which
-    run in tiles of at most `circuit.TILE_INPUTS` inputs per side: each tile
-    writes its rows of dQ and dK and adds to the parameter sums, so only the
-    outputs grow with the batch. `circuit.score_grad_batch` (parameter shift)
-    is its oracle in the tests.
+    (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. The constant c_0
+    adds only dc_0/dbeta times ``depth`` times the sum of ``d_scores`` to the
+    beta gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
+    carry every other gradient; the rest is O(N D) work per feature. The
+    leading axes are broadcast and flattened into items, which run in tiles
+    of at most `circuit.TILE_INPUTS` inputs per side: each tile writes its
+    rows of dQ and dK and adds to the parameter sums, so only the outputs
+    grow with the batch. dQ and dK are summed over the axes along which Q
+    and K were broadcast. `circuit.score_grad_batch` (parameter shift) is its
+    oracle in the tests.
     """
     Q = np.asarray(Q, dtype=float)
     K = np.asarray(K, dtype=float)
     _check_depth(Q.shape[-1], depth)
-    u, v = circuit.fourier_frequencies(params)
+    d_scores = np.asarray(d_scores, dtype=float)
+    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2], d_scores.shape[:-2])
+    n_q, n_k = Q.shape[-2], K.shape[-2]
+    qs = _items(Q[..., :depth], lead + (n_q, depth))
+    ks = _items(K[..., :depth], lead + (n_k, depth))
+    dA = _items(d_scores, lead + (n_q, n_k))
+    dQ = np.zeros(lead + Q.shape[-2:])
+    dK = np.zeros(lead + K.shape[-2:])
+    dq = dQ.reshape(len(qs), n_q, Q.shape[-1])[..., :depth]  # views: written in place
+    dk = dK.reshape(len(ks), n_k, K.shape[-1])[..., :depth]
     c, dc = circuit.fourier_coefficients(params.beta)
     W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
-    # Leading axes flattened to one: (items, N, D) inputs and (items, N, N) dA.
-    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2], np.shape(d_scores)[:-2])
-    items, n_q, n_k = math.prod(lead), Q.shape[-2], K.shape[-2]
-    qs = np.broadcast_to(Q[..., :depth], lead + (n_q, depth)).reshape(items, n_q, depth)
-    ks = np.broadcast_to(K[..., :depth], lead + (n_k, depth)).reshape(items, n_k, depth)
-    dA = np.broadcast_to(np.asarray(d_scores, dtype=float), lead + (n_q, n_k))
-    dA = dA.reshape(items, n_q, n_k)
-    dQ = np.zeros(Q.shape)
-    dK = np.zeros(K.shape)
-    dQ_items = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
-    dK_items = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
-    m = len(c)
-    q_fh, k_gh, sum_fh = (np.zeros(m, dtype=np.complex128) for _ in range(3))
+    freqs = circuit.FOURIER_FREQS[1:]  # the constant c_0 has no feature
+    u, v = (freqs @ W).T
+    q_fh, k_gh, sum_fh = (np.zeros(len(freqs), dtype=np.complex128) for _ in range(3))
     step = max(1, circuit.TILE_INPUTS // max(n_q * depth, n_k * depth, 1))
     for start in range(0, len(qs), step):
         tile = slice(start, start + step)
-        F = _features(qs[tile], W[:, 0])  # (items, N, D, M)
-        G = _features(ks[tile], W[:, 1])
+        F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
+        G = circuit.fourier_features(ks[tile], W[:, 1])
         FH = F * _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
         GH = G * _complex_matmul(np.swapaxes(dA[tile], -1, -2), F)
-        dQ_items[tile] = (FH @ (1j * u * c)).real
-        dK_items[tile] = (GH @ (1j * v * c)).real
-        q_fh += qs[tile].reshape(-1) @ FH.reshape(-1, m)
-        k_gh += ks[tile].reshape(-1) @ GH.reshape(-1, m)
-        sum_fh += FH.reshape(-1, m).sum(axis=0)
+        dq[tile] = (FH @ (1j * u * c[1:])).real
+        dk[tile] = (GH @ (1j * v * c[1:])).real
+        q_fh += qs[tile].reshape(-1) @ FH.reshape(-1, len(freqs))
+        k_gh += ks[tile].reshape(-1) @ GH.reshape(-1, len(freqs))
+        sum_fh += FH.reshape(-1, len(freqs)).sum(axis=0)
         del F, G, FH, GH  # one tile's arrays alive at a time
-    d_u = (1j * c * q_fh).real  # dL/du_n
-    d_v = (1j * c * k_gh).real
-    d_freq = circuit.FOURIER_FREQS.T  # u_n = FOURIER_FREQS[n] . W[:, 0], v_n likewise
+    d_u = (1j * c[1:] * q_fh).real  # dL/du_n
+    d_v = (1j * c[1:] * k_gh).real
     jac = circuit.ANGLE_JACOBIAN  # (5, 3, 2): d W / d parameter
-    d_params = jac[:, :, 0] @ (d_freq @ d_u) + jac[:, :, 1] @ (d_freq @ d_v)
-    d_params[4] = (dc @ sum_fh).real  # beta enters through c
-    return dQ, dK, d_params
-
-
-def _features(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # All eight features exp(i FOURIER_FREQS[n] . w x), the constant first,
-    # written by `circuit.fourier_features` straight into the (..., D, M)
-    # layout that `_complex_matmul` reads.
-    out = np.empty(x.shape + (len(circuit.FOURIER_FREQS),), dtype=np.complex128)
-    out[..., 0] = 1.0
-    circuit.fourier_features(x, w, out[..., 1:])
-    return out
+    d_params = jac[:, :, 0] @ (freqs.T @ d_u) + jac[:, :, 1] @ (freqs.T @ d_v)
+    d_params[4] = (dc[1:] @ sum_fh).real + dc[0].real * depth * dA.sum()  # beta, through c
+    return _unbroadcast(dQ, Q.shape), _unbroadcast(dK, K.shape), d_params
 
 
 def _complex_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
@@ -237,19 +233,24 @@ def _mlp_forward(q: np.ndarray, k: np.ndarray, p: dict[str, np.ndarray]):
     return h1, h2, _sigmoid(top @ p["w_out"] + p["b_out"])
 
 
+def _items(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # x broadcast to `shape` and its leading axes flattened: (items, rows, cols).
+    return np.broadcast_to(x, shape).reshape(math.prod(shape[:-2]), *shape[-2:])
+
+
 def _query_tiles(Q: np.ndarray, K: np.ndarray, depth: int, lead: tuple[int, ...]):
     # Q and K's first `depth` dimensions broadcast to the leading axes `lead`
     # and flattened to (items, N, D), and the (item slice, query-row slice)
     # tiles that cover them: whole items while a tile's rows cover one, else
     # row blocks of one item.
-    items, n_q, n_k = math.prod(lead), Q.shape[-2], K.shape[-2]
-    qs = np.broadcast_to(Q[..., :depth], lead + (n_q, depth)).reshape(items, n_q, depth)
-    ks = np.broadcast_to(K[..., :depth], lead + (n_k, depth)).reshape(items, n_k, depth)
+    n_q, n_k = Q.shape[-2], K.shape[-2]
+    qs = _items(Q[..., :depth], lead + (n_q, depth))
+    ks = _items(K[..., :depth], lead + (n_k, depth))
     rows = max(1, circuit.TILE_INPUTS // max(n_k * depth, 1))
     per = max(1, rows // max(n_q, 1))
     tiles = (
         (slice(i, i + per), slice(r, r + rows))
-        for i in range(0, items, per)
+        for i in range(0, len(qs), per)
         for r in range(0, n_q, rows)
     )
     return qs, ks, tiles
@@ -294,7 +295,7 @@ def mlp_scores_backward(
     lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2], d_scores.shape[:-2])
     qs, ks, tiles = _query_tiles(Q, K, depth, lead)
     items, n_q, n_k = len(qs), Q.shape[-2], K.shape[-2]
-    dA = np.broadcast_to(d_scores, lead + (n_q, n_k)).reshape(items, n_q, n_k)
+    dA = _items(d_scores, lead + (n_q, n_k))
     dQ = np.zeros(lead + Q.shape[-2:])
     dK = np.zeros(lead + K.shape[-2:])
     dq = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
@@ -460,11 +461,6 @@ def linear_attention_backward(
     dV = R @ d_context
 
     return dP * _elu_plus_one_grad(Q), dR * _elu_plus_one_grad(K), dV
-
-
-def softmax_weighted_sum(A: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of the score matrix followed by the value aggregation."""
-    return row_softmax(A) @ np.asarray(V, dtype=float)
 
 
 def row_softmax(A: np.ndarray) -> np.ndarray:

@@ -257,7 +257,7 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _forward(model: VitModel, images: np.ndarray, noise=None, collect_mu=False):
+def _forward(model: VitModel, images: np.ndarray, noise=None):
     cfg = model.config
     P = model.params
     kind = scorers.KINDS[cfg.scorer]
@@ -286,7 +286,7 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, collect_mu=False):
             lc.update(A=None, attn_probs=None)
         else:
             A = kind.scores(qh, kh, _layer_scorer_params(model, layer), cfg.depth, noise)
-            if collect_mu and kind.quantum:  # A sums `depth` per-pair scores
+            if kind.quantum:  # A sums `depth` per-pair scores
                 mu_sum += float(A.sum())
                 mu_count += A.size * cfg.depth
             probs = scorers.row_softmax(A)
@@ -323,13 +323,12 @@ def forward(model: VitModel, images: np.ndarray, noise=None) -> np.ndarray:
     ``noise`` optionally injects a quantum channel ``(name, gamma)`` into the
     scoring circuit (quantum scorers only).
     """
-    logits, _, _ = _forward(model, images, noise=noise)
-    return logits
+    return _forward(model, images, noise=noise)[0]
 
 
 def forward_with_stats(model: VitModel, images: np.ndarray, noise=None):
     """Logits plus the mean per-dimension circuit score over all scored pairs."""
-    logits, _, extras = _forward(model, images, noise=noise, collect_mu=True)
+    logits, _, extras = _forward(model, images, noise=noise)
     return logits, extras
 
 

@@ -85,6 +85,25 @@ def oracle_bound():
     return within_oracle_bound
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, name)`` wraps ``module.name`` for the test and
+    returns the list that gets one entry per call."""
+
+    def hook(module, name):
+        calls = []
+        f = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return f(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    return hook
+
+
 def _edit_checkpoint(path, edit):
     # Rewrite an .npz checkpoint after ``edit`` changed its {key: array} payload.
     with np.load(path) as blob:

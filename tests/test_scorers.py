@@ -253,7 +253,7 @@ class TestSoftmaxWeightedSum:
         rng = np.random.default_rng(12)
         V = rng.normal(size=(5, 3))
         A = np.full((5, 5), 2.7)
-        out = scorers.softmax_weighted_sum(A, V)
+        out = scorers.row_softmax(A) @ V
         assert np.allclose(out, V.mean(axis=0), atol=1e-12)
 
     def test_saturated_entry_selects_row(self):
@@ -261,7 +261,7 @@ class TestSoftmaxWeightedSum:
         V = rng.normal(size=(4, 3))
         A = np.zeros((4, 4))
         A[2, 1] = 1000.0
-        out = scorers.softmax_weighted_sum(A, V)
+        out = scorers.row_softmax(A) @ V
         assert np.allclose(out[2], V[1], atol=1e-6)
 
     def test_rows_stochastic(self):
@@ -287,7 +287,7 @@ def attention_output(kind, Q, K, V, depth=4):
         A = scorers.cosine_scores(Q, K, tau=2.0)
     elif kind == "linear":
         return scorers.linear_attention(Q, K, V)
-    return scorers.softmax_weighted_sum(A, V)
+    return scorers.row_softmax(A) @ V
 
 
 @pytest.mark.parametrize("kind", scorers.SCORER_KINDS)
@@ -509,13 +509,11 @@ class TestBackwardTiles:
 
     @pytest.mark.parametrize("case", BACKWARD_TILES)
     def test_tiled_equals_single_tile_and_parameter_shift(
-        self, case, monkeypatch, parameter_shift_backward
+        self, case, monkeypatch, parameter_shift_backward, count_calls
     ):
         shape, depth, tiles = BACKWARD_TILES[case]
         Q, K, p, dA = backward_case(shape)
-        calls = []
-        features = scorers._features
-        monkeypatch.setattr(scorers, "_features", lambda *a: calls.append(1) or features(*a))
+        calls = count_calls(circuit, "fourier_features")
         dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, depth, dA)
         assert len(calls) == 2 * tiles  # a query and a key block per tile
         monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
@@ -548,6 +546,30 @@ class TestBackwardTiles:
                 got = scorers.quantum_scores_backward(Q, K, p, 3, dA)
                 for name, g, r in zip(("dQ", "dK", "d_params"), got, ref):
                     assert g.shape == r.shape and close(g, r, 1e-12), (shape, tile_inputs, name)
+
+    def test_broadcast_leading_axes(self, monkeypatch, parameter_shift_backward):
+        # Q and K broadcast against each other along different leading axes,
+        # as `qpa_scores` accepts them: dQ and dK come back in Q's and K's
+        # shapes, summed over the axes each was broadcast along.
+        rng = np.random.default_rng(30)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        Q, K = rng.normal(size=(2, 1, 5, 4)), rng.normal(size=(1, 3, 5, 4))
+        dA = rng.normal(size=(2, 3, 5, 5))
+        assert scorers.qpa_scores(Q, K, p, 3).shape == dA.shape
+        copies = [np.broadcast_to(x, (2, 3, 5, 4)) for x in (Q, K)]
+        ref_dQ, ref_dK, ref_params = parameter_shift_backward(*copies, p, 3, dA)
+        ref = (summed_to(ref_dQ, Q.shape), summed_to(ref_dK, K.shape), ref_params)
+        for tile_inputs in (1, 7, 2**62):
+            monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+            dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, 3, dA)
+            assert dQ.shape == Q.shape and dK.shape == K.shape
+            of_copies = scorers.quantum_scores_backward(*copies, p, 3, dA)
+            assert np.array_equal(dQ, summed_to(of_copies[0], Q.shape))
+            assert np.array_equal(dK, summed_to(of_copies[1], K.shape))
+            assert np.array_equal(d_params, of_copies[2])
+            for name, got, r in zip(("dQ", "dK", "d_params"), (dQ, dK, d_params), ref):
+                assert close(got, r, 1e-12), (tile_inputs, name)
+            assert not dQ[..., 3:].any() and not dK[..., 3:].any()
 
     def test_working_memory_does_not_grow_with_the_batch(self):
         # Traced peak of the call, less its outputs, at B=8 and B=64 (N=17,
@@ -591,7 +613,9 @@ class TestMlpTiles:
 
     @pytest.mark.parametrize("variant", ["mlp49", "mlp585"])
     @pytest.mark.parametrize("case", MLP_TILES)
-    def test_matches_feature_tensor_reference(self, case, variant, monkeypatch, feature_tensor_mlp):
+    def test_matches_feature_tensor_reference(
+        self, case, variant, monkeypatch, feature_tensor_mlp, count_calls
+    ):
         q_shape, k_shape, a_shape, depth, tile_inputs, tiles = MLP_TILES[case]
         rng = np.random.default_rng(28)
         p = scorers.init_mlp_params(variant, rng)
@@ -599,9 +623,7 @@ class TestMlpTiles:
         Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
         dA = rng.normal(size=a_shape)
         monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
-        calls = []
-        forward = scorers._mlp_forward
-        monkeypatch.setattr(scorers, "_mlp_forward", lambda *a: calls.append(1) or forward(*a))
+        calls = count_calls(scorers, "_mlp_forward")
         A = scorers.mlp_scores(Q, K, p, depth)
         dQ, dK, grads = scorers.mlp_scores_backward(Q, K, p, depth, dA)
         assert len(calls) == 2 * tiles  # each direction runs the forward once per tile
