@@ -152,13 +152,17 @@ def dot_scores(Q: np.ndarray, K: np.ndarray) -> np.ndarray:
     """Classical scaled dot product A = Q K^T / sqrt(d_h)."""
     Q = np.asarray(Q, dtype=float)
     K = np.asarray(K, dtype=float)
-    return Q @ np.swapaxes(K, -1, -2) / np.sqrt(Q.shape[-1])
+    S = Q @ np.swapaxes(K, -1, -2)
+    S /= np.sqrt(Q.shape[-1])
+    return S
 
 
 def dot_scores_backward(Q: np.ndarray, K: np.ndarray, d_scores: np.ndarray):
     scale = 1.0 / np.sqrt(Q.shape[-1])
-    dQ = d_scores @ K * scale
-    dK = np.swapaxes(d_scores, -1, -2) @ Q * scale
+    dQ = d_scores @ K
+    dQ *= scale
+    dK = np.swapaxes(d_scores, -1, -2) @ Q
+    dK *= scale
     return dQ, dK
 
 
@@ -464,16 +468,21 @@ def linear_attention_backward(
 
 
 def row_softmax(A: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in one array the size of ``A``."""
     A = np.asarray(A, dtype=float)
-    shifted = A - A.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = A - A.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def row_softmax_backward(P: np.ndarray, dP: np.ndarray) -> np.ndarray:
     """Gradient through a row softmax given its output P and upstream dP."""
-    inner = (dP * P).sum(axis=-1, keepdims=True)
-    return P * (dP - inner)
+    dA = dP * P
+    inner = dA.sum(axis=-1, keepdims=True)
+    np.subtract(dP, inner, out=dA)
+    dA *= P
+    return dA
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,14 @@ whose forward and exact backward both come from the circuit's Fourier form.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
 which keeps the optimizer, checkpointing and finite-difference checks simple.
+
+One training step holds as little memory as it can at its peak, so that
+glibc does not hand the step's arrays back to the kernel and fault them in
+again on the next step. The forward caches only what the backward reads, and
+the backward frees each cached array after its last use. The layer primitives
+allocate only their outputs, finish in place, and never write into their
+arguments; they run the same operations in the same order as the plain
+expressions, so every result is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -191,26 +199,29 @@ def patch_embed(images: np.ndarray, config: VitConfig, w: np.ndarray, b: np.ndar
         .transpose(0, 2, 4, 1, 3, 5)
         .reshape(B, g * g, C * p * p)
     )
-    return patches @ w.T + b, patches
+    return _linear(patches, w, b), patches
 
 
 def _layernorm(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mean = x.mean(axis=-1, keepdims=True)
-    centered = x - mean
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = centered * inv
-    return g * xhat + b, (xhat, inv)
+    xhat = x - x.mean(axis=-1, keepdims=True)  # centred, normalised below
+    inv = 1.0 / np.sqrt((xhat**2).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat *= inv
+    out = xhat * g
+    out += b
+    return out, (xhat, inv)
 
 
 def _layernorm_backward(dout, g, cache):
     xhat, inv = cache
-    dxhat = dout * g
-    dg = (dout * xhat).reshape(-1, dout.shape[-1]).sum(axis=0)
+    dx = dout * g  # dL/dxhat, turned into dL/dx below
+    prod = dout * xhat  # one scratch array for the three products
+    dg = prod.reshape(-1, dout.shape[-1]).sum(axis=0)
     db = dout.reshape(-1, dout.shape[-1]).sum(axis=0)
-    mean_dxhat = dxhat.mean(axis=-1, keepdims=True)
-    mean_dxhat_xhat = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - mean_dxhat - xhat * mean_dxhat_xhat)
+    mean_dxhat = dx.mean(axis=-1, keepdims=True)
+    mean_dxhat_xhat = np.multiply(dx, xhat, out=prod).mean(axis=-1, keepdims=True)
+    dx -= mean_dxhat
+    dx -= np.multiply(xhat, mean_dxhat_xhat, out=prod)
+    dx *= inv
     return dx, dg, db
 
 
@@ -220,12 +231,21 @@ def _gelu(x: np.ndarray):
 
 
 def _gelu_backward(dout, x, phi):
-    pdf = np.exp(-0.5 * x * x) / np.sqrt(2 * np.pi)
-    return dout * (phi + x * pdf)
+    # dout * (phi + x * pdf(x)) in one array.
+    out = -0.5 * x
+    out *= x
+    np.exp(out, out=out)
+    out /= np.sqrt(2 * np.pi)
+    out *= x
+    out += phi
+    out *= dout
+    return out
 
 
 def _linear(x, w, b):
-    return x @ w.T + b
+    out = x @ w.T
+    out += b
+    return out
 
 
 def _linear_backward(dout, x, w):
@@ -266,13 +286,16 @@ def _forward(model: VitModel, images: np.ndarray, noise=None):
     tokens, patches = patch_embed(images, cfg, P["patch.w"], P["patch.b"])
     B = tokens.shape[0]
     cls = np.broadcast_to(P["cls"], (B, 1, cfg.hidden_size))
-    x = np.concatenate([cls, tokens], axis=1) + P["pos"]
+    x = np.concatenate([cls, tokens], axis=1)
+    x += P["pos"]
+    del tokens
 
+    # Each layer caches exactly what `backward` reads, and nothing it does not.
     caches = {"patches": patches, "layers": []}
     mu_sum, mu_count = 0.0, 0
     for layer in range(cfg.num_layers):
         pre = f"layers.{layer}."
-        lc: dict = {"x_in": x}
+        lc: dict = {}
         h, lc["ln1"] = _layernorm(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
         lc["h"] = h
         q = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
@@ -283,28 +306,31 @@ def _forward(model: VitModel, images: np.ndarray, noise=None):
 
         if kind.scores is None:
             ctx = scorers.linear_attention(qh, kh, vh)
-            lc.update(A=None, attn_probs=None)
         else:
             A = kind.scores(qh, kh, _layer_scorer_params(model, layer), cfg.depth, noise)
             if kind.quantum:  # A sums `depth` per-pair scores
                 mu_sum += float(A.sum())
                 mu_count += A.size * cfg.depth
             probs = scorers.row_softmax(A)
+            del A  # the softmax is the score matrix's last use
             ctx = probs @ vh
-            lc.update(A=A, attn_probs=probs)
+            lc["attn_probs"] = probs
 
         merged = _merge_heads(ctx)
+        del ctx
         lc["merged"] = merged
         attn_out = _linear(merged, P[pre + "attn.wo"], P[pre + "attn.bo"])
-        x = x + attn_out
+        attn_out += x
+        x = attn_out
 
-        lc["x_mid"] = x
         h2, lc["ln2"] = _layernorm(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
         lc["h2"] = h2
         f1 = _linear(h2, P[pre + "ffn.w1"], P[pre + "ffn.b1"])
         a1, phi = _gelu(f1)
         lc.update(f1=f1, gelu_phi=phi, a1=a1)
-        x = x + _linear(a1, P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        ffn_out = _linear(a1, P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        ffn_out += x
+        x = ffn_out
         caches["layers"].append(lc)
 
     caches["x_final"] = x
@@ -362,59 +388,76 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
 
     grads = {name: np.zeros_like(p) for name, p in P.items()}
 
+    x_final = caches.pop("x_final")
     dx_cls, grads["head.w"], grads["head.b"] = _linear_backward(
-        dlogits, caches["x_final"][:, 0], P["head.w"]
+        dlogits, x_final[:, 0], P["head.w"]
     )
-    dx = np.zeros_like(caches["x_final"])
+    dx = np.zeros_like(x_final)
     dx[:, 0] = dx_cls
+    del x_final
 
+    # Each cached array is popped at its last read and each large gradient
+    # deleted before the next large allocation, so only the layers not yet
+    # reached and the arrays in flight are alive.
     for layer in reversed(range(cfg.num_layers)):
         pre = f"layers.{layer}."
-        lc = caches["layers"][layer]
+        lc = caches["layers"].pop()
 
         # FFN branch.
         da1, grads[pre + "ffn.w2"], grads[pre + "ffn.b2"] = _linear_backward(
-            dx, lc["a1"], P[pre + "ffn.w2"]
+            dx, lc.pop("a1"), P[pre + "ffn.w2"]
         )
-        df1 = _gelu_backward(da1, lc["f1"], lc["gelu_phi"])
+        df1 = _gelu_backward(da1, lc.pop("f1"), lc.pop("gelu_phi"))
+        del da1
         dh2, grads[pre + "ffn.w1"], grads[pre + "ffn.b1"] = _linear_backward(
-            df1, lc["h2"], P[pre + "ffn.w1"]
+            df1, lc.pop("h2"), P[pre + "ffn.w1"]
         )
+        del df1
         dx_mid, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = _layernorm_backward(
-            dh2, P[pre + "ln2.g"], lc["ln2"]
+            dh2, P[pre + "ln2.g"], lc.pop("ln2")
         )
-        dx = dx + dx_mid
+        del dh2
+        dx += dx_mid
+        del dx_mid
 
         # Attention branch.
         dmerged, grads[pre + "attn.wo"], grads[pre + "attn.bo"] = _linear_backward(
-            dx, lc["merged"], P[pre + "attn.wo"]
+            dx, lc.pop("merged"), P[pre + "attn.wo"]
         )
         dctx = _split_heads(dmerged, cfg.heads)
-        qh, kh, vh = lc["qh"], lc["kh"], lc["vh"]
+        qh, kh, vh = lc.pop("qh"), lc.pop("kh"), lc.pop("vh")
 
         if kind.scores is None:
             dqh, dkh, dvh = scorers.linear_attention_backward(qh, kh, vh, dctx)
         else:
-            probs = lc["attn_probs"]
+            probs = lc.pop("attn_probs")
             dprobs = dctx @ np.swapaxes(vh, -1, -2)
             dvh = np.swapaxes(probs, -1, -2) @ dctx
             dA = scorers.row_softmax_backward(probs, dprobs)
+            del probs, dprobs  # dA is the one (B, H, N, N) array left alive
             sp = _layer_scorer_params(model, layer)
             dqh, dkh, scorer_grads = kind.backward(qh, kh, sp, cfg.depth, dA)
+            del dA
             for name, g in scorer_grads.items():
                 grads[pre + "scorer." + name] += g
+        del dmerged, dctx, qh, kh, vh
 
         dq, dk, dv = (_merge_heads(t) for t in (dqh, dkh, dvh))
-        dh = np.zeros_like(lc["h"])
+        del dqh, dkh, dvh
+        h = lc.pop("h")
+        dh = np.zeros_like(h)
         for dt, wname in ((dq, "wq"), (dk, "wk"), (dv, "wv")):
             dpart, grads[pre + f"attn.{wname}"], grads[pre + f"attn.b{wname[1]}"] = (
-                _linear_backward(dt, lc["h"], P[pre + f"attn.{wname}"])
+                _linear_backward(dt, h, P[pre + f"attn.{wname}"])
             )
             dh += dpart
+        del dq, dk, dv, dpart, h
         dx_in, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layernorm_backward(
-            dh, P[pre + "ln1.g"], lc["ln1"]
+            dh, P[pre + "ln1.g"], lc.pop("ln1")
         )
-        dx = dx + dx_in
+        del dh
+        dx += dx_in
+        del dx_in
 
     # Token assembly: x = concat(cls, tokens) + pos.
     grads["pos"] = dx.sum(axis=0)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpattn import circuit, qcore, scorers
+from qpattn import circuit, qcore, scorers, vit
 from qpattn.circuit import QpaParams
 
 ORIGIN_MU = 0.8535533905932737
@@ -661,6 +661,90 @@ class TestMlpTiles:
         small = excess(8, 17)
         for batch, n in [(64, 17), (8, 50)]:
             assert excess(batch, n) <= 1.05 * small, (batch, n, small)
+
+
+def primitive_cases(rng):
+    # {name: (function, arguments)} of the classical primitives that finish
+    # in place, on ViT-like shapes: B=2, H=2, N=5, hidden 8, MLP 16.
+    x, dout = rng.normal(size=(2, 2, 5, 8))
+    f1, da1, phi = rng.normal(size=(3, 2, 5, 16))
+    Q, K, dA, P = rng.normal(size=(4, 2, 2, 5, 5))
+    xhat = rng.normal(size=(2, 5, 8))
+    inv = rng.uniform(0.5, 2, size=(2, 5, 1))
+    g, b = rng.normal(size=(2, 8))
+    return {
+        "row_softmax": (scorers.row_softmax, (dA,)),
+        "row_softmax_backward": (scorers.row_softmax_backward, (P, dA)),
+        "dot_scores": (scorers.dot_scores, (Q, K)),
+        "dot_scores_backward": (scorers.dot_scores_backward, (Q, K, dA)),
+        "_linear": (vit._linear, (f1, rng.normal(size=(8, 16)), g)),
+        "_layernorm": (vit._layernorm, (x, g, b)),
+        "_layernorm_backward": (vit._layernorm_backward, (dout, g, (xhat, inv))),
+        "_gelu_backward": (vit._gelu_backward, (da1, f1, phi)),
+    }
+
+
+#: The train-dot-n50 model of the benchmark: 28x28 images, patch 4 (N=50),
+#: one layer, two heads, hidden 32, MLP 64.
+TRAIN_DOT_N50 = vit.VitConfig(28, 1, 4, 1, 2, 32, 64, 2, scorer="dot")
+
+#: What `vit.backward` reads from each layer's cache of `vit._forward`.
+LAYER_CACHE = {"ln1", "h", "qh", "kh", "vh", "merged", "ln2", "h2", "f1", "gelu_phi", "a1"}
+
+
+class TestClassicalWorkingSet:
+    """The ViT's classical layers hold each array only until its last use."""
+
+    @pytest.mark.parametrize("name", primitive_cases(np.random.default_rng(0)))
+    def test_primitives_leave_their_arguments_unchanged(self, name):
+        f, args = primitive_cases(np.random.default_rng(31))[name]
+        flat = [a for arg in args for a in (arg if isinstance(arg, tuple) else (arg,))]
+        before = [a.copy() for a in flat]
+        f(*args)
+        for i, (a, copy) in enumerate(zip(flat, before)):
+            assert a.tobytes() == copy.tobytes(), i
+
+    @pytest.mark.parametrize("kind", scorers.KINDS)
+    def test_backward_leaves_images_and_params_unchanged(self, kind):
+        config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer=kind, depth=4)
+        model = vit.init_model(config, 7)
+        images = np.random.default_rng(32).uniform(0, 1, size=(3, 1, 8, 8))
+        before = images.copy(), {k: p.copy() for k, p in model.params.items()}
+        vit.backward(model, images, np.array([0, 1, 0]))
+        assert images.tobytes() == before[0].tobytes()
+        for k, p in model.params.items():
+            assert p.tobytes() == before[1][k].tobytes(), k
+
+    def test_dot_step_working_memory(self):
+        # Traced peak of one `dot` backward at the train-dot-n50 shape, B=32:
+        # 19.4 MiB while the caches lived to the end of the step and the
+        # primitives built temporaries, about 8.2 MiB without.
+        model = vit.init_model(TRAIN_DOT_N50, 1)
+        rng = np.random.default_rng(33)
+        images = rng.uniform(0, 1, size=(32, 1, 28, 28))
+        labels = rng.integers(0, 2, size=32)
+        tracemalloc.start()
+        try:
+            vit.backward(model, images, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * 2**20, peak
+
+    @pytest.mark.parametrize("kind", ["dot", "linear", "qpa"])
+    def test_backward_reads_exactly_the_cached_arrays(self, kind, monkeypatch):
+        # `backward` pops each entry at its read, so the caches it is handed
+        # end empty exactly when it read every array they held.
+        config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer=kind, depth=4)
+        model = vit.init_model(config, 8)
+        images = np.random.default_rng(34).uniform(0, 1, size=(3, 1, 8, 8))
+        out = vit._forward(model, images)
+        layers = list(out[1]["layers"])
+        expected = LAYER_CACHE | ({"attn_probs"} if scorers.KINDS[kind].scores else set())
+        assert [set(lc) for lc in layers] == [expected] * 2
+        monkeypatch.setattr(vit, "_forward", lambda *_: out)
+        vit.backward(model, images, np.array([0, 1, 0]))
+        assert out[1]["layers"] == [] and layers == [{}, {}]
 
 
 class TestProperties:
