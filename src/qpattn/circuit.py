@@ -9,10 +9,13 @@ measurement finds both qubits in the same state, P(|00>) + P(|11>), after:
 3. mixing     RX(2*beta) on both qubits
 
 Scalar entry points (`score`, `score_gradient`, ...) walk the circuit through
-the generic gate machinery in :mod:`qpattn.qcore`. Array-shaped inputs go
-through the circuit's exact Fourier form: mu is a 15-term Fourier series in
-(q, k) whose coefficients depend on beta alone (`fourier_coefficients`,
-`FOURIER_FREQS`, `ANGLE_JACOBIAN`): a constant c_0 plus seven terms, each a
+the generic gate machinery in :mod:`qpattn.qcore`. The finite-shot sampler
+(`score_sampled`) builds one statevector per distinct input and draws every
+repetition from that input's memoized distribution; its draws are the same as
+when each call built its own. Array-shaped inputs go through the circuit's
+exact Fourier form: mu is a 15-term Fourier series in (q, k) whose
+coefficients depend on beta alone (`fourier_coefficients`, `FOURIER_FREQS`,
+`ANGLE_JACOBIAN`): a constant c_0 plus seven terms, each a
 query feature times a key feature (`fourier_features`, seven per input, built
 from three base phasors).
 `score_batch` and `score_noisy_batch`, the attention forward, evaluate the
@@ -36,7 +39,9 @@ keeps an ``independent`` flag, as the reference the ablation is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -485,6 +490,24 @@ def score_gradient(q: float, k: float, params: QpaParams) -> ScoreGradient:
 # ---------------------------------------------------------------------------
 
 
+#: Largest shot count `score_sampled` accepts: the multinomial draw counts in int64.
+MAX_SHOTS = 2**63 - 1
+
+
+@functools.lru_cache(maxsize=64)
+def _sampling_probs(q: float, k: float, params: QpaParams) -> np.ndarray:
+    """Exact outcome distribution of one input, read-only, built once per key.
+
+    Memoized on (q, k, params) alone, so it assumes the circuit's code is
+    fixed: code that patches a gate must call ``_sampling_probs.cache_clear()``.
+    Only the sampler reads it; `build_state` itself is not memoized.
+    """
+    probs = qcore.measure_probs(build_state(q, k, params))
+    probs = probs / probs.sum()
+    probs.flags.writeable = False
+    return probs
+
+
 def score_sampled(
     q: float, k: float, params: QpaParams, shots: int, seed: int = 0
 ) -> float:
@@ -492,12 +515,13 @@ def score_sampled(
 
     Draws ``shots`` outcomes from the exact distribution with a counter-based
     (Philox) generator so results are reproducible bit-for-bit given the seed.
-    Var(mu_hat) = mu(1-mu)/shots <= 1/(4*shots).
+    Var(mu_hat) = mu(1-mu)/shots <= 1/(4*shots). The statevector is built
+    once per distinct input; repeated calls with new seeds only draw, and
+    give the same estimates as building it on every call.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be a positive integer, got {shots!r}")
-    probs = qcore.measure_probs(build_state(q, k, params))
-    probs = probs / probs.sum()
+    if not isinstance(shots, numbers.Integral) or not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be an integer in [1, 2**63 - 1], got {shots!r}")
+    probs = _sampling_probs(float(q), float(k), params)
     rng = np.random.Generator(np.random.Philox(seed))
     counts = rng.multinomial(shots, probs)
     return float((counts[0] + counts[3]) / shots)

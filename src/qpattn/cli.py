@@ -521,8 +521,9 @@ def cmd_noise_sweep(args) -> int:
 
 def cmd_shots(args) -> int:
     shot_counts = _parse_list(int, args.shots, "--shots")
-    if any(s < 1 for s in shot_counts):
-        raise CliError("shot counts must be positive")
+    bad = [s for s in shot_counts if not 1 <= s <= circuit.MAX_SHOTS]
+    if bad:
+        raise CliError(f"shot counts must lie in [1, 2**63 - 1], got {bad}")
     if args.reps < 2:
         raise CliError(f"--reps must be at least 2 for a sample std, got {args.reps}")
     if args.inputs < 1:

@@ -85,6 +85,14 @@ def oracle_bound():
     return within_oracle_bound
 
 
+@pytest.fixture(autouse=True)
+def fresh_sampler_memo():
+    """Each test starts with an empty `score_sampled` memo: a test that patches
+    a gate must not leave its distributions to the next test, nor find another
+    test's."""
+    circuit._sampling_probs.cache_clear()
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(module, name)`` wraps ``module.name`` for the test and

@@ -7,6 +7,7 @@ analytic closed forms are checked against each other from independent routes.
 
 import dataclasses
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -570,6 +571,67 @@ class TestSampled:
     def test_rejects_zero_shots(self):
         with pytest.raises(ValueError):
             circuit.score_sampled(0.0, 0.0, QpaParams(0.5, 0, 0, 0, 0), shots=0)
+
+    @staticmethod
+    def fresh_estimate(q, k, p, shots, seed):
+        # The sampler with the statevector built on every call.
+        probs = qcore.measure_probs(circuit.build_state(q, k, p))
+        probs = probs / probs.sum()
+        counts = np.random.Generator(np.random.Philox(seed)).multinomial(shots, probs)
+        return float((counts[0] + counts[3]) / shots)
+
+    def test_draws_match_a_fresh_statevector_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        p = random_params(rng)
+        inputs = [(0.0, 0.7), (-0.0, 0.7), (0.7, -0.0), *rng.normal(0, 1.5, (4, 2))]
+        for q, k in inputs:
+            for seed in (0, 1, 7919, 2**31 + 3):
+                for shots in (1, 25, 1600):
+                    got = circuit.score_sampled(q, k, p, shots, seed=seed)
+                    assert got == self.fresh_estimate(q, k, p, shots, seed)
+
+    def test_one_statevector_per_distinct_input(self, count_calls):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.1)
+        builds = count_calls(circuit, "build_state")
+        for seed in range(50):
+            circuit.score_sampled(0.3, -0.4, p, shots=100, seed=seed)
+            circuit.score_sampled(np.float64(0.3), -0.4, p, shots=100, seed=seed)
+        assert len(builds) == 1
+        circuit.score_sampled(0.3, -0.4, dataclasses.replace(p, beta=0.2), shots=100)
+        assert len(builds) == 2
+
+    def test_cached_distribution_is_read_only(self):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.1)
+        circuit.score_sampled(0.3, -0.4, p, shots=10)
+        probs = circuit._sampling_probs(0.3, -0.4, p)
+        assert circuit._sampling_probs.cache_info().currsize == 1
+        assert not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+
+    @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_on_every_call_and_caches_nothing(self, q):
+        p = QpaParams(0.5, 0, 0, 0, 0)
+        for seed in range(3):
+            with pytest.raises(ValueError, match="q must be finite"):
+                circuit.score_sampled(q, 0.0, p, shots=10, seed=seed)
+        assert circuit._sampling_probs.cache_info().currsize == 0
+
+    @pytest.mark.parametrize(
+        "shots", [2.5, 3.0, np.float64(2.0), "3", 2**63], ids=["2.5", "3.0", "np-2.0", "str", "2**63"]
+    )
+    def test_rejects_non_integral_or_huge_shots_before_any_work(self, shots):
+        with pytest.raises(ValueError, match=re.escape(f"got {shots!r}")):
+            circuit.score_sampled(0.3, -0.4, QpaParams(0.5, 0, 0, 0, 0), shots=shots)
+        assert circuit._sampling_probs.cache_info().misses == 0
+
+    def test_accepts_numpy_integer_and_the_largest_shot_count(self):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.1)
+        assert circuit.score_sampled(0.3, -0.4, p, np.int64(100), seed=3) == (
+            circuit.score_sampled(0.3, -0.4, p, 100, seed=3)
+        )
+        mu_hat = circuit.score_sampled(0.3, -0.4, p, circuit.MAX_SHOTS, seed=3)
+        assert mu_hat == pytest.approx(circuit.score(0.3, -0.4, p), abs=1e-6)
 
 
 class TestNoisy:

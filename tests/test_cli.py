@@ -5,6 +5,7 @@ flip the entangler gate order and watch the verification suite catch it.
 """
 
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -333,6 +334,21 @@ class TestShots:
     def test_invalid_shots_refused(self, tmp_path):
         assert cli.main(["shots", "--shots", "0,100", "--out", str(tmp_path)]) == 2
 
+    def test_one_statevector_per_input(self, tmp_path, count_calls):
+        builds = count_calls(circuit, "build_state")
+        sampled = count_calls(circuit, "score_sampled")
+        argv = ["shots", "--shots", "25,100", "--reps", "400", "--inputs", "2"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert len(sampled) == 2 * 2 * 400
+        assert len(builds) == 2
+
+    def test_fixed_seed_csv_matches_reference_digest(self, tmp_path):
+        # sha256 of the file the sampler wrote when it built every statevector afresh.
+        argv = ["shots", "--shots", "25,100,400", "--reps", "200", "--inputs", "3", "--seed", "7"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "shots.csv").read_bytes()).hexdigest()
+        assert digest == "486258c16013e2ee94e91076616830c3516a41dcb8ba8e1d3dbdb33e90b1f71c"
+
 
 class TestUsageErrorsBeforeAnyWork:
     """Bad arguments exit 2 with a message, not a traceback, before any work."""
@@ -365,6 +381,11 @@ class TestUsageErrorsBeforeAnyWork:
 
     def test_shots_no_inputs(self, tmp_path, capsys):
         self.run(tmp_path, capsys, "shots", "--inputs", "0")
+
+    @pytest.mark.parametrize("shots", ["10000000000000000000", "25,9223372036854775808"])
+    def test_shots_beyond_int64(self, tmp_path, capsys, shots):
+        err = self.run(tmp_path, capsys, "shots", "--shots", shots)
+        assert "2**63 - 1" in err
 
     @pytest.mark.parametrize("gammas", ["x", "0,1.5", "nan"])
     def test_noise_sweep_bad_gammas(self, tmp_path, capsys, gammas):

@@ -186,6 +186,18 @@ class TestClaims:
         assert w["interval"][0] < w["exact_var"] < w["interval"][1]
         assert result.tolerance == lab.SHOT_FALSE_ALARM
 
+    def test_asymmetry_claim_scores_both_orders_in_one_call(self, count_calls):
+        calls = count_calls(circuit, "score_batch")
+        (result,) = lab.run_claims(seed=0, only="property2-asymmetry")
+        assert result.passed and len(calls) == 50
+        # The witness of the two-call form (one call per order).
+        assert result.witness == {"min_over_params_of_max_gap": 0.1026558504465297}
+
+    def test_shot_claim_witness_at_seed_0(self):
+        # The sample variance of the sampler that built every statevector afresh.
+        (result,) = lab.run_claims(seed=0, only="shots-variance-bound")
+        assert result.witness["sample_var"] == 0.0022232007007007004
+
     @pytest.mark.parametrize(
         "distort",
         [
