@@ -25,12 +25,14 @@ varies its columns. The GEMM batch runs in tiles of at most `TILE_INPUTS`
 inputs per side, so the feature temporaries stay a few MB whatever the
 batch; only the per-pair output grows with it. The attention backward
 (`scorers.quantum_scores_backward`) differentiates the same series on the
-same seven features, on tiles of the same size; c_0 enters it only through
-its beta derivative.
-The coefficients come from a 3x3x3-point DFT of a real-amplitude evaluator of
-the circuit, which with the exact parameter-shift rule on every rotation gate
-(`score_grad_batch`, `score_gradient`) is also the oracle of the series and
-its gradient.
+same seven features, on tiles of the same size; c_0 = 1/2 does not enter it.
+The coefficients are closed forms in beta: the mixer only weights the fixed
+Fourier coefficients of <ZZ> and <YY> on the state before it, and a noise
+channel adds those of <ZI> + <IZ>. A real-amplitude evaluator of the circuit
+with the exact parameter-shift rule on every rotation gate (`circuit_probs`,
+`circuit_mu_partials`, `score_grad_batch`, `score_gradient`) is the oracle
+of the series and its gradient, and the density-matrix `score_noisy` that of
+the noisy series.
 
 The independent-encoding ablation (`qpa-ind`) is this circuit at gamma_d =
 gamma_s = 0. Only the statevector path (`build_state`, `score`, `score_noisy`)
@@ -202,7 +204,8 @@ def score_encoding_only(q: float, k: float, params: QpaParams) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Real-amplitude circuit evaluation: the DFT samples and the gradient oracle.
+# Real-amplitude circuit evaluation: the oracle of the Fourier form and its
+# gradient.
 #
 # All amplitudes stay real until the mixer, so this path tracks the four real
 # amplitudes through encoding/entangling and folds the two RX gates in
@@ -335,31 +338,36 @@ ANGLE_JACOBIAN = np.array(
 )
 
 
-#: Gate angles (phi0, phi1, ent) at the 27 points of the 3x3x3 DFT grid.
-_GRID_ANGLES = tuple(
-    np.meshgrid(*[2 * np.pi * np.arange(3) / 3] * 3, indexing="ij")
-    + np.array([ANGLE_OFFSET, ANGLE_OFFSET, 0.0])[:, None, None, None]
-)
+# The circuit measures mu = (1 + <ZZ>) / 2. Before the mixer the state is
+# real, so <ZY>, <YZ> and each <Y> vanish there, and the two RX(2 beta) gates
+# turn <ZZ> into cos^2(2 beta) <ZZ> + sin^2(2 beta) <YY> and each <Z> into
+# cos(2 beta) <Z>. The coefficients of mu are therefore fixed vectors weighted
+# by functions of beta alone.
+_R = np.exp(1j * np.pi / 4)
 
-
-def _fourier_series(samples: np.ndarray) -> np.ndarray:
-    # Folded coefficients (..., 8) on FOURIER_FREQS of real functions sampled
-    # at _GRID_ANGLES (..., 3, 3, 3); exact for any function on that support.
-    spectra = np.fft.fftn(samples, axes=(-3, -2, -1)) / 27
-    fold = np.where(FOURIER_FREQS.any(axis=1), 2.0, 1.0)
-    return spectra[(..., *(FOURIER_FREQS % 3).T)] * fold
+#: Folded Fourier coefficients on FOURIER_FREQS[1:] of <ZZ>, <YY> and
+#: <ZI> + <IZ> on the state before the mixer; none has a constant term.
+_ZZ = np.array([_R, 0, 0, 0, 0, 0, 0])
+_YY = np.array([0, 1j * _R / 2, -1j * _R / 2, -1 / 4, -1 / 4, -1j / 4, -1j / 4])
+_ZS = np.array([0, _R, 0, 1j / 2, 0, 0, 1 / 2])
 
 
 def fourier_coefficients(beta: float):
     """Coefficients of mu = Re sum_n c_n exp(i FOURIER_FREQS[n] . x), and dc_n/dbeta.
 
     ``x`` is the shifted angle vector (phi0 - pi/4, phi1 - pi/4, ent); each
-    conjugate pair is folded into one term with twice the coefficient. Both
-    come exactly from one 3x3x3-point DFT of `circuit_mu_partials`, whose beta
-    partial is the parameter-shift one. Returns two complex arrays of shape (8,).
+    conjugate pair is folded into one term with twice the coefficient. In
+    closed form c_0 = 1/2 and c_n = (cos^2(2 beta) ZZ_n + sin^2(2 beta) YY_n) / 2,
+    so dc_0/dbeta = 0 and dc_n/dbeta = sin(4 beta) (YY_n - ZZ_n): every c(beta)
+    lies in the real plane of two fixed vectors. The real-amplitude evaluator
+    (`circuit_mu_partials`) is their oracle. Returns two complex arrays of
+    shape (8,).
     """
-    mu, _, _, _, d_beta = circuit_mu_partials(*_GRID_ANGLES, beta)
-    c, dc = _fourier_series(np.stack([mu, d_beta]))
+    c = np.zeros(8, dtype=np.complex128)
+    dc = np.zeros(8, dtype=np.complex128)
+    c[0] = 0.5
+    c[1:] = (np.cos(2 * beta) ** 2 * _ZZ + np.sin(2 * beta) ** 2 * _YY) / 2
+    dc[1:] = np.sin(4 * beta) * (_YY - _ZZ)
     return c, dc
 
 
@@ -411,9 +419,9 @@ def fourier_features(x, w) -> np.ndarray:
     return out
 
 
-def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
-    # mu = P(00) + P(11) at every broadcast (q, k) pair, from the outcome
-    # probabilities at _GRID_ANGLES: c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k).
+def _series(qs, ks, params: QpaParams, c: np.ndarray):
+    # The series c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k) at every broadcast
+    # (q, k) pair, for the coefficients c on FOURIER_FREQS.
     # Broadcast axes where only q varies are GEMM rows, axes where only k
     # varies are GEMM columns, and the rest are batch axes, so all pairs come
     # from a batched real GEMM (batch, rows, 14) @ (batch, 14, cols) over
@@ -424,7 +432,6 @@ def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
     # for bit, except that a tile with one input on a side rounds it as a
     # one-input batch does: numpy multiplies a lone complex feature in
     # another loop, which can move the last bit.
-    c = _fourier_series(grid_probs[..., 0] + grid_probs[..., 3])
     W = np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
@@ -452,7 +459,7 @@ def _series(qs, ks, params: QpaParams, grid_probs: np.ndarray):
 
 def score_batch(qs, ks, params: QpaParams) -> np.ndarray:
     """Vectorised mu over broadcastable arrays of inputs, from the Fourier form."""
-    return _series(qs, ks, params, circuit_probs(*_GRID_ANGLES, params.beta))
+    return _series(qs, ks, params, fourier_coefficients(params.beta)[0])
 
 
 def score_grad_batch(qs, ks, params: QpaParams):
@@ -553,43 +560,34 @@ def score_noisy(
     return float((rho[0, 0] + rho[3, 3]).real)
 
 
-# Per-qubit action of each channel on measurement probabilities. Every Kraus
-# operator above is diagonal or antidiagonal, so outcome probabilities after
-# the channel depend only on the noiseless outcome probabilities.
-def _prob_map(channel: str, gamma: float) -> np.ndarray:
-    if channel == "BF":
-        return np.array([[1 - gamma, gamma], [gamma, 1 - gamma]])
-    if channel == "PF":
-        return np.eye(2)
-    if channel == "DP":
-        return np.array(
-            [[1 - gamma / 2, gamma / 2], [gamma / 2, 1 - gamma / 2]]
-        )
-    if channel == "AD":
-        return np.array([[1.0, gamma], [0.0, 1 - gamma]])
-    raise ValueError(f"unknown channel {channel!r}")
-
-
-def noisy_probs(probs: np.ndarray, channel: str, gamma: float) -> np.ndarray:
-    """Apply a per-qubit channel to batched outcome probabilities (..., 4).
-
-    Fast path equivalent to the density-matrix evolution in `score_noisy`:
-    for these channels the measured distribution transforms linearly under
-    ``M (x) M`` with M the single-qubit probability map.
-    """
-    gamma = float(gamma)
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
-    m = _prob_map(channel, gamma)
-    return np.asarray(probs) @ np.kron(m, m).T
+#: How each channel acts on one qubit's <Z> expectation, <Z> -> t + s <Z>, as
+#: (t, s) at strength gamma. Every Kraus operator in `qcore.CHANNELS` is
+#: diagonal or antidiagonal, so the channels act on measured expectations alone.
+_Z_MAPS = {
+    "AD": lambda gamma: (gamma, 1 - gamma),
+    "DP": lambda gamma: (0.0, 1 - gamma),
+    "BF": lambda gamma: (0.0, 1 - 2 * gamma),
+    "PF": lambda gamma: (0.0, 1.0),
+}
 
 
 def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> np.ndarray:
     """Vectorised noisy score over broadcastable input arrays.
 
-    The channel maps outcome probabilities linearly (`noisy_probs`), so the
-    noisy mu stays on the Fourier support of the clean one: its coefficients
-    come from the same DFT, applied to the noisy probabilities on the grid.
+    With <Z> -> t + s <Z> on each qubit, <ZZ> becomes
+    t^2 + t s (<ZI> + <IZ>) + s^2 <ZZ>, so the noisy mu stays on the Fourier
+    support of the clean one: c_0 = (1 + t^2) / 2 and
+    c_n = s^2 c_n(clean) + (t s / 2) cos(2 beta) ZS_n. BF, DP and PF have
+    t = 0 and only scale mu about 1/2: mu -> 1/2 + s^2 (mu - 1/2).
+    The density-matrix `score_noisy` is its oracle.
     """
-    probs = noisy_probs(circuit_probs(*_GRID_ANGLES, params.beta), channel, gamma)
-    return _series(qs, ks, params, probs)
+    if channel not in _Z_MAPS:
+        raise ValueError(f"unknown channel {channel!r}; expected one of {sorted(_Z_MAPS)}")
+    gamma = float(gamma)
+    if not (0.0 <= gamma <= 1.0):
+        raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
+    t, s = _Z_MAPS[channel](gamma)
+    c, _ = fourier_coefficients(params.beta)
+    c[0] = (1 + t * t) / 2
+    c[1:] = s * s * c[1:] + t * s / 2 * np.cos(2 * params.beta) * _ZS
+    return _series(qs, ks, params, c)

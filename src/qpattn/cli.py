@@ -234,15 +234,6 @@ def _init_model(cfg: dict, train_ds: ImageDataset, scorer: str, seed: int) -> vi
     return vit.init_model(_vit_config(cfg, train_ds, scorer), seed)
 
 
-def _run_training(cfg: dict, scorer: str, seed: int):
-    """One deterministic training run; shared split/init per seed across scorers."""
-    train_ds, valid_ds = _splits(cfg, _build_dataset(cfg), seed)
-    model = _init_model(cfg, train_ds, scorer, seed)
-    result = training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
-    best_model = vit.VitModel(model.config, result.best_params)
-    return best_model, result
-
-
 def _write_jsonl(path: Path, records: list[dict]) -> None:
     with files.atomic_open(path, "w", encoding="utf-8") as f:
         for record in records:

@@ -15,9 +15,9 @@ Both directions of the quantum scorers use the circuit's exact Fourier form
 (query, key, dimension) triple by a batched GEMM over the seven Fourier
 features of each input of Q and K and sums the per-pair scores over D, and
 the backward costs two GEMMs per (batch, head) item on the same seven
-features; the series' constant c_0 reaches it only through its beta
-derivative. Both run on tiles of `circuit.TILE_INPUTS` inputs per side, so
-their temporaries do not grow with the batch.
+features; the series' constant c_0 = 1/2 depends on no parameter and does
+not reach it. Both run on tiles of `circuit.TILE_INPUTS` inputs per side,
+so their temporaries do not grow with the batch.
 The MLP baselines score each (query, key, dimension) pair with a small MLP
 whose affine first layer splits into a per-query and a per-key term; both
 directions run on tiles of query rows under the same `circuit.TILE_INPUTS`
@@ -90,9 +90,9 @@ def quantum_scores_backward(
     over the seven features F_n(q) = exp(i u_n q) and G_n(k) = exp(i v_n k)
     that the forward reads (`circuit.fourier_features`), where the
     frequencies u, v are linear in the parameters through the angle map
-    (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. The constant c_0
-    adds only dc_0/dbeta times ``depth`` times the sum of ``d_scores`` to the
-    beta gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
+    (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. The constant
+    c_0 = 1/2 has no feature and no beta derivative, so it adds nothing to
+    any gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
     carry every other gradient; the rest is O(N D) work per feature. The
     leading axes are broadcast and flattened into items, which run in tiles
     of at most `circuit.TILE_INPUTS` inputs per side: each tile writes its
@@ -136,7 +136,7 @@ def quantum_scores_backward(
     d_v = (1j * c[1:] * k_gh).real
     jac = circuit.ANGLE_JACOBIAN  # (5, 3, 2): d W / d parameter
     d_params = jac[:, :, 0] @ (freqs.T @ d_u) + jac[:, :, 1] @ (freqs.T @ d_v)
-    d_params[4] = (dc[1:] @ sum_fh).real + dc[0].real * depth * dA.sum()  # beta, through c
+    d_params[4] = (dc[1:] @ sum_fh).real  # beta, through c
     return _unbroadcast(dQ, Q.shape), _unbroadcast(dK, K.shape), d_params
 
 

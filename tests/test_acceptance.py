@@ -25,6 +25,15 @@ def _report(num, text):
     print(f"\nPASS criterion {num}: {text}")
 
 
+def _train(cfg, scorer, seed):
+    # One training run as `qpattn train` makes it; returns the best model and
+    # the loop's result.
+    train_ds, valid_ds = cli._splits(cfg, cli._build_dataset(cfg), seed)
+    model = cli._init_model(cfg, train_ds, scorer, seed)
+    result = training.train_loop(model, train_ds, valid_ds, cli._train_config(cfg, seed))
+    return vit.VitModel(model.config, result.best_params), result
+
+
 def random_params(rng, scale=0.8):
     return QpaParams.from_array(rng.normal(0, scale, size=5))
 
@@ -231,7 +240,7 @@ def tiny_trained_qpa():
         "epochs=3", "warmup_epochs=1", "batch_size=8", "lr0=0.2",
     ]
     cfg = cli.resolve_config(cli._TRAIN_KEYS, None, overrides)
-    model, _ = cli._run_training(cfg, "qpa", 2)
+    model, _ = _train(cfg, "qpa", 2)
     from qpattn.data import SyntheticSpec, split, synthetic_dataset
 
     dataset = synthetic_dataset(SyntheticSpec(20, 8, 0.1, 0))
@@ -325,7 +334,7 @@ def test_criterion_09_desk_scale_training(tmp_path):
     # Per-run wall-time budget, measured on the slow (quantum) and fast kinds.
     for scorer in ("qpa", "dot"):
         t0 = time.time()
-        _, result = cli._run_training(base_cfg, scorer, 1)
+        _, result = _train(base_cfg, scorer, 1)
         elapsed = time.time() - t0
         assert elapsed < 180.0, (scorer, elapsed)
         assert result.best_accuracy >= 0.95

@@ -324,6 +324,19 @@ class TestFourierForm:
             d_beta = circuit.score_gradient(q, k, fast).d_beta
             assert self.series(dc, q, k, fast) == pytest.approx(d_beta, abs=1e-12)
 
+    def test_coefficients_span_a_plane_with_fixed_constant(self):
+        # mu = 1/2 + a(beta) h_1(q, k) + b(beta) h_2(q, k) for fixed W: beta
+        # only mixes two fixed Fourier shapes.
+        rows = []
+        for beta in np.linspace(-np.pi, np.pi, 61):
+            c, dc = circuit.fourier_coefficients(beta)
+            assert c[0] == 0.5 and dc[0] == 0
+            assert abs(abs(c[3]) - abs(c[2])) <= 1e-15
+            assert np.abs(np.abs(c[4:]) - abs(c[2]) / 2).max() <= 1e-15
+            rows.append(np.concatenate([c[1:].real, c[1:].imag]))
+        singular = np.linalg.svd(np.array(rows), compute_uv=False)
+        assert singular[1] > 1.0 and singular[2] < 1e-13
+
     @pytest.mark.parametrize("independent", [False, True], ids=["qpa", "qpa-ind"])
     @pytest.mark.parametrize("beta", [0.0, 0.3, np.pi / 2, 7.0])
     def test_score_batch_matches_real_amplitude(self, independent, beta):
@@ -356,14 +369,18 @@ class TestFourierForm:
 
 def real_amplitude_mu(qs, ks, p, noise=None):
     # The oracle: the real-amplitude evaluator walks the gates at every pair;
-    # a noise channel maps its outcome probabilities (`noisy_probs`).
+    # a noise channel maps its outcome probabilities through each qubit's
+    # map M[i, j] = sum_K |K[i, j]|^2 (every Kraus operator is diagonal or
+    # antidiagonal).
     if noise is None:
         return circuit.score_grad_batch(qs, ks, p)[0]
     qs, ks = np.broadcast_arrays(np.asarray(qs, dtype=float), np.asarray(ks, dtype=float))
     l1, l2 = p.lambda1, p.lambda2
     off = circuit.ANGLE_OFFSET
     probs = circuit.circuit_probs(off + l1 * qs + l2 * ks, off + l2 * qs + l1 * ks, p.alpha * (qs + ks), p.beta)
-    noisy = circuit.noisy_probs(probs, *noise)
+    channel, gamma = noise
+    m = sum(np.abs(K) ** 2 for K in qcore.CHANNELS[channel](gamma))
+    noisy = probs @ np.kron(m, m).T
     return noisy[..., 0] + noisy[..., 3]
 
 
@@ -693,3 +710,9 @@ class TestNoisy:
             circuit.score_noisy(0, 0, p, "XX", 0.1)
         with pytest.raises(ValueError):
             circuit.score_noisy(0, 0, p, "BF", 1.5)
+
+    @pytest.mark.parametrize("channel, gamma", [("XX", 0.1), ("BF", -0.1), ("BF", 1.5), ("BF", np.nan)])
+    def test_batch_validation(self, channel, gamma):
+        p = QpaParams(0.5, 0, 0, 0, 0)
+        with pytest.raises(ValueError):
+            circuit.score_noisy_batch(np.zeros(3), np.zeros(3), p, channel, gamma)

@@ -358,7 +358,6 @@ class TestUsageErrorsBeforeAnyWork:
         def refuse(*args, **kwargs):
             raise AssertionError("work started before the arguments were checked")
 
-        monkeypatch.setattr(cli, "_run_training", refuse)
         monkeypatch.setattr(cli.training, "train_loop", refuse)
         monkeypatch.setattr(cli.vit, "load_checkpoint", refuse)
         monkeypatch.setattr(cli.circuit, "score_sampled", refuse)

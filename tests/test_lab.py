@@ -190,8 +190,7 @@ class TestClaims:
         calls = count_calls(circuit, "score_batch")
         (result,) = lab.run_claims(seed=0, only="property2-asymmetry")
         assert result.passed and len(calls) == 50
-        # The witness of the two-call form (one call per order).
-        assert result.witness == {"min_over_params_of_max_gap": 0.1026558504465297}
+        assert result.witness == {"min_over_params_of_max_gap": 0.10265585044652964}
 
     def test_shot_claim_witness_at_seed_0(self):
         # The sample variance of the sampler that built every statevector afresh.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from qpattn import circuit, qcore, scorers, vit
 from qpattn.circuit import QpaParams
@@ -71,6 +72,41 @@ class TestQpaScores:
         p = QpaParams(0.5, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             scorers.qpa_scores(np.zeros((2, 4)), np.zeros((2, 4)), p, depth=5)
+
+
+class TestAttentionNoise:
+    """Noise channels at the attention level: BF and DP are a softmax temperature."""
+
+    GAMMA = 0.07
+    DEPTH = 8
+
+    def scores(self, seed, noise=None):
+        rng = np.random.default_rng(seed)
+        p = QpaParams.from_array(rng.normal(0, 0.8, 5))
+        Q, K = rng.normal(0, 1.5, size=(2, 4, 2, 17, self.DEPTH))
+        return scorers.qpa_scores(Q, K, p, self.DEPTH, noise)
+
+    @pytest.mark.parametrize("channel, s", [("BF", 1 - 2 * GAMMA), ("DP", 1 - GAMMA)])
+    def test_scale_channels_only_flatten_attention(self, channel, s):
+        # mu -> 1/2 + s^2 (mu - 1/2) per pair, and the softmax ignores the
+        # row constant depth (1 - s^2) / 2.
+        clean = self.scores(60)
+        noisy = self.scores(60, (channel, self.GAMMA))
+        assert np.abs(noisy - (s**2 * clean + self.DEPTH * (1 - s**2) / 2)).max() <= 1e-13
+        attention = scorers.row_softmax(noisy)
+        assert np.abs(attention - scorers.row_softmax(s**2 * clean)).max() <= 1e-14
+
+    def test_amplitude_damping_is_not_a_temperature(self):
+        clean = self.scores(61)
+        attention = scorers.row_softmax(self.scores(61, ("AD", self.GAMMA)))
+
+        def error(temperature):
+            return np.abs(attention - scorers.row_softmax(clean / temperature)).max()
+
+        grid = np.linspace(0.5, 2.0, 1501)
+        best = grid[np.argmin([error(t) for t in grid])]
+        refined = minimize_scalar(error, bounds=(best - 1e-3, best + 1e-3), method="bounded")
+        assert min(error(best), refined.fun) > 1e-3
 
 
 class TestDotScores:
