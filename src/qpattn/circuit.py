@@ -8,16 +8,17 @@ measurement finds both qubits in the same state, P(|00>) + P(|11>), after:
 2. entangling CNOT(0->1), then RY(alpha*(q+k)) on qubit 1, then CNOT(1->0)
 3. mixing     RX(2*beta) on both qubits
 
-Scalar entry points (`score`, `score_gradient`, ...) walk the circuit through
-the generic gate machinery in :mod:`qpattn.qcore`. The finite-shot sampler
-(`score_sampled`) builds one statevector per distinct input and draws every
-repetition from that input's memoized distribution; its draws are the same as
-when each call built its own. Array-shaped inputs go through the circuit's
-exact Fourier form: mu is a 15-term Fourier series in (q, k) whose
-coefficients depend on beta alone (`fourier_coefficients`, `FOURIER_FREQS`,
-`ANGLE_JACOBIAN`): a constant c_0 plus seven terms, each a
-query feature times a key feature (`fourier_features`, seven per input, built
-from three base phasors).
+The scalar statevector entry points (`build_state`, `score`, `score_noisy`)
+walk the circuit through the generic gate machinery in :mod:`qpattn.qcore`;
+`score_gradient` runs the real-amplitude parameter-shift evaluator described
+below. The finite-shot sampler (`score_sampled`) builds one statevector per
+distinct input and draws every repetition from that input's memoized
+distribution; its draws are the same as when each call built its own.
+Array-shaped inputs go through the circuit's exact Fourier form: mu is a
+15-term Fourier series in (q, k) whose coefficients depend on beta alone
+(`fourier_coefficients`, `FOURIER_FREQS`, `ANGLE_JACOBIAN`): a constant c_0
+plus seven terms, each a query feature times a key feature
+(`fourier_features`, seven per input, built from three base phasors).
 `score_batch` and `score_noisy_batch`, the attention forward, evaluate the
 series at every broadcast input pair as a batched real GEMM of the two
 sides' features: axes where only q varies are its rows, axes where only k

@@ -290,7 +290,7 @@ def cmd_train(args) -> int:
     vit.save_checkpoint(best_model, outdir / "checkpoint.npz")
 
     # Confidence-stratified accuracy of the best model on the validation set.
-    _, max_probs, correct = training.evaluate(best_model, valid_ds)
+    _, max_probs, correct, _ = training.evaluate(best_model, valid_ds)
     strata = [
         {"stratum": s.name, "low": s.low, "high": s.high, "count": s.count, "accuracy": s.accuracy}
         for s in training.stratify_by_confidence(max_probs, correct)
@@ -318,17 +318,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _compare_worker(payload) -> training.RunStats:
-    cfg, scorer, seed, model, train_ds, valid_ds = payload
-    result = training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
-    history = [dict(record, seed=seed, scorer=scorer) for record in result.history]
-    return training.RunStats(
-        seed=seed,
-        scorer=scorer,
-        metrics=asdict(result.best_metrics),
-        best_epoch=result.best_epoch,
-        history=history,
-    )
+def _compare_worker(payload) -> training.TrainResult:
+    cfg, _, seed, model, train_ds, valid_ds = payload
+    return training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
 
 
 _METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "auc_roc")
@@ -384,20 +376,24 @@ def cmd_compare(args) -> int:
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            runs = list(pool.map(_compare_worker, jobs))
+            results = list(pool.map(_compare_worker, jobs))
     else:
-        runs = [_compare_worker(job) for job in jobs]
+        results = [_compare_worker(job) for job in jobs]
 
-    # Seed-ordered assembly of the per-run records.
-    runs_by_key = {(run.scorer, run.seed): run for run in runs}
-    history_records = [rec for run in runs for rec in run.history]
-
-    def seed_ordered(scorer: str) -> list[training.RunStats]:
-        return [runs_by_key[(scorer, seed)] for seed in seeds]
+    # Jobs run scorer by scorer, each over the seeds in order.
+    history_records = [
+        dict(record, seed=seed, scorer=scorer)
+        for (_, scorer, seed, *_), result in zip(jobs, results)
+        for record in result.history
+    ]
+    metrics = {
+        s: [asdict(r.best_metrics) for r in results[i * len(seeds) : (i + 1) * len(seeds)]]
+        for i, s in enumerate(scorers_list)
+    }
 
     rows = []
     for s in scorers_list:
-        values = {m: [run.metrics[m] for run in seed_ordered(s)] for m in _METRIC_NAMES}
+        values = {m: [run[m] for run in metrics[s]] for m in _METRIC_NAMES}
         row = {
             "schema_version": SCHEMA_VERSION,
             "row_type": "summary",
@@ -412,8 +408,8 @@ def cmd_compare(args) -> int:
 
     for i, sa in enumerate(scorers_list):
         for sb in scorers_list[i + 1 :]:
-            a = np.array([run.metrics["accuracy"] for run in seed_ordered(sa)])
-            b = np.array([run.metrics["accuracy"] for run in seed_ordered(sb)])
+            a = np.array([run["accuracy"] for run in metrics[sa]])
+            b = np.array([run["accuracy"] for run in metrics[sb]])
             t = training.paired_t_test(a, b)
             rows.append(
                 {
@@ -474,23 +470,12 @@ def cmd_noise_sweep(args) -> int:
             f"but the checkpoint expects {expected}"
         )
 
-    def sweep_eval(noise):
-        correct = 0
-        mu_sum, mu_count = 0.0, 0
-        for start in range(0, valid_ds.n, 64):
-            batch = valid_ds.images[start : start + 64]
-            labels = valid_ds.labels[start : start + 64]
-            logits, extras = vit.forward_with_stats(model, batch, noise=noise)
-            correct += int((logits.argmax(axis=1) == labels).sum())
-            mu_sum += extras["mu_sum"]
-            mu_count += extras["mu_count"]
-        return correct / valid_ds.n, mu_sum / mu_count
-
-    base_acc, base_mu = sweep_eval(None)
+    base, _, _, base_mu = training.evaluate(model, valid_ds)
     rows = []
     for channel in channels:
         for gamma in gammas:
-            acc, mean_mu = sweep_eval((channel, gamma))
+            noisy, _, _, mean_mu = training.evaluate(model, valid_ds, noise=(channel, gamma))
+            acc = noisy.accuracy
             rows.append(
                 {
                     "schema_version": SCHEMA_VERSION,
@@ -499,7 +484,7 @@ def cmd_noise_sweep(args) -> int:
                     "val_accuracy": f"{acc:.6f}",
                     "mean_mu": f"{mean_mu:.12f}",
                     "mean_mu_shift": f"{mean_mu - base_mu:.12f}",
-                    "baseline_accuracy": f"{base_acc:.6f}",
+                    "baseline_accuracy": f"{base.accuracy:.6f}",
                     "baseline_mean_mu": f"{base_mu:.12f}",
                 }
             )

@@ -279,7 +279,7 @@ def _claim_frequency_identities(rng: np.random.Generator) -> ClaimResult:
         wd, ws = frequencies(p)
         worst = max(worst, abs(l1 + l2 - ws), abs(l1 - l2 - wd))
     return ClaimResult(
-        "lemma2-frequency-identities", worst <= 1e-12, 1e-12, {"max_abs_err": worst}
+        "lemma2-frequency-identities", bool(worst <= 1e-12), 1e-12, {"max_abs_err": worst}
     )
 
 
@@ -408,7 +408,7 @@ def _claim_gradient(rng: np.random.Generator) -> ClaimResult:
             ) / (2 * h)
             worst = max(worst, abs(fd - exact[j]))
     return ClaimResult(
-        "gradient-parameter-shift", worst <= 1e-6, 1e-6, {"max_abs_err": worst}
+        "gradient-parameter-shift", bool(worst <= 1e-6), 1e-6, {"max_abs_err": worst}
     )
 
 
@@ -438,7 +438,7 @@ def _claim_bf_closed_form(rng: np.random.Generator) -> ClaimResult:
             closed = mu * (1 - 2 * g) ** 2 + 2 * g * (1 - g)
             worst = max(worst, abs(noisy - closed))
     return ClaimResult(
-        "noise-bf-closed-form", worst <= 1e-10, 1e-10, {"max_abs_err": worst}
+        "noise-bf-closed-form", bool(worst <= 1e-10), 1e-10, {"max_abs_err": worst}
     )
 
 

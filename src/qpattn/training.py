@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import stdtr, stdtrit
 from scipy.stats import rankdata
 
-from . import vit
+from . import scorers, vit
 from .data import ImageDataset
 
 
@@ -246,17 +246,6 @@ def stratify_by_confidence(max_softmax_probs, correct_flags) -> list[StratumResu
 
 
 @dataclass
-class RunStats:
-    """One completed run's record, the unit fed to paired comparisons."""
-
-    seed: int
-    scorer: str
-    metrics: dict
-    best_epoch: int
-    history: list[dict] = field(default_factory=list)
-
-
-@dataclass
 class TrainResult:
     history: list[dict] = field(default_factory=list)
     best_epoch: int = -1
@@ -266,18 +255,27 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def evaluate(model: vit.VitModel, dataset: ImageDataset, batch_size: int = 64):
-    """Validation metrics plus per-sample max-softmax probs and correctness."""
+def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None):
+    """Metrics, per-sample max-softmax probs and correctness, and the mean circuit score.
+
+    Runs `vit.forward_with_stats` on batches of 64 images, so it holds one
+    batch's activations of one layer at a time. ``noise`` is a quantum channel
+    ``(name, gamma)`` as in `vit.forward`. The mean circuit score is None for
+    a classical scorer.
+    """
     all_probs = []
-    for start in range(0, dataset.n, batch_size):
-        logits = vit.forward(model, dataset.images[start : start + batch_size])
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        all_probs.append(e / e.sum(axis=1, keepdims=True))
+    mu_sum, mu_count = 0.0, 0
+    for start in range(0, dataset.n, 64):
+        images = dataset.images[start : start + 64]
+        logits, extras = vit.forward_with_stats(model, images, noise=noise)
+        all_probs.append(scorers.row_softmax(logits))
+        mu_sum += extras["mu_sum"]
+        mu_count += extras["mu_count"]
     probs = np.concatenate(all_probs, axis=0)
     predicted = probs.argmax(axis=1)
     metrics = compute_metrics(dataset.labels, predicted, probs[:, 1])
-    return metrics, probs.max(axis=1), predicted == dataset.labels
+    mean_mu = mu_sum / mu_count if mu_count else None
+    return metrics, probs.max(axis=1), predicted == dataset.labels, mean_mu
 
 
 def _check_finite(what: str, arrays: dict[str, np.ndarray], epoch: int, step: int) -> None:
@@ -325,7 +323,7 @@ def train_loop(
                 f"training diverged at epoch {epoch} (non-finite loss); reduce lr0"
             )
 
-        metrics, _, _ = evaluate(model, valid_ds)
+        metrics = evaluate(model, valid_ds)[0]
         record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss}
         record.update({f"val_{k}": v for k, v in asdict(metrics).items()})
         result.history.append(record)

@@ -11,10 +11,13 @@ which keeps the optimizer, checkpointing and finite-difference checks simple.
 
 One training step holds as little memory as it can at its peak, so that
 glibc does not hand the step's arrays back to the kernel and fault them in
-again on the next step. The forward caches only what the backward reads, and
-the backward frees each cached array after its last use. The layer primitives
-allocate only their outputs, finish in place, and never write into their
-arguments; they run the same operations in the same order as the plain
+again on the next step. Only `backward` keeps a cache: its forward stores
+only what it reads, and it frees each cached array after its last use.
+`forward` and `forward_with_stats` keep none, so inference holds one layer's
+arrays at a time whatever the depth; the extras of `forward_with_stats` hold
+the sum and the count of the circuit scores, not their mean. The layer
+primitives allocate only their outputs, finish in place, and never write into
+their arguments; they run the same operations in the same order as the plain
 expressions, so every result is bit for bit the same.
 """
 
@@ -277,7 +280,11 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _forward(model: VitModel, images: np.ndarray, noise=None):
+def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
+    """Logits and the circuit-score sums; fills ``caches`` for `backward` if given.
+
+    Without ``caches``, each layer's arrays are dropped once the next starts.
+    """
     cfg = model.config
     P = model.params
     kind = scorers.KINDS[cfg.scorer]
@@ -289,9 +296,11 @@ def _forward(model: VitModel, images: np.ndarray, noise=None):
     x = np.concatenate([cls, tokens], axis=1)
     x += P["pos"]
     del tokens
+    if caches is not None:
+        caches.update(patches=patches, layers=[])
+    del patches
 
     # Each layer caches exactly what `backward` reads, and nothing it does not.
-    caches = {"patches": patches, "layers": []}
     mu_sum, mu_count = 0.0, 0
     for layer in range(cfg.num_layers):
         pre = f"layers.{layer}."
@@ -331,16 +340,13 @@ def _forward(model: VitModel, images: np.ndarray, noise=None):
         ffn_out = _linear(a1, P[pre + "ffn.w2"], P[pre + "ffn.b2"])
         ffn_out += x
         x = ffn_out
-        caches["layers"].append(lc)
+        if caches is not None:
+            caches["layers"].append(lc)
 
-    caches["x_final"] = x
+    if caches is not None:
+        caches["x_final"] = x
     logits = _linear(x[:, 0], P["head.w"], P["head.b"])
-    extras = {
-        "mu_sum": mu_sum,
-        "mu_count": mu_count,
-        "mean_mu": mu_sum / mu_count if mu_count else None,
-    }
-    return logits, caches, extras
+    return logits, {"mu_sum": mu_sum, "mu_count": mu_count}
 
 
 def forward(model: VitModel, images: np.ndarray, noise=None) -> np.ndarray:
@@ -353,9 +359,11 @@ def forward(model: VitModel, images: np.ndarray, noise=None) -> np.ndarray:
 
 
 def forward_with_stats(model: VitModel, images: np.ndarray, noise=None):
-    """Logits plus the mean per-dimension circuit score over all scored pairs."""
-    logits, _, extras = _forward(model, images, noise=noise)
-    return logits, extras
+    """Logits plus ``{"mu_sum", "mu_count"}``, the sum and count of the circuit scores.
+
+    Both are 0 for a classical scorer; their ratio is the mean score.
+    """
+    return _forward(model, images, noise=noise)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -383,7 +391,8 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
     cfg = model.config
     P = model.params
     kind = scorers.KINDS[cfg.scorer]
-    logits, caches, _ = _forward(model, images)
+    caches: dict = {}
+    logits, _ = _forward(model, images, caches=caches)
     loss, dlogits = cross_entropy(logits, labels)
 
     grads = {name: np.zeros_like(p) for name, p in P.items()}

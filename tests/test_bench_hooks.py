@@ -4,7 +4,9 @@
 `bench/workloads.py` swaps functions by name with ``replaced("module.name",
 ...)``. A function renamed or deleted in ``qpattn`` breaks those runs only
 when the benchmark runs, so these tests read both files (without importing
-or editing them) and resolve every name.
+or editing them) and resolve every name. The wrappers also read arguments
+and results by position, so the last tests check those call shapes as the
+program's own callers make them.
 """
 
 import ast
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from qpattn import circuit
+from qpattn import circuit, cli, data, qcore, training, vit
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -76,3 +78,62 @@ def test_score_batch_takes_exactly_inputs_and_params():
     # `bench/workloads.attention_errors` reads a fourth positional argument
     # of `score_batch` as the statevector path's ``independent`` flag.
     assert list(inspect.signature(circuit.score_batch).parameters) == ["qs", "ks", "params"]
+
+
+# The call shapes the benchmark's wrappers read, each seen through the
+# program's own caller: a tiny training run and a tiny noise sweep.
+
+TINY_TASK = dict(image_size=8, n_per_class=20, train_n=24, valid_n=12)
+
+
+def _tiny_split():
+    spec = data.SyntheticSpec(TINY_TASK["n_per_class"], TINY_TASK["image_size"])
+    dataset = data.synthetic_dataset(spec)
+    return data.split(dataset, TINY_TASK["train_n"], TINY_TASK["valid_n"], 1)
+
+
+def _recorder(monkeypatch, module, name, calls):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def test_train_loop_hands_evaluate_the_dataset_and_backward_three_arguments(monkeypatch):
+    calls, steps = [], []
+    _recorder(monkeypatch, training, "evaluate", calls)
+    backward = vit.backward
+
+    def three_positional(model, images, labels):  # the benchmark's wrapper signature
+        steps.append(len(images))
+        return backward(model, images, labels)
+
+    monkeypatch.setattr(vit, "backward", three_positional)
+    train_ds, valid_ds = _tiny_split()
+    config = vit.VitConfig(8, 1, 4, 1, 2, 8, 16, 2, scorer="dot")
+    tconfig = training.TrainConfig(lr0=0.3, batch_size=8, epochs=2, warmup_epochs=1, seed=1)
+    training.train_loop(vit.init_model(config, 1), train_ds, valid_ds, tconfig)
+    assert steps == [8, 8, 8] * 2 and len(calls) == 2
+    for args, _, out in calls:
+        assert isinstance(args[1], data.ImageDataset) and args[1].n == valid_ds.n
+        assert 0.0 <= out[0].accuracy <= 1.0
+
+
+def test_noise_sweep_calls_forward_with_stats_per_setting(monkeypatch, tmp_path):
+    calls = []
+    config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer="qpa", depth=4)
+    vit.save_checkpoint(vit.init_model(config, 1), tmp_path / "checkpoint.npz")
+    _recorder(monkeypatch, vit, "forward_with_stats", calls)
+    argv = ["noise-sweep", "--checkpoint", str(tmp_path / "checkpoint.npz"), "--gammas", "0.05"]
+    for key, value in dict(TINY_TASK, seed=1).items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main([*argv, "--out", str(tmp_path / "sweep")]) == 0
+    noises = [args[2] if len(args) > 2 else kwargs.get("noise") for args, kwargs, _ in calls]
+    assert noises == [None] + [(channel, 0.05) for channel in qcore.CHANNELS]
+    for args, _, (logits, extras) in calls:
+        assert len(args[1]) == TINY_TASK["valid_n"] and logits.shape == (len(args[1]), 2)
+        assert extras["mu_count"] > 0 and 0.0 <= extras["mu_sum"] / extras["mu_count"] <= 1.0

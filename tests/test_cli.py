@@ -216,6 +216,20 @@ class TestCompare:
         assert cli.main([*args, "--set", "epochs=2", "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
+    def test_fixed_seed_outputs_match_reference_digests(self, tmp_path):
+        # sha256 of the files compare wrote when it repacked each run into a
+        # per-(scorer, seed) record.
+        args = ["compare", "--set", "scorers=dot,cosine", "--set", "seeds=1,2", *TINY]
+        assert cli.main([*args, "--set", "epochs=2", "--out", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("compare.csv", "runs.jsonl")
+        }
+        assert digests == {
+            "compare.csv": "645a5ab01f2a1cedc37b27c62783af9e36a753fd0f07e31371f7d2e99a44df61",
+            "runs.jsonl": "c05607842b55953a8cfc4cc7642ff01ac95306218519524c424136c0cecd5a83",
+        }
+
 
 @pytest.fixture(scope="module")
 def qpa_checkpoint(tmp_path_factory):
@@ -259,6 +273,17 @@ class TestNoiseSweep:
             if row["channel"] == "BF":  # mean shift follows the closed form
                 expected = base_mu * (1 - 2 * gamma) ** 2 + 2 * gamma * (1 - gamma)
                 assert float(row["mean_mu"]) == pytest.approx(expected, abs=1e-10)
+
+    def test_fixed_seed_csv_matches_reference_digest(self, tmp_path):
+        # sha256 of the file the sweep wrote with its own 64-image loop, on a
+        # 2-layer checkpoint.
+        ckpt = tmp_path / "ckpt"
+        args = ["train", "--set", "scorer=qpa", "--set", "seed=1", "--set", "num_layers=2", *TINY]
+        assert cli.main([*args, "--set", "epochs=2", "--out", str(ckpt)]) == 0
+        sweep = ["noise-sweep", "--checkpoint", str(ckpt / "checkpoint.npz"), *TINY]
+        assert cli.main([*sweep, "--set", "seed=1", "--out", str(tmp_path / "sweep")]) == 0
+        digest = hashlib.sha256((tmp_path / "sweep" / "noise_sweep.csv").read_bytes()).hexdigest()
+        assert digest == "5b0d1627a15f381ae1afe0497bc13d5753bed5db7ebc068b27b58fee2fe9ee0e"
 
     def test_non_quantum_checkpoint_refused(self, tmp_path):
         out = tmp_path / "dot"

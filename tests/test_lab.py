@@ -170,6 +170,13 @@ class TestClaims:
         failed = [r.claim_id for r in results if not r.passed]
         assert not failed, f"failing claims: {failed}"
 
+    def test_every_verdict_is_a_python_bool(self):
+        # A numpy.bool_ verdict makes json.dumps(dataclasses.asdict(result)) raise.
+        results = lab.run_claims(seed=0)
+        assert {r.claim_id: type(r.passed) for r in results} == {
+            r.claim_id: bool for r in results
+        }
+
     def test_gradient_claim_passes_at_seed_29(self):
         # At a finite-difference step of 1e-4 the O(h^2) error alone was 1.35e-6.
         (result,) = lab.run_claims(seed=29, only="gradient-parameter-shift")

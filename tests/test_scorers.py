@@ -774,13 +774,33 @@ class TestClassicalWorkingSet:
         config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer=kind, depth=4)
         model = vit.init_model(config, 8)
         images = np.random.default_rng(34).uniform(0, 1, size=(3, 1, 8, 8))
-        out = vit._forward(model, images)
-        layers = list(out[1]["layers"])
+        filled = {}
+        out = vit._forward(model, images, caches=filled)
+        layers = list(filled["layers"])
         expected = LAYER_CACHE | ({"attn_probs"} if scorers.KINDS[kind].scores else set())
         assert [set(lc) for lc in layers] == [expected] * 2
-        monkeypatch.setattr(vit, "_forward", lambda *_: out)
+        monkeypatch.setattr(vit, "_forward", lambda *_, caches: caches.update(filled) or out)
         vit.backward(model, images, np.array([0, 1, 0]))
-        assert out[1]["layers"] == [] and layers == [{}, {}]
+        assert filled["layers"] == [] and layers == [{}, {}]
+
+    def test_forward_working_memory_is_flat_in_depth(self):
+        # Traced peak of one `dot` forward at the train-dot-n50 shape, B=32:
+        # 7.75, 14.86 and 28.29 MiB at 1, 2 and 4 layers while the forward
+        # built the backward's cache; one layer's arrays at a time, only
+        # `backward` asks for a cache.
+        images = np.random.default_rng(35).uniform(0, 1, size=(32, 1, 28, 28))
+        peaks = {}
+        for layers in (2, 4):
+            model = vit.init_model(dataclasses.replace(TRAIN_DOT_N50, num_layers=layers), 1)
+            vit.forward(model, images)  # warm call
+            tracemalloc.start()
+            try:
+                vit.forward(model, images)
+                peaks[layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[4] - peaks[2]) <= 0.25 * 2**20, peaks
+        assert peaks[4] < 10.5 * 2**20, peaks
 
 
 class TestProperties:

@@ -8,7 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from qpattn import circuit, scorers, vit
+from qpattn import circuit, scorers, training, vit
+from qpattn.data import ImageDataset
 from qpattn.vit import VitConfig, init_model
 
 
@@ -104,7 +105,8 @@ class TestForward:
         logits = vit.forward(model, images)
         assert np.all(np.isfinite(logits))
         # zero q/k make attention uniform over tokens for every query
-        _, caches, _ = vit._forward(model, images)
+        caches = {}
+        vit._forward(model, images, caches=caches)
         probs = caches["layers"][0]["attn_probs"]
         assert np.allclose(probs, 1.0 / probs.shape[-1], atol=1e-12)
 
@@ -148,18 +150,22 @@ class TestMeanMu:
             logits, extras = vit.forward_with_stats(model, images, noise=noise)
             monkeypatch.undo()
             per_pair = np.concatenate([mu.ravel() for mu in seen])
-            assert set(extras) == {"mu_sum", "mu_count", "mean_mu"}
+            assert set(extras) == {"mu_sum", "mu_count"}
             assert extras["mu_count"] == per_pair.size == 2 * 3 * 2 * 5 * 5 * 4
             assert abs(extras["mu_sum"] - per_pair.sum()) <= 1e-12 * per_pair.size
-            assert abs(extras["mean_mu"] - per_pair.mean()) <= 1e-12
+            mean_mu = extras["mu_sum"] / extras["mu_count"]
+            assert abs(mean_mu - per_pair.mean()) <= 1e-12
             assert np.array_equal(logits, vit.forward(model, images, noise=noise))
-            means[noise[0] if noise else "clean"] = extras["mean_mu"]
+            means[noise[0] if noise else "clean"] = mean_mu
         assert means["PF"] == means["clean"]
 
     def test_classical_kind_has_no_mean_mu(self):
         model = init_model(tiny_config("dot"), 4)
-        _, extras = vit.forward_with_stats(model, random_images(np.random.default_rng(6)))
-        assert extras == {"mu_sum": 0.0, "mu_count": 0, "mean_mu": None}
+        images = random_images(np.random.default_rng(6))
+        _, extras = vit.forward_with_stats(model, images)
+        assert extras == {"mu_sum": 0.0, "mu_count": 0}
+        dataset = ImageDataset(images, np.array([0, 1, 0]))
+        assert training.evaluate(model, dataset)[3] is None
 
 
 class TestBackward:
