@@ -5,6 +5,8 @@ measurement finds both qubits in the same state, P(|00>) + P(|11>), after:
 
 1. encoding   RY(phi0) (x) RY(phi1), where the three-step encoding collapses to
               phi0 = pi/4 + lambda1*q + lambda2*k, phi1 = pi/4 + lambda2*q + lambda1*k
+              (`equivalent_angles`; it broadcasts, and the statevector and
+              real-amplitude paths and the lab all read it)
 2. entangling CNOT(0->1), then RY(alpha*(q+k)) on qubit 1, then CNOT(1->0)
 3. mixing     RX(2*beta) on both qubits
 
@@ -140,16 +142,20 @@ class ScoreGradient:
         )
 
 
-def equivalent_angles(q: float, k: float, params: QpaParams) -> tuple[float, float]:
+def _check_finite(q, k) -> None:
+    for name, v in (("q", q), ("k", k)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+
+
+def equivalent_angles(q, k, params: QpaParams):
     """Collapsed single-layer RY angles of the three-step encoding.
 
     phi0 = pi/4 + lambda1*q + lambda2*k on qubit 0 and the coefficient-swapped
     phi1 = pi/4 + lambda2*q + lambda1*k on qubit 1, so each qubit also senses
-    the other side's input.
+    the other side's input. ``q`` and ``k``: floats or broadcastable arrays.
     """
-    for name, v in (("q", q), ("k", k)):
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite")
+    _check_finite(q, k)
     l1, l2 = params.lambda1, params.lambda2
     return ANGLE_OFFSET + l1 * q + l2 * k, ANGLE_OFFSET + l2 * q + l1 * k
 
@@ -188,16 +194,15 @@ def score(q: float, k: float, params: QpaParams, independent: bool = False) -> f
     return float(p[0] + p[3])
 
 
-def score_encoding_only(q: float, k: float, params: QpaParams) -> float:
+def score_encoding_only(q, k, params: QpaParams):
     """Closed form of mu for the encoding layer alone (no entangler, no mixer).
 
     mu = 1/2 + 1/4 cos(omega_d (q-k)) - 1/4 sin(omega_s (q+k)), which is
     symmetric in (q, k) and carries the two independently tunable frequencies.
+    Broadcasts like `equivalent_angles`, each element equal to its scalar call.
     """
-    for name, v in (("q", q), ("k", k)):
-        if not np.isfinite(v):
-            raise ValueError(f"{name} must be finite")
-    return float(
+    _check_finite(q, k)
+    return (
         0.5
         + 0.25 * np.cos(params.omega_d * (q - k))
         - 0.25 * np.sin(params.omega_s * (q + k))
@@ -249,9 +254,14 @@ def _mu_cs(c0, s0, c1, s1, ce, se, cb0, sb0, cb1, sb1):
     return p00 + p11
 
 
-def _half_cs(angle):
-    half = np.asarray(angle, dtype=float) / 2
-    return np.cos(half), np.sin(half)
+def _gate_cs(phi0, phi1, ent, beta) -> list:
+    # Half-angle cosines and sines of the five gates in `_probs_cs` order:
+    # both RX mixers turn by 2*beta.
+    cs = []
+    for angle in (phi0, phi1, ent, 2 * beta):
+        half = np.asarray(angle, dtype=float) / 2
+        cs += [np.cos(half), np.sin(half)]
+    return cs + cs[-2:]
 
 
 def _shift(c, s, sign):
@@ -267,11 +277,7 @@ def circuit_probs(phi0, phi1, ent, beta) -> np.ndarray:
     Broadcasts over array-shaped angles; ``beta`` is the mixer parameter
     (each RX rotates by 2*beta).
     """
-    c0, s0 = _half_cs(phi0)
-    c1, s1 = _half_cs(phi1)
-    ce, se = _half_cs(ent)
-    cb, sb = np.cos(np.asarray(beta, dtype=float)), np.sin(np.asarray(beta, dtype=float))
-    p = _probs_cs(c0, s0, c1, s1, ce, se, cb, sb, cb, sb)
+    p = _probs_cs(*_gate_cs(phi0, phi1, ent, beta))
     return np.stack(np.broadcast_arrays(*p), axis=-1)
 
 
@@ -283,20 +289,14 @@ def circuit_mu_partials(phi0, phi1, ent, beta):
     beta partial accounts for both RX gates sharing the parameter and for the
     gate angle being 2*beta.
     """
-    c0, s0 = _half_cs(phi0)
-    c1, s1 = _half_cs(phi1)
-    ce, se = _half_cs(ent)
-    b = np.asarray(beta, dtype=float)
-    cb, sb = np.cos(b), np.sin(b)
-
-    mu = _mu_cs(c0, s0, c1, s1, ce, se, cb, sb, cb, sb)
+    base = _gate_cs(phi0, phi1, ent, beta)
+    mu = _mu_cs(*base)
 
     def shifted(args, idx, sign):
         args = list(args)
         args[idx], args[idx + 1] = _shift(args[idx], args[idx + 1], sign)
         return _mu_cs(*args)
 
-    base = (c0, s0, c1, s1, ce, se, cb, sb, cb, sb)
     d_phi0 = (shifted(base, 0, +1) - shifted(base, 0, -1)) / 2
     d_phi1 = (shifted(base, 2, +1) - shifted(base, 2, -1)) / 2
     d_ent = (shifted(base, 4, +1) - shifted(base, 4, -1)) / 2
@@ -469,12 +469,11 @@ def score_grad_batch(qs, ks, params: QpaParams):
     Returns ``(mu, d_q, d_k, d_params)`` where ``d_params`` has shape
     ``(5,) + mu.shape`` in (theta_s, gamma_d, gamma_s, alpha, beta) order.
     Real-amplitude evaluation throughout: the oracle for the Fourier form.
+    A non-finite input raises `ValueError`, as in `score`.
     """
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
-    l1, l2 = params.lambda1, params.lambda2
-    phi0 = ANGLE_OFFSET + l1 * qs + l2 * ks
-    phi1 = ANGLE_OFFSET + l2 * qs + l1 * ks
+    phi0, phi1 = equivalent_angles(qs, ks, params)
     mu, g0, g1, ge, gb = circuit_mu_partials(phi0, phi1, params.alpha * (qs + ks), params.beta)
 
     d_theta = qs * g0 + ks * g1
@@ -482,8 +481,8 @@ def score_grad_batch(qs, ks, params: QpaParams):
     d_gs = (qs + ks) * (g0 + g1)
     d_alpha = (qs + ks) * ge
     d_params = np.stack([d_theta, d_gd, d_gs, d_alpha, np.broadcast_to(gb, mu.shape)])
-    d_q = l1 * g0 + l2 * g1 + params.alpha * ge
-    d_k = l2 * g0 + l1 * g1 + params.alpha * ge
+    d_q = params.lambda1 * g0 + params.lambda2 * g1 + params.alpha * ge
+    d_k = params.lambda2 * g0 + params.lambda1 * g1 + params.alpha * ge
     return mu, d_q, d_k, d_params
 
 

@@ -237,12 +237,13 @@ def _init_model(cfg: dict, train_ds: ImageDataset, scorer: str, seed: int) -> vi
 def _write_jsonl(path: Path, records: list[dict]) -> None:
     with files.atomic_open(path, "w", encoding="utf-8") as f:
         for record in records:
-            f.write(json.dumps({"schema_version": SCHEMA_VERSION, **record}) + "\n")
+            record = {"schema_version": SCHEMA_VERSION, **record}
+            f.write(json.dumps(record, allow_nan=False) + "\n")
 
 
 def _write_json(path: Path, obj: dict) -> None:
     with files.atomic_open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(obj, indent=2))
+        f.write(json.dumps(obj, indent=2, allow_nan=False))
 
 
 def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:

@@ -55,6 +55,8 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.n_per_class < 1:
             raise ValueError("n_per_class must be >= 1")
+        if not (np.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
 
 
 def _read_be32(f) -> int:
@@ -93,6 +95,8 @@ def load_idx(images_path, labels_path, class_a: int, class_b: int) -> ImageDatas
     if label_count != count:
         raise IdxFormatError(f"{count} images but {label_count} labels")
 
+    if class_a == class_b:
+        raise ValueError(f"class_a and class_b must differ, got {class_a} twice")
     keep = (labels == class_a) | (labels == class_b)
     for cls in (class_a, class_b):
         if not np.any(labels == cls):

@@ -5,6 +5,8 @@ closed form, boundedness / asymmetry / non-monotonicity of the score, the
 effective-degrees-of-freedom rank bounds, gradient exactness, noise-channel
 behaviour and the shot-noise bound. `run_claims` executes every check and
 returns machine-readable results for the ``verify`` CLI subcommand.
+The encoding angles come from `circuit.equivalent_angles` alone. The closed
+forms broadcast over arrays, so each claim checks a chunk of points per call.
 """
 
 from __future__ import annotations
@@ -47,23 +49,28 @@ class ClaimResult:
     witness: dict = field(default_factory=dict)
 
 
-def kernel_enc3(x1, x2, params: QpaParams) -> float:
+def kernel_enc3(x1, x2, params: QpaParams):
     """Fidelity kernel of the three-step encoding (product state, pre-entangler).
 
     cos^2(l1' dq + l2' dk) * cos^2(l2' dq + l1' dk) with l' = lambda/2; the
     cross terms make it non-separable whenever lambda1 != 0 and lambda2 != 0.
+    A point is a pair (q, k) of floats or broadcastable arrays. np.square keeps
+    each element equal to its scalar call: a float's ``** 2`` calls pow.
     """
     dq = x2[0] - x1[0]
     dk = x2[1] - x1[1]
     l1h, l2h = params.lambda1 / 2, params.lambda2 / 2
-    return float(np.cos(l1h * dq + l2h * dk) ** 2 * np.cos(l2h * dq + l1h * dk) ** 2)
+    return np.square(np.cos(l1h * dq + l2h * dk)) * np.square(np.cos(l2h * dq + l1h * dk))
 
 
-def kernel_enc1(x1, x2, scale: float) -> float:
-    """Separable kernel of the single-parameter encoding: cos^2(E dq/2) cos^2(E dk/2)."""
+def kernel_enc1(x1, x2, scale: float):
+    """Separable kernel of the single-parameter encoding: cos^2(E dq/2) cos^2(E dk/2).
+
+    Broadcasts over (q, k) pairs of arrays like `kernel_enc3`.
+    """
     dq = x2[0] - x1[0]
     dk = x2[1] - x1[1]
-    return float(np.cos(scale * dq / 2) ** 2 * np.cos(scale * dk / 2) ** 2)
+    return np.square(np.cos(scale * dq / 2)) * np.square(np.cos(scale * dk / 2))
 
 
 def mixed_partial_log(
@@ -106,16 +113,6 @@ def _mixed_partial_log_kernel_exact(params: QpaParams, point: KernelPoint) -> fl
     return float(-2 * l1h * l2h * (1 / np.cos(a) ** 2 + 1 / np.cos(b) ** 2))
 
 
-def frequencies(params: QpaParams) -> tuple[float, float]:
-    """(omega_d, omega_s): the frequencies along the (q-k) and (q+k) directions."""
-    return params.omega_d, params.omega_s
-
-
-def lambdas(params: QpaParams) -> tuple[float, float]:
-    """(lambda1, lambda2): self- and cross-coefficients of the collapsed encoding."""
-    return params.lambda1, params.lambda2
-
-
 def _rank_from_singular_values(sv: np.ndarray, tolerance: float) -> RankReport:
     sv = np.sort(np.asarray(sv, dtype=float))[::-1]
     cut = tolerance * sv[0] if sv.size and sv[0] > 0 else tolerance
@@ -135,9 +132,8 @@ def encoding_jacobian(params: QpaParams, h: float = 0.5) -> np.ndarray:
         up, dn = base.copy(), base.copy()
         up[j] += h
         dn[j] -= h
-        fu = np.array(frequencies(QpaParams.from_array(up)))
-        fd = np.array(frequencies(QpaParams.from_array(dn)))
-        jac[:, j] = (fu - fd) / (2 * h)
+        pu, pd = QpaParams.from_array(up), QpaParams.from_array(dn)
+        jac[:, j] = np.array([pu.omega_d - pd.omega_d, pu.omega_s - pd.omega_s]) / (2 * h)
     return jac
 
 
@@ -189,11 +185,9 @@ def full_circuit_rank(
 
 def _encoding_state_batch(qs, ks, params: QpaParams) -> np.ndarray:
     # Product-state amplitudes of the encoding layer, shape (..., 4).
-    l1, l2 = params.lambda1, params.lambda2
-    h0 = (circuit.ANGLE_OFFSET + l1 * qs + l2 * ks) / 2
-    h1 = (circuit.ANGLE_OFFSET + l2 * qs + l1 * ks) / 2
-    c0, s0 = np.cos(h0), np.sin(h0)
-    c1, s1 = np.cos(h1), np.sin(h1)
+    phi0, phi1 = circuit.equivalent_angles(qs, ks, params)
+    c0, s0 = np.cos(phi0 / 2), np.sin(phi0 / 2)
+    c1, s1 = np.cos(phi1 / 2), np.sin(phi1 / 2)
     return np.stack([c0 * c1, c0 * s1, s0 * c1, s0 * s1], axis=-1)
 
 
@@ -210,9 +204,7 @@ def _claim_lemma2_closed_form(rng: np.random.Generator) -> ClaimResult:
         sl = slice(i, i + 1000)
         states = _encoding_state_batch(qs[sl], ks[sl], p)
         sim = states[:, 0] ** 2 + states[:, 3] ** 2
-        closed = np.array(
-            [circuit.score_encoding_only(q, k, p) for q, k in zip(qs[sl], ks[sl])]
-        )
+        closed = circuit.score_encoding_only(qs[sl], ks[sl], p)
         worst = max(worst, float(np.max(np.abs(sim - closed))))
     return ClaimResult(
         "lemma2-closed-form", worst <= 1e-12, 1e-12, {"max_abs_err": worst, "n": n}
@@ -229,9 +221,7 @@ def _claim_kernel_equivalence(rng: np.random.Generator) -> ClaimResult:
         s1 = _encoding_state_batch(sl[:, 0], sl[:, 1], p)
         s2 = _encoding_state_batch(sl[:, 2], sl[:, 3], p)
         sim = np.sum(s1 * s2, axis=-1) ** 2  # amplitudes are real
-        closed = np.array(
-            [kernel_enc3((a, b), (c, d), p) for a, b, c, d in sl]
-        )
+        closed = kernel_enc3(sl[:, :2].T, sl[:, 2:].T, p)
         worst = max(worst, float(np.max(np.abs(sim - closed))))
     return ClaimResult(
         "lemma1-kernel-equivalence", worst <= 1e-12, 1e-12, {"max_abs_err": worst, "n": n}
@@ -275,9 +265,8 @@ def _claim_frequency_identities(rng: np.random.Generator) -> ClaimResult:
     worst = 0.0
     for _ in range(100):
         p = _random_params(rng)
-        l1, l2 = lambdas(p)
-        wd, ws = frequencies(p)
-        worst = max(worst, abs(l1 + l2 - ws), abs(l1 - l2 - wd))
+        l1, l2 = p.lambda1, p.lambda2
+        worst = max(worst, abs(l1 + l2 - p.omega_s), abs(l1 - l2 - p.omega_d))
     return ClaimResult(
         "lemma2-frequency-identities", bool(worst <= 1e-12), 1e-12, {"max_abs_err": worst}
     )

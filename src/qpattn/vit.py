@@ -283,7 +283,7 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
     """Logits and the circuit-score sums; fills ``caches`` for `backward` if given.
 
-    Without ``caches``, each layer's arrays are dropped once the next starts.
+    Without ``caches``, each layer's arrays are dropped before the next starts.
     """
     cfg = model.config
     P = model.params
@@ -320,10 +320,9 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
             if kind.quantum:  # A sums `depth` per-pair scores
                 mu_sum += float(A.sum())
                 mu_count += A.size * cfg.depth
-            probs = scorers.row_softmax(A)
+            lc["attn_probs"] = scorers.row_softmax(A)
             del A  # the softmax is the score matrix's last use
-            ctx = probs @ vh
-            lc["attn_probs"] = probs
+            ctx = lc["attn_probs"] @ vh
 
         merged = _merge_heads(ctx)
         del ctx
@@ -342,6 +341,8 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
         x = ffn_out
         if caches is not None:
             caches["layers"].append(lc)
+        # Without caches this frees the layer's arrays before the next starts.
+        del lc, h, q, k, v, qh, kh, vh, merged, attn_out, h2, f1, a1, phi, ffn_out
 
     if caches is not None:
         caches["x_final"] = x

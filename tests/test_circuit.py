@@ -95,6 +95,25 @@ class TestEquivalentAngles:
         with pytest.raises(ValueError):
             circuit.equivalent_angles(np.inf, 0.0, p)
 
+    def test_array_form_equals_scalar_calls(self):
+        rng = np.random.default_rng(23)
+        p = random_params(rng)
+        qs, ks = rng.normal(0, 2, size=(6, 1)), rng.normal(0, 2, size=(1, 5))
+        phi0, phi1 = circuit.equivalent_angles(qs, ks, p)
+        assert phi0.shape == phi1.shape == (6, 5)
+        for (i, j), _ in np.ndenumerate(phi0):
+            scalar = circuit.equivalent_angles(qs[i, 0], ks[0, j], p)
+            assert np.array([phi0[i, j], phi1[i, j]]).tobytes() == np.array(scalar).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_any_non_finite_element(self, bad):
+        p = QpaParams(0.5, 0, 0, 0, 0)
+        qs = np.array([0.1, bad, 0.3])
+        with pytest.raises(ValueError, match="q must be finite"):
+            circuit.equivalent_angles(qs, 0.0, p)
+        with pytest.raises(ValueError, match="k must be finite"):
+            circuit.equivalent_angles(np.zeros(3), qs, p)
+
 
 class TestBuildState:
     def test_all_zero_params_is_encoded_state_through_cnots(self):
@@ -241,6 +260,20 @@ class TestEncodingOnly:
                 probs[0] + probs[3], abs=1e-12
             )
 
+    def test_array_form_equals_scalar_calls(self):
+        rng = np.random.default_rng(24)
+        p = random_params(rng)
+        qs, ks = rng.normal(0, 2, size=(7, 1)), rng.normal(0, 2, size=(1, 6))
+        mu = circuit.score_encoding_only(qs, ks, p)
+        scalar = [[circuit.score_encoding_only(q, k, p) for k in ks[0]] for q in qs[:, 0]]
+        assert mu.shape == (7, 6)
+        assert mu.tobytes() == np.array(scalar).tobytes()
+
+    def test_rejects_any_non_finite_element(self):
+        p = QpaParams(0.5, 0.1, 0.2, 0, 0)
+        with pytest.raises(ValueError, match="k must be finite"):
+            circuit.score_encoding_only(np.zeros(3), np.array([0.0, np.nan, 1.0]), p)
+
 
 class TestGradient:
     def test_matches_finite_differences(self):
@@ -261,6 +294,16 @@ class TestGradient:
                     - circuit.score(dn[5], dn[6], QpaParams.from_array(dn[:5]))
                 ) / (2 * h)
                 assert abs(fd - exact[j]) < 1e-6
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_batch_rejects_non_finite_inputs_as_score_does(self, bad):
+        p = QpaParams(0.5, 0.1, 0.2, 0.3, 0.4)
+        for q, k in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError) as expected:
+                circuit.score(q, k, p)
+            with pytest.raises(ValueError) as got:
+                circuit.score_grad_batch(np.array([0.0, q]), np.array([[0.0], [k]]), p)
+            assert str(got.value) == str(expected.value)
 
     def test_independent_encoding_gradient(self):
         # At gamma_d = gamma_s = 0 the qpa gradient is the ablation's, checked

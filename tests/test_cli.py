@@ -285,6 +285,14 @@ class TestNoiseSweep:
         digest = hashlib.sha256((tmp_path / "sweep" / "noise_sweep.csv").read_bytes()).hexdigest()
         assert digest == "5b0d1627a15f381ae1afe0497bc13d5753bed5db7ebc068b27b58fee2fe9ee0e"
 
+    @pytest.mark.parametrize("noise_std", ["nan", "inf", "-0.5"])
+    def test_bad_noise_std_refused_before_output(self, tmp_path, capsys, qpa_checkpoint, noise_std):
+        out = tmp_path / "sweep"
+        args = ["noise-sweep", "--checkpoint", str(qpa_checkpoint), *TINY]
+        assert cli.main([*args, "--set", f"noise_std={noise_std}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: noise_std must be finite and >= 0")
+        assert not out.exists()
+
     def test_non_quantum_checkpoint_refused(self, tmp_path):
         out = tmp_path / "dot"
         args = ["train", "--set", "scorer=dot", "--set", "seed=1", *TINY, "--out", str(out)]
@@ -463,6 +471,24 @@ class TestUsageErrorsBeforeAnyWork:
         argv = ["compare", "--set", "scorers=dot,mlp49", "--set", "seeds=1,2", *TINY]
         self.run(tmp_path, capsys, *argv, "--set", setting)
 
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    @pytest.mark.parametrize("noise_std", ["nan", "inf", "-0.5"])
+    def test_bad_noise_std(self, tmp_path, capsys, command, noise_std):
+        # It used to act as 0, and a NaN reached summary.json as invalid JSON.
+        err = self.run(tmp_path, capsys, command, *TINY, "--set", f"noise_std={noise_std}")
+        assert err.startswith("error: noise_std must be finite and >= 0")
+
+    def test_idx_same_class_twice(self, tmp_path, capsys):
+        from qpattn.data import save_idx_images, save_idx_labels
+
+        save_idx_images(tmp_path / "imgs.idx", np.zeros((4, 8, 8), dtype=np.uint8))
+        save_idx_labels(tmp_path / "lbls.idx", np.array([0, 1, 0, 1]))
+        idx = [f"images_path={tmp_path / 'imgs.idx'}", f"labels_path={tmp_path / 'lbls.idx'}"]
+        settings = ["dataset=idx", *idx, "class_a=1", "class_b=1"]
+        argv = [arg for setting in settings for arg in ("--set", setting)]
+        err = self.run(tmp_path, capsys, "train", *TINY, *argv)
+        assert err.startswith("error: class_a and class_b must differ")
+
     @pytest.mark.parametrize(
         "name, argv",
         [
@@ -476,6 +502,21 @@ class TestUsageErrorsBeforeAnyWork:
     )
     def test_negative_seed_names_the_setting(self, tmp_path, capsys, name, argv):
         assert self.run(tmp_path, capsys, *argv).startswith(f"error: {name} must be non-negative")
+
+
+@pytest.mark.parametrize(
+    "write, payload",
+    [
+        (cli._write_json, {"loss": float("nan")}),
+        (cli._write_jsonl, [{"a": 1.0}, {"loss": float("nan")}]),
+    ],
+    ids=["json", "jsonl"],
+)
+def test_writers_refuse_non_finite_floats_and_leave_no_file(tmp_path, write, payload):
+    # NaN is not JSON: the write fails and the target stays absent.
+    with pytest.raises(ValueError):
+        write(tmp_path / "out.json", payload)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_output_dir_env_var(tmp_path, monkeypatch):

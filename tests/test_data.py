@@ -43,6 +43,12 @@ class TestIdx:
         flipped = load_idx(ipath, lpath, 1, 0)
         assert np.array_equal(flipped.labels, [1, 0, 0])
 
+    def test_same_class_twice_refused(self, idx_pair):
+        # It used to build a one-class task with every label 1.
+        ipath, lpath, _, _ = idx_pair
+        with pytest.raises(ValueError, match="must differ"):
+            load_idx(ipath, lpath, 1, 1)
+
     def test_filters_requested_classes_only(self, idx_pair):
         ipath, lpath, _, _ = idx_pair
         ds = load_idx(ipath, lpath, 0, 2)
@@ -117,6 +123,11 @@ class TestSynthetic:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SyntheticSpec(n_per_class=0)
+
+    @pytest.mark.parametrize("noise_std", [np.nan, np.inf, -0.5])
+    def test_noise_std_must_be_finite_and_non_negative(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            SyntheticSpec(n_per_class=1, noise_std=noise_std)
 
 
 class TestSplit:

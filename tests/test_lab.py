@@ -50,6 +50,20 @@ class TestKernels:
         p = QpaParams(0.0, 0.0, 0.5, 0.0, 0.0)  # lambda1 = lambda2 = 0.5
         assert lab.kernel_enc3((0, 0), (np.pi, np.pi), p) == pytest.approx(0.0, abs=1e-12)
 
+    def test_array_forms_equal_scalar_calls(self):
+        # Points are (q, k) pairs of broadcastable arrays.
+        rng = np.random.default_rng(7)
+        p = random_params(rng)
+        x1 = rng.normal(0, 1.5, size=(2, 40, 1))
+        x2 = rng.normal(0, 1.5, size=(2, 1, 30))
+        for kernel, arg in ((lab.kernel_enc3, p), (lab.kernel_enc1, 0.8)):
+            got = kernel(x1, x2, arg)
+            scalar = [
+                [kernel(x1[:, i, 0], x2[:, 0, j], arg) for j in range(30)] for i in range(40)
+            ]
+            assert got.shape == (40, 30)
+            assert got.tobytes() == np.array(scalar).tobytes()
+
     def test_enc1_direct_value(self):
         assert lab.kernel_enc1((0, 0), (np.pi, 0), 1.0) == pytest.approx(0.0, abs=1e-15)
 
@@ -102,8 +116,8 @@ class TestMixedPartial:
 class TestFrequencies:
     def test_direct_values(self):
         p = QpaParams(0.5, 0.1, 0.2, 0.0, 0.0)
-        wd, ws = lab.frequencies(p)
-        l1, l2 = lab.lambdas(p)
+        wd, ws = p.omega_d, p.omega_s
+        l1, l2 = p.lambda1, p.lambda2
         assert (wd, ws) == pytest.approx((0.7, 0.9), abs=1e-15)
         assert (l1, l2) == pytest.approx((0.8, 0.1), abs=1e-15)
 

@@ -802,6 +802,25 @@ class TestClassicalWorkingSet:
         assert abs(peaks[4] - peaks[2]) <= 0.25 * 2**20, peaks
         assert peaks[4] < 10.5 * 2**20, peaks
 
+    @pytest.mark.parametrize("scorer", ["dot", "qpa"])
+    def test_second_layer_adds_no_working_memory(self, scorer):
+        # Traced peak of one forward at B=32, N=50: with the first layer's
+        # activations still bound while the second ran, 7.56 -> 9.62 MiB
+        # (`dot`) and 24.07 -> 28.80 MiB (`qpa`) from one layer to two.
+        images = np.random.default_rng(36).uniform(0, 1, size=(32, 1, 28, 28))
+        peaks = {}
+        for layers in (1, 2):
+            config = dataclasses.replace(TRAIN_DOT_N50, num_layers=layers, scorer=scorer)
+            model = vit.init_model(config, 1)
+            vit.forward(model, images)  # warm call
+            tracemalloc.start()
+            try:
+                vit.forward(model, images)
+                peaks[layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] - peaks[1] < 2**20, peaks
+
 
 class TestProperties:
     """Bounds and identities that hold for any parameters and inputs."""
