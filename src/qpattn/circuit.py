@@ -26,7 +26,10 @@ series at every broadcast input pair as a batched real GEMM of the two
 sides' features: axes where only q varies are its rows, axes where only k
 varies its columns. The GEMM batch runs in tiles of at most `TILE_INPUTS`
 inputs per side, so the feature temporaries stay a few MB whatever the
-batch; only the per-pair output grows with it. The attention backward
+batch. The per-pair output is as large as the inputs' broadcast, so the
+attention forward (`scorers.qpa_scores`) calls `score_batch` or
+`score_noisy_batch` once per tile of whole images and sums each tile's
+output over D at once. The attention backward
 (`scorers.quantum_scores_backward`) differentiates the same series on the
 same seven features, on tiles of the same size; c_0 = 1/2 does not enter it.
 The coefficients are closed forms in beta: the mixer only weights the fixed
@@ -59,8 +62,8 @@ _SQRT2 = np.sqrt(2.0)
 ANGLE_OFFSET = np.pi / 4
 
 #: Inputs per side in one tile of the vectorised circuit (`score_batch`,
-#: `score_noisy_batch`) and of the quantum scorer's backward: bounds their
-#: temporaries to a few MB whatever the batch.
+#: `score_noisy_batch`) and of the quantum scorer's forward and backward:
+#: bounds their temporaries to a few MB whatever the batch.
 TILE_INPUTS = 4096
 
 
@@ -436,6 +439,7 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
     W = np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
+    _check_finite(qs, ks)
     shape = np.broadcast_shapes(qs.shape, ks.shape)
     qs = qs.reshape((1,) * (len(shape) - qs.ndim) + qs.shape)
     ks = ks.reshape((1,) * (len(shape) - ks.ndim) + ks.shape)
@@ -459,7 +463,10 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
 
 
 def score_batch(qs, ks, params: QpaParams) -> np.ndarray:
-    """Vectorised mu over broadcastable arrays of inputs, from the Fourier form."""
+    """Vectorised mu over broadcastable arrays of inputs, from the Fourier form.
+
+    A non-finite input raises `ValueError`, as in `score`.
+    """
     return _series(qs, ks, params, fourier_coefficients(params.beta)[0])
 
 
@@ -579,7 +586,8 @@ def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> 
     support of the clean one: c_0 = (1 + t^2) / 2 and
     c_n = s^2 c_n(clean) + (t s / 2) cos(2 beta) ZS_n. BF, DP and PF have
     t = 0 and only scale mu about 1/2: mu -> 1/2 + s^2 (mu - 1/2).
-    The density-matrix `score_noisy` is its oracle.
+    The density-matrix `score_noisy` is its oracle. A non-finite input
+    raises `ValueError`, as in `score`.
     """
     if channel not in _Z_MAPS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {sorted(_Z_MAPS)}")

@@ -13,11 +13,14 @@ returning input and parameter gradients given the upstream score gradient.
 Both directions of the quantum scorers use the circuit's exact Fourier form
 (`circuit.score_batch`, `circuit.fourier_features`): the forward scores every
 (query, key, dimension) triple by a batched GEMM over the seven Fourier
-features of each input of Q and K and sums the per-pair scores over D, and
-the backward costs two GEMMs per (batch, head) item on the same seven
-features; the series' constant c_0 = 1/2 depends on no parameter and does
-not reach it. Both run on tiles of `circuit.TILE_INPUTS` inputs per side,
-so their temporaries do not grow with the batch.
+features of each input of Q and K, and the backward costs two GEMMs per
+(batch, head) item on the same seven features; the series' constant
+c_0 = 1/2 depends on no parameter and does not reach it. Both run on tiles
+of `circuit.TILE_INPUTS` inputs per side, so their temporaries do not grow
+with the batch: the forward calls the circuit once per tile of whole images
+and sums that tile's per-pair scores over D into its slice of the score
+matrix before the next tile, and the backward writes each tile's rows of
+dQ and dK.
 The MLP baselines score each (query, key, dimension) pair with a small MLP
 whose affine first layer splits into a per-query and a per-key term; both
 directions run on tiles of query rows under the same `circuit.TILE_INPUTS`
@@ -66,13 +69,34 @@ def qpa_scores(
     """Sum of per-dimension circuit scores: A[i, j] = sum_d mu(Q[i, d], K[j, d]).
 
     ``noise`` optionally puts a channel ``(name, gamma)`` on the circuit.
+    The circuit scores one tile of whole images (slices of the first leading
+    axis of the broadcast Q and K) per call, at most `circuit.TILE_INPUTS`
+    inputs per side or one image, and each tile's per-pair scores
+    (tile, ..., N, N, D) are summed over D into its slice of A at once, so
+    no per-pair array of the whole batch is built. Q and K with no leading
+    axis are one tile.
     """
-    qs, ks = _pairwise(Q, K, depth)
-    if noise is None:
-        mu = circuit.score_batch(qs, ks, params)
-    else:
-        mu = circuit.score_noisy_batch(qs, ks, params, *noise)
-    return mu.sum(axis=-1)
+    qs, ks = _pairwise(Q, K, depth)  # (..., N, 1, D) and (..., 1, N, D)
+    lead = np.broadcast_shapes(qs.shape[:-3], ks.shape[:-3])
+    A = np.empty(lead + (qs.shape[-3], ks.shape[-2]))
+    tiles = [slice(None)]
+    if lead:
+        # Both sides get the broadcast's number of leading axes and its full
+        # image axis, so the image axis is a GEMM batch axis of every tile
+        # and of a single tile alike.
+        qs, ks = (x.reshape((1,) * (len(lead) + 3 - x.ndim) + x.shape) for x in (qs, ks))
+        qs, ks = (np.broadcast_to(x, lead[:1] + x.shape[1:]) for x in (qs, ks))
+        per_image = math.prod(lead[1:]) * max(qs.shape[-3], ks.shape[-2]) * depth
+        step = max(1, circuit.TILE_INPUTS // max(per_image, 1))
+        tiles = [slice(start, start + step) for start in range(0, lead[0], step)]
+    for tile in tiles:
+        if noise is None:
+            mu = circuit.score_batch(qs[tile], ks[tile], params)
+        else:
+            mu = circuit.score_noisy_batch(qs[tile], ks[tile], params, *noise)
+        mu.sum(axis=-1, out=A[tile])
+        del mu  # one tile's scores alive at a time
+    return A
 
 
 def quantum_scores_backward(

@@ -14,9 +14,10 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qpattn import circuit, cli, data, qcore, training, vit
+from qpattn import circuit, cli, data, qcore, scorers, training, vit
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -137,3 +138,35 @@ def test_noise_sweep_calls_forward_with_stats_per_setting(monkeypatch, tmp_path)
     for args, _, (logits, extras) in calls:
         assert len(args[1]) == TINY_TASK["valid_n"] and logits.shape == (len(args[1]), 2)
         assert extras["mu_count"] > 0 and 0.0 <= extras["mu_sum"] / extras["mu_count"] <= 1.0
+
+
+def test_tiled_forward_keeps_the_per_pair_calls_the_benchmark_reads(monkeypatch):
+    # `attention_errors` takes the first `score_batch` call of a one-image
+    # forward, indexes its broadcast inputs at [0] and recomputes every score
+    # from `circuit.score`; `pair_scores` keeps the per-pair result of the
+    # first `score_noisy_batch` call. One input per tile makes every image a
+    # tile of its own, larger than the tile budget.
+    monkeypatch.setattr(circuit, "TILE_INPUTS", 1)
+    config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer="qpa", depth=3)
+    heads, n, depth = config.heads, 5, config.depth
+    model = vit.init_model(config, 2)
+    images = np.random.default_rng(3).uniform(0, 1, size=(2, 1, 8, 8))
+    softmax, clean = [], []
+    _recorder(monkeypatch, scorers, "row_softmax", softmax)
+    _recorder(monkeypatch, circuit, "score_batch", clean)
+    vit.forward(model, images[:1])
+    (args, _, _) = clean[0]
+    qs, ks = (np.asarray(a)[0] for a in np.broadcast_arrays(args[0], args[1]))
+    assert qs.shape == ks.shape == (heads, n, n, depth)
+    A = softmax[0][0][0][0]
+    rng = np.random.default_rng(4)
+    for h, i, j in zip(rng.integers(heads, size=8), rng.integers(n, size=8), rng.integers(n, size=8)):
+        expected = sum(circuit.score(float(q), float(k), args[2]) for q, k in zip(qs[h, i, j], ks[h, i, j]))
+        assert abs(A[h, i, j] - expected) <= 1e-12
+
+    noisy = []
+    _recorder(monkeypatch, circuit, "score_noisy_batch", noisy)
+    vit.forward_with_stats(model, images, noise=("AD", 0.1))
+    assert len(noisy) == 2 * config.num_layers  # one call per image and layer
+    mu = np.asarray(noisy[0][2])
+    assert mu.shape == (1, heads, n, n, depth) and ((mu >= 0.0) & (mu <= 1.0)).all()

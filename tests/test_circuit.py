@@ -474,6 +474,19 @@ class TestPairGemm:
         assert got.shape == (2, 2)
         assert got[1, 0] == pytest.approx(circuit.score(0.3, 0.4, p), abs=1e-13)
 
+    @pytest.mark.parametrize("noise", NOISE, ids=lambda n: n[0] if n else "clean")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_inputs_as_score_does(self, bad, noise):
+        # One bad input among finite ones raises, on either side, instead of
+        # scoring it NaN next to the others.
+        p = QpaParams(0.5, 0.1, 0.2, 0.3, 0.4)
+        for q, k in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError) as expected:
+                circuit.score(q, k, p)
+            with pytest.raises(ValueError) as got:
+                pair_scores(np.array([q, 0.3]), np.array([[k], [0.0]]), p, noise)
+            assert str(got.value) == str(expected.value)
+
     @settings(max_examples=80, deadline=None)
     @given(
         shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4, min_side=0, max_side=4),

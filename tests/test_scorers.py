@@ -624,6 +624,67 @@ class TestBackwardTiles:
         assert large <= 1.05 * small, (small, large)
 
 
+#: (Q shape, K shape, depth, TILE_INPUTS, tiles) around the forward's image
+#: tiles: a tile holds TILE_INPUTS // (inputs per image and side) whole
+#: images, at least one, where an image has heads x N x D inputs per side.
+FORWARD_TILES = {
+    "partial-last-tile": ((5, 2, 6, 4), (5, 2, 6, 4), 4, 100, 3),  # 48 per image: 2, 2, 1
+    "image-larger-than-a-tile": ((3, 2, 9, 4), (3, 2, 9, 4), 3, 20, 3),
+    "broadcast-leading-axes": ((2, 1, 5, 4), (1, 3, 5, 4), 3, 45, 2),
+    "mixed-rank": ((5, 4), (2, 3, 5, 4), 3, 45, 2),
+    "no-leading-axis": ((6, 4), (7, 4), 4, 1, 1),
+}
+
+FORWARD_NOISE = [None] + [(channel, 0.13) for channel in sorted(qcore.CHANNELS)]
+
+
+class TestForwardTiles:
+    """`qpa_scores` across image tiles."""
+
+    @pytest.mark.parametrize("noise", FORWARD_NOISE, ids=lambda n: n[0] if n else "clean")
+    @pytest.mark.parametrize("case", FORWARD_TILES)
+    def test_tiled_equals_single_tile(self, case, noise, monkeypatch, count_calls):
+        q_shape, k_shape, depth, tile_inputs, tiles = FORWARD_TILES[case]
+        rng = np.random.default_rng(37)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
+        pairs = (Q[..., :, None, :depth], K[..., None, :, :depth], p)
+        if noise is None:
+            ref, name = circuit.score_batch(*pairs).sum(axis=-1), "score_batch"
+        else:
+            ref, name = circuit.score_noisy_batch(*pairs, *noise).sum(axis=-1), "score_noisy_batch"
+        calls = count_calls(circuit, name)
+        monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+        A = scorers.qpa_scores(Q, K, p, depth, noise)
+        assert len(calls) == tiles
+        monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
+        whole = scorers.qpa_scores(Q, K, p, depth, noise)
+        assert len(calls) == tiles + 1
+        assert A.shape == ref.shape and np.array_equal(A, whole)
+        assert np.abs(A - ref).max() <= 1e-13
+
+    @pytest.mark.parametrize("noise", [None, ("AD", 0.07)], ids=["clean", "AD"])
+    def test_working_memory_does_not_grow_with_the_batch(self, noise):
+        # Traced peak of the call, less its output, two heads, D=16. Before the
+        # image tiles the whole batch's per-pair array was built: 39.6 MiB at
+        # B=64, N=50 with AD noise.
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+
+        def excess(batch, n):
+            Q, K = np.random.default_rng(38).normal(size=(2, batch, 2, n, 16))
+            tracemalloc.start()
+            try:
+                A = scorers.qpa_scores(Q, K, p, 16, noise)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - A.nbytes
+
+        small = excess(8, 17)
+        assert excess(64, 17) <= 1.05 * small, small
+        assert excess(64, 50) <= 4 * 2**20
+
+
 #: (Q shape, K shape, dA shape, depth, TILE_INPUTS, tiles) around the MLP
 #: scorer's query-row tiles: a tile holds TILE_INPUTS // (N * D) query rows,
 #: at least one, and whole (batch, head) items while those rows cover one.
