@@ -10,13 +10,17 @@ measurement finds both qubits in the same state, P(|00>) + P(|11>), after:
 2. entangling CNOT(0->1), then RY(alpha*(q+k)) on qubit 1, then CNOT(1->0)
 3. mixing     RX(2*beta) on both qubits
 
-The scalar statevector entry points (`build_state`, `score`, `score_noisy`)
-walk the circuit through the generic gate machinery in :mod:`qpattn.qcore`;
+The statevector entry points (`build_state`, `score`, `score_noisy`) walk
+the circuit through the generic gate machinery in :mod:`qpattn.qcore`. They
+broadcast over the inputs, the parameters (`QpaParams` fields may be arrays)
+and the noise strength, so the lab checks a batch of points in one call; a
+scalar call is the zero-dimensional case and returns a float. They read
+nothing of the Fourier form below, whose oracle they are.
 `score_gradient` runs the real-amplitude parameter-shift evaluator described
 below. The finite-shot sampler (`score_sampled`) builds one statevector per
 distinct input and draws every repetition from that input's memoized
 distribution; its draws are the same as when each call built its own.
-Array-shaped inputs go through the circuit's exact Fourier form: mu is a
+The fast path goes through the circuit's exact Fourier form: mu is a
 15-term Fourier series in (q, k) whose coefficients depend on beta alone
 (`fourier_coefficients`, `FOURIER_FREQS`, `ANGLE_JACOBIAN`): a constant c_0
 plus seven terms, each a query feature times a key feature
@@ -73,6 +77,8 @@ class QpaParams:
 
     theta_s: initial encoding scale, gamma_d / gamma_s: difference / sum
     encoding strengths, alpha: entanglement strength, beta: mixer angle.
+    Each field is a float or, for the statevector path (`build_state`,
+    `score`, `score_noisy`) and `score_grad_batch`, a broadcastable array.
     """
 
     theta_s: float
@@ -109,8 +115,13 @@ class QpaParams:
 
     @classmethod
     def from_array(cls, values: np.ndarray) -> "QpaParams":
+        """Parameters from an array of shape (5, ...) in `PARAM_NAMES` order.
+
+        Shape (5,) gives one parameter set; trailing axes give array-valued
+        fields, one set per element, which the statevector path broadcasts.
+        """
         values = np.asarray(values, dtype=float)
-        if values.shape != (5,):
+        if values.ndim == 0 or values.shape[0] != 5:
             raise ValueError(f"expected 5 parameters, got shape {values.shape}")
         return cls(*values)
 
@@ -119,7 +130,7 @@ class QpaParams:
 
     def __post_init__(self):
         for f in fields(self):
-            if not np.isfinite(getattr(self, f.name)):
+            if not np.isfinite(getattr(self, f.name)).all():
                 raise ValueError(f"parameter {f.name} must be finite")
 
 
@@ -147,7 +158,7 @@ class ScoreGradient:
 
 def _check_finite(q, k) -> None:
     for name, v in (("q", q), ("k", k)):
-        if not np.isfinite(v).all():
+        if not qcore._all(np.isfinite(v)):
             raise ValueError(f"{name} must be finite")
 
 
@@ -163,8 +174,11 @@ def equivalent_angles(q, k, params: QpaParams):
     return ANGLE_OFFSET + l1 * q + l2 * k, ANGLE_OFFSET + l2 * q + l1 * k
 
 
-def independent_angles(q: float, k: float, params: QpaParams) -> tuple[float, float]:
-    """Single-parameter ablation encoding: each qubit senses only its own input."""
+def independent_angles(q, k, params: QpaParams):
+    """Single-parameter ablation encoding: each qubit senses only its own input.
+
+    Broadcasts like `equivalent_angles`.
+    """
     return ANGLE_OFFSET + params.theta_s * q, ANGLE_OFFSET + params.theta_s * k
 
 
@@ -175,10 +189,12 @@ def _apply_entangler(state: np.ndarray, angle: float) -> np.ndarray:
     return qcore.apply_cnot(state, 1, 0)
 
 
-def build_state(
-    q: float, k: float, params: QpaParams, independent: bool = False
-) -> np.ndarray:
-    """Prepare the full circuit state for one (q, k) pair via statevector evolution."""
+def build_state(q, k, params: QpaParams, independent: bool = False) -> np.ndarray:
+    """Prepare the full circuit state by statevector evolution, shape (..., 4).
+
+    ``q``, ``k`` and the fields of ``params`` are floats or broadcastable
+    arrays; the state has their broadcast shape plus the amplitude axis.
+    """
     angles = independent_angles if independent else equivalent_angles
     phi0, phi1 = angles(q, k, params)
     state = qcore.ZERO_STATE
@@ -191,10 +207,18 @@ def build_state(
     return state
 
 
-def score(q: float, k: float, params: QpaParams, independent: bool = False) -> float:
-    """Joint-measurement score mu = P(|00>) + P(|11>), always in [0, 1]."""
+def score(q, k, params: QpaParams, independent: bool = False):
+    """Joint-measurement score mu = P(|00>) + P(|11>), always in [0, 1].
+
+    Broadcasts like `build_state`; scalar inputs give a Python float.
+    """
     p = qcore.measure_probs(build_state(q, k, params, independent))
-    return float(p[0] + p[3])
+    return _scalar_or_array(p[..., 0] + p[..., 3])
+
+
+def _scalar_or_array(mu: np.ndarray):
+    # A Python float for a single point, else the array.
+    return float(mu) if mu.ndim == 0 else mu
 
 
 def score_encoding_only(q, k, params: QpaParams):
@@ -462,11 +486,20 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
     return mu.reshape([shape[a] for a in order]).transpose(np.argsort(order))
 
 
+def _check_one_set(params: QpaParams) -> None:
+    # The Fourier form takes one parameter set; array fields are for the
+    # statevector path.
+    if any(np.ndim(getattr(params, name)) for name in PARAM_NAMES):
+        raise ValueError("the Fourier form takes one parameter set, not arrays of parameters")
+
+
 def score_batch(qs, ks, params: QpaParams) -> np.ndarray:
     """Vectorised mu over broadcastable arrays of inputs, from the Fourier form.
 
-    A non-finite input raises `ValueError`, as in `score`.
+    A non-finite input raises `ValueError`, as in `score`; so do array-valued
+    parameters.
     """
+    _check_one_set(params)
     return _series(qs, ks, params, fourier_coefficients(params.beta)[0])
 
 
@@ -542,29 +575,32 @@ def score_sampled(
 
 
 def score_noisy(
-    q: float,
-    k: float,
+    q,
+    k,
     params: QpaParams,
     channel: str,
-    gamma_noise: float,
+    gamma_noise,
     independent: bool = False,
-) -> float:
+):
     """mu under a noise channel applied to each qubit after the full unitary.
 
     ``channel`` is one of "AD", "DP", "BF", "PF". The channel acts once per
     qubit immediately before measurement, the placement under which the
-    phase-flip channel provably cannot change the score.
+    phase-flip channel provably cannot change the score. Broadcasts like
+    `build_state`, with ``gamma_noise`` a float or an array too; scalar
+    inputs give a Python float.
     """
     if channel not in qcore.CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {sorted(qcore.CHANNELS)}")
-    gamma_noise = float(gamma_noise)
-    if not (0.0 <= gamma_noise <= 1.0):
-        raise ValueError(f"gamma_noise must lie in [0, 1], got {gamma_noise!r}")
+    gamma_noise = np.asarray(gamma_noise, dtype=float)
+    outside = gamma_noise[~((0.0 <= gamma_noise) & (gamma_noise <= 1.0))]
+    if outside.size:
+        raise ValueError(f"gamma_noise must lie in [0, 1], got {float(outside.flat[0])!r}")
     rho = qcore.state_to_density(build_state(q, k, params, independent))
     kraus = qcore.CHANNELS[channel](gamma_noise)
     for qubit in (0, 1):
         rho = qcore.apply_channel(rho, kraus, qubit)
-    return float((rho[0, 0] + rho[3, 3]).real)
+    return _scalar_or_array((rho[..., 0, 0] + rho[..., 3, 3]).real)
 
 
 #: How each channel acts on one qubit's <Z> expectation, <Z> -> t + s <Z>, as
@@ -591,6 +627,7 @@ def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> 
     """
     if channel not in _Z_MAPS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {sorted(_Z_MAPS)}")
+    _check_one_set(params)
     gamma = float(gamma)
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")

@@ -161,7 +161,11 @@ def _apply_depth_default(cfg: dict) -> dict:
 
 
 def _build_dataset(cfg: dict) -> ImageDataset:
-    """The configured dataset; bad settings raise CliError."""
+    """The configured dataset; bad settings raise CliError.
+
+    ``num_classes`` must equal the number of classes in the data, so the
+    model's head has one output per label.
+    """
     try:
         if cfg["dataset"] == "synthetic":
             spec = SyntheticSpec(
@@ -170,14 +174,21 @@ def _build_dataset(cfg: dict) -> ImageDataset:
                 noise_std=cfg["noise_std"],
                 seed=cfg["data_seed"],
             )
-            return synthetic_dataset(spec)
-        if cfg["dataset"] == "idx":
+            dataset = synthetic_dataset(spec)
+        elif cfg["dataset"] == "idx":
             if not cfg["images_path"] or not cfg["labels_path"]:
                 raise CliError("idx dataset requires images_path and labels_path")
-            return load_idx(cfg["images_path"], cfg["labels_path"], cfg["class_a"], cfg["class_b"])
+            dataset = load_idx(
+                cfg["images_path"], cfg["labels_path"], cfg["class_a"], cfg["class_b"]
+            )
+        else:
+            raise CliError(f"unknown dataset kind {cfg['dataset']!r}")
     except ValueError as exc:
         raise CliError(str(exc)) from exc
-    raise CliError(f"unknown dataset kind {cfg['dataset']!r}")
+    classes = np.unique(dataset.labels).size
+    if cfg["num_classes"] != classes:
+        raise CliError(f"num_classes = {cfg['num_classes']}, but the dataset has {classes} classes")
+    return dataset
 
 
 def _vit_config(cfg: dict, dataset: ImageDataset, scorer: str) -> vit.VitConfig:
@@ -463,6 +474,7 @@ def cmd_noise_sweep(args) -> int:
             f"noise sweep requires a quantum-scorer checkpoint, got {model.config.scorer!r}"
         )
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
+    cfg["num_classes"] = model.config.num_classes  # the checkpoint's head meets the data
     _, valid_ds = _splits(cfg, _build_dataset(cfg), cfg["seed"])
     expected = (model.config.channels, model.config.image_size, model.config.image_size)
     if valid_ds.images.shape[1:] != expected:

@@ -6,7 +6,9 @@ effective-degrees-of-freedom rank bounds, gradient exactness, noise-channel
 behaviour and the shot-noise bound. `run_claims` executes every check and
 returns machine-readable results for the ``verify`` CLI subcommand.
 The encoding angles come from `circuit.equivalent_angles` alone. The closed
-forms broadcast over arrays, so each claim checks a chunk of points per call.
+forms, the statevector oracle and the parameter-shift gradients broadcast
+over arrays, so each claim checks its points in a few calls; the points are
+drawn one by one, in the order of a loop over them (`_draw_points`).
 """
 
 from __future__ import annotations
@@ -195,6 +197,21 @@ def _random_params(rng: np.random.Generator, scale: float = 0.8) -> QpaParams:
     return QpaParams.from_array(rng.normal(0.0, scale, size=5))
 
 
+def _param_values(rng: np.random.Generator) -> np.ndarray:
+    return _random_params(rng).to_array()
+
+
+def _draw_points(rng: np.random.Generator, n: int, *draws: Callable) -> list[np.ndarray]:
+    """``n`` rounds of ``draws``, each called on ``rng`` in the order given.
+
+    Returns one array per draw with the rounds on the last axis: a draw of
+    shape (m,) gives (m, n). The random numbers are those of a loop that
+    makes the draws point by point.
+    """
+    rounds = [[draw(rng) for draw in draws] for _ in range(n)]
+    return [np.array(column).T for column in zip(*rounds)]
+
+
 def _claim_lemma2_closed_form(rng: np.random.Generator) -> ClaimResult:
     n = 10_000
     qs, ks = rng.normal(0, 1.5, (2, n))
@@ -336,17 +353,26 @@ def _claim_encoding_rank(rng: np.random.Generator) -> ClaimResult:
 
 
 def _claim_full_rank_bounds(rng: np.random.Generator) -> ClaimResult:
+    # The `full_circuit_rank` of each draw on the default grid, and of its
+    # alpha = beta = 0 slice over the encoding parameters, from one gradient
+    # call and one stacked SVD: rows 0-99 hold the draws, rows 100-199 their
+    # slices. A slice's alpha and beta columns are zeroed, which adds zero
+    # singular values and leaves its rank that of the three encoding columns.
+    n = 100
+    (drawn,) = _draw_points(rng, n, _param_values)
+    sliced = drawn.copy()
+    sliced[3:] = 0.0
+    params = QpaParams.from_array(np.concatenate([drawn, sliced], axis=1)[..., None])
     grid = default_probe_grid()
-    max_rank = 0
-    slice_ok = True
-    for _ in range(100):
-        p = _random_params(rng)
-        max_rank = max(max_rank, full_circuit_rank(p, grid).numerical_rank)
-        restricted = QpaParams(p.theta_s, p.gamma_d, p.gamma_s, 0.0, 0.0)
-        r = full_circuit_rank(
-            restricted, grid, param_names=("theta_s", "gamma_d", "gamma_s")
-        )
-        slice_ok &= r.numerical_rank == 2
+    _, _, _, d_params = circuit.score_grad_batch(grid[:, 0], grid[:, 1], params)
+    jac = d_params.transpose(1, 2, 0)
+    jac[n:, :, 3:] = 0.0
+    ranks = [
+        _rank_from_singular_values(sv, 1e-8).numerical_rank
+        for sv in np.linalg.svd(jac, compute_uv=False)
+    ]
+    max_rank = max(ranks[:n])
+    slice_ok = all(r == 2 for r in ranks[n:])
     ok = 2 <= max_rank <= 4 and slice_ok
     return ClaimResult(
         "theorem2-rank-bounds",
@@ -359,13 +385,13 @@ def _claim_full_rank_bounds(rng: np.random.Generator) -> ClaimResult:
 def _claim_degenerate_projection(rng: np.random.Generator) -> ClaimResult:
     # With alpha = beta = 0 the entangler collapses to fixed CNOTs and the
     # joint measurement reduces to a qubit-0 projection cos^2(phi0 / 2).
-    worst = 0.0
-    for _ in range(500):
-        p = QpaParams(*rng.normal(0, 0.8, 3), 0.0, 0.0)
-        q, k = rng.normal(0, 2.0, 2)
-        sim = circuit.score(q, k, p)
-        closed = float(np.cos(np.pi / 8 + p.lambda1 / 2 * q + p.lambda2 / 2 * k) ** 2)
-        worst = max(worst, abs(sim - closed))
+    enc, (q, k) = _draw_points(
+        rng, 500, lambda r: r.normal(0, 0.8, 3), lambda r: r.normal(0, 2.0, 2)
+    )
+    p = QpaParams(*enc, 0.0, 0.0)
+    sim = circuit.score(q, k, p)
+    closed = np.cos(np.pi / 8 + p.lambda1 / 2 * q + p.lambda2 / 2 * k) ** 2
+    worst = float(np.max(np.abs(sim - closed)))
     origin = circuit.score(0.0, 0.0, QpaParams(0.5, 0.1, -0.2, 0.0, 0.0))
     origin_err = abs(origin - 0.8535533905932737)
     ok = worst <= 1e-12 and origin_err <= 1e-9
@@ -379,53 +405,47 @@ def _claim_degenerate_projection(rng: np.random.Generator) -> ClaimResult:
 
 def _claim_gradient(rng: np.random.Generator) -> ClaimResult:
     # Central differences err by O(h^2); at h = 1e-4 that alone reaches 1e-6.
+    # Coordinates (theta_s, gamma_d, gamma_s, alpha, beta, q, k) of the points
+    # run down the first axis; each point's 14 shifted copies move coordinate
+    # j by +h (copy 2j) and by -h (copy 2j + 1).
     h = 1e-5
-    worst = 0.0
-    for _ in range(200):
-        p = _random_params(rng)
-        q, k = rng.normal(0, 1.5, 2)
-        g = circuit.score_gradient(q, k, p)
-        vec = np.concatenate([p.to_array(), [q, k]])
-        exact = np.concatenate([g.param_array(), [g.d_q, g.d_k]])
-        for j in range(7):
-            up, dn = vec.copy(), vec.copy()
-            up[j] += h
-            dn[j] -= h
-            fd = (
-                circuit.score(up[5], up[6], QpaParams.from_array(up[:5]))
-                - circuit.score(dn[5], dn[6], QpaParams.from_array(dn[:5]))
-            ) / (2 * h)
-            worst = max(worst, abs(fd - exact[j]))
+    values, qk = _draw_points(rng, 200, _param_values, lambda r: r.normal(0, 1.5, 2))
+    _, d_q, d_k, d_params = circuit.score_grad_batch(*qk, QpaParams.from_array(values))
+    exact = np.concatenate([d_params, [d_q, d_k]]).T
+    shifted = np.repeat(np.concatenate([values, qk])[..., None], 14, axis=-1)
+    for j in range(7):
+        shifted[j, :, 2 * j] += h
+        shifted[j, :, 2 * j + 1] -= h
+    mu = circuit.score(shifted[5], shifted[6], QpaParams.from_array(shifted[:5]))
+    fd = (mu[:, 0::2] - mu[:, 1::2]) / (2 * h)
+    worst = float(np.max(np.abs(fd - exact)))
     return ClaimResult(
         "gradient-parameter-shift", bool(worst <= 1e-6), 1e-6, {"max_abs_err": worst}
     )
 
 
 def _claim_pf_invariance(rng: np.random.Generator) -> ClaimResult:
-    worst = 0.0
-    for _ in range(200):
-        p = _random_params(rng)
-        q, k = rng.normal(0, 1.5, 2)
-        gamma = rng.uniform(0, 1)
-        worst = max(
-            worst, abs(circuit.score_noisy(q, k, p, "PF", gamma) - circuit.score(q, k, p))
-        )
+    values, (q, k), gamma = _draw_points(
+        rng, 200, _param_values, lambda r: r.normal(0, 1.5, 2), lambda r: r.uniform(0, 1)
+    )
+    p = QpaParams.from_array(values)
+    noisy = circuit.score_noisy(q, k, p, "PF", gamma)
+    worst = float(np.max(np.abs(noisy - circuit.score(q, k, p))))
     return ClaimResult(
         "noise-pf-invariance", worst <= 1e-12, 1e-12, {"max_abs_err": worst}
     )
 
 
 def _claim_bf_closed_form(rng: np.random.Generator) -> ClaimResult:
-    worst = 0.0
+    # Points on the rows, strengths on the columns.
     gammas = np.arange(0.0, 0.1001, 0.02)
-    for _ in range(50):
-        p = _random_params(rng)
-        q, k = rng.normal(0, 1.5, 2)
-        mu = circuit.score(q, k, p)
-        for g in gammas:
-            noisy = circuit.score_noisy(q, k, p, "BF", g)
-            closed = mu * (1 - 2 * g) ** 2 + 2 * g * (1 - g)
-            worst = max(worst, abs(noisy - closed))
+    values, qk = _draw_points(rng, 50, _param_values, lambda r: r.normal(0, 1.5, 2))
+    q, k = qk[..., None]
+    p = QpaParams.from_array(values[..., None])
+    mu = circuit.score(q, k, p)
+    noisy = circuit.score_noisy(q, k, p, "BF", gammas)
+    closed = mu * (1 - 2 * gammas) ** 2 + 2 * gammas * (1 - gammas)
+    worst = float(np.max(np.abs(noisy - closed)))
     return ClaimResult(
         "noise-bf-closed-form", bool(worst <= 1e-10), 1e-10, {"max_abs_err": worst}
     )

@@ -5,8 +5,11 @@ Conventions
 -----------
 Basis states are ordered ``|00>, |01>, |10>, |11>`` with qubit 0 as the most
 significant bit of the basis index. Pure states are complex arrays of shape
-``(4,)``; density matrices are ``(4, 4)``. All operations are pure functions
-on value types and thread-safe.
+``(..., 4)``; density matrices are ``(..., 4, 4)``. Every function broadcasts
+over the leading axes: rotation angles and channel strengths may be arrays,
+giving one gate or Kraus operator per element, and a scalar call is the
+zero-dimensional case of the same code. All operations are pure functions on
+value types and thread-safe.
 """
 
 from __future__ import annotations
@@ -31,28 +34,51 @@ _CNOT_PERM = {
 }
 
 
-def _check_angle(theta: float) -> float:
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ValueError(f"rotation angle must be finite, got {theta!r}")
-    return theta
+def _all(ok) -> bool:
+    # ok.all() for a numpy bool or bool array. numpy returns its np.True_
+    # singleton for a scalar, which skips the reduction: that costs more
+    # than the rest of a scalar gate's arithmetic.
+    return ok is np.True_ or bool(ok.all())
 
 
-def ry(theta: float) -> np.ndarray:
+def _first_failure(values: np.ndarray, ok) -> float:
+    # The first element of ``values`` that failed a check, for the error message.
+    return float(np.asarray(values)[~ok].flat[0])
+
+
+def _gate(a, b, c, d) -> np.ndarray:
+    # The complex 2x2 matrices [[a, b], [c, d]] for entries of one shape S,
+    # as an S + (2, 2) array.
+    g = np.array([[a, b], [c, d]], dtype=complex)
+    return g.transpose((*range(2, g.ndim), 0, 1)) if g.ndim > 2 else g
+
+
+def _rotation(theta, upper, lower) -> np.ndarray:
+    # [[cos(t/2), upper sin(t/2)], [lower sin(t/2), cos(t/2)]] for every angle
+    # t of ``theta`` after checking them all.
+    half = theta * 0.5
+    ok = np.isfinite(half)
+    if not _all(ok):
+        raise ValueError(f"rotation angle must be finite, got {_first_failure(theta, ok)!r}")
+    c, s = np.cos(half), np.sin(half)
+    return _gate(c, upper * s, lower * s, c)
+
+
+def ry(theta) -> np.ndarray:
     """Single-qubit Y rotation ``[[cos(t/2), -sin(t/2)], [sin(t/2), cos(t/2)]]``.
 
-    Real-valued convention, so RY(a) @ RY(b) == RY(a + b) exactly.
+    Real-valued convention, so RY(a) @ RY(b) == RY(a + b) exactly. An angle
+    array gives one gate per element, shape ``theta.shape + (2, 2)``.
     """
-    theta = _check_angle(theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return _rotation(theta, -1, 1)
 
 
-def rx(theta: float) -> np.ndarray:
-    """Single-qubit X rotation ``[[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]]``."""
-    theta = _check_angle(theta)
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+def rx(theta) -> np.ndarray:
+    """Single-qubit X rotation ``[[cos(t/2), -i sin(t/2)], [-i sin(t/2), cos(t/2)]]``.
+
+    Broadcasts over angle arrays like `ry`.
+    """
+    return _rotation(theta, -1j, -1j)
 
 
 def _check_qubit(qubit: int) -> int:
@@ -65,25 +91,24 @@ def apply_single(state: np.ndarray, gate: np.ndarray, qubit: int) -> np.ndarray:
     """Apply a 2x2 gate to one qubit of a two-qubit state.
 
     Equivalent to ``(gate (x) I) @ state`` for qubit 0 and ``(I (x) gate) @ state``
-    for qubit 1.
+    for qubit 1. ``state`` (..., 4) and ``gate`` (..., 2, 2) broadcast over
+    their leading axes.
     """
     _check_qubit(qubit)
-    m = np.asarray(state, dtype=complex).reshape(2, 2)
-    if qubit == 0:
-        m = gate @ m
-    else:
-        m = m @ gate.T
-    return m.reshape(4)
+    m = np.asarray(state, dtype=complex)
+    m = m.reshape(m.shape[:-1] + (2, 2))
+    m = gate @ m if qubit == 0 else m @ gate.swapaxes(-1, -2)
+    return m.reshape(m.shape[:-2] + (4,))
 
 
 def apply_cnot(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Apply CNOT with the given control/target qubits (a basis permutation)."""
+    """Apply CNOT with the given control/target qubits: a permutation of the last axis."""
     _check_qubit(control)
     _check_qubit(target)
     if control == target:
         raise ValueError("CNOT control and target must differ")
     state = np.asarray(state, dtype=complex)
-    return state[_CNOT_PERM[(control, target)]]
+    return state.take(_CNOT_PERM[(control, target)], axis=-1)
 
 
 def measure_probs(state: np.ndarray) -> np.ndarray:
@@ -93,14 +118,23 @@ def measure_probs(state: np.ndarray) -> np.ndarray:
 
 
 def state_to_density(state: np.ndarray) -> np.ndarray:
-    """Pure-state density matrix ``|psi><psi|``."""
+    """Pure-state density matrix ``|psi><psi|``, shape (..., 4, 4) for states (..., 4)."""
     state = np.asarray(state, dtype=complex)
-    return np.outer(state, state.conj())
+    return state[..., :, None] * state[..., None, :].conj()
 
 
 def is_unitary(gate: np.ndarray, atol: float = ATOL_UNITARY) -> bool:
+    """Whether every gate in ``gate`` (..., n, n) satisfies G^dagger G = I within ``atol``."""
     gate = np.asarray(gate, dtype=complex)
-    return bool(np.allclose(gate.conj().T @ gate, np.eye(gate.shape[0]), atol=atol))
+    identity = np.eye(gate.shape[-1])
+    return bool(np.allclose(gate.swapaxes(-1, -2).conj() @ gate, identity, atol=atol))
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # np.kron of the trailing 2x2 matrices, broadcast over the leading axes.
+    a, b = np.asarray(a), np.asarray(b)
+    full = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return full.reshape(full.shape[:-4] + (4, 4))
 
 
 def apply_channel(rho: np.ndarray, kraus: list[np.ndarray], qubit: int) -> np.ndarray:
@@ -108,35 +142,44 @@ def apply_channel(rho: np.ndarray, kraus: list[np.ndarray], qubit: int) -> np.nd
 
     ``rho' = sum_i (K_i (x) I) rho (K_i (x) I)^dagger`` (qubit 0), analogously for
     qubit 1. The Kraus set must satisfy ``sum_i K_i^dagger K_i = I`` within 1e-10.
+    ``rho`` (..., 4, 4) and each K_i (..., 2, 2) broadcast over their leading
+    axes: a batch of Kraus sets is one set of K_i arrays, and every set in it
+    must be complete.
     """
     _check_qubit(qubit)
     rho = np.asarray(rho, dtype=complex)
-    completeness = sum(K.conj().T @ K for K in kraus)
+    completeness = sum(K.swapaxes(-1, -2).conj() @ K for K in kraus)
     if not np.allclose(completeness, _I2, atol=ATOL_CHANNEL):
         raise ValueError("Kraus operators do not satisfy the trace-preservation condition")
-    out = np.zeros_like(rho)
-    for K in kraus:
-        full = np.kron(K, _I2) if qubit == 0 else np.kron(_I2, K)
-        out += full @ rho @ full.conj().T
-    return out
+    fulls = (_kron(K, _I2) if qubit == 0 else _kron(_I2, K) for K in kraus)
+    return sum(full @ rho @ full.swapaxes(-1, -2).conj() for full in fulls)
 
 
-def _check_strength(gamma: float) -> float:
-    gamma = float(gamma)
-    if not (0.0 <= gamma <= 1.0):
-        raise ValueError(f"channel strength must lie in [0, 1], got {gamma!r}")
+def _check_strength(gamma):
+    gamma = np.asarray(gamma, dtype=float)
+    ok = (0.0 <= gamma) & (gamma <= 1.0)
+    if not _all(ok):
+        raise ValueError(
+            f"channel strength must lie in [0, 1], got {_first_failure(gamma, ok)!r}"
+        )
     return gamma
 
 
-def amplitude_damping(gamma: float) -> list[np.ndarray]:
-    """Kraus operators for amplitude damping: |1> decays to |0> with probability gamma."""
+def amplitude_damping(gamma) -> list[np.ndarray]:
+    """Kraus operators for amplitude damping: |1> decays to |0> with probability gamma.
+
+    A strength array gives a batch of Kraus sets: each operator has shape
+    ``gamma.shape + (2, 2)``. So do the other channels.
+    """
     gamma = _check_strength(gamma)
-    k0 = np.array([[1, 0], [0, np.sqrt(1 - gamma)]], dtype=complex)
-    k1 = np.array([[0, np.sqrt(gamma)], [0, 0]], dtype=complex)
-    return [k0, k1]
+    zero = np.zeros_like(gamma)
+    return [
+        _gate(zero + 1, zero, zero, np.sqrt(1 - gamma)),
+        _gate(zero, np.sqrt(gamma), zero, zero),
+    ]
 
 
-def depolarizing(gamma: float) -> list[np.ndarray]:
+def depolarizing(gamma) -> list[np.ndarray]:
     """Kraus operators for the depolarizing channel ``rho -> (1-gamma) rho + gamma I/2``.
 
     Pauli weights sqrt(1 - 3g/4), sqrt(g/4) each, so gamma = 1 fully depolarizes
@@ -144,27 +187,27 @@ def depolarizing(gamma: float) -> list[np.ndarray]:
     """
     gamma = _check_strength(gamma)
     return [
-        np.sqrt(1 - 3 * gamma / 4) * _I2,
-        np.sqrt(gamma / 4) * _X,
-        np.sqrt(gamma / 4) * _Y,
-        np.sqrt(gamma / 4) * _Z,
+        np.multiply.outer(np.sqrt(1 - 3 * gamma / 4), _I2),
+        np.multiply.outer(np.sqrt(gamma / 4), _X),
+        np.multiply.outer(np.sqrt(gamma / 4), _Y),
+        np.multiply.outer(np.sqrt(gamma / 4), _Z),
     ]
 
 
-def bit_flip(gamma: float) -> list[np.ndarray]:
+def bit_flip(gamma) -> list[np.ndarray]:
     """Kraus operators for the bit-flip channel: X applied with probability gamma."""
     gamma = _check_strength(gamma)
-    return [np.sqrt(1 - gamma) * _I2, np.sqrt(gamma) * _X]
+    return [np.multiply.outer(np.sqrt(1 - gamma), _I2), np.multiply.outer(np.sqrt(gamma), _X)]
 
 
-def phase_flip(gamma: float) -> list[np.ndarray]:
+def phase_flip(gamma) -> list[np.ndarray]:
     """Kraus operators for the phase-flip channel: Z applied with probability gamma.
 
     Z is diagonal in the computational basis, so this channel never changes
     measurement probabilities.
     """
     gamma = _check_strength(gamma)
-    return [np.sqrt(1 - gamma) * _I2, np.sqrt(gamma) * _Z]
+    return [np.multiply.outer(np.sqrt(1 - gamma), _I2), np.multiply.outer(np.sqrt(gamma), _Z)]
 
 
 CHANNELS = {

@@ -25,6 +25,11 @@ def random_params(rng, scale=0.8):
     return QpaParams.from_array(rng.normal(0, scale, size=5))
 
 
+def random_params_array(rng, shape, scale=0.8):
+    # Parameters with one set per element of ``shape``.
+    return QpaParams.from_array(rng.normal(0, scale, size=(5,) + shape))
+
+
 def ablation(p):
     # The parameters at which the `qpa` circuit is the independent-encoding one.
     return dataclasses.replace(p, gamma_d=0.0, gamma_s=0.0)
@@ -67,6 +72,29 @@ class TestQpaParams:
         assert QpaParams.from_array(p.to_array()) == p
         with pytest.raises(ValueError):
             QpaParams.from_array(np.zeros(4))
+
+    def test_from_array_with_trailing_axes_gives_array_fields(self):
+        values = np.random.default_rng(24).normal(size=(5, 3, 2))
+        p = QpaParams.from_array(values)
+        assert np.array_equal(p.to_array(), values)
+        assert p.lambda1.shape == (3, 2)
+        for bad in (np.zeros((4, 3)), np.float64(0.5)):
+            with pytest.raises(ValueError, match="expected 5 parameters"):
+                QpaParams.from_array(bad)
+
+    def test_rejects_one_non_finite_element(self):
+        values = np.zeros((5, 4))
+        values[1, 2] = np.nan
+        with pytest.raises(ValueError, match="parameter gamma_d must be finite"):
+            QpaParams.from_array(values)
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_fourier_form_refuses_array_valued_parameters(self, n):
+        p = random_params_array(np.random.default_rng(n), (n,))
+        with pytest.raises(ValueError, match="one parameter set"):
+            circuit.score_batch(np.zeros(n), np.zeros(n), p)
+        with pytest.raises(ValueError, match="one parameter set"):
+            circuit.score_noisy_batch(np.zeros(n), np.zeros(n), p, "AD", 0.1)
 
 
 class TestEquivalentAngles:
@@ -772,3 +800,96 @@ class TestNoisy:
         p = QpaParams(0.5, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             circuit.score_noisy_batch(np.zeros(3), np.zeros(3), p, channel, gamma)
+
+
+class TestBatchedStatevector:
+    """`build_state`, `score` and `score_noisy` broadcast over the inputs, the
+    parameters and the noise strength; each element equals its scalar call."""
+
+    CHANNELS = ("AD", "DP", "BF", "PF")
+
+    @staticmethod
+    def layout(name, rng):
+        # (q, k, params, gamma) of each broadcast layout.
+        p = random_params(rng)
+        if name == "0-d":
+            return np.array(0.4), np.array(-1.1), p, np.array(0.3)
+        if name == "vector":
+            return *rng.normal(0, 1.5, (2, 6)), p, rng.uniform(0, 1, 6)
+        if name == "outer":
+            return rng.normal(0, 1.5, (4, 1)), rng.normal(0, 1.5, (1, 3)), p, 0.25
+        # One parameter set and one strength per point.
+        return *rng.normal(0, 1.5, (2, 5)), random_params_array(rng, (5,)), rng.uniform(0, 1, 5)
+
+    @pytest.mark.parametrize("independent", [False, True])
+    @pytest.mark.parametrize("seed, name", enumerate(["0-d", "vector", "outer", "per-element"]))
+    def test_equals_scalar_calls(self, seed, name, independent):
+        q, k, p, gamma = self.layout(name, np.random.default_rng(seed))
+        shape = np.broadcast_shapes(np.shape(q), np.shape(k), np.shape(p.beta), np.shape(gamma))
+        states = circuit.build_state(q, k, p, independent)
+        mu = circuit.score(q, k, p, independent)
+        noisy = {c: circuit.score_noisy(q, k, p, c, gamma, independent) for c in self.CHANNELS}
+        assert states.shape == shape + (4,)
+        assert np.shape(mu) == shape
+        at = {f.name: np.broadcast_to(getattr(p, f.name), shape) for f in dataclasses.fields(p)}
+        q, k, gamma = (np.broadcast_to(v, shape) for v in (q, k, gamma))
+        for idx in np.ndindex(shape):
+            params = QpaParams(**{n: float(v[idx]) for n, v in at.items()})
+            point = float(q[idx]), float(k[idx]), params
+            assert np.abs(states[idx] - circuit.build_state(*point, independent)).max() <= 1e-15
+            assert abs(np.asarray(mu)[idx] - circuit.score(*point, independent)) <= 1e-15
+            for c in self.CHANNELS:
+                scalar = circuit.score_noisy(*point, c, float(gamma[idx]), independent)
+                assert abs(np.asarray(noisy[c])[idx] - scalar) <= 1e-15
+
+    def test_scalar_inputs_give_python_floats(self):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.4)
+        assert type(circuit.score(0.3, -0.7, p)) is float
+        assert type(circuit.score(np.float64(0.3), np.array(-0.7), p)) is float
+        assert type(circuit.score_noisy(0.3, -0.7, p, "AD", 0.2)) is float
+        assert circuit.build_state(0.3, -0.7, p).shape == (4,)
+
+    def test_matches_the_raw_kronecker_oracle_on_a_grid(self):
+        from test_acceptance import _kron_oracle_state
+
+        rng = np.random.default_rng(26)
+        p = random_params(rng)
+        qs, ks = rng.normal(0, 1.5, (8, 1)), rng.normal(0, 1.5, (1, 9))
+        states = circuit.build_state(qs, ks, p)
+        mu = circuit.score(qs, ks, p)
+        for i, j in np.ndindex(8, 9):
+            expected = _kron_oracle_state(qs[i, 0], ks[0, j], p)
+            assert np.abs(states[i, j] - expected).max() <= 1e-12
+            assert abs(mu[i, j] - (abs(expected[0]) ** 2 + abs(expected[3]) ** 2)) <= 1e-12
+
+    def test_runs_without_the_fourier_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the statevector path must not use the Fourier form")
+
+        for name in ("fourier_features", "fourier_coefficients", "_series"):
+            monkeypatch.setattr(circuit, name, refuse)
+        q, k, p, gamma = self.layout("per-element", np.random.default_rng(27))
+        assert circuit.build_state(q, k, p).shape == (5, 4)
+        assert circuit.score(q, k, p).shape == (5,)
+        assert circuit.score_noisy(q, k, p, "AD", gamma).shape == (5,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_input_in_a_batch_raises_the_scalar_error(self, bad):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.4)
+        qs = np.array([[0.1, 0.2], [bad, 0.3]])
+        noisy = lambda q, k, p: circuit.score_noisy(q, k, p, "BF", 0.1)  # noqa: E731
+        for fn in (circuit.build_state, circuit.score, noisy):
+            with pytest.raises(ValueError, match="q must be finite"):
+                fn(qs, 0.0, p)
+            with pytest.raises(ValueError, match="k must be finite"):
+                fn(np.zeros(2), qs, p)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_one_bad_strength_in_a_batch_raises_the_scalar_error(self, bad):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.4)
+        message = f"gamma_noise must lie in [0, 1], got {bad!r}"
+        for gamma in (bad, np.array([0.0, 0.2, bad])):
+            with pytest.raises(ValueError) as err:
+                circuit.score_noisy(np.zeros(3), 0.1, p, "DP", gamma)
+            assert str(err.value) == message
+

@@ -312,6 +312,21 @@ class TestNoiseSweep:
         assert "(1, 16, 16)" in err and "(1, 8, 8)" in err
         assert not out.exists()
 
+    def test_checkpoint_head_must_match_the_classes_in_the_data(self, tmp_path, capsys):
+        # A 3-way head used to be swept on the 2-label task, exit 0.
+        config = vit.VitConfig(
+            image_size=8, channels=1, patch_size=4, num_layers=1, heads=2, hidden_size=8,
+            mlp_hidden=16, num_classes=3, scorer="qpa", depth=4,
+        )
+        vit.save_checkpoint(vit.init_model(config, 1), tmp_path / "k3.npz")
+        out = tmp_path / "sweep"
+        args = ["noise-sweep", "--checkpoint", str(tmp_path / "k3.npz"), *TINY]
+        assert cli.main([*args, "--out", str(out)]) == 2
+        out_text, err = capsys.readouterr()
+        assert out_text == ""
+        assert err.startswith("error: num_classes = 3, but the dataset has 2 classes")
+        assert not out.exists()
+
     def test_unknown_channel_refused(self, tmp_path, qpa_checkpoint):
         code = cli.main(
             [
@@ -477,6 +492,23 @@ class TestUsageErrorsBeforeAnyWork:
         # It used to act as 0, and a NaN reached summary.json as invalid JSON.
         err = self.run(tmp_path, capsys, command, *TINY, "--set", f"noise_std={noise_std}")
         assert err.startswith("error: noise_std must be finite and >= 0")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--set", "scorer=dot"],
+            ["compare", "--set", "scorers=dot,cosine", "--set", "seeds=1,2"],
+        ],
+        ids=["train", "compare"],
+    )
+    def test_num_classes_that_disagrees_with_the_data(self, tmp_path, capsys, argv):
+        # It used to train a 3-way head on the 2-label task and write binary
+        # metrics read from one column of its softmax.
+        code = cli.main([*argv, *TINY, "--set", "num_classes=3", "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: num_classes = 3, but the dataset has 2 classes")
+        assert not (tmp_path / "out").exists()
 
     def test_idx_same_class_twice(self, tmp_path, capsys):
         from qpattn.data import save_idx_images, save_idx_labels

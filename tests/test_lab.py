@@ -213,6 +213,14 @@ class TestClaims:
         assert result.passed and len(calls) == 50
         assert result.witness == {"min_over_params_of_max_gap": 0.10265585044652964}
 
+    def test_claims_evaluate_their_points_in_batches(self, count_calls):
+        # Each claim scores its points in a few broadcast calls; a per-point
+        # loop made 20,265 gate applications and 1,000 channel applications.
+        gates = count_calls(qcore, "apply_single")
+        channels = count_calls(qcore, "apply_channel")
+        lab.run_claims(seed=0)
+        assert len(gates) <= 100 and len(channels) <= 20
+
     def test_shot_claim_witness_at_seed_0(self):
         # The sample variance of the sampler that built every statevector afresh.
         (result,) = lab.run_claims(seed=0, only="shots-variance-bound")

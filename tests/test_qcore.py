@@ -225,3 +225,109 @@ def test_density_evolution_matches_statevector():
         mu_state = qcore.measure_probs(psi)[[0, 3]].sum()
         mu_rho = (rho[0, 0] + rho[3, 3]).real
         assert mu_rho == pytest.approx(mu_state, abs=1e-12)
+
+
+class TestBatched:
+    """Every entry point broadcasts over leading axes, each element equal to
+    its scalar call; a scalar call is the zero-dimensional case."""
+
+    @staticmethod
+    def random_states(rng, shape):
+        psi = rng.normal(size=shape + (4,)) + 1j * rng.normal(size=shape + (4,))
+        return psi / np.linalg.norm(psi, axis=-1, keepdims=True)
+
+    @pytest.mark.parametrize("gate_fn", [qcore.ry, qcore.rx])
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 4)])
+    def test_rotations_equal_scalar_calls(self, gate_fn, shape):
+        theta = np.random.default_rng(8).uniform(-10, 10, size=shape)
+        gates = gate_fn(theta)
+        assert gates.shape == shape + (2, 2)
+        for idx in np.ndindex(shape):
+            assert np.abs(gates[idx] - gate_fn(float(theta[idx]))).max() <= 1e-15
+        assert qcore.is_unitary(gates)
+
+    def test_is_unitary_checks_every_gate_of_a_batch(self):
+        gates = qcore.ry(np.linspace(-3, 3, 5))
+        gates[2] *= 1.01
+        assert not qcore.is_unitary(gates)
+
+    @pytest.mark.parametrize("qubit", [0, 1])
+    @pytest.mark.parametrize(
+        "state_shape, gate_shape", [((), (5,)), ((5,), ()), ((5,), (5,)), ((4, 1), (1, 3))]
+    )
+    def test_apply_single_equals_scalar_calls(self, qubit, state_shape, gate_shape):
+        rng = np.random.default_rng(9)
+        states = self.random_states(rng, state_shape)
+        gates = qcore.ry(rng.uniform(-3, 3, gate_shape)) @ qcore.rx(rng.uniform(-3, 3, gate_shape))
+        out = qcore.apply_single(states, gates, qubit)
+        shape = np.broadcast_shapes(state_shape, gate_shape)
+        assert out.shape == shape + (4,)
+        states = np.broadcast_to(states, shape + (4,))
+        gates = np.broadcast_to(gates, shape + (2, 2))
+        for idx in np.ndindex(shape):
+            expected = qcore.apply_single(states[idx], gates[idx], qubit)
+            assert np.abs(out[idx] - expected).max() <= 1e-15
+            assert np.abs(out[idx] - kron_gate(gates[idx], qubit) @ states[idx]).max() <= 1e-12
+
+    def test_cnot_measure_and_density_equal_scalar_calls(self):
+        states = self.random_states(np.random.default_rng(10), (3, 2))
+        for control in (0, 1):
+            out = qcore.apply_cnot(states, control, 1 - control)
+            for idx in np.ndindex(3, 2):
+                assert np.array_equal(out[idx], qcore.apply_cnot(states[idx], control, 1 - control))
+        probs, rho = qcore.measure_probs(states), qcore.state_to_density(states)
+        assert probs.shape == (3, 2, 4) and rho.shape == (3, 2, 4, 4)
+        for idx in np.ndindex(3, 2):
+            assert np.array_equal(probs[idx], qcore.measure_probs(states[idx]))
+            assert np.array_equal(rho[idx], np.outer(states[idx], states[idx].conj()))
+
+    @pytest.mark.parametrize("name", ["AD", "DP", "BF", "PF"])
+    @pytest.mark.parametrize("qubit", [0, 1])
+    def test_channels_equal_scalar_calls(self, name, qubit):
+        # Per-element strengths against a batch of states, and one strength
+        # array broadcast against one state.
+        rng = np.random.default_rng(11)
+        gammas = rng.uniform(0, 1, size=(6, 1))
+        kraus = qcore.CHANNELS[name](gammas)
+        assert all(K.shape == (6, 1, 2, 2) for K in kraus)
+        rho = qcore.state_to_density(self.random_states(rng, (1, 3)))
+        out = qcore.apply_channel(rho, kraus, qubit)
+        assert out.shape == (6, 3, 4, 4)
+        for i, j in np.ndindex(6, 3):
+            single = qcore.CHANNELS[name](float(gammas[i, 0]))
+            assert all(np.abs(K[i, 0] - S).max() <= 1e-15 for K, S in zip(kraus, single))
+            expected = qcore.apply_channel(rho[0, j], single, qubit)
+            assert np.abs(out[i, j] - expected).max() <= 1e-15
+
+    @pytest.mark.parametrize("gate_fn", [qcore.ry, qcore.rx])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_angle_in_a_batch_raises_the_scalar_error(self, gate_fn, bad):
+        theta = np.zeros((3, 4))
+        theta[2, 1] = bad
+        with pytest.raises(ValueError) as scalar:
+            gate_fn(bad)
+        with pytest.raises(ValueError) as batch:
+            gate_fn(theta)
+        assert str(batch.value) == str(scalar.value)
+        assert str(batch.value) == f"rotation angle must be finite, got {bad!r}"
+
+    @pytest.mark.parametrize("name", ["AD", "DP", "BF", "PF"])
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+    def test_one_bad_strength_in_a_batch_raises_the_scalar_error(self, name, bad):
+        gammas = np.array([0.0, 0.5, bad, 1.0])
+        with pytest.raises(ValueError) as scalar:
+            qcore.CHANNELS[name](bad)
+        with pytest.raises(ValueError) as batch:
+            qcore.CHANNELS[name](gammas)
+        assert str(batch.value) == str(scalar.value)
+        assert str(batch.value) == f"channel strength must lie in [0, 1], got {bad!r}"
+
+    def test_a_batch_with_one_incomplete_kraus_set_is_refused(self):
+        k0, k1 = qcore.bit_flip(np.full(5, 0.2))
+        k1[3] *= 0.5  # set 3 no longer sums to the identity
+        rho = np.eye(4, dtype=complex) / 4
+        for qubit in (0, 1):
+            with pytest.raises(ValueError, match="trace-preservation"):
+                qcore.apply_channel(rho, [k0, k1], qubit)
+        k1[3] *= 2.0
+        assert qcore.apply_channel(rho, [k0, k1], 0).shape == (5, 4, 4)
