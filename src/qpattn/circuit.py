@@ -26,23 +26,19 @@ The fast path goes through the circuit's exact Fourier form: mu is a
 plus seven terms, each a query feature times a key feature
 (`fourier_features`, seven per input, built from three base phasors).
 `score_batch` and `score_noisy_batch`, the attention forward, evaluate the
-series at every broadcast input pair as a batched real GEMM of the two
-sides' features: axes where only q varies are its rows, axes where only k
-varies its columns. The GEMM batch runs in tiles of at most `TILE_INPUTS`
-inputs per side, so the feature temporaries stay a few MB whatever the
-batch. The per-pair output is as large as the inputs' broadcast, so the
-attention forward (`scorers.qpa_scores`) calls `score_batch` or
-`score_noisy_batch` once per tile of whole images and sums each tile's
-output over D at once. The attention backward
-(`scorers.quantum_scores_backward`) differentiates the same series on the
-same seven features, on tiles of the same size; c_0 = 1/2 does not enter it.
+series at every broadcast input pair they are given as one batched real
+GEMM of the two sides' features: axes where only q varies are its rows,
+axes where only k varies its columns. They hold no tiling policy: the
+attention forward and backward (`scorers.qpa_scores`,
+`scorers.quantum_scores_backward`) bound their own temporaries with tiles of
+`scorers.TILE_INPUTS` inputs per side. The backward differentiates the same
+series on the same seven features; c_0 = 1/2 does not enter it.
 The coefficients are closed forms in beta: the mixer only weights the fixed
 Fourier coefficients of <ZZ> and <YY> on the state before it, and a noise
-channel adds those of <ZI> + <IZ>. A real-amplitude evaluator of the circuit
-with the exact parameter-shift rule on every rotation gate (`circuit_probs`,
-`circuit_mu_partials`, `score_grad_batch`, `score_gradient`) is the oracle
-of the series and its gradient, and the density-matrix `score_noisy` that of
-the noisy series.
+channel adds those of <ZI> + <IZ>. A real-amplitude walk of the circuit that
+computes mu alone, with the exact parameter-shift rule on every rotation
+gate (`score_grad_batch`, `score_gradient`), is the gradient's oracle and
+that of the series; the density-matrix `score_noisy` is the noisy series'.
 
 The independent-encoding ablation (`qpa-ind`) is this circuit at gamma_d =
 gamma_s = 0. Only the statevector path (`build_state`, `score`, `score_noisy`)
@@ -64,12 +60,6 @@ _SQRT2 = np.sqrt(2.0)
 
 #: Offset that keeps the encoding away from the linear response region of RY.
 ANGLE_OFFSET = np.pi / 4
-
-#: Inputs per side in one tile of the vectorised circuit (`score_batch`,
-#: `score_noisy_batch`) and of the quantum scorer's forward and backward:
-#: bounds their temporaries to a few MB whatever the batch.
-TILE_INPUTS = 4096
-
 
 @dataclass(frozen=True)
 class QpaParams:
@@ -238,17 +228,16 @@ def score_encoding_only(q, k, params: QpaParams):
 
 # ---------------------------------------------------------------------------
 # Real-amplitude circuit evaluation: the oracle of the Fourier form and its
-# gradient.
+# gradient (`score_grad_batch`).
 #
 # All amplitudes stay real until the mixer, so this path tracks the four real
 # amplitudes through encoding/entangling and folds the two RX gates in
-# analytically. Probabilities match the complex statevector path to machine
-# precision.
+# analytically. mu matches the complex statevector path to machine precision.
 # ---------------------------------------------------------------------------
 
 
-def _probs_cs(c0, s0, c1, s1, ce, se, cb0, sb0, cb1, sb1):
-    """Outcome probabilities from half-angle cosines/sines of the five gates.
+def _mu_cs(c0, s0, c1, s1, ce, se, cb0, sb0, cb1, sb1):
+    """mu = P(|00>) + P(|11>) from half-angle cosines/sines of the five gates.
 
     (c0, s0), (c1, s1): encoding RYs; (ce, se): entangling RY; (cbX, sbX):
     the RX mixers on qubits 0 and 1 (kept separate so each can be shifted
@@ -270,19 +259,12 @@ def _probs_cs(c0, s0, c1, s1, ce, se, cb0, sb0, cb1, sb1):
     cs = cb0 * sb1
     sc = sb0 * cb1
     p00 = (cc * f0 - ss * f3) ** 2 + (cs * f1 + sc * f2) ** 2
-    p01 = (cc * f1 - ss * f2) ** 2 + (cs * f0 + sc * f3) ** 2
-    p10 = (cc * f2 - ss * f1) ** 2 + (cs * f3 + sc * f0) ** 2
     p11 = (cc * f3 - ss * f0) ** 2 + (cs * f2 + sc * f1) ** 2
-    return p00, p01, p10, p11
-
-
-def _mu_cs(c0, s0, c1, s1, ce, se, cb0, sb0, cb1, sb1):
-    p00, _, _, p11 = _probs_cs(c0, s0, c1, s1, ce, se, cb0, sb0, cb1, sb1)
     return p00 + p11
 
 
 def _gate_cs(phi0, phi1, ent, beta) -> list:
-    # Half-angle cosines and sines of the five gates in `_probs_cs` order:
+    # Half-angle cosines and sines of the five gates in `_mu_cs` order:
     # both RX mixers turn by 2*beta.
     cs = []
     for angle in (phi0, phi1, ent, 2 * beta):
@@ -296,41 +278,6 @@ def _shift(c, s, sign):
     if sign > 0:
         return (c - s) / _SQRT2, (s + c) / _SQRT2
     return (c + s) / _SQRT2, (s - c) / _SQRT2
-
-
-def circuit_probs(phi0, phi1, ent, beta) -> np.ndarray:
-    """Outcome probabilities (..., 4) of the circuit at the given gate angles.
-
-    Broadcasts over array-shaped angles; ``beta`` is the mixer parameter
-    (each RX rotates by 2*beta).
-    """
-    p = _probs_cs(*_gate_cs(phi0, phi1, ent, beta))
-    return np.stack(np.broadcast_arrays(*p), axis=-1)
-
-
-def circuit_mu_partials(phi0, phi1, ent, beta):
-    """mu plus its exact partials w.r.t. the four gate angles.
-
-    Returns ``(mu, d_phi0, d_phi1, d_ent, d_beta)``. Each angle partial is the
-    parameter-shift difference quotient (f(x + pi/2) - f(x - pi/2)) / 2; the
-    beta partial accounts for both RX gates sharing the parameter and for the
-    gate angle being 2*beta.
-    """
-    base = _gate_cs(phi0, phi1, ent, beta)
-    mu = _mu_cs(*base)
-
-    def shifted(args, idx, sign):
-        args = list(args)
-        args[idx], args[idx + 1] = _shift(args[idx], args[idx + 1], sign)
-        return _mu_cs(*args)
-
-    d_phi0 = (shifted(base, 0, +1) - shifted(base, 0, -1)) / 2
-    d_phi1 = (shifted(base, 2, +1) - shifted(base, 2, -1)) / 2
-    d_ent = (shifted(base, 4, +1) - shifted(base, 4, -1)) / 2
-    d_m0 = (shifted(base, 6, +1) - shifted(base, 6, -1)) / 2
-    d_m1 = (shifted(base, 8, +1) - shifted(base, 8, -1)) / 2
-    d_beta = 2 * (d_m0 + d_m1)
-    return mu, d_phi0, d_phi1, d_ent, d_beta
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +335,7 @@ def fourier_coefficients(beta: float):
     closed form c_0 = 1/2 and c_n = (cos^2(2 beta) ZZ_n + sin^2(2 beta) YY_n) / 2,
     so dc_0/dbeta = 0 and dc_n/dbeta = sin(4 beta) (YY_n - ZZ_n): every c(beta)
     lies in the real plane of two fixed vectors. The real-amplitude evaluator
-    (`circuit_mu_partials`) is their oracle. Returns two complex arrays of
+    (`score_grad_batch`) is their oracle. Returns two complex arrays of
     shape (8,).
     """
     c = np.zeros(8, dtype=np.complex128)
@@ -454,12 +401,9 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
     # varies are GEMM columns, and the rest are batch axes, so all pairs come
     # from a batched real GEMM (batch, rows, 14) @ (batch, 14, cols) over
     # (re, im) pairs: with F' = conj(c F), Re(c F G) = Re F' Re G + Im F' Im G.
-    # The batch runs in tiles of at most TILE_INPUTS inputs per side, each
-    # GEMM writing its slice of the one per-pair output, which is returned
-    # transposed back to broadcast order. Tiles give the untiled result bit
-    # for bit, except that a tile with one input on a side rounds it as a
-    # one-input batch does: numpy multiplies a lone complex feature in
-    # another loop, which can move the last bit.
+    # The per-pair output is returned transposed back to broadcast order.
+    # Callers that must bound the size of a call split it themselves
+    # (`scorers.TILE_INPUTS`).
     W = np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
@@ -471,18 +415,12 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
     role = [1 if k == 1 != q else 2 if q == 1 != k else 0 for q, k in zip(qs.shape, ks.shape)]
     order = sorted(range(len(shape)), key=role.__getitem__)
     nb, nr, nc = (math.prod(n for n, r in zip(shape, role) if r == g) for g in range(3))
-    qs = qs.transpose(order).reshape(nb, nr)
-    ks = ks.transpose(order).reshape(nb, nc)
-    mu = np.empty((nb, nr, nc))
-    step = max(1, TILE_INPUTS // max(nr, nc, 1))
-    for start in range(0, nb, step):
-        q, k, out = qs[start : start + step], ks[start : start + step], mu[start : start + step]
-        F = fourier_features(q, W[:, 0])
-        F *= c[1:]
-        np.conjugate(F, out=F)
-        G = fourier_features(k, W[:, 1])
-        np.matmul(F.view(np.float64), G.view(np.float64).transpose(0, 2, 1), out=out)
-        out += c[0].real
+    F = fourier_features(qs.transpose(order).reshape(nb, nr), W[:, 0])
+    F *= c[1:]
+    np.conjugate(F, out=F)
+    G = fourier_features(ks.transpose(order).reshape(nb, nc), W[:, 1])
+    mu = np.matmul(F.view(np.float64), G.view(np.float64).transpose(0, 2, 1))
+    mu += c[0].real
     return mu.reshape([shape[a] for a in order]).transpose(np.argsort(order))
 
 
@@ -508,13 +446,27 @@ def score_grad_batch(qs, ks, params: QpaParams):
 
     Returns ``(mu, d_q, d_k, d_params)`` where ``d_params`` has shape
     ``(5,) + mu.shape`` in (theta_s, gamma_d, gamma_s, alpha, beta) order.
-    Real-amplitude evaluation throughout: the oracle for the Fourier form.
-    A non-finite input raises `ValueError`, as in `score`.
+    Real-amplitude evaluation throughout: each gate-angle partial is the
+    shift quotient (f(x + pi/2) - f(x - pi/2)) / 2, and the beta partial sums
+    those of both RX gates, each turning by 2*beta. The oracle for the
+    Fourier form and its gradient. A non-finite input raises `ValueError`,
+    as in `score`.
     """
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
     phi0, phi1 = equivalent_angles(qs, ks, params)
-    mu, g0, g1, ge, gb = circuit_mu_partials(phi0, phi1, params.alpha * (qs + ks), params.beta)
+    base = _gate_cs(phi0, phi1, params.alpha * (qs + ks), params.beta)
+    mu = _mu_cs(*base)
+
+    def d_gate(idx):
+        # (f(x + pi/2) - f(x - pi/2)) / 2 for the gate whose cos/sin sit at idx.
+        plus, minus = list(base), list(base)
+        plus[idx : idx + 2] = _shift(base[idx], base[idx + 1], +1)
+        minus[idx : idx + 2] = _shift(base[idx], base[idx + 1], -1)
+        return (_mu_cs(*plus) - _mu_cs(*minus)) / 2
+
+    g0, g1, ge = d_gate(0), d_gate(2), d_gate(4)
+    gb = 2 * (d_gate(6) + d_gate(8))
 
     d_theta = qs * g0 + ks * g1
     d_gd = (qs - ks) * (g0 - g1)

@@ -117,7 +117,11 @@ def resolve_config(
     values = {key: default for key, (_, default) in schema.items()}
     raw: dict[str, str] = {}
     if path is not None:
-        raw.update(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise CliError(f"config file {path} is not UTF-8 text: {exc}") from exc
+        raw.update(parse_config_text(text))
     for item in overrides:
         if "=" not in item:
             raise CliError(f"--set expects key=value, got {item!r}")
@@ -612,7 +616,7 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input that cannot be read: missing, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,8 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX file (bad magic, truncated payload, dimension mismatch)."""
+    """Malformed IDX file (bad magic, truncated payload, dimension mismatch,
+    non-square images)."""
 
 
 class EmptyClassError(ValueError):
@@ -70,7 +71,7 @@ def load_idx(images_path, labels_path, class_a: int, class_b: int) -> ImageDatas
     """Load an IDX image/label pair filtered to two classes, relabelled {0, 1}.
 
     Pixels are u8 scaled by 1/255. ``class_a`` maps to label 0 and ``class_b``
-    to label 1.
+    to label 1. Images must be square (rows = cols).
     """
     with open(images_path, "rb") as f:
         magic = _read_be32(f)
@@ -82,6 +83,8 @@ def load_idx(images_path, labels_path, class_a: int, class_b: int) -> ImageDatas
         raise IdxFormatError(
             f"image payload holds {len(payload)} bytes, expected {count * rows * cols}"
         )
+    if rows != cols:
+        raise IdxFormatError(f"images are {rows} x {cols}; the model takes square images")
     images = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows, cols)
 
     with open(labels_path, "rb") as f:

@@ -15,16 +15,17 @@ Both directions of the quantum scorers use the circuit's exact Fourier form
 (query, key, dimension) triple by a batched GEMM over the seven Fourier
 features of each input of Q and K, and the backward costs two GEMMs per
 (batch, head) item on the same seven features; the series' constant
-c_0 = 1/2 depends on no parameter and does not reach it. Both run on tiles
-of `circuit.TILE_INPUTS` inputs per side, so their temporaries do not grow
-with the batch: the forward calls the circuit once per tile of whole images
-and sums that tile's per-pair scores over D into its slice of the score
-matrix before the next tile, and the backward writes each tile's rows of
-dQ and dK.
+c_0 = 1/2 depends on no parameter and does not reach it. The circuit
+evaluates whatever it is given in one call, so the tiling policy lives here:
+both directions run on tiles of `TILE_INPUTS` inputs per side, so their
+temporaries do not grow with the batch. The forward calls the circuit once
+per tile of whole images and sums that tile's per-pair scores over D into
+its slice of the score matrix before the next tile, and the backward writes
+each tile's rows of dQ and dK.
 The MLP baselines score each (query, key, dimension) pair with a small MLP
 whose affine first layer splits into a per-query and a per-key term; both
-directions run on tiles of query rows under the same `circuit.TILE_INPUTS`
-budget, and the backward runs each tile's forward again.
+directions run on tiles of query rows under the same `TILE_INPUTS` budget,
+and the backward runs each tile's forward again.
 Both backwards broadcast Q, K and the score gradient to common leading axes,
 flatten those into items (`_items`), and sum dQ and dK back over the axes
 along which Q and K were broadcast.
@@ -49,6 +50,11 @@ COSINE_SCALE_CAP = 100.0
 COSINE_NORM_EPS = 1e-12
 LINEAR_ATTN_EPS = 1e-6
 
+#: Inputs per side in one tile of the quantum scorer's forward and backward
+#: and of the MLP scorers' query-row tiles: bounds their temporaries to a few
+#: MB whatever the batch. The three tile loops here are its only readers.
+TILE_INPUTS = 4096
+
 
 def _check_depth(d_h: int, depth: int) -> None:
     if not 1 <= depth <= d_h:
@@ -70,7 +76,7 @@ def qpa_scores(
 
     ``noise`` optionally puts a channel ``(name, gamma)`` on the circuit.
     The circuit scores one tile of whole images (slices of the first leading
-    axis of the broadcast Q and K) per call, at most `circuit.TILE_INPUTS`
+    axis of the broadcast Q and K) per call, at most `TILE_INPUTS`
     inputs per side or one image, and each tile's per-pair scores
     (tile, ..., N, N, D) are summed over D into its slice of A at once, so
     no per-pair array of the whole batch is built. Q and K with no leading
@@ -87,7 +93,7 @@ def qpa_scores(
         qs, ks = (x.reshape((1,) * (len(lead) + 3 - x.ndim) + x.shape) for x in (qs, ks))
         qs, ks = (np.broadcast_to(x, lead[:1] + x.shape[1:]) for x in (qs, ks))
         per_image = math.prod(lead[1:]) * max(qs.shape[-3], ks.shape[-2]) * depth
-        step = max(1, circuit.TILE_INPUTS // max(per_image, 1))
+        step = max(1, TILE_INPUTS // max(per_image, 1))
         tiles = [slice(start, start + step) for start in range(0, lead[0], step)]
     for tile in tiles:
         if noise is None:
@@ -119,7 +125,7 @@ def quantum_scores_backward(
     any gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
     carry every other gradient; the rest is O(N D) work per feature. The
     leading axes are broadcast and flattened into items, which run in tiles
-    of at most `circuit.TILE_INPUTS` inputs per side: each tile writes its
+    of at most `TILE_INPUTS` inputs per side: each tile writes its
     rows of dQ and dK and adds to the parameter sums, so only the outputs
     grow with the batch. dQ and dK are summed over the axes along which Q
     and K were broadcast. `circuit.score_grad_batch` (parameter shift) is its
@@ -143,7 +149,7 @@ def quantum_scores_backward(
     freqs = circuit.FOURIER_FREQS[1:]  # the constant c_0 has no feature
     u, v = (freqs @ W).T
     q_fh, k_gh, sum_fh = (np.zeros(len(freqs), dtype=np.complex128) for _ in range(3))
-    step = max(1, circuit.TILE_INPUTS // max(n_q * depth, n_k * depth, 1))
+    step = max(1, TILE_INPUTS // max(n_q * depth, n_k * depth, 1))
     for start in range(0, len(qs), step):
         tile = slice(start, start + step)
         F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
@@ -197,7 +203,7 @@ def dot_scores_backward(Q: np.ndarray, K: np.ndarray, d_scores: np.ndarray):
 # a = w1[:, 0] + w1[:, 2] + w1[:, 3] and b = w1[:, 1] - w1[:, 2] + w1[:, 3],
 # so its pre-activation is q a + b1 per query plus k b per key, and no
 # feature tensor is built. Both directions run on tiles of query rows that
-# hold at most `circuit.TILE_INPUTS` (pair, dimension) entries (or one row,
+# hold at most `TILE_INPUTS` (pair, dimension) entries (or one row,
 # where a row holds more), so the per-pair hidden activations stay a fixed
 # size whatever the batch and N.
 # ---------------------------------------------------------------------------
@@ -274,7 +280,7 @@ def _query_tiles(Q: np.ndarray, K: np.ndarray, depth: int, lead: tuple[int, ...]
     n_q, n_k = Q.shape[-2], K.shape[-2]
     qs = _items(Q[..., :depth], lead + (n_q, depth))
     ks = _items(K[..., :depth], lead + (n_k, depth))
-    rows = max(1, circuit.TILE_INPUTS // max(n_k * depth, 1))
+    rows = max(1, TILE_INPUTS // max(n_k * depth, 1))
     per = max(1, rows // max(n_q, 1))
     tiles = (
         (slice(i, i + per), slice(r, r + rows))

@@ -146,7 +146,7 @@ def test_tiled_forward_keeps_the_per_pair_calls_the_benchmark_reads(monkeypatch)
     # from `circuit.score`; `pair_scores` keeps the per-pair result of the
     # first `score_noisy_batch` call. One input per tile makes every image a
     # tile of its own, larger than the tile budget.
-    monkeypatch.setattr(circuit, "TILE_INPUTS", 1)
+    monkeypatch.setattr(scorers, "TILE_INPUTS", 1)
     config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer="qpa", depth=3)
     heads, n, depth = config.heads, 5, config.depth
     model = vit.init_model(config, 2)

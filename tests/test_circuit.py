@@ -439,20 +439,11 @@ class TestFourierForm:
 
 
 def real_amplitude_mu(qs, ks, p, noise=None):
-    # The oracle: the real-amplitude evaluator walks the gates at every pair;
-    # a noise channel maps its outcome probabilities through each qubit's
-    # map M[i, j] = sum_K |K[i, j]|^2 (every Kraus operator is diagonal or
-    # antidiagonal).
+    # The oracles: the real-amplitude evaluator walks the gates at every
+    # pair; under a noise channel the density-matrix statevector path does.
     if noise is None:
         return circuit.score_grad_batch(qs, ks, p)[0]
-    qs, ks = np.broadcast_arrays(np.asarray(qs, dtype=float), np.asarray(ks, dtype=float))
-    l1, l2 = p.lambda1, p.lambda2
-    off = circuit.ANGLE_OFFSET
-    probs = circuit.circuit_probs(off + l1 * qs + l2 * ks, off + l2 * qs + l1 * ks, p.alpha * (qs + ks), p.beta)
-    channel, gamma = noise
-    m = sum(np.abs(K) ** 2 for K in qcore.CHANNELS[channel](gamma))
-    noisy = probs @ np.kron(m, m).T
-    return noisy[..., 0] + noisy[..., 3]
+    return np.asarray(circuit.score_noisy(qs, ks, p, *noise))
 
 
 def pair_scores(qs, ks, p, noise=None):
@@ -515,6 +506,31 @@ class TestPairGemm:
                 pair_scores(np.array([q, 0.3]), np.array([[k], [0.0]]), p, noise)
             assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "q_shape, k_shape",
+        [((10_000,), (10_000,)), ((1, 2, 197, 1, 16), (1, 2, 1, 197, 16))],
+        ids=["elementwise-10000", "attention-n197"],
+    )
+    def test_one_gemm_per_call(self, q_shape, k_shape, count_calls):
+        # The circuit holds no tiling policy: however many pairs it is given,
+        # one call builds each side's features once. The attention forward
+        # bounds its calls itself (`scorers.TILE_INPUTS`). The oracles check
+        # 500 of the pairs.
+        rng = np.random.default_rng(47)
+        p = random_params(rng)
+        qs = rng.normal(0, 1.5, size=q_shape)
+        ks = rng.normal(0, 1.5, size=k_shape)
+        shape = np.broadcast_shapes(q_shape, k_shape)
+        pick = tuple(rng.integers(n, size=500) for n in shape)
+        q_at, k_at = (np.broadcast_to(x, shape)[pick] for x in (qs, ks))
+        calls = count_calls(circuit, "fourier_features")
+        for n in NOISE:
+            calls.clear()
+            mu = pair_scores(qs, ks, p, n)
+            assert len(calls) == 2, n  # a query and a key block
+            assert mu.shape == shape
+            assert np.abs(mu[pick] - real_amplitude_mu(q_at, k_at, p, n)).max() <= 1e-13, n
+
     @settings(max_examples=80, deadline=None)
     @given(
         shapes=mutually_broadcastable_shapes(num_shapes=2, min_dims=0, max_dims=4, min_side=0, max_side=4),
@@ -531,79 +547,6 @@ class TestPairGemm:
         mu = pair_scores(qs, ks, p, noise)
         assert mu.shape == shapes.result_shape
         assert np.abs(mu - real_amplitude_mu(qs, ks, p, noise)).max(initial=0.0) <= 1e-13
-
-
-#: Batches of the pair GEMM around the tile boundary at TILE_INPUTS = 4096,
-#: with the tiles each runs in. Attention layouts at N=17 put 17 inputs per
-#: side in a GEMM item, so a tile holds 4096 // 17 = 240 items.
-TILE_LAYOUTS = {
-    "one-item": (((1, 1, 17, 1, 1), (1, 1, 1, 17, 1)), 1),
-    "exactly-one-tile": (((15, 1, 17, 1, 16), (15, 1, 1, 17, 16)), 1),
-    "one-tile-plus-one": (((241, 1, 17, 1, 1), (241, 1, 1, 17, 1)), 2),
-    "tiles-and-remainder": (((32, 2, 17, 1, 16), (32, 2, 1, 17, 16)), 5),
-    "items-larger-than-a-tile": (((3, 4500, 1), (3, 1, 2)), 3),
-    "elementwise-beyond-a-tile": (((10_000,), (10_000,)), 3),
-}
-
-
-def single_tile(monkeypatch):
-    # Every batch in one tile: the untiled evaluation, for bit-identity checks.
-    monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
-
-
-class TestTiles:
-    """`score_batch` / `score_noisy_batch` across tile boundaries."""
-
-    @pytest.mark.parametrize("layout", TILE_LAYOUTS)
-    def test_tiled_equals_single_tile_and_oracle(self, layout, monkeypatch, count_calls):
-        (q_shape, k_shape), tiles = TILE_LAYOUTS[layout]
-        rng = np.random.default_rng(47)
-        p = random_params(rng)
-        qs = rng.normal(0, 1.5, size=q_shape)
-        ks = rng.normal(0, 1.5, size=k_shape)
-        calls = count_calls(circuit, "fourier_features")
-        tiled = {str(n): pair_scores(qs, ks, p, n) for n in NOISE}
-        assert len(calls) == 2 * tiles * len(NOISE)  # a query and a key block per tile
-        single_tile(monkeypatch)
-        for n in NOISE:
-            whole = pair_scores(qs, ks, p, n)
-            assert tiled[str(n)].shape == whole.shape == np.broadcast_shapes(q_shape, k_shape)
-            assert np.array_equal(tiled[str(n)], whole), n
-        ref = real_amplitude_mu(qs, ks, p)
-        assert np.abs(tiled["None"] - ref).max() <= 1e-13
-
-    @pytest.mark.parametrize("layout", PAIR_LAYOUTS)
-    def test_small_tiles_on_every_layout(self, layout, monkeypatch):
-        # One to seven inputs per tile split even the small layouts.
-        rng = np.random.default_rng(48)
-        p = random_params(rng)
-        q_shape, k_shape = PAIR_LAYOUTS[layout]
-        qs = rng.normal(0, 1.5, size=q_shape)
-        ks = rng.normal(0, 1.5, size=k_shape)
-        for tile_inputs in (1, 2, 7):
-            monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
-            tiled = [pair_scores(qs, ks, p, n) for n in NOISE]
-            single_tile(monkeypatch)
-            for n, got in zip(NOISE, tiled):
-                whole = pair_scores(qs, ks, p, n)
-                assert got.shape == whole.shape
-                # Bit-identical but for tiles of a single input (next test).
-                assert np.abs(got - whole).max(initial=0.0) <= 2e-16, (tile_inputs, n)
-
-    def test_single_input_tile_rounds_as_a_single_input_batch(self, monkeypatch):
-        # numpy takes another complex-multiply loop for a one-element feature
-        # block than for a longer strided one, which can move the last bit. A
-        # last tile of one input scores it exactly as a one-input batch would.
-        rng = np.random.default_rng(49)
-        p = random_params(rng)
-        qs, ks = rng.normal(0, 1.5, size=(2, circuit.TILE_INPUTS + 1))
-        tiled = circuit.score_batch(qs, ks, p)
-        alone = circuit.score_batch(qs[-1:], ks[-1:], p)
-        single_tile(monkeypatch)
-        whole = circuit.score_batch(qs, ks, p)
-        assert np.array_equal(tiled[:-1], whole[:-1])
-        assert np.array_equal(tiled[-1:], alone)
-        assert abs(tiled[-1] - whole[-1]) <= 2e-16
 
 
 class TestFeatures:

@@ -273,6 +273,35 @@ class TestNoiseSweep:
             if row["channel"] == "BF":  # mean shift follows the closed form
                 expected = base_mu * (1 - 2 * gamma) ** 2 + 2 * gamma * (1 - gamma)
                 assert float(row["mean_mu"]) == pytest.approx(expected, abs=1e-10)
+            if row["channel"] == "DP":
+                expected = 0.5 + (1 - gamma) ** 2 * (base_mu - 0.5)
+                assert float(row["mean_mu"]) == pytest.approx(expected, abs=1e-10)
+
+        # BF and DP only scale every circuit score about 1/2,
+        # mu -> 1/2 + s^2 (mu - 1/2), so their accuracy is that of the clean
+        # model with each score matrix A (a sum of D scores) replaced by
+        # s^2 A + D (1 - s^2) / 2.
+        model = vit.load_checkpoint(qpa_checkpoint)
+        settings = [arg for arg in TINY if arg != "--set"] + ["seed=1"]
+        cfg = cli._apply_depth_default(resolve_config(cli._TRAIN_KEYS, None, settings))
+        _, valid_ds = cli._splits(cfg, cli._build_dataset(cfg), cfg["seed"])
+        clean_scores = cli.scorers.qpa_scores
+        for row in rows:
+            channel, gamma = row["channel"], float(row["gamma"])
+            if channel not in ("BF", "DP"):
+                continue
+            s2 = (1 - 2 * gamma if channel == "BF" else 1 - gamma) ** 2
+
+            def scaled(Q, K, params, depth, noise=None):
+                return s2 * clean_scores(Q, K, params, depth) + depth * (1 - s2) / 2
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli.scorers, "qpa_scores", scaled)
+                metrics, max_probs, _, _ = cli.training.evaluate(model, valid_ds)
+            assert row["val_accuracy"] == f"{metrics.accuracy:.6f}", (channel, gamma)
+            # The tiny model's accuracy sits at chance; its confidences move with s.
+            noisy_probs = cli.training.evaluate(model, valid_ds, noise=(channel, gamma))[1]
+            assert np.abs(noisy_probs - max_probs).max() <= 1e-12, (channel, gamma)
 
     def test_fixed_seed_csv_matches_reference_digest(self, tmp_path):
         # sha256 of the file the sweep wrote with its own 64-image loop, on a
@@ -510,16 +539,52 @@ class TestUsageErrorsBeforeAnyWork:
         assert err.startswith("error: num_classes = 3, but the dataset has 2 classes")
         assert not (tmp_path / "out").exists()
 
+    @staticmethod
+    def idx_settings(images_path, labels_path, *settings):
+        # --set arguments of an IDX dataset at the given paths.
+        settings = ["dataset=idx", f"images_path={images_path}", f"labels_path={labels_path}", *settings]
+        return [arg for setting in settings for arg in ("--set", setting)]
+
     def test_idx_same_class_twice(self, tmp_path, capsys):
         from qpattn.data import save_idx_images, save_idx_labels
 
         save_idx_images(tmp_path / "imgs.idx", np.zeros((4, 8, 8), dtype=np.uint8))
         save_idx_labels(tmp_path / "lbls.idx", np.array([0, 1, 0, 1]))
-        idx = [f"images_path={tmp_path / 'imgs.idx'}", f"labels_path={tmp_path / 'lbls.idx'}"]
-        settings = ["dataset=idx", *idx, "class_a=1", "class_b=1"]
-        argv = [arg for setting in settings for arg in ("--set", setting)]
+        argv = self.idx_settings(tmp_path / "imgs.idx", tmp_path / "lbls.idx", "class_a=1", "class_b=1")
         err = self.run(tmp_path, capsys, "train", *TINY, *argv)
         assert err.startswith("error: class_a and class_b must differ")
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_idx_non_square_images(self, tmp_path, capsys, command):
+        # An 8 x 12 file used to create the output directory, then exit 1 with
+        # a traceback from the first forward's patch embedding.
+        from qpattn.data import save_idx_images, save_idx_labels
+
+        save_idx_images(tmp_path / "imgs.idx", np.zeros((60, 8, 12), dtype=np.uint8))
+        save_idx_labels(tmp_path / "lbls.idx", np.arange(60) % 2)
+        argv = self.idx_settings(tmp_path / "imgs.idx", tmp_path / "lbls.idx")
+        err = self.run(tmp_path, capsys, command, *TINY, *argv)
+        assert err.startswith("error: images are 8 x 12")
+
+    # Inputs that cannot be read used to exit 1 with a traceback.
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, "train", "--config", str(tmp_path))
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "latin1.cfg"
+        config.write_bytes(b"epochs = 2  # caf\xe9\n")
+        err = self.run(tmp_path, capsys, "train", "--config", str(config))
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: config file {config} is not UTF-8 text")
+
+    def test_images_path_is_a_directory(self, tmp_path, capsys):
+        from qpattn.data import save_idx_labels
+
+        save_idx_labels(tmp_path / "lbls.idx", np.arange(60) % 2)
+        argv = self.idx_settings(tmp_path, tmp_path / "lbls.idx")
+        err = self.run(tmp_path, capsys, "train", *TINY, *argv)
+        assert len(err.splitlines()) == 1 and str(tmp_path) in err
 
     @pytest.mark.parametrize(
         "name, argv",

@@ -82,6 +82,15 @@ class TestIdx:
         with pytest.raises(IdxFormatError):
             load_idx(ipath, lpath, 0, 1)
 
+    def test_non_square_images_refused(self, idx_pair, tmp_path):
+        # The ViT's patch grid takes square images; an 8 x 12 file used to
+        # load and fail inside the first forward.
+        _, lpath, _, _ = idx_pair
+        wide = tmp_path / "wide.idx"
+        save_idx_images(wide, np.zeros((4, 8, 12), dtype=np.uint8))
+        with pytest.raises(IdxFormatError, match="8 x 12"):
+            load_idx(wide, lpath, 0, 1)
+
     def test_absent_class(self, idx_pair):
         ipath, lpath, _, _ = idx_pair
         with pytest.raises(EmptyClassError):

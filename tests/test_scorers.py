@@ -552,7 +552,7 @@ class TestBackwardTiles:
         calls = count_calls(circuit, "fourier_features")
         dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, depth, dA)
         assert len(calls) == 2 * tiles  # a query and a key block per tile
-        monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 2**62)
         whole = scorers.quantum_scores_backward(Q, K, p, depth, dA)
         assert np.array_equal(dQ, whole[0]) and np.array_equal(dK, whole[1])
         assert close(d_params, whole[2], 1e-13)  # the tiles' sums only reorder
@@ -578,7 +578,7 @@ class TestBackwardTiles:
             dA = rng.normal(size=shape[:-1] + shape[-2:-1])
             ref = parameter_shift_backward(Q, K, p, 3, dA)
             for tile_inputs in (1, 7, 16, 2**62):
-                monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+                monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
                 got = scorers.quantum_scores_backward(Q, K, p, 3, dA)
                 for name, g, r in zip(("dQ", "dK", "d_params"), got, ref):
                     assert g.shape == r.shape and close(g, r, 1e-12), (shape, tile_inputs, name)
@@ -596,7 +596,7 @@ class TestBackwardTiles:
         ref_dQ, ref_dK, ref_params = parameter_shift_backward(*copies, p, 3, dA)
         ref = (summed_to(ref_dQ, Q.shape), summed_to(ref_dK, K.shape), ref_params)
         for tile_inputs in (1, 7, 2**62):
-            monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+            monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
             dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, 3, dA)
             assert dQ.shape == Q.shape and dK.shape == K.shape
             of_copies = scorers.quantum_scores_backward(*copies, p, 3, dA)
@@ -654,10 +654,10 @@ class TestForwardTiles:
         else:
             ref, name = circuit.score_noisy_batch(*pairs, *noise).sum(axis=-1), "score_noisy_batch"
         calls = count_calls(circuit, name)
-        monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
         A = scorers.qpa_scores(Q, K, p, depth, noise)
         assert len(calls) == tiles
-        monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 2**62)
         whole = scorers.qpa_scores(Q, K, p, depth, noise)
         assert len(calls) == tiles + 1
         assert A.shape == ref.shape and np.array_equal(A, whole)
@@ -719,7 +719,7 @@ class TestMlpTiles:
         p = {name: w + rng.normal(0, 0.2, w.shape) for name, w in p.items()}  # nonzero biases
         Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
         dA = rng.normal(size=a_shape)
-        monkeypatch.setattr(circuit, "TILE_INPUTS", tile_inputs)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
         calls = count_calls(scorers, "_mlp_forward")
         A = scorers.mlp_scores(Q, K, p, depth)
         dQ, dK, grads = scorers.mlp_scores_backward(Q, K, p, depth, dA)

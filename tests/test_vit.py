@@ -377,8 +377,9 @@ def _chunked_case(kind):
 
 
 def _tiled_case(kind):
-    # 16 images: per layer, 512 GEMM items of the forward (3 tiles of up to
-    # 240) and 32 items of the backward (3 tiles of up to 15).
+    # 16 images: per layer, the forward runs in 3 tiles of up to 7 whole
+    # images (4096 // (2 heads * 17 * 16) inputs per side) and the backward's
+    # 32 items in 3 tiles of up to 15.
     config = VitConfig(16, 1, 4, 1, 2, 32, 16, 2, scorer=kind, depth=16)
     images = np.random.default_rng(103).uniform(0, 1, size=(16, 1, 16, 16))
     return init_model(config, 3), images, np.arange(16) % 2
@@ -432,7 +433,7 @@ class TestGolden:
         got = (_digest([("logits", logits)]), _digest([("loss", loss), *grads.items()]))
         assert got == GOLDEN_TILED[kind]
         # In one tile, only the circuit-parameter sums add up in another order.
-        monkeypatch.setattr(circuit, "TILE_INPUTS", 2**62)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 2**62)
         assert np.array_equal(vit.forward(model, images), logits)
         whole_loss, whole = vit.backward(model, images, labels)
         assert whole_loss == loss
