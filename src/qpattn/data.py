@@ -28,11 +28,10 @@ class EmptyClassError(ValueError):
 
 @dataclass
 class ImageDataset:
-    """Immutable image/label pairs with pixels in [0, 1] and labels in {0, 1}."""
+    """Image/label pairs with pixels in [0, 1] and labels in {0, 1}."""
 
     images: np.ndarray  # (n, channels, height, width) float64
     labels: np.ndarray  # (n,) int64
-    split: str = "all"
 
     def __post_init__(self):
         # n = 0 is allowed only so `split` can return an empty validation side.
@@ -176,6 +175,6 @@ def split(
 
     train_sel = np.sort(np.concatenate(train_idx)).astype(int)
     valid_sel = np.sort(np.concatenate(valid_idx)).astype(int)
-    train = ImageDataset(dataset.images[train_sel], dataset.labels[train_sel], "train")
-    valid = ImageDataset(dataset.images[valid_sel], dataset.labels[valid_sel], "valid")
+    train = ImageDataset(dataset.images[train_sel], dataset.labels[train_sel])
+    valid = ImageDataset(dataset.images[valid_sel], dataset.labels[valid_sel])
     return train, valid

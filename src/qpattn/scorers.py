@@ -25,10 +25,10 @@ each tile's rows of dQ and dK.
 The MLP baselines score each (query, key, dimension) pair with a small MLP
 whose affine first layer splits into a per-query and a per-key term; both
 directions run on tiles of query rows under the same `TILE_INPUTS` budget,
-and the backward runs each tile's forward again.
-Both backwards broadcast Q, K and the score gradient to common leading axes,
-flatten those into items (`_items`), and sum dQ and dK back over the axes
-along which Q and K were broadcast.
+and the backward runs each tile's forward again. Both kinds take the layout
+the ViT passes: Q (..., N_q, d_h) and K (..., N_k, d_h) with the same leading
+axes, e.g. (B, H, N, d_h), and a score gradient (..., N_q, N_k); any other
+layout raises ``ValueError``. One rule (`_tiles`) cuts every tile.
 The `KINDS` table at the end names the seven kinds and gives, for each, what a
 ViT layer needs: parameter shapes, seeded initialisation, forward and backward.
 The `qpa-ind` ablation is the `qpa` kind with gamma_d = gamma_s held at 0: the
@@ -52,7 +52,7 @@ LINEAR_ATTN_EPS = 1e-6
 
 #: Inputs per side in one tile of the quantum scorer's forward and backward
 #: and of the MLP scorers' query-row tiles: bounds their temporaries to a few
-#: MB whatever the batch. The three tile loops here are its only readers.
+#: MB whatever the batch. `_tiles` is its only reader.
 TILE_INPUTS = 4096
 
 
@@ -61,12 +61,27 @@ def _check_depth(d_h: int, depth: int) -> None:
         raise ValueError(f"aggregation depth {depth} must satisfy 1 <= D <= head dim {d_h}")
 
 
-def _pairwise(Q: np.ndarray, K: np.ndarray, depth: int):
-    # (..., N, N, D) aligned scalar pairs over the first `depth` dimensions.
-    Q = np.asarray(Q, dtype=float)
-    K = np.asarray(K, dtype=float)
+def _pair_inputs(Q, K, depth: int, *d_scores):
+    # Q (..., N_q, d_h), K (..., N_k, d_h) and any score gradient
+    # (..., N_q, N_k) as float arrays with the same leading axes, as the ViT
+    # passes them.
+    Q, K, *d_scores = (np.asarray(x, dtype=float) for x in (Q, K, *d_scores))
     _check_depth(Q.shape[-1], depth)
-    return Q[..., :, None, :depth], K[..., None, :, :depth]
+    scores_shape = Q.shape[:-1] + K.shape[-2:-1]
+    if Q.shape[:-2] != K.shape[:-2] or any(d.shape != scores_shape for d in d_scores):
+        shapes = ", ".join(str(x.shape) for x in (Q, K, *d_scores))
+        raise ValueError(
+            "pairwise scorers take Q (..., N_q, d_h) and K (..., N_k, d_h) with the same "
+            f"leading axes and scores (..., N_q, N_k); got shapes {shapes}"
+        )
+    return Q, K, *d_scores
+
+
+def _tiles(units: int, per_unit: int) -> list[slice]:
+    # Slices of whole units holding at most `TILE_INPUTS` inputs per side, of
+    # which a unit holds `per_unit`, and at least one unit.
+    step = max(1, TILE_INPUTS // max(per_unit, 1))
+    return [slice(start, start + step) for start in range(0, units, step)]
 
 
 def qpa_scores(
@@ -75,26 +90,20 @@ def qpa_scores(
     """Sum of per-dimension circuit scores: A[i, j] = sum_d mu(Q[i, d], K[j, d]).
 
     ``noise`` optionally puts a channel ``(name, gamma)`` on the circuit.
-    The circuit scores one tile of whole images (slices of the first leading
-    axis of the broadcast Q and K) per call, at most `TILE_INPUTS`
+    Q and K share their leading axes. The circuit scores one tile of whole
+    images (slices of the first leading axis) per call, at most `TILE_INPUTS`
     inputs per side or one image, and each tile's per-pair scores
     (tile, ..., N, N, D) are summed over D into its slice of A at once, so
     no per-pair array of the whole batch is built. Q and K with no leading
     axis are one tile.
     """
-    qs, ks = _pairwise(Q, K, depth)  # (..., N, 1, D) and (..., 1, N, D)
-    lead = np.broadcast_shapes(qs.shape[:-3], ks.shape[:-3])
-    A = np.empty(lead + (qs.shape[-3], ks.shape[-2]))
+    Q, K = _pair_inputs(Q, K, depth)
+    lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
+    qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]  # (..., N, 1, D), (..., 1, N, D)
+    A = np.empty(lead + (n_q, n_k))
     tiles = [slice(None)]
-    if lead:
-        # Both sides get the broadcast's number of leading axes and its full
-        # image axis, so the image axis is a GEMM batch axis of every tile
-        # and of a single tile alike.
-        qs, ks = (x.reshape((1,) * (len(lead) + 3 - x.ndim) + x.shape) for x in (qs, ks))
-        qs, ks = (np.broadcast_to(x, lead[:1] + x.shape[1:]) for x in (qs, ks))
-        per_image = math.prod(lead[1:]) * max(qs.shape[-3], ks.shape[-2]) * depth
-        step = max(1, TILE_INPUTS // max(per_image, 1))
-        tiles = [slice(start, start + step) for start in range(0, lead[0], step)]
+    if lead:  # the image axis stays a GEMM batch axis of every tile
+        tiles = _tiles(lead[0], math.prod(lead[1:]) * max(n_q, n_k) * depth)
     for tile in tiles:
         if noise is None:
             mu = circuit.score_batch(qs[tile], ks[tile], params)
@@ -123,35 +132,27 @@ def quantum_scores_backward(
     (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. The constant
     c_0 = 1/2 has no feature and no beta derivative, so it adds nothing to
     any gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
-    carry every other gradient; the rest is O(N D) work per feature. The
-    leading axes are broadcast and flattened into items, which run in tiles
-    of at most `TILE_INPUTS` inputs per side: each tile writes its
-    rows of dQ and dK and adds to the parameter sums, so only the outputs
-    grow with the batch. dQ and dK are summed over the axes along which Q
-    and K were broadcast. `circuit.score_grad_batch` (parameter shift) is its
-    oracle in the tests.
+    carry every other gradient; the rest is O(N D) work per feature. Q, K
+    and ``d_scores`` share their leading axes, which are flattened into
+    items; the items run in tiles of at most `TILE_INPUTS` inputs per side:
+    each tile writes its rows of dQ and dK and adds to the parameter sums,
+    so only the outputs grow with the batch. `circuit.score_grad_batch`
+    (parameter shift) is its oracle in the tests.
     """
-    Q = np.asarray(Q, dtype=float)
-    K = np.asarray(K, dtype=float)
-    _check_depth(Q.shape[-1], depth)
-    d_scores = np.asarray(d_scores, dtype=float)
-    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2], d_scores.shape[:-2])
-    n_q, n_k = Q.shape[-2], K.shape[-2]
-    qs = _items(Q[..., :depth], lead + (n_q, depth))
-    ks = _items(K[..., :depth], lead + (n_k, depth))
-    dA = _items(d_scores, lead + (n_q, n_k))
-    dQ = np.zeros(lead + Q.shape[-2:])
-    dK = np.zeros(lead + K.shape[-2:])
-    dq = dQ.reshape(len(qs), n_q, Q.shape[-1])[..., :depth]  # views: written in place
-    dk = dK.reshape(len(ks), n_k, K.shape[-1])[..., :depth]
+    Q, K, d_scores = _pair_inputs(Q, K, depth, d_scores)
+    items, n_q, n_k = math.prod(Q.shape[:-2]), Q.shape[-2], K.shape[-2]
+    qs = Q[..., :depth].reshape(items, n_q, depth)
+    ks = K[..., :depth].reshape(items, n_k, depth)
+    dA = d_scores.reshape(items, n_q, n_k)
+    dQ, dK = np.zeros(Q.shape), np.zeros(K.shape)
+    dq = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
+    dk = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
     c, dc = circuit.fourier_coefficients(params.beta)
     W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
     freqs = circuit.FOURIER_FREQS[1:]  # the constant c_0 has no feature
     u, v = (freqs @ W).T
     q_fh, k_gh, sum_fh = (np.zeros(len(freqs), dtype=np.complex128) for _ in range(3))
-    step = max(1, TILE_INPUTS // max(n_q * depth, n_k * depth, 1))
-    for start in range(0, len(qs), step):
-        tile = slice(start, start + step)
+    for tile in _tiles(items, max(n_q, n_k) * depth):
         F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
         G = circuit.fourier_features(ks[tile], W[:, 1])
         FH = F * _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
@@ -167,7 +168,7 @@ def quantum_scores_backward(
     jac = circuit.ANGLE_JACOBIAN  # (5, 3, 2): d W / d parameter
     d_params = jac[:, :, 0] @ (freqs.T @ d_u) + jac[:, :, 1] @ (freqs.T @ d_v)
     d_params[4] = (dc[1:] @ sum_fh).real  # beta, through c
-    return _unbroadcast(dQ, Q.shape), _unbroadcast(dK, K.shape), d_params
+    return dQ, dK, d_params
 
 
 def _complex_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
@@ -227,17 +228,14 @@ def init_mlp_params(variant: str, rng: np.random.Generator) -> dict[str, np.ndar
 
     ``mlp49``: w1 (8, 4), b1 (8,), w_out (8,), b_out () -> 49 scalars.
     ``mlp585``: w1 (64, 4), b1 (64,), w2 (4, 64), b2 (4,), w_out (4,), b_out ()
-    -> 585 scalars. Biases start at 0.
+    -> 585 scalars. A weight's fan-in is its last axis; biases start at 0.
     """
     if variant not in _MLP_SHAPES:
         raise ValueError(f"unknown MLP scorer variant {variant!r}")
     arrays = {}
     for name, shape in _MLP_SHAPES[variant].items():
-        fan_in = shape[-1] if name.startswith("w") and len(shape) > 1 else None
-        if name == "w_out":
-            fan_in = shape[0]
-        if fan_in:
-            bound = 1 / np.sqrt(fan_in)
+        if name.startswith("w"):
+            bound = 1 / np.sqrt(shape[-1])
             arrays[name] = rng.uniform(-bound, bound, size=shape)
         else:
             arrays[name] = np.zeros(shape)
@@ -267,27 +265,11 @@ def _mlp_forward(q: np.ndarray, k: np.ndarray, p: dict[str, np.ndarray]):
     return h1, h2, _sigmoid(top @ p["w_out"] + p["b_out"])
 
 
-def _items(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    # x broadcast to `shape` and its leading axes flattened: (items, rows, cols).
-    return np.broadcast_to(x, shape).reshape(math.prod(shape[:-2]), *shape[-2:])
-
-
-def _query_tiles(Q: np.ndarray, K: np.ndarray, depth: int, lead: tuple[int, ...]):
-    # Q and K's first `depth` dimensions broadcast to the leading axes `lead`
-    # and flattened to (items, N, D), and the (item slice, query-row slice)
-    # tiles that cover them: whole items while a tile's rows cover one, else
+def _query_tiles(items: int, n_q: int, per_row: int):
+    # (item slice, query-row slice) tiles of (items, N_q) query rows that hold
+    # `per_row` inputs each: whole items while a tile's rows cover one, else
     # row blocks of one item.
-    n_q, n_k = Q.shape[-2], K.shape[-2]
-    qs = _items(Q[..., :depth], lead + (n_q, depth))
-    ks = _items(K[..., :depth], lead + (n_k, depth))
-    rows = max(1, TILE_INPUTS // max(n_k * depth, 1))
-    per = max(1, rows // max(n_q, 1))
-    tiles = (
-        (slice(i, i + per), slice(r, r + rows))
-        for i in range(0, len(qs), per)
-        for r in range(0, n_q, rows)
-    )
-    return qs, ks, tiles
+    return [(it, rt) for it in _tiles(items, n_q * per_row) for rt in _tiles(n_q, per_row)]
 
 
 def mlp_scores(
@@ -297,15 +279,15 @@ def mlp_scores(
 
     ``p`` holds the variant's weights by name, as `init_mlp_params` returns.
     """
-    Q = np.asarray(Q, dtype=float)
-    K = np.asarray(K, dtype=float)
-    _check_depth(Q.shape[-1], depth)
-    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2])
-    qs, ks, tiles = _query_tiles(Q, K, depth, lead)
-    A = np.empty((len(qs), Q.shape[-2], K.shape[-2]))
-    for it, rt in tiles:
+    Q, K = _pair_inputs(Q, K, depth)
+    lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
+    items = math.prod(lead)
+    qs = Q[..., :depth].reshape(items, n_q, depth)
+    ks = K[..., :depth].reshape(items, n_k, depth)
+    A = np.empty((items, n_q, n_k))
+    for it, rt in _query_tiles(items, n_q, n_k * depth):
         A[it, rt] = _mlp_forward(qs[it, rt], ks[it], p)[2].sum(axis=-1)
-    return A.reshape(lead + A.shape[1:])
+    return A.reshape(lead + (n_q, n_k))
 
 
 def mlp_scores_backward(
@@ -322,22 +304,18 @@ def mlp_scores_backward(
     adds to dK and to the weight sums. w1 gets its gradient through the first
     layer's a and b: dw1 = [da, db, da - db, da + db].
     """
-    Q = np.asarray(Q, dtype=float)
-    K = np.asarray(K, dtype=float)
-    _check_depth(Q.shape[-1], depth)
-    d_scores = np.asarray(d_scores, dtype=float)
-    lead = np.broadcast_shapes(Q.shape[:-2], K.shape[:-2], d_scores.shape[:-2])
-    qs, ks, tiles = _query_tiles(Q, K, depth, lead)
-    items, n_q, n_k = len(qs), Q.shape[-2], K.shape[-2]
-    dA = _items(d_scores, lead + (n_q, n_k))
-    dQ = np.zeros(lead + Q.shape[-2:])
-    dK = np.zeros(lead + K.shape[-2:])
+    Q, K, d_scores = _pair_inputs(Q, K, depth, d_scores)
+    items, n_q, n_k = math.prod(Q.shape[:-2]), Q.shape[-2], K.shape[-2]
+    qs = Q[..., :depth].reshape(items, n_q, depth)
+    ks = K[..., :depth].reshape(items, n_k, depth)
+    dA = d_scores.reshape(items, n_q, n_k)
+    dQ, dK = np.zeros(Q.shape), np.zeros(K.shape)
     dq = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
     dk = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
     a, b = _first_layer(p["w1"])
     grads = {name: np.zeros_like(w) for name, w in p.items()}  # w1's is set last
     d_a, d_b = np.zeros_like(a), np.zeros_like(b)
-    for it, rt in tiles:
+    for it, rt in _query_tiles(items, n_q, n_k * depth):
         q, k = qs[it, rt], ks[it]
         h1, h2, s = _mlp_forward(q, k, p)
         ds = dA[it, rt][..., None] * s * (1 - s)  # (..., R, N, D)
@@ -363,7 +341,7 @@ def mlp_scores_backward(
         grads["b1"] += d_qa.reshape(-1, d_qa.shape[-1]).sum(axis=0)
         del h1, h2, d_h, d_kb  # one tile's arrays alive at a time
     grads["w1"] = np.stack([d_a, d_b, d_a - d_b, d_a + d_b], axis=1)
-    return _unbroadcast(dQ, Q.shape), _unbroadcast(dK, K.shape), grads
+    return dQ, dK, grads
 
 
 # ---------------------------------------------------------------------------

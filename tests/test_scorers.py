@@ -2,6 +2,7 @@
 differences."""
 
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -583,30 +584,6 @@ class TestBackwardTiles:
                 for name, g, r in zip(("dQ", "dK", "d_params"), got, ref):
                     assert g.shape == r.shape and close(g, r, 1e-12), (shape, tile_inputs, name)
 
-    def test_broadcast_leading_axes(self, monkeypatch, parameter_shift_backward):
-        # Q and K broadcast against each other along different leading axes,
-        # as `qpa_scores` accepts them: dQ and dK come back in Q's and K's
-        # shapes, summed over the axes each was broadcast along.
-        rng = np.random.default_rng(30)
-        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
-        Q, K = rng.normal(size=(2, 1, 5, 4)), rng.normal(size=(1, 3, 5, 4))
-        dA = rng.normal(size=(2, 3, 5, 5))
-        assert scorers.qpa_scores(Q, K, p, 3).shape == dA.shape
-        copies = [np.broadcast_to(x, (2, 3, 5, 4)) for x in (Q, K)]
-        ref_dQ, ref_dK, ref_params = parameter_shift_backward(*copies, p, 3, dA)
-        ref = (summed_to(ref_dQ, Q.shape), summed_to(ref_dK, K.shape), ref_params)
-        for tile_inputs in (1, 7, 2**62):
-            monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
-            dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, 3, dA)
-            assert dQ.shape == Q.shape and dK.shape == K.shape
-            of_copies = scorers.quantum_scores_backward(*copies, p, 3, dA)
-            assert np.array_equal(dQ, summed_to(of_copies[0], Q.shape))
-            assert np.array_equal(dK, summed_to(of_copies[1], K.shape))
-            assert np.array_equal(d_params, of_copies[2])
-            for name, got, r in zip(("dQ", "dK", "d_params"), (dQ, dK, d_params), ref):
-                assert close(got, r, 1e-12), (tile_inputs, name)
-            assert not dQ[..., 3:].any() and not dK[..., 3:].any()
-
     def test_working_memory_does_not_grow_with_the_batch(self):
         # Traced peak of the call, less its outputs, at B=8 and B=64 (N=17,
         # D=16): the tiles bound it. Untiled, it grew about 8x between the two.
@@ -630,8 +607,6 @@ class TestBackwardTiles:
 FORWARD_TILES = {
     "partial-last-tile": ((5, 2, 6, 4), (5, 2, 6, 4), 4, 100, 3),  # 48 per image: 2, 2, 1
     "image-larger-than-a-tile": ((3, 2, 9, 4), (3, 2, 9, 4), 3, 20, 3),
-    "broadcast-leading-axes": ((2, 1, 5, 4), (1, 3, 5, 4), 3, 45, 2),
-    "mixed-rank": ((5, 4), (2, 3, 5, 4), 3, 45, 2),
     "no-leading-axis": ((6, 4), (7, 4), 4, 1, 1),
 }
 
@@ -692,7 +667,6 @@ MLP_TILES = {
     "one-query-row-per-tile": ((2, 3, 5, 4), (2, 3, 5, 4), (2, 3, 5, 5), 4, 20, 30),
     "partial-last-tile": ((7, 5, 4), (7, 5, 4), (7, 5, 5), 4, 200, 4),
     "item-larger-than-a-tile": ((2, 1, 9, 4), (2, 1, 9, 4), (2, 1, 9, 9), 4, 100, 10),
-    "broadcast-leading-axes": ((2, 1, 5, 4), (1, 3, 5, 4), (3, 5, 5), 4, 60, 12),
     "depth-below-head-dim": ((2, 2, 6, 5), (2, 2, 6, 5), (2, 2, 6, 6), 3, 4096, 1),
     "n17-d16": ((2, 1, 17, 16), (2, 1, 17, 16), (2, 1, 17, 17), 16, 4096, 4),
 }
@@ -758,6 +732,52 @@ class TestMlpTiles:
         small = excess(8, 17)
         for batch, n in [(64, 17), (8, 50)]:
             assert excess(batch, n) <= 1.05 * small, (batch, n, small)
+
+
+#: The four pairwise entry points as f(Q, K, dA) at depth 3; the forwards
+#: take no score gradient.
+PAIRWISE = {
+    "qpa_scores": lambda Q, K, dA: scorers.qpa_scores(Q, K, QpaParams(0.5, 0.1, -0.2, 0.3, 0.2), 3),
+    "quantum_scores_backward": lambda Q, K, dA: scorers.quantum_scores_backward(
+        Q, K, QpaParams(0.5, 0.1, -0.2, 0.3, 0.2), 3, dA
+    ),
+    "mlp_scores": lambda Q, K, dA: scorers.mlp_scores(
+        Q, K, scorers.init_mlp_params("mlp49", np.random.default_rng(0)), 3
+    ),
+    "mlp_scores_backward": lambda Q, K, dA: scorers.mlp_scores_backward(
+        Q, K, scorers.init_mlp_params("mlp49", np.random.default_rng(0)), 3, dA
+    ),
+}
+
+#: (Q shape, K shape, dA shape) the pairwise scorers refuse: Q and K must
+#: share their leading axes, and dA must be (..., N_q, N_k) on those axes.
+BAD_LAYOUTS = {
+    "unequal-leading-axes": ((2, 1, 5, 4), (1, 3, 5, 4), (2, 3, 5, 5)),
+    "scores-missing-an-axis": ((2, 3, 5, 4), (2, 3, 5, 4), (3, 5, 5)),
+    "scores-wrong-key-count": ((2, 3, 5, 4), (2, 3, 6, 4), (2, 3, 5, 5)),
+}
+
+
+class TestInputLayout:
+    """The pairwise scorers take Q and K with the same leading axes."""
+
+    @pytest.mark.parametrize(
+        "name, case",
+        [
+            (name, case)
+            for name in PAIRWISE
+            for case in BAD_LAYOUTS
+            if name.endswith("_backward") or case == "unequal-leading-axes"
+        ],
+    )
+    def test_other_layouts_raise_naming_the_shapes(self, name, case):
+        q_shape, k_shape, a_shape = BAD_LAYOUTS[case]
+        shapes = (q_shape, k_shape) if name.endswith("_scores") else (q_shape, k_shape, a_shape)
+        rng = np.random.default_rng(39)
+        Q, K, dA = (rng.normal(size=shape) for shape in (q_shape, k_shape, a_shape))
+        message = "same leading axes.*" + re.escape(", ".join(map(str, shapes)))
+        with pytest.raises(ValueError, match=message):
+            PAIRWISE[name](Q, K, dA)
 
 
 def primitive_cases(rng):
