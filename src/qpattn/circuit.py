@@ -146,10 +146,14 @@ class ScoreGradient:
         )
 
 
+class NonFiniteInputError(ValueError):
+    """An input q or k is NaN or infinite."""
+
+
 def _check_finite(q, k) -> None:
     for name, v in (("q", q), ("k", k)):
         if not qcore._all(np.isfinite(v)):
-            raise ValueError(f"{name} must be finite")
+            raise NonFiniteInputError(f"{name} must be finite")
 
 
 def equivalent_angles(q, k, params: QpaParams):

@@ -31,6 +31,10 @@ class CliError(Exception):
     """Invalid configuration or arguments (exit code 2)."""
 
 
+class ExperimentError(Exception):
+    """A run that failed, such as a training run that diverged (exit code 1)."""
+
+
 # ---------------------------------------------------------------------------
 # Config files.
 # ---------------------------------------------------------------------------
@@ -149,8 +153,16 @@ def _check_seed(name: str, value) -> None:
         raise CliError(f"{name} must be non-negative, got {value}")
 
 
-def _output_dir(arg: str | None) -> Path:
+def _output_path(arg: str | None) -> Path:
+    """The output directory, not made yet; an existing file there is a usage error."""
     out = Path(arg or os.environ.get(OUTPUT_DIR_ENV, "runs"))
+    if out.exists() and not out.is_dir():
+        raise CliError(f"output directory {out} is an existing file")
+    return out
+
+
+def _output_dir(arg: str | None) -> Path:
+    out = _output_path(arg)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -295,12 +307,13 @@ def cmd_verify(args) -> int:
 def cmd_train(args) -> int:
     cfg = _apply_depth_default(resolve_config(_TRAIN_KEYS, args.config, args.set or []))
     # Refuse a bad setting before any work or output.
-    train_config = _train_config(cfg, cfg["seed"])
+    _train_config(cfg, cfg["seed"])
     train_ds, valid_ds = _splits(cfg, _build_dataset(cfg), cfg["seed"])
     model = _init_model(cfg, train_ds, cfg["scorer"], cfg["seed"])
-    outdir = _output_dir(args.out)
-    result = training.train_loop(model, train_ds, valid_ds, train_config)
+    outdir = _output_path(args.out)
+    result = _train((cfg, cfg["scorer"], cfg["seed"], model, train_ds, valid_ds))
     best_model = vit.VitModel(model.config, result.best_params)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     _write_jsonl(outdir / "history.jsonl", result.history)
     vit.save_checkpoint(best_model, outdir / "checkpoint.npz")
@@ -334,9 +347,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _compare_worker(payload) -> training.TrainResult:
-    cfg, _, seed, model, train_ds, valid_ds = payload
-    return training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
+def _train(job) -> training.TrainResult:
+    """Train one ``(cfg, scorer, seed, model, train_ds, valid_ds)`` job.
+
+    A run that diverges raises ExperimentError naming its scorer and seed.
+    """
+    cfg, scorer, seed, model, train_ds, valid_ds = job
+    try:
+        return training.train_loop(model, train_ds, valid_ds, _train_config(cfg, seed))
+    except RuntimeError as exc:  # training diverged
+        raise ExperimentError(f"{exc} (scorer {scorer}, seed {seed})") from exc
 
 
 _METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "auc_roc")
@@ -388,13 +408,14 @@ def cmd_compare(args) -> int:
         for scorer in scorers_list
         for seed in seeds
     ]
-    outdir = _output_dir(args.out)
+    outdir = _output_path(args.out)
 
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_compare_worker, jobs))
+            results = list(pool.map(_train, jobs))
     else:
-        results = [_compare_worker(job) for job in jobs]
+        results = [_train(job) for job in jobs]
+    outdir.mkdir(parents=True, exist_ok=True)
 
     # Jobs run scorer by scorer, each over the seeds in order.
     history_records = [
@@ -616,6 +637,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ExperimentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:  # an input that cannot be read: missing, a directory, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2

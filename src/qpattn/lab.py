@@ -7,8 +7,14 @@ behaviour and the shot-noise bound. `run_claims` executes every check and
 returns machine-readable results for the ``verify`` CLI subcommand.
 The encoding angles come from `circuit.equivalent_angles` alone. The closed
 forms, the statevector oracle and the parameter-shift gradients broadcast
-over arrays, so each claim checks its points in a few calls; the points are
-drawn one by one, in the order of a loop over them (`_draw_points`).
+over arrays, array-valued `QpaParams` included, so a claim checks all its
+points in one call per evaluator; the points are drawn one by one, in the
+order of a loop over them (`_draw_points`). Five claims keep a loop:
+property1-boundedness and property2-asymmetry score with the Fourier form,
+which takes one parameter set per call; lemma1-nonseparability's log stencil
+is scalar `math.log`, and `np.log` would move its witnesses;
+theorem1-encoding-rank takes one Jacobian per draw; shots-variance-bound
+makes one sampler call per seed.
 """
 
 from __future__ import annotations
@@ -49,6 +55,11 @@ class ClaimResult:
     passed: bool
     tolerance: float
     witness: dict = field(default_factory=dict)
+
+
+#: What a claim function returns: (passed, tolerance, witness). `run_claims`
+#: adds the claim id from `_CLAIMS`.
+Verdict = tuple[bool, float, dict]
 
 
 def kernel_enc3(x1, x2, params: QpaParams):
@@ -193,8 +204,8 @@ def _encoding_state_batch(qs, ks, params: QpaParams) -> np.ndarray:
     return np.stack([c0 * c1, c0 * s1, s0 * c1, s0 * s1], axis=-1)
 
 
-def _random_params(rng: np.random.Generator, scale: float = 0.8) -> QpaParams:
-    return QpaParams.from_array(rng.normal(0.0, scale, size=5))
+def _random_params(rng: np.random.Generator) -> QpaParams:
+    return QpaParams.from_array(rng.normal(0.0, 0.8, size=5))
 
 
 def _param_values(rng: np.random.Generator) -> np.ndarray:
@@ -212,40 +223,32 @@ def _draw_points(rng: np.random.Generator, n: int, *draws: Callable) -> list[np.
     return [np.array(column).T for column in zip(*rounds)]
 
 
-def _claim_lemma2_closed_form(rng: np.random.Generator) -> ClaimResult:
+def _claim_lemma2_closed_form(rng: np.random.Generator) -> Verdict:
+    # Ten parameter sets, each on its own row of 1000 (q, k) points.
     n = 10_000
-    qs, ks = rng.normal(0, 1.5, (2, n))
-    worst = 0.0
-    for i in range(0, n, 1000):
-        p = _random_params(rng)
-        sl = slice(i, i + 1000)
-        states = _encoding_state_batch(qs[sl], ks[sl], p)
-        sim = states[:, 0] ** 2 + states[:, 3] ** 2
-        closed = circuit.score_encoding_only(qs[sl], ks[sl], p)
-        worst = max(worst, float(np.max(np.abs(sim - closed))))
-    return ClaimResult(
-        "lemma2-closed-form", worst <= 1e-12, 1e-12, {"max_abs_err": worst, "n": n}
-    )
+    qs, ks = rng.normal(0, 1.5, (2, 10, n // 10))
+    (values,) = _draw_points(rng, 10, _param_values)
+    p = QpaParams.from_array(values[..., None])
+    states = _encoding_state_batch(qs, ks, p)
+    sim = states[..., 0] ** 2 + states[..., 3] ** 2
+    worst = float(np.max(np.abs(sim - circuit.score_encoding_only(qs, ks, p))))
+    return worst <= 1e-12, 1e-12, {"max_abs_err": worst, "n": n}
 
 
-def _claim_kernel_equivalence(rng: np.random.Generator) -> ClaimResult:
+def _claim_kernel_equivalence(rng: np.random.Generator) -> Verdict:
+    # Ten parameter sets, each on its own row of 1000 pairs of (q, k) points.
     n = 10_000
-    x = rng.normal(0, 1.5, (n, 4))
-    worst = 0.0
-    for i in range(0, n, 1000):
-        p = _random_params(rng)
-        sl = x[i : i + 1000]
-        s1 = _encoding_state_batch(sl[:, 0], sl[:, 1], p)
-        s2 = _encoding_state_batch(sl[:, 2], sl[:, 3], p)
-        sim = np.sum(s1 * s2, axis=-1) ** 2  # amplitudes are real
-        closed = kernel_enc3(sl[:, :2].T, sl[:, 2:].T, p)
-        worst = max(worst, float(np.max(np.abs(sim - closed))))
-    return ClaimResult(
-        "lemma1-kernel-equivalence", worst <= 1e-12, 1e-12, {"max_abs_err": worst, "n": n}
-    )
+    q1, k1, q2, k2 = rng.normal(0, 1.5, (10, n // 10, 4)).transpose(2, 0, 1)
+    (values,) = _draw_points(rng, 10, _param_values)
+    p = QpaParams.from_array(values[..., None])
+    s1 = _encoding_state_batch(q1, k1, p)
+    s2 = _encoding_state_batch(q2, k2, p)
+    sim = np.sum(s1 * s2, axis=-1) ** 2  # amplitudes are real
+    worst = float(np.max(np.abs(sim - kernel_enc3((q1, k1), (q2, k2), p))))
+    return worst <= 1e-12, 1e-12, {"max_abs_err": worst, "n": n}
 
 
-def _claim_nonseparability(rng: np.random.Generator) -> ClaimResult:
+def _claim_nonseparability(rng: np.random.Generator) -> Verdict:
     # Strictly negative mixed log-partial when lambda1*lambda2 > 0; ~0 in the
     # separable cases (lambda2 = 0 and the single-parameter kernel).
     witness: dict = {}
@@ -275,21 +278,18 @@ def _claim_nonseparability(rng: np.random.Generator) -> ClaimResult:
         sep_worst = max(sep_worst, abs(enc1))
     ok &= sep_worst < 1e-6
     witness.update({"max_separable_abs": sep_worst})
-    return ClaimResult("lemma1-nonseparability", ok, 1e-6, witness)
+    return ok, 1e-6, witness
 
 
-def _claim_frequency_identities(rng: np.random.Generator) -> ClaimResult:
-    worst = 0.0
-    for _ in range(100):
-        p = _random_params(rng)
-        l1, l2 = p.lambda1, p.lambda2
-        worst = max(worst, abs(l1 + l2 - p.omega_s), abs(l1 - l2 - p.omega_d))
-    return ClaimResult(
-        "lemma2-frequency-identities", bool(worst <= 1e-12), 1e-12, {"max_abs_err": worst}
-    )
+def _claim_frequency_identities(rng: np.random.Generator) -> Verdict:
+    (values,) = _draw_points(rng, 100, _param_values)
+    p = QpaParams.from_array(values)
+    l1, l2 = p.lambda1, p.lambda2
+    worst = float(np.max(np.abs([l1 + l2 - p.omega_s, l1 - l2 - p.omega_d])))
+    return worst <= 1e-12, 1e-12, {"max_abs_err": worst}
 
 
-def _claim_boundedness(rng: np.random.Generator) -> ClaimResult:
+def _claim_boundedness(rng: np.random.Generator) -> Verdict:
     n = 100_000
     qs, ks = rng.normal(0, 3.0, (2, n))
     lo, hi = 1.0, 0.0
@@ -298,10 +298,10 @@ def _claim_boundedness(rng: np.random.Generator) -> ClaimResult:
         mu = circuit.score_batch(qs[i : i + 10_000], ks[i : i + 10_000], p)
         lo, hi = min(lo, float(mu.min())), max(hi, float(mu.max()))
     ok = -1e-12 <= lo and hi <= 1 + 1e-12
-    return ClaimResult("property1-boundedness", ok, 1e-12, {"min": lo, "max": hi, "n": n})
+    return ok, 1e-12, {"min": lo, "max": hi, "n": n}
 
 
-def _claim_asymmetry(rng: np.random.Generator) -> ClaimResult:
+def _claim_asymmetry(rng: np.random.Generator) -> Verdict:
     axis = np.linspace(-2, 2, 20)
     qq, kk = np.meshgrid(axis, axis, indexing="ij")
     # Both orders in one call: mu(q, k) on the first slice, mu(k, q) on the second.
@@ -316,12 +316,10 @@ def _claim_asymmetry(rng: np.random.Generator) -> ClaimResult:
         gap = np.abs(mu[0] - mu[1])
         worst_param_best = min(worst_param_best, float(gap.max()))
     ok = worst_param_best > 1e-6
-    return ClaimResult(
-        "property2-asymmetry", ok, 1e-6, {"min_over_params_of_max_gap": worst_param_best}
-    )
+    return ok, 1e-6, {"min_over_params_of_max_gap": worst_param_best}
 
 
-def _claim_nonmonotonicity(_: np.random.Generator) -> ClaimResult:
+def _claim_nonmonotonicity(_: np.random.Generator) -> Verdict:
     # omega_d = omega_s = 1 with small generic entangler/mixer angles.
     p = QpaParams(1.0, 0.0, 0.0, 0.1, 0.1)
     qs = np.arange(0.0, 12.0 + 1e-9, 0.05)
@@ -334,10 +332,10 @@ def _claim_nonmonotonicity(_: np.random.Generator) -> ClaimResult:
             if rise >= 0.05:
                 found = True
                 break
-    return ClaimResult("property3-nonmonotonicity", found, 0.05, {"rise_after_min": rise})
+    return found, 0.05, {"rise_after_min": rise}
 
 
-def _claim_encoding_rank(rng: np.random.Generator) -> ClaimResult:
+def _claim_encoding_rank(rng: np.random.Generator) -> Verdict:
     ok = True
     witness: dict = {}
     for _ in range(20):
@@ -349,10 +347,10 @@ def _claim_encoding_rank(rng: np.random.Generator) -> ClaimResult:
         ok &= bool(np.allclose(jac, [[1, 2, 0], [1, 0, 2]], atol=1e-12))
         ok &= abs(minor + 2.0) < 1e-12
         witness = {"rank": report.numerical_rank, "leading_minor_det": minor}
-    return ClaimResult("theorem1-encoding-rank", ok, 1e-8, witness)
+    return ok, 1e-8, witness
 
 
-def _claim_full_rank_bounds(rng: np.random.Generator) -> ClaimResult:
+def _claim_full_rank_bounds(rng: np.random.Generator) -> Verdict:
     # The `full_circuit_rank` of each draw on the default grid, and of its
     # alpha = beta = 0 slice over the encoding parameters, from one gradient
     # call and one stacked SVD: rows 0-99 hold the draws, rows 100-199 their
@@ -374,15 +372,10 @@ def _claim_full_rank_bounds(rng: np.random.Generator) -> ClaimResult:
     max_rank = max(ranks[:n])
     slice_ok = all(r == 2 for r in ranks[n:])
     ok = 2 <= max_rank <= 4 and slice_ok
-    return ClaimResult(
-        "theorem2-rank-bounds",
-        ok,
-        1e-8,
-        {"max_full_rank": max_rank, "restricted_slice_rank_always_2": slice_ok},
-    )
+    return ok, 1e-8, {"max_full_rank": max_rank, "restricted_slice_rank_always_2": slice_ok}
 
 
-def _claim_degenerate_projection(rng: np.random.Generator) -> ClaimResult:
+def _claim_degenerate_projection(rng: np.random.Generator) -> Verdict:
     # With alpha = beta = 0 the entangler collapses to fixed CNOTs and the
     # joint measurement reduces to a qubit-0 projection cos^2(phi0 / 2).
     enc, (q, k) = _draw_points(
@@ -395,15 +388,10 @@ def _claim_degenerate_projection(rng: np.random.Generator) -> ClaimResult:
     origin = circuit.score(0.0, 0.0, QpaParams(0.5, 0.1, -0.2, 0.0, 0.0))
     origin_err = abs(origin - 0.8535533905932737)
     ok = worst <= 1e-12 and origin_err <= 1e-9
-    return ClaimResult(
-        "degenerate-projection",
-        ok,
-        1e-12,
-        {"max_abs_err": worst, "origin_err": origin_err},
-    )
+    return ok, 1e-12, {"max_abs_err": worst, "origin_err": origin_err}
 
 
-def _claim_gradient(rng: np.random.Generator) -> ClaimResult:
+def _claim_gradient(rng: np.random.Generator) -> Verdict:
     # Central differences err by O(h^2); at h = 1e-4 that alone reaches 1e-6.
     # Coordinates (theta_s, gamma_d, gamma_s, alpha, beta, q, k) of the points
     # run down the first axis; each point's 14 shifted copies move coordinate
@@ -419,24 +407,20 @@ def _claim_gradient(rng: np.random.Generator) -> ClaimResult:
     mu = circuit.score(shifted[5], shifted[6], QpaParams.from_array(shifted[:5]))
     fd = (mu[:, 0::2] - mu[:, 1::2]) / (2 * h)
     worst = float(np.max(np.abs(fd - exact)))
-    return ClaimResult(
-        "gradient-parameter-shift", bool(worst <= 1e-6), 1e-6, {"max_abs_err": worst}
-    )
+    return worst <= 1e-6, 1e-6, {"max_abs_err": worst}
 
 
-def _claim_pf_invariance(rng: np.random.Generator) -> ClaimResult:
+def _claim_pf_invariance(rng: np.random.Generator) -> Verdict:
     values, (q, k), gamma = _draw_points(
         rng, 200, _param_values, lambda r: r.normal(0, 1.5, 2), lambda r: r.uniform(0, 1)
     )
     p = QpaParams.from_array(values)
     noisy = circuit.score_noisy(q, k, p, "PF", gamma)
     worst = float(np.max(np.abs(noisy - circuit.score(q, k, p))))
-    return ClaimResult(
-        "noise-pf-invariance", worst <= 1e-12, 1e-12, {"max_abs_err": worst}
-    )
+    return worst <= 1e-12, 1e-12, {"max_abs_err": worst}
 
 
-def _claim_bf_closed_form(rng: np.random.Generator) -> ClaimResult:
+def _claim_bf_closed_form(rng: np.random.Generator) -> Verdict:
     # Points on the rows, strengths on the columns.
     gammas = np.arange(0.0, 0.1001, 0.02)
     values, qk = _draw_points(rng, 50, _param_values, lambda r: r.normal(0, 1.5, 2))
@@ -446,9 +430,7 @@ def _claim_bf_closed_form(rng: np.random.Generator) -> ClaimResult:
     noisy = circuit.score_noisy(q, k, p, "BF", gammas)
     closed = mu * (1 - 2 * gammas) ** 2 + 2 * gammas * (1 - gammas)
     worst = float(np.max(np.abs(noisy - closed)))
-    return ClaimResult(
-        "noise-bf-closed-form", bool(worst <= 1e-10), 1e-10, {"max_abs_err": worst}
-    )
+    return worst <= 1e-10, 1e-10, {"max_abs_err": worst}
 
 
 #: False-alarm rate of the two-sided variance test in `shots-variance-bound`,
@@ -457,7 +439,7 @@ def _claim_bf_closed_form(rng: np.random.Generator) -> ClaimResult:
 SHOT_FALSE_ALARM = 1e-6
 
 
-def _claim_shot_bound(rng: np.random.Generator) -> ClaimResult:
+def _claim_shot_bound(rng: np.random.Generator) -> Verdict:
     # An S-shot estimate is a Binomial(S, mu) count over S: its variance is
     # mu(1-mu)/S, which mu(1-mu) <= 1/4 bounds by 1/(4S). The bound is checked
     # on the exact mu. The sample variance of `reps` estimates is then tested
@@ -494,10 +476,10 @@ def _claim_shot_bound(rng: np.random.Generator) -> ClaimResult:
         "shots": shots,
         "reps": reps,
     }
-    return ClaimResult("shots-variance-bound", ok, SHOT_FALSE_ALARM, witness)
+    return ok, SHOT_FALSE_ALARM, witness
 
 
-_CLAIMS: list[tuple[str, Callable[[np.random.Generator], ClaimResult]]] = [
+_CLAIMS: list[tuple[str, Callable[[np.random.Generator], Verdict]]] = [
     ("lemma2-closed-form", _claim_lemma2_closed_form),
     ("lemma1-kernel-equivalence", _claim_kernel_equivalence),
     ("lemma1-nonseparability", _claim_nonseparability),
@@ -526,7 +508,7 @@ def run_claims(seed: int = 0, only: str | None = None) -> list[ClaimResult]:
         if only is not None and only not in cid:
             continue
         rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-        results.append(fn(rng))
+        results.append(ClaimResult(cid, *fn(rng)))
     return results
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import stdtr, stdtrit
 from scipy.stats import rankdata
 
-from . import scorers, vit
+from . import circuit, scorers, vit
 from .data import ImageDataset
 
 
@@ -278,13 +278,15 @@ def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None):
     return metrics, probs.max(axis=1), predicted == dataset.labels, mean_mu
 
 
+def _diverged(epoch: int, step: int, cause: str) -> RuntimeError:
+    return RuntimeError(f"training diverged at epoch {epoch}, step {step}: {cause}")
+
+
 def _check_finite(what: str, arrays: dict[str, np.ndarray], epoch: int, step: int) -> None:
     """Raise RuntimeError naming the first non-finite array, with epoch and step."""
     for name, arr in arrays.items():
         if not np.isfinite(arr).all():
-            raise RuntimeError(
-                f"training diverged at epoch {epoch}, step {step}: non-finite {what} {name}"
-            )
+            raise _diverged(epoch, step, f"non-finite {what} {name}")
 
 
 def train_loop(
@@ -297,7 +299,10 @@ def train_loop(
 
     Stops once validation accuracy has not improved for `patience` epochs and
     returns the best-validation parameter snapshot along with the per-epoch
-    history. Deterministic for a fixed config seed.
+    history. Deterministic for a fixed config seed. Raises RuntimeError naming
+    the epoch, the step and the cause when training diverges: a non-finite
+    gradient, updated parameter or loss, or a non-finite input reaching the
+    scoring circuit.
     """
     if train_ds.n == 0 or valid_ds.n == 0:
         raise ValueError("training and validation splits must be non-empty")
@@ -312,9 +317,14 @@ def train_loop(
         epoch_loss = 0.0
         for step, start in enumerate(range(0, train_ds.n, config.batch_size)):
             idx = order[start : start + config.batch_size]
-            loss, grads = vit.backward(model, train_ds.images[idx], train_ds.labels[idx])
-            _check_finite("gradient", grads, epoch, step)
-            sgd_step(model.params, grads, velocity, lr, config.momentum, config.weight_decay)
+            # A step that overflows is named by the checks here, not by numpy warnings.
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    loss, grads = vit.backward(model, train_ds.images[idx], train_ds.labels[idx])
+                except circuit.NonFiniteInputError as exc:
+                    raise _diverged(epoch, step, f"non-finite circuit input: {exc}") from exc
+                _check_finite("gradient", grads, epoch, step)
+                sgd_step(model.params, grads, velocity, lr, config.momentum, config.weight_decay)
             _check_finite("updated parameter", model.params, epoch, step)
             epoch_loss += loss * idx.size
         epoch_loss /= train_ds.n

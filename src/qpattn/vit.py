@@ -24,6 +24,7 @@ expressions, so every result is bit for bit the same.
 from __future__ import annotations
 
 import json
+import numbers
 import zipfile
 from dataclasses import dataclass, asdict
 
@@ -52,6 +53,10 @@ class VitConfig:
     def __post_init__(self):
         sizes = ("image_size", "channels", "patch_size", "num_layers", "heads", "hidden_size",
                  "mlp_hidden")
+        for name in (*sizes, "num_classes", "depth"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in sizes:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -500,13 +505,15 @@ def load_checkpoint(path) -> VitModel:
     do not match `param_spec` of its config, naming every missing, extra,
     mis-shaped, non-numeric or non-finite parameter.
     """
-    try:
-        blob = np.load(path, allow_pickle=False)
-    except (ValueError, zipfile.BadZipFile) as exc:
-        raise ValueError(f"not an .npz checkpoint: {exc}") from exc
-    if not isinstance(blob, np.lib.npyio.NpzFile):
-        raise ValueError("not an .npz checkpoint")
-    with blob:
+    # The handle is ours to close: np.load leaks the one it opens when the
+    # zip is truncated. The archive reads through it, so it stays open meanwhile.
+    with open(path, "rb") as f:
+        try:
+            blob = np.load(f, allow_pickle=False)
+        except (ValueError, zipfile.BadZipFile) as exc:
+            raise ValueError(f"not an .npz checkpoint: {exc}") from exc
+        if not isinstance(blob, np.lib.npyio.NpzFile):
+            raise ValueError("not an .npz checkpoint")
         missing = {"schema_version", "config_json"} - set(blob.files)
         if missing:
             raise ValueError(f"not a checkpoint: no {', '.join(sorted(missing))}")

@@ -371,6 +371,15 @@ class TestNoiseSweep:
         assert code == 2
 
 
+def _config_set(name, value):
+    # A checkpoint edit that sets one field of the stored model config.
+    def edit(payload):
+        config = json.loads(str(payload["config_json"]))
+        payload["config_json"] = np.array(json.dumps({**config, name: value}))
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -378,8 +387,14 @@ class TestNoiseSweep:
         (lambda pl: pl.update({"param:head.w": np.zeros((3, 3))}), "mis-shaped head.w"),
         (None, "not an .npz checkpoint"),
         (lambda pl: pl["param:layers.0.scorer.qpa"].fill(np.inf), "non-finite layers.0.scorer.qpa"),
+        *(
+            (_config_set(name, value), f"invalid checkpoint config: {name} must be an integer")
+            for name, value in [("image_size", 8.0), ("heads", True), ("num_layers", 1.0),
+                                ("depth", 4.0)]
+        ),
     ],
-    ids=["missing-param", "mis-shaped-param", "not-npz", "non-finite-param"],
+    ids=["missing-param", "mis-shaped-param", "not-npz", "non-finite-param",
+         "image_size-8.0", "heads-true", "num_layers-1.0", "depth-4.0"],
 )
 def test_noise_sweep_bad_checkpoint_is_usage_error(tmp_path, capsys, edit_checkpoint, edit, message):
     path = tmp_path / "checkpoint.npz"
@@ -391,9 +406,37 @@ def test_noise_sweep_bad_checkpoint_is_usage_error(tmp_path, capsys, edit_checkp
         edit_checkpoint(path, edit)
     code = cli.main(["noise-sweep", "--checkpoint", str(path), *TINY, "--out", str(tmp_path / "out")])
     assert code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: ") and message in line
     assert not (tmp_path / "out").exists()
+
+
+#: Settings under which training diverges at epoch 1, step 1 for the runs below.
+DIVERGING = [
+    "--set", "lr0=1e9",
+    "--set", "epochs=5",
+    "--set", "n_per_class=40",
+    "--set", "train_n=40",
+    "--set", "valid_n=16",
+]
+
+
+@pytest.mark.parametrize(
+    "run, cause",
+    [
+        (["train", "--set", "scorer=dot", "--set", "seed=1"], "non-finite gradient patch.w"),
+        (["train", "--set", "scorer=qpa", "--set", "seed=2"], "non-finite circuit input: q"),
+        (["compare", "--set", "scorers=dot,qpa", "--set", "seeds=1,2"], "non-finite gradient"),
+        (["compare", "--set", "scorers=qpa,dot", "--set", "seeds=2,3"], "non-finite circuit input"),
+    ],
+    ids=["train-dot", "train-qpa", "compare-dot", "compare-qpa"],
+)
+def test_diverging_run_is_experiment_failure(tmp_path, capsys, run, cause):
+    out = tmp_path / "out"
+    assert cli.main([*run, *DIVERGING, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: training diverged at epoch 1, step 1: {cause}")
+    assert not out.exists()
 
 
 class TestShots:
@@ -464,6 +507,16 @@ class TestUsageErrorsBeforeAnyWork:
     def test_shots_beyond_int64(self, tmp_path, capsys, shots):
         err = self.run(tmp_path, capsys, "shots", "--shots", shots)
         assert "2**63 - 1" in err
+
+    @pytest.mark.parametrize(
+        "run",
+        [["train"], ["compare", "--set", "scorers=dot,cosine", "--set", "seeds=1,2"]],
+        ids=["train", "compare"],
+    )
+    def test_output_directory_that_is_a_file(self, tmp_path, capsys, run):
+        (tmp_path / "out").write_text("")
+        assert cli.main([*run, *TINY, "--out", str(tmp_path / "out")]) == 2
+        assert "is an existing file" in capsys.readouterr().err
 
     @pytest.mark.parametrize("gammas", ["x", "0,1.5", "nan"])
     def test_noise_sweep_bad_gammas(self, tmp_path, capsys, gammas):

@@ -213,6 +213,22 @@ class TestClaims:
         assert result.passed and len(calls) == 50
         assert result.witness == {"min_over_params_of_max_gap": 0.10265585044652964}
 
+    @pytest.mark.parametrize(
+        "claim, module, name",
+        [
+            ("lemma2-closed-form", circuit, "score_encoding_only"),
+            ("lemma1-kernel-equivalence", lab, "kernel_enc3"),
+        ],
+        ids=["lemma2-closed-form", "lemma1-kernel-equivalence"],
+    )
+    def test_claim_checks_all_its_parameter_sets_in_one_call(
+        self, count_calls, claim, module, name
+    ):
+        # Ten parameter sets, one row of points each, broadcast in one call.
+        calls = count_calls(module, name)
+        (result,) = lab.run_claims(seed=0, only=claim)
+        assert result.passed and len(calls) == 1
+
     def test_claims_evaluate_their_points_in_batches(self, count_calls):
         # Each claim scores its points in a few broadcast calls; a per-point
         # loop made 20,265 gate applications and 1,000 channel applications.

@@ -672,13 +672,6 @@ MLP_TILES = {
 }
 
 
-def summed_to(grad, shape):
-    # ``grad`` summed over the axes along which an input of ``shape`` (same
-    # number of axes) was broadcast.
-    axes = tuple(i for i, (n, m) in enumerate(zip(shape, grad.shape)) if n == 1 < m)
-    return grad.sum(axis=axes, keepdims=True)
-
-
 class TestMlpTiles:
     """`mlp_scores` and `mlp_scores_backward` across query-row tiles."""
 
@@ -699,13 +692,11 @@ class TestMlpTiles:
         dQ, dK, grads = scorers.mlp_scores_backward(Q, K, p, depth, dA)
         assert len(calls) == 2 * tiles  # each direction runs the forward once per tile
 
-        lead = np.broadcast_shapes(q_shape[:-2], k_shape[:-2], a_shape[:-2])
-        full = [np.broadcast_to(x, lead + x.shape[-2:]) for x in (Q, K, dA)]
-        ref_dQ, ref_dK, ref_grads = feature_tensor_mlp(*full[:2], p, depth, full[2])
-        assert A.shape == lead + (q_shape[-2], k_shape[-2])
-        assert close(A, feature_tensor_mlp(*full[:2], p, depth), 1e-12)
-        assert dQ.shape == Q.shape and close(dQ, summed_to(ref_dQ, Q.shape), 1e-12)
-        assert dK.shape == K.shape and close(dK, summed_to(ref_dK, K.shape), 1e-12)
+        ref_dQ, ref_dK, ref_grads = feature_tensor_mlp(Q, K, p, depth, dA)
+        assert A.shape == a_shape
+        assert close(A, feature_tensor_mlp(Q, K, p, depth), 1e-12)
+        assert dQ.shape == Q.shape and close(dQ, ref_dQ, 1e-12)
+        assert dK.shape == K.shape and close(dK, ref_dK, 1e-12)
         assert list(grads) == list(p)
         for name, ref in ref_grads.items():
             assert grads[name].shape == p[name].shape and close(grads[name], ref, 1e-12), name

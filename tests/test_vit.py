@@ -51,6 +51,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             tiny_config("bogus")
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("image_size", 8.0), ("heads", True), ("num_layers", 1.0), ("depth", 4.0),
+         ("num_classes", 2.0), ("mlp_hidden", "16")],
+    )
+    def test_non_integer_size_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            tiny_config("qpa", **{name: value})
+
 
 class TestPatchEmbed:
     def test_mnist_scale_patch_count(self):
