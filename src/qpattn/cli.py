@@ -52,10 +52,13 @@ def _parse_scalar(kind, raw: str):
 
 
 def _parse_list(kind, raw: str, what: str) -> list:
-    """Comma-separated values of one type; at least one is required."""
+    """Comma-separated values of one type; at least one, each listed once."""
     values = [_parse_scalar(kind, part.strip()) for part in raw.split(",") if part.strip()]
     if not values:
         raise CliError(f"{what} needs at least one value")
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise CliError(f"{what} repeat {repeated}; list each one once")
     return values
 
 
@@ -91,10 +94,10 @@ _COMMON_KEYS: dict[str, tuple] = {
 }
 
 _TRAIN_KEYS = {**_COMMON_KEYS, "scorer": (str, scorers.DEFAULT_KINDS[0]), "seed": (int, 1)}
-_COMPARE_KEYS = {
+_COMPARE_KEYS = {  # a kind [t] is a comma-separated list of t
     **_COMMON_KEYS,
-    "scorers": ("list_str", list(scorers.DEFAULT_KINDS)),
-    "seeds": ("list_int", [1, 2, 3, 4, 5]),
+    "scorers": ([str], list(scorers.DEFAULT_KINDS)),
+    "seeds": ([int], [1, 2, 3, 4, 5]),
 }
 
 
@@ -135,10 +138,8 @@ def resolve_config(
         if key not in schema:
             raise CliError(f"unknown config key {key!r}")
         kind = schema[key][0]
-        if kind == "list_str":
-            values[key] = [part.strip() for part in value.split(",") if part.strip()]
-        elif kind == "list_int":
-            values[key] = _parse_list(int, value, key)
+        if isinstance(kind, list):
+            values[key] = _parse_list(kind[0], value, key)
         else:
             values[key] = _parse_scalar(kind, value)
     for key in ("seed", "data_seed", "seeds"):
@@ -387,10 +388,6 @@ def cmd_compare(args) -> int:
         raise CliError(f"--jobs must be at least 1, got {args.jobs}")
     cfg = _apply_depth_default(resolve_config(_COMPARE_KEYS, args.config, args.set or []))
     scorers_list, seeds = cfg["scorers"], cfg["seeds"]
-    for name, values in (("seeds", seeds), ("scorers", scorers_list)):
-        repeated = sorted({v for v in values if values.count(v) > 1})
-        if repeated:
-            raise CliError(f"{name} repeat {repeated}; list each one once")
     if len(seeds) < 2:
         raise CliError("compare requires at least 2 seeds (t-test undefined otherwise)")
     if len(scorers_list) < 2:
@@ -486,7 +483,7 @@ def cmd_noise_sweep(args) -> int:
     gammas = _parse_list(float, args.gammas, "--gammas")
     if not all(0.0 <= g <= 1.0 for g in gammas):
         raise CliError(f"noise strengths must lie in [0, 1], got {args.gammas!r}")
-    channels = [c.strip().upper() for c in args.channels.split(",")]
+    channels = _parse_list(str, args.channels.upper(), "--channels")
     for channel in channels:
         if channel not in qcore.CHANNELS:
             raise CliError(f"unknown noise channel {channel!r}")

@@ -77,6 +77,23 @@ def _pair_inputs(Q, K, depth: int, *d_scores):
     return Q, K, *d_scores
 
 
+def _flat_pairs(Q, K, depth: int, *d_scores):
+    # `_pair_inputs` with the leading axes flattened into items: the sizes
+    # (items, N_q, N_k), the first `depth` dimensions qs and ks, and with a
+    # score gradient also dA, zero dQ and dK, and dq and dk: views of their
+    # first `depth` dimensions laid out as qs and ks, written in place.
+    Q, K, *d_scores = _pair_inputs(Q, K, depth, *d_scores)
+    items, n_q, n_k = math.prod(Q.shape[:-2]), Q.shape[-2], K.shape[-2]
+    qs = Q[..., :depth].reshape(items, n_q, depth)
+    ks = K[..., :depth].reshape(items, n_k, depth)
+    if not d_scores:
+        return (items, n_q, n_k), qs, ks
+    dQ, dK = np.zeros(Q.shape), np.zeros(K.shape)
+    dq = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]
+    dk = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
+    return (items, n_q, n_k), qs, ks, d_scores[0].reshape(items, n_q, n_k), dQ, dK, dq, dk
+
+
 def _tiles(units: int, per_unit: int) -> list[slice]:
     # Slices of whole units holding at most `TILE_INPUTS` inputs per side, of
     # which a unit holds `per_unit`, and at least one unit.
@@ -139,14 +156,7 @@ def quantum_scores_backward(
     so only the outputs grow with the batch. `circuit.score_grad_batch`
     (parameter shift) is its oracle in the tests.
     """
-    Q, K, d_scores = _pair_inputs(Q, K, depth, d_scores)
-    items, n_q, n_k = math.prod(Q.shape[:-2]), Q.shape[-2], K.shape[-2]
-    qs = Q[..., :depth].reshape(items, n_q, depth)
-    ks = K[..., :depth].reshape(items, n_k, depth)
-    dA = d_scores.reshape(items, n_q, n_k)
-    dQ, dK = np.zeros(Q.shape), np.zeros(K.shape)
-    dq = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
-    dk = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
+    (items, n_q, n_k), qs, ks, dA, dQ, dK, dq, dk = _flat_pairs(Q, K, depth, d_scores)
     c, dc = circuit.fourier_coefficients(params.beta)
     W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
     freqs = circuit.FOURIER_FREQS[1:]  # the constant c_0 has no feature
@@ -279,15 +289,11 @@ def mlp_scores(
 
     ``p`` holds the variant's weights by name, as `init_mlp_params` returns.
     """
-    Q, K = _pair_inputs(Q, K, depth)
-    lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
-    items = math.prod(lead)
-    qs = Q[..., :depth].reshape(items, n_q, depth)
-    ks = K[..., :depth].reshape(items, n_k, depth)
+    (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
     A = np.empty((items, n_q, n_k))
     for it, rt in _query_tiles(items, n_q, n_k * depth):
         A[it, rt] = _mlp_forward(qs[it, rt], ks[it], p)[2].sum(axis=-1)
-    return A.reshape(lead + (n_q, n_k))
+    return A.reshape(np.shape(Q)[:-1] + (n_k,))
 
 
 def mlp_scores_backward(
@@ -304,14 +310,7 @@ def mlp_scores_backward(
     adds to dK and to the weight sums. w1 gets its gradient through the first
     layer's a and b: dw1 = [da, db, da - db, da + db].
     """
-    Q, K, d_scores = _pair_inputs(Q, K, depth, d_scores)
-    items, n_q, n_k = math.prod(Q.shape[:-2]), Q.shape[-2], K.shape[-2]
-    qs = Q[..., :depth].reshape(items, n_q, depth)
-    ks = K[..., :depth].reshape(items, n_k, depth)
-    dA = d_scores.reshape(items, n_q, n_k)
-    dQ, dK = np.zeros(Q.shape), np.zeros(K.shape)
-    dq = dQ.reshape(items, n_q, Q.shape[-1])[..., :depth]  # views: written in place
-    dk = dK.reshape(items, n_k, K.shape[-1])[..., :depth]
+    (items, n_q, n_k), qs, ks, dA, dQ, dK, dq, dk = _flat_pairs(Q, K, depth, d_scores)
     a, b = _first_layer(p["w1"])
     grads = {name: np.zeros_like(w) for name, w in p.items()}  # w1's is set last
     d_a, d_b = np.zeros_like(a), np.zeros_like(b)

@@ -7,11 +7,15 @@ flip the entangler gate order and watch the verification suite catch it.
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qpattn
 from qpattn import circuit, cli, qcore, vit
 from qpattn.cli import CliError, parse_config_text, resolve_config
 from qpattn.data import synthetic_dataset
@@ -548,6 +552,23 @@ class TestUsageErrorsBeforeAnyWork:
         argv = ["compare", "--set", "scorers=dot,cosine", "--set", "seeds=1,2", *TINY]
         assert self.run(tmp_path, capsys, *argv, "--set", setting).startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "command, option, values, repeated",
+        [
+            ("noise-sweep", "--channels", "AD,AD", "['AD']"),
+            ("noise-sweep", "--channels", "ad,DP,AD", "['AD']"),
+            ("noise-sweep", "--gammas", "0.05,0.05", "[0.05]"),
+            ("noise-sweep", "--gammas", "0,0.1,1e-1", "[0.1]"),
+            ("shots", "--shots", "25,25", "[25]"),
+            ("shots", "--shots", "100,25,0100", "[100]"),
+        ],
+    )
+    def test_repeated_list_values(self, tmp_path, capsys, command, option, values, repeated):
+        # A repeated value would write duplicate rows.
+        argv = [command, "--checkpoint", "ckpt.npz"] if command == "noise-sweep" else [command]
+        err = self.run(tmp_path, capsys, *argv, option, values)
+        assert err == f"error: {option} repeat {repeated}; list each one once\n"
+
     def test_compare_bad_lr0(self, tmp_path, capsys):
         self.run(tmp_path, capsys, "compare", "--set", "seeds=1,2", *TINY, "--set", "lr0=nan")
 
@@ -734,3 +755,15 @@ def test_depth_defaults_to_head_dim(tmp_path):
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["depth"] == 4
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs every process about 0.5 s and 45 MB. The test oracles
+    # import it into this interpreter, so a fresh one is asked.
+    src = str(Path(qpattn.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, qpattn.cli; print([m for m in sys.modules if m.startswith('scipy.stats')])"
+    argv = [sys.executable, "-c", code]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"

@@ -1,8 +1,9 @@
 """Optimizer, schedule, metrics, statistics and training-loop tests.
 
 scipy.stats serves as the independent reference for the Student-t
-distribution and the paired t-test; the trapezoidal ROC integral is the
-second, independent AUC oracle.
+distribution, the paired t-test and the AUC (average ranks and the
+Mann-Whitney U); the trapezoidal ROC integral is a further, independent AUC
+oracle.
 """
 
 import numpy as np
@@ -160,6 +161,41 @@ class TestMetrics:
                 fpr.append((labels[sel] == 0).sum() / neg)
             auc = np.trapezoid(tpr, fpr)
             assert m.auc_roc == pytest.approx(auc, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng, n: rng.uniform(size=n),  # tie-free
+            lambda rng, n: np.round(rng.uniform(size=n), 1),
+            lambda rng, n: rng.integers(0, 3, size=n).astype(float),  # heavily tied
+            lambda rng, n: np.full(n, 0.3),  # all equal
+        ],
+        ids=["tie-free", "rounded", "three-levels", "all-equal"],
+    )
+    def test_auc_equals_rank_sum_and_mann_whitney_exactly(self, draw):
+        # The pair count gives the same half-integer U as the average-rank
+        # formula and scipy's Mann-Whitney U, divided the same way: equal
+        # with ==, not approximately.
+        rng = np.random.default_rng(3)
+        cases = [np.array([1] + [0] * 9), np.array([0] * 30 + [1])]  # n_pos = 1
+        cases += [rng.integers(0, 2, size=int(n)) for n in rng.integers(2, 300, size=60)]
+        checked = 0
+        for labels in cases:
+            n_pos, n = int(labels.sum()), labels.size
+            if n_pos in (0, n):
+                continue
+            scores = draw(rng, n)
+            auc = compute_metrics(labels, labels, scores).auc_roc
+            ranks = stats.rankdata(scores)
+            rank_sum = (ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * (n - n_pos))
+            u = stats.mannwhitneyu(scores[labels == 1], scores[labels == 0]).statistic
+            assert auc == float(rank_sum) == float(u / (n_pos * (n - n_pos)))
+            checked += 1
+        assert checked >= 40
+
+    def test_all_equal_scores_auc_is_half(self):
+        for labels in ([1, 0], [1, 0, 0, 0], [0, 1, 1, 0, 1]):
+            assert compute_metrics(labels, labels, np.full(len(labels), 0.7)).auc_roc == 0.5
 
     def test_rejects_non_finite_scores(self):
         with pytest.raises(ValueError):
