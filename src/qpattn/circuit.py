@@ -378,24 +378,26 @@ def fourier_features(x, w) -> np.ndarray:
     (lambda1, lambda2, alpha) gives the query features exp(i u_n q), and
     (lambda2, lambda1, alpha) the key features exp(i v_n k), with
     (u_n, v_n) = FOURIER_FREQS[n] @ W. The constant feature (n = 0) is 1 and
-    is left out. Only the three base phasors exp(i w_j x) take a tangent
-    (`phasors`); the other features are their complex products. The base
-    phasors e1 and e2 are staged in the last two slots of the result, so no
-    complex temporary is made.
+    is left out. Only the three base phasors exp(i w_j x) take a tangent, in
+    one `phasors` call; the other features are their complex products. Every
+    product is formed in a contiguous array and then copied into its slot of
+    the C-contiguous result: numpy's complex multiply into a strided slot
+    costs several times a contiguous one. The tangent is odd, so the
+    features of -w are the complex conjugates of those of w, bit for bit.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (7,), dtype=np.complex128)
-    e0, plus, minus, e1, e2 = (out[..., n] for n in (0, 1, 2, 5, 6))
-    phasors(w[0] * x, out=e0)  # (1, 0, 0)
-    phasors(w[1] * x, out=e1)
-    phasors(w[2] * x, out=e2)
-    np.multiply(e1, e2, out=plus)  # (0, 1, 1)
-    np.multiply(e1, np.conjugate(e2, out=e2), out=minus)  # (0, 1, -1)
-    np.multiply(e0, plus, out=out[..., 3])  # (1, 1, 1)
-    np.multiply(e0, minus, out=out[..., 4])  # (1, 1, -1)
-    np.multiply(e0, np.conjugate(minus, out=e1), out=e1)  # (1, -1, 1)
-    np.multiply(e0, np.conjugate(plus, out=e2), out=e2)  # (1, -1, -1)
-    return out
+    out = np.empty((x.size, 7), dtype=np.complex128)
+    e0, e1, e2 = phasors(np.multiply.outer(w, x.reshape(-1)))
+    plus = e1 * e2  # (0, 1, 1)
+    minus = np.multiply(e1, np.conjugate(e2, out=e2), out=e2)  # (0, 1, -1)
+    out[:, 0] = e0  # (1, 0, 0)
+    out[:, 1] = plus
+    out[:, 2] = minus
+    out[:, 3] = np.multiply(e0, plus, out=e1)  # (1, 1, 1)
+    out[:, 4] = np.multiply(e0, minus, out=e1)  # (1, 1, -1)
+    out[:, 5] = np.multiply(e0, np.conjugate(minus, out=minus), out=minus)  # (1, -1, 1)
+    out[:, 6] = np.multiply(e0, np.conjugate(plus, out=plus), out=plus)  # (1, -1, -1)
+    return out.reshape(x.shape + (7,))
 
 
 def _series(qs, ks, params: QpaParams, c: np.ndarray):
@@ -405,6 +407,8 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
     # varies are GEMM columns, and the rest are batch axes, so all pairs come
     # from a batched real GEMM (batch, rows, 14) @ (batch, 14, cols) over
     # (re, im) pairs: with F' = conj(c F), Re(c F G) = Re F' Re G + Im F' Im G.
+    # F' is built as conj(c) times the query features of -W[:, 0], which are
+    # conj(F) bit for bit (`fourier_features`), so no conjugation pass is made.
     # The per-pair output is returned transposed back to broadcast order.
     # Callers that must bound the size of a call split it themselves
     # (`scorers.TILE_INPUTS`).
@@ -419,9 +423,8 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
     role = [1 if k == 1 != q else 2 if q == 1 != k else 0 for q, k in zip(qs.shape, ks.shape)]
     order = sorted(range(len(shape)), key=role.__getitem__)
     nb, nr, nc = (math.prod(n for n, r in zip(shape, role) if r == g) for g in range(3))
-    F = fourier_features(qs.transpose(order).reshape(nb, nr), W[:, 0])
-    F *= c[1:]
-    np.conjugate(F, out=F)
+    F = fourier_features(qs.transpose(order).reshape(nb, nr), -W[:, 0])
+    F *= np.conjugate(c[1:])
     G = fourier_features(ks.transpose(order).reshape(nb, nc), W[:, 1])
     mu = np.matmul(F.view(np.float64), G.view(np.float64).transpose(0, 2, 1))
     mu += c[0].real

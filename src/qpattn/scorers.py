@@ -14,8 +14,9 @@ Both directions of the quantum scorers use the circuit's exact Fourier form
 (`circuit.score_batch`, `circuit.fourier_features`): the forward scores every
 (query, key, dimension) triple by a batched GEMM over the seven Fourier
 features of each input of Q and K, and the backward costs two GEMMs per
-(batch, head) item on the same seven features; the series' constant
-c_0 = 1/2 depends on no parameter and does not reach it. The circuit
+(batch, head) item on the same seven features, whose products it reduces
+as real arrays of 14 floats per input; the series' constant c_0 = 1/2
+depends on no parameter and does not reach it. The circuit
 evaluates whatever it is given in one call, so the tiling policy lives here:
 both directions run on tiles of `TILE_INPUTS` inputs per side, so their
 temporaries do not grow with the batch. The forward calls the circuit once
@@ -149,7 +150,10 @@ def quantum_scores_backward(
     (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. The constant
     c_0 = 1/2 has no feature and no beta derivative, so it adds nothing to
     any gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
-    carry every other gradient; the rest is O(N D) work per feature. Q, K
+    carry every other gradient. Their products with the features are reduced
+    as real (inputs, 14) arrays of (re, im) pairs: dQ and dK by a dot
+    product per row, so each row's value does not depend on the tiling, and
+    the parameter sums by one small matrix product per tile. Q, K
     and ``d_scores`` share their leading axes, which are flattened into
     items; the items run in tiles of at most `TILE_INPUTS` inputs per side:
     each tile writes its rows of dQ and dK and adds to the parameter sums,
@@ -161,17 +165,28 @@ def quantum_scores_backward(
     W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
     freqs = circuit.FOURIER_FREQS[1:]  # the constant c_0 has no feature
     u, v = (freqs @ W).T
+    # Re(z a) is the dot product of z's (re, im) with conj(a)'s: the weights
+    # that turn a feature row's 14 floats into dmu/dq and dmu/dk.
+    q_weights = np.conjugate(1j * u * c[1:]).view(np.float64)
+    k_weights = np.conjugate(1j * v * c[1:]).view(np.float64)
     q_fh, k_gh, sum_fh = (np.zeros(len(freqs), dtype=np.complex128) for _ in range(3))
     for tile in _tiles(items, max(n_q, n_k) * depth):
         F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
         G = circuit.fourier_features(ks[tile], W[:, 1])
-        FH = F * _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
-        GH = G * _complex_matmul(np.swapaxes(dA[tile], -1, -2), F)
-        dq[tile] = (FH @ (1j * u * c[1:])).real
-        dk[tile] = (GH @ (1j * v * c[1:])).real
-        q_fh += qs[tile].reshape(-1) @ FH.reshape(-1, len(freqs))
-        k_gh += ks[tile].reshape(-1) @ GH.reshape(-1, len(freqs))
-        sum_fh += FH.reshape(-1, len(freqs)).sum(axis=0)
+        FH = _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
+        FH *= F
+        GH = _complex_matmul(np.swapaxes(dA[tile], -1, -2), F)
+        GH *= G
+        # As real (inputs, 14) arrays of (re, im) pairs.
+        FH, GH = (H.view(np.float64).reshape(-1, 2 * len(freqs)) for H in (FH, GH))
+        # Row by row, without BLAS, so a row's sum does not depend on the tile.
+        dq[tile] = np.einsum("mk,k->m", FH, q_weights).reshape(qs[tile].shape)
+        dk[tile] = np.einsum("mk,k->m", GH, k_weights).reshape(ks[tile].shape)
+        # One product gives both sum_id q_id FH and sum FH.
+        q_sums = (np.stack([qs[tile].reshape(-1), np.ones(len(FH))]) @ FH).view(np.complex128)
+        q_fh += q_sums[0]
+        sum_fh += q_sums[1]
+        k_gh += (ks[tile].reshape(-1) @ GH).view(np.complex128)
         del F, G, FH, GH  # one tile's arrays alive at a time
     d_u = (1j * c[1:] * q_fh).real  # dL/du_n
     d_v = (1j * c[1:] * k_gh).real

@@ -265,13 +265,15 @@ def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None):
     Runs `vit.forward_with_stats` on batches of 64 images, so it holds one
     batch's activations of one layer at a time. ``noise`` is a quantum channel
     ``(name, gamma)`` as in `vit.forward`. The mean circuit score is None for
-    a classical scorer.
+    a classical scorer. Non-finite logits raise `FloatingPointError`.
     """
     all_probs = []
     mu_sum, mu_count = 0.0, 0
     for start in range(0, dataset.n, 64):
         images = dataset.images[start : start + 64]
         logits, extras = vit.forward_with_stats(model, images, noise=noise)
+        if not np.isfinite(logits).all():
+            raise FloatingPointError("non-finite logits")
         all_probs.append(scorers.row_softmax(logits))
         mu_sum += extras["mu_sum"]
         mu_count += extras["mu_count"]
@@ -284,6 +286,19 @@ def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None):
 
 def _diverged(epoch: int, step: int, cause: str) -> RuntimeError:
     return RuntimeError(f"training diverged at epoch {epoch}, step {step}: {cause}")
+
+
+def _validate(model: vit.VitModel, valid_ds: ImageDataset, epoch: int) -> Metrics:
+    """Validation metrics, or RuntimeError naming the epoch if the forward overflows."""
+    # As in the steps, an overflow is named here, not by numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return evaluate(model, valid_ds)[0]
+        except circuit.NonFiniteInputError as exc:
+            cause = f"circuit input: {exc}"
+        except FloatingPointError:
+            cause = "logits"
+    raise RuntimeError(f"training diverged at epoch {epoch}: non-finite validation {cause}")
 
 
 def _check_finite(what: str, arrays: dict[str, np.ndarray], epoch: int, step: int) -> None:
@@ -306,7 +321,8 @@ def train_loop(
     history. Deterministic for a fixed config seed. Raises RuntimeError naming
     the epoch, the step and the cause when training diverges: a non-finite
     gradient, updated parameter or loss, or a non-finite input reaching the
-    scoring circuit.
+    scoring circuit; and naming the epoch when the validation forward
+    overflows.
     """
     if train_ds.n == 0 or valid_ds.n == 0:
         raise ValueError("training and validation splits must be non-empty")
@@ -337,7 +353,7 @@ def train_loop(
                 f"training diverged at epoch {epoch} (non-finite loss); reduce lr0"
             )
 
-        metrics = evaluate(model, valid_ds)[0]
+        metrics = _validate(model, valid_ds, epoch)
         record = {"epoch": epoch, "lr": lr, "train_loss": epoch_loss}
         record.update({f"val_{k}": v for k, v in asdict(metrics).items()})
         result.history.append(record)

@@ -580,6 +580,26 @@ class TestFeatures:
         assert out.shape == x.shape + (7,)
         assert np.abs(out - direct).max() <= 1e-14
 
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (2, 3, 5, 4)], ids=str)
+    def test_layout(self, shape):
+        # `_series` and the attention backward read the result through
+        # `.view(np.float64)`, which needs a C-contiguous complex array.
+        x = np.random.default_rng(47).normal(0, 2, size=shape)
+        out = circuit.fourier_features(x, np.array([0.4, -1.1, 0.7]))
+        assert out.shape == shape + (7,)
+        assert out.dtype == np.complex128 and out.flags.c_contiguous
+
+    @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (2, 3, 5, 4)], ids=str)
+    def test_negated_frequencies_give_conjugates_bit_for_bit(self, shape):
+        # `_series` builds conj(F) as the features of -w; that rests on an odd tangent.
+        rng = np.random.default_rng(48)
+        t = rng.normal(0, 3, size=10_000)
+        assert np.array_equal(np.tan(-t), -np.tan(t)), "np.tan is not odd bit for bit on this build"
+        for _ in range(10):
+            w, x = rng.normal(0, 1.5, size=3), rng.normal(0, 2, size=shape)
+            conj = np.conjugate(circuit.fourier_features(x, w))
+            assert np.array_equal(circuit.fourier_features(x, -w), conj)
+
 
 class TestSampled:
     def test_large_shot_limit(self):

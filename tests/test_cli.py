@@ -443,6 +443,17 @@ def test_diverging_run_is_experiment_failure(tmp_path, capsys, run, cause):
     assert not out.exists()
 
 
+def test_run_diverging_in_validation_is_experiment_failure(tmp_path, capsys):
+    # Every step leaves the parameters finite; the validation forward after
+    # epoch 1 overflows.
+    out = tmp_path / "out"
+    run = ["train", "--set", "scorer=dot", "--set", "seed=1", *TINY, "--set", "lr0=100"]
+    assert cli.main([*run, "--out", str(out)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == "error: training diverged at epoch 1: non-finite validation logits (scorer dot, seed 1)"
+    assert not out.exists()
+
+
 class TestShots:
     def test_variance_bound_and_monotonicity(self, tmp_path):
         out = tmp_path / "shots"

@@ -379,6 +379,19 @@ class TestTrainLoop:
         with pytest.raises(RuntimeError, match=expected):
             self.tiny_run()
 
+    @pytest.mark.parametrize(
+        "scorer, lr0, seed, cause",
+        [
+            ("dot", 100.0, 1, "epoch 1: non-finite validation logits"),
+            ("qpa", 5.0, 0, "epoch 2: non-finite validation circuit input: q must be finite"),
+        ],
+    )
+    def test_validation_overflow_named(self, scorer, lr0, seed, cause):
+        # Every step leaves the parameters finite, but the validation forward
+        # after the named epoch overflows.
+        with pytest.raises(RuntimeError, match=f"^training diverged at {cause}$"):
+            self.tiny_run(scorer=scorer, lr0=lr0, seed=seed)
+
     def test_learns_separable_task(self):
         result = self.tiny_run(lr0=0.3, epochs=15)
         assert result.best_accuracy >= 0.9

@@ -341,8 +341,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "bf69d6aadce4ed24", "68e83ee2d6c10345"),
-    ("qpa", 1): ("6e900635197dd0b4", "16e010bd891caec4", "188281bdb2ff4688"),
+    ("qpa", 0): ("9e083236108b1465", "bf69d6aadce4ed24", "43d8f696a00a9ef4"),
+    ("qpa", 1): ("6e900635197dd0b4", "16e010bd891caec4", "a39d5ae8b0bc4ced"),
     ("dot", 0): ("94a5ef27f5c36ef5", "980e4e72ce6e247e", "5f856fa5a899e2ec"),
     ("dot", 1): ("82fd715b40798094", "2e492482f8cdee3e", "fc72f0c9838d0aba"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "ddf81e78766ad192"),
@@ -353,22 +353,22 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "f8ddf7fea862a1b5", "31bcc5301aa3443d"),
     ("linear", 0): ("94a5ef27f5c36ef5", "77a1d2c5a04ad0aa", "9247e35d0a57fbbf"),
     ("linear", 1): ("82fd715b40798094", "93f129243b139ded", "de39e13fb61b36bb"),
-    ("qpa-ind", 0): ("9e083236108b1465", "9cb275fffb9a3336", "cdcc321510f87020"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "d462e453a450de73", "99c0e62b7624a50f"),
+    ("qpa-ind", 0): ("9e083236108b1465", "9cb275fffb9a3336", "55086abfbdc28067"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "d462e453a450de73", "f82855be608be8a2"),
 }
 
 # (logits, loss + grads) of one-layer quantum models with 36992 scored
 # (pair, dimension) entries per layer, a larger input than GOLDEN's.
 GOLDEN_CHUNKED = {
-    "qpa": ("f1b9849d99a34c0d", "c685ce7bc7bf5ad7"),
-    "qpa-ind": ("1a028b1567dccbc7", "6c8b4a9e2b263a8a"),
+    "qpa": ("f1b9849d99a34c0d", "e402e6f70144a7a5"),
+    "qpa-ind": ("1a028b1567dccbc7", "cb2129dcb7078c91"),
 }
 
 # (logits, loss + grads) of one-layer quantum models whose circuit forward and
 # backward each run in three tiles (`_tiled_case`).
 GOLDEN_TILED = {
-    "qpa": ("6d3e8d74a075928c", "630f5e44a611dad7"),
-    "qpa-ind": ("4ed49bf6bd576e0d", "b2adb7fa6ee8847a"),
+    "qpa": ("40092f04934caebc", "4e47d8d70fe3cad6"),
+    "qpa-ind": ("4ed49bf6bd576e0d", "bb4b549ffefd5cd5"),
 }
 
 
