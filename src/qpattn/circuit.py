@@ -25,14 +25,19 @@ The fast path goes through the circuit's exact Fourier form: mu is a
 (`fourier_coefficients`, `FOURIER_FREQS`, `ANGLE_JACOBIAN`): a constant c_0
 plus seven terms, each a query feature times a key feature
 (`fourier_features`, seven per input, built from three base phasors).
-`score_batch` and `score_noisy_batch`, the attention forward, evaluate the
-series at every broadcast input pair they are given as one batched real
-GEMM of the two sides' features: axes where only q varies are its rows,
-axes where only k varies its columns. They hold no tiling policy: the
-attention forward and backward (`scorers.qpa_scores`,
-`scorers.quantum_scores_backward`) bound their own temporaries with tiles of
-`scorers.TILE_INPUTS` inputs per side. The backward differentiates the same
-series on the same seven features; c_0 = 1/2 does not enter it.
+`score_batch` and `score_noisy_batch`, the inference attention forward,
+evaluate the series at every broadcast input pair they are given as one
+batched real GEMM of the two sides' features: axes where only q varies are
+its rows, axes where only k varies its columns. The training step's forward
+(`scorers.quantum_scores_with_features`) builds each layer's features once
+with `fourier_features` and sums the series over the D dimensions inside
+its GEMM; the backward differentiates the same series on those features;
+c_0 = 1/2 does not enter it. Inference keeps the per-pair calls until
+ROADMAP item 1 moves the benchmark hooks that read them. None of these
+holds a tiling policy: the scorers (`scorers.qpa_scores`,
+`scorers.quantum_scores_with_features`, `scorers.quantum_scores_backward`)
+bound their own temporaries with tiles of `scorers.TILE_INPUTS` inputs per
+side.
 The coefficients are closed forms in beta: the mixer only weights the fixed
 Fourier coefficients of <ZZ> and <YY> on the state before it, and a noise
 channel adds those of <ZI> + <IZ>. A real-amplitude walk of the circuit that
@@ -371,7 +376,7 @@ def phasors(theta, out=None) -> np.ndarray:
     return out
 
 
-def fourier_features(x, w) -> np.ndarray:
+def fourier_features(x, w, out=None) -> np.ndarray:
     """The features exp(i FOURIER_FREQS[n] . w x), n = 1..7, as an x.shape + (7,) array.
 
     ``w`` is one column of the angle map W = params . `ANGLE_JACOBIAN`:
@@ -384,20 +389,26 @@ def fourier_features(x, w) -> np.ndarray:
     the C-contiguous result: numpy's complex multiply into a strided slot
     costs several times a contiguous one. The tangent is odd, so the
     features of -w are the complex conjugates of those of w, bit for bit.
+    ``out``, if given, is the C-contiguous complex x.shape + (7,) array the
+    features are written into, such as a tile of a larger feature array.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty((x.size, 7), dtype=np.complex128)
+    if out is None:
+        out = np.empty(x.shape + (7,), dtype=np.complex128)
+    elif out.shape != x.shape + (7,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous complex128 array of shape x.shape + (7,)")
+    flat = out.reshape(x.size, 7)  # a view, since out is C-contiguous
     e0, e1, e2 = phasors(np.multiply.outer(w, x.reshape(-1)))
     plus = e1 * e2  # (0, 1, 1)
     minus = np.multiply(e1, np.conjugate(e2, out=e2), out=e2)  # (0, 1, -1)
-    out[:, 0] = e0  # (1, 0, 0)
-    out[:, 1] = plus
-    out[:, 2] = minus
-    out[:, 3] = np.multiply(e0, plus, out=e1)  # (1, 1, 1)
-    out[:, 4] = np.multiply(e0, minus, out=e1)  # (1, 1, -1)
-    out[:, 5] = np.multiply(e0, np.conjugate(minus, out=minus), out=minus)  # (1, -1, 1)
-    out[:, 6] = np.multiply(e0, np.conjugate(plus, out=plus), out=plus)  # (1, -1, -1)
-    return out.reshape(x.shape + (7,))
+    flat[:, 0] = e0  # (1, 0, 0)
+    flat[:, 1] = plus
+    flat[:, 2] = minus
+    flat[:, 3] = np.multiply(e0, plus, out=e1)  # (1, 1, 1)
+    flat[:, 4] = np.multiply(e0, minus, out=e1)  # (1, 1, -1)
+    flat[:, 5] = np.multiply(e0, np.conjugate(minus, out=minus), out=minus)  # (1, -1, 1)
+    flat[:, 6] = np.multiply(e0, np.conjugate(plus, out=plus), out=plus)  # (1, -1, -1)
+    return out
 
 
 def _series(qs, ks, params: QpaParams, c: np.ndarray):

@@ -11,18 +11,26 @@ the first ``D`` per-dimension scores, so their entries always lie in
 Each scorer with trainable parameters also exposes a ``*_backward`` companion
 returning input and parameter gradients given the upstream score gradient.
 Both directions of the quantum scorers use the circuit's exact Fourier form
-(`circuit.score_batch`, `circuit.fourier_features`): the forward scores every
-(query, key, dimension) triple by a batched GEMM over the seven Fourier
-features of each input of Q and K, and the backward costs two GEMMs per
-(batch, head) item on the same seven features, whose products it reduces
-as real arrays of 14 floats per input; the series' constant c_0 = 1/2
-depends on no parameter and does not reach it. The circuit
-evaluates whatever it is given in one call, so the tiling policy lives here:
-both directions run on tiles of `TILE_INPUTS` inputs per side, so their
-temporaries do not grow with the batch. The forward calls the circuit once
-per tile of whole images and sums that tile's per-pair scores over D into
-its slice of the score matrix before the next tile, and the backward writes
-each tile's rows of dQ and dK.
+(`circuit.score_batch`, `circuit.fourier_features`), a constant plus seven
+products of a query feature with a key feature. The training step scores a
+layer as a feature map followed by a product: `quantum_scores_with_features`
+builds the seven features of every input of Q and K once, forms the score
+matrix by one real GEMM of inner size 14 D per (batch, head) item, and
+returns the features, which the step keeps in its layer cache (3.9 MB at
+B=32, N=17; 11.5 MB at N=50; about 45 MB at N=197) and hands to
+`quantum_scores_backward`. The backward costs two GEMMs per item on those
+features, whose products it reduces as real arrays of 14 floats per input;
+the series' constant c_0 = 1/2 depends on no parameter and does not reach
+it. Inference (`qpa_scores`) still scores every (query, key, dimension)
+triple by a per-tile circuit call, because the benchmark's correctness hooks
+read those calls; this second path is temporary and goes once ROADMAP item 1
+moves the hooks. The circuit evaluates whatever it is given in one call, so
+the tiling policy lives here: every direction runs on tiles of
+`TILE_INPUTS` inputs per side, so its temporaries do not grow with the
+batch. `qpa_scores` calls the circuit once per tile of whole images and sums
+that tile's per-pair scores over D into its slice of the score matrix before
+the next tile; the training forward writes each tile's features and scores,
+and the backward each tile's rows of dQ and dK.
 The MLP baselines score each (query, key, dimension) pair with a small MLP
 whose affine first layer splits into a per-query and a per-key term; both
 directions run on tiles of query rows under the same `TILE_INPUTS` budget,
@@ -132,12 +140,57 @@ def qpa_scores(
     return A
 
 
+def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int):
+    """`qpa_scores` as the training step computes it: ``(A, (F, G))``.
+
+    The series of `circuit.fourier_coefficients` makes a layer's score matrix
+    a product of query features with key features:
+    A = D c_0 + Re F'(Q) G(K)^T with F' = conj(c F), one real GEMM of inner
+    size 14 D per flattened (batch, head) item over the (re, im) pairs of
+    the D x 7 features of each input. F and G, the features
+    `circuit.fourier_features` builds at W[:, 0] and W[:, 1], are returned
+    laid out (items, N, D, 7) for `quantum_scores_backward`, which then
+    builds none of its own. They are the only arrays that grow with the
+    batch besides A (3.9 MB for a layer at B=32, H=2, N=17, D=16; 11.5 MB
+    at N=50; about 45 MB at N=197); F' is one tile's temporary. The items
+    run in the backward's tiles (`_tiles`). A equals `qpa_scores` to within
+    rounding: the per-pair path sums each dimension's score, this one sums
+    all 14 D products at once. Inputs are checked as in
+    `circuit.score_batch`, before any feature is built. Inference keeps the
+    per-pair `qpa_scores`, whose per-tile circuit calls the benchmark reads,
+    until ROADMAP item 1 moves those hooks; then it can use this product too.
+    """
+    circuit._check_one_set(params)
+    (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
+    circuit._check_finite(qs, ks)
+    c = circuit.fourier_coefficients(params.beta)[0]
+    W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+    F = np.empty(qs.shape + (7,), dtype=np.complex128)
+    G = np.empty(ks.shape + (7,), dtype=np.complex128)
+    A = np.empty((items, n_q, n_k))
+    for tile in _tiles(items, max(n_q, n_k) * depth):
+        circuit.fourier_features(qs[tile], W[:, 0], out=F[tile])
+        circuit.fourier_features(ks[tile], W[:, 1], out=G[tile])
+        Fc = np.multiply(F[tile], c[1:])
+        np.conjugate(Fc, out=Fc)  # F'; Re(c F G) = Re F' Re G + Im F' Im G
+        np.matmul(_real_rows(Fc), np.swapaxes(_real_rows(G[tile]), -1, -2), out=A[tile])
+        A[tile] += depth * c[0].real
+        del Fc  # one tile's F' alive at a time
+    return A.reshape(np.shape(Q)[:-1] + (n_k,)), (F, G)
+
+
+def _real_rows(H: np.ndarray) -> np.ndarray:
+    # Complex (..., N, D, M) as real (..., N, 2 D M) rows of (re, im) pairs.
+    return H.reshape(*H.shape[:-2], math.prod(H.shape[-2:])).view(np.float64)
+
+
 def quantum_scores_backward(
     Q: np.ndarray,
     K: np.ndarray,
     params: QpaParams,
     depth: int,
     d_scores: np.ndarray,
+    features=None,
 ):
     """Backward pass of `qpa_scores`.
 
@@ -157,8 +210,11 @@ def quantum_scores_backward(
     and ``d_scores`` share their leading axes, which are flattened into
     items; the items run in tiles of at most `TILE_INPUTS` inputs per side:
     each tile writes its rows of dQ and dK and adds to the parameter sums,
-    so only the outputs grow with the batch. `circuit.score_grad_batch`
-    (parameter shift) is its oracle in the tests.
+    so only the outputs grow with the batch. ``features``, the ``(F, G)``
+    of `quantum_scores_with_features` on the same Q, K and parameters, are
+    read in place of building them, as the training step does; without it
+    each tile builds its own. `circuit.score_grad_batch` (parameter shift)
+    is its oracle in the tests.
     """
     (items, n_q, n_k), qs, ks, dA, dQ, dK, dq, dk = _flat_pairs(Q, K, depth, d_scores)
     c, dc = circuit.fourier_coefficients(params.beta)
@@ -171,8 +227,11 @@ def quantum_scores_backward(
     k_weights = np.conjugate(1j * v * c[1:]).view(np.float64)
     q_fh, k_gh, sum_fh = (np.zeros(len(freqs), dtype=np.complex128) for _ in range(3))
     for tile in _tiles(items, max(n_q, n_k) * depth):
-        F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
-        G = circuit.fourier_features(ks[tile], W[:, 1])
+        if features is None:
+            F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
+            G = circuit.fourier_features(ks[tile], W[:, 1])
+        else:
+            F, G = features[0][tile], features[1][tile]
         FH = _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
         FH *= F
         GH = _complex_matmul(np.swapaxes(dA[tile], -1, -2), F)
@@ -199,8 +258,7 @@ def quantum_scores_backward(
 def _complex_matmul(real: np.ndarray, cplx: np.ndarray) -> np.ndarray:
     # real (..., N, N) @ complex (..., N, D, M) as one real GEMM over the
     # interleaved (re, im) columns, without upcasting `real` to complex.
-    flat = cplx.reshape(*cplx.shape[:-2], math.prod(cplx.shape[-2:])).view(np.float64)
-    out = real @ flat
+    out = real @ _real_rows(cplx)
     return out.view(np.complex128).reshape(out.shape[:-1] + cplx.shape[-2:])
 
 
@@ -520,16 +578,19 @@ class ScorerKind:
     of ``shapes(heads)``. ``scores(Q, K, p, depth, noise)`` returns the score
     matrix (only ``quantum`` kinds accept a noise channel; their entries are
     sums of ``depth`` per-pair circuit scores). ``backward(Q, K, p, depth, dA)``
-    returns ``(dQ, dK, grads)`` with one gradient per key of ``p``. Linear
-    attention has no ``scores``: it skips the softmax and runs
-    `linear_attention` instead. ``pinned`` names the circuit parameters that
-    a quantum kind holds at 0 and does not train.
+    returns ``(dQ, dK, grads)`` with one gradient per key of ``p``. A kind
+    with ``train_scores(Q, K, p, depth)`` scores the training step's forward
+    by it instead: it returns ``(A, saved)``, and the step hands ``saved`` to
+    ``backward`` as a sixth argument. Linear attention has no ``scores``: it
+    skips the softmax and runs `linear_attention` instead. ``pinned`` names
+    the circuit parameters that a quantum kind holds at 0 and does not train.
     """
 
     shapes: Callable[[int], dict[str, tuple]]
     init: Callable[[np.random.Generator, int], dict[str, np.ndarray]]
     scores: Callable | None = None
     backward: Callable | None = None
+    train_scores: Callable | None = None
     uses_depth: bool = False
     quantum: bool = False
     pinned: tuple[str, ...] = ()
@@ -549,8 +610,11 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
     def scores(Q, K, p, depth, noise):
         return qpa_scores(Q, K, params(p), depth, noise)
 
-    def backward(Q, K, p, depth, dA):
-        dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA)
+    def train_scores(Q, K, p, depth):
+        return quantum_scores_with_features(Q, K, params(p), depth)
+
+    def backward(Q, K, p, depth, dA, features=None):
+        dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA, features)
         return dQ, dK, {"qpa": np.where(free, d_theta, 0.0)}
 
     return ScorerKind(
@@ -558,6 +622,7 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         init=lambda rng, heads: {"qpa": QpaParams.init_random(rng).to_array()},
         scores=scores,
         backward=backward,
+        train_scores=train_scores,
         uses_depth=True,
         quantum=True,
         pinned=pinned,

@@ -6,10 +6,11 @@ import pytest
 from qpattn import circuit
 
 
-def _parameter_shift_backward(Q, K, params, depth, d_scores):
+def _parameter_shift_backward(Q, K, params, depth, d_scores, features=None):
     # The pairwise reduction of `circuit.score_grad_batch` over every
     # (query, key, dimension) triple: the backward of the quantum scorers
-    # written out with parameter-shift partials.
+    # written out with parameter-shift partials. The training step's saved
+    # `features` are ignored: the reference builds nothing from them.
     Q = np.asarray(Q, dtype=float)
     K = np.asarray(K, dtype=float)
     qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]

@@ -589,6 +589,20 @@ class TestFeatures:
         assert out.shape == shape + (7,)
         assert out.dtype == np.complex128 and out.flags.c_contiguous
 
+    def test_out_takes_tiles_of_a_larger_array(self):
+        # The training forward builds a layer's features tile by tile into
+        # the array it hands to the backward.
+        rng = np.random.default_rng(49)
+        w, x = rng.normal(0, 1.5, size=3), rng.normal(0, 2, size=(5, 3, 4))
+        whole = np.empty(x.shape + (7,), dtype=np.complex128)
+        for tile in (slice(0, 2), slice(2, 5)):
+            circuit.fourier_features(x[tile], w, out=whole[tile])
+        assert np.array_equal(whole, circuit.fourier_features(x, w))
+        # A strided, a real and a mis-shaped `out` would not receive the features.
+        for xs, bad in [(x[:, :2], whole[:, :2]), (x, whole.real.copy()), (x, whole[:4])]:
+            with pytest.raises(ValueError, match="out must be"):
+                circuit.fourier_features(xs, w, out=bad)
+
     @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (2, 3, 5, 4)], ids=str)
     def test_negated_frequencies_give_conjugates_bit_for_bit(self, shape):
         # `_series` builds conj(F) as the features of -w; that rests on an odd tangent.

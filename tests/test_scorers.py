@@ -660,6 +660,75 @@ class TestForwardTiles:
         assert excess(64, 50) <= 4 * 2**20
 
 
+class TestTrainingForward:
+    """`quantum_scores_with_features`, the training step's score-matrix forward."""
+
+    @pytest.mark.parametrize("case", FORWARD_TILES)
+    def test_matches_per_pair_scores(self, case, monkeypatch, count_calls):
+        q_shape, k_shape, depth, tile_inputs, _ = FORWARD_TILES[case]
+        rng = np.random.default_rng(37)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
+        ref = scorers.qpa_scores(Q, K, p, depth)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
+        calls = count_calls(circuit, "fourier_features")
+        A, (F, G) = scorers.quantum_scores_with_features(Q, K, p, depth)
+        items = len(F)
+        assert len(calls) == 2 * len(scorers._tiles(items, max(q_shape[-2], k_shape[-2]) * depth))
+        assert A.shape == ref.shape and np.abs(A - ref).max() <= 1e-13
+        W = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+        qs, ks = (X[..., :depth].reshape(items, -1, depth) for X in (Q, K))
+        assert np.array_equal(F, circuit.fourier_features(qs, W[:, 0]))
+        assert np.array_equal(G, circuit.fourier_features(ks, W[:, 1]))
+
+    @pytest.mark.parametrize("case", BACKWARD_TILES)
+    def test_backward_reads_the_features_bit_for_bit(self, case, count_calls):
+        shape, depth, _ = BACKWARD_TILES[case]
+        Q, K, p, dA = backward_case(shape)
+        built = scorers.quantum_scores_backward(Q, K, p, depth, dA)
+        features = scorers.quantum_scores_with_features(Q, K, p, depth)[1]
+        calls = count_calls(circuit, "fourier_features")
+        read = scorers.quantum_scores_backward(Q, K, p, depth, dA, features)
+        assert not calls
+        for got, ref in zip(read, built):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_before_any_feature(self, side, bad, count_calls):
+        Q, K = np.random.default_rng(40).normal(size=(2, 3, 2, 5, 4))
+        (Q if side == "q" else K)[2, 1, 4, 3] = bad
+        calls = count_calls(circuit, "fourier_features")
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        with pytest.raises(circuit.NonFiniteInputError, match=f"^{side} must be finite$"):
+            scorers.quantum_scores_with_features(Q, K, p, 4)
+        assert not calls
+
+    def test_array_valued_parameters_raise(self):
+        Q, K = np.random.default_rng(41).normal(size=(2, 2, 5, 4))
+        p = QpaParams(np.array([0.5, 0.6]), 0.1, -0.2, 0.3, 0.2)
+        with pytest.raises(ValueError, match="one parameter set"):
+            scorers.quantum_scores_with_features(Q, K, p, 4)
+
+    def test_working_memory_does_not_grow_with_the_batch(self):
+        # Traced peak of the call, less its outputs A, F and G, two heads,
+        # N=17, D=16: one tile's F' and feature temporaries.
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+
+        def excess(batch):
+            Q, K = np.random.default_rng(42).normal(size=(2, batch, 2, 17, 16))
+            tracemalloc.start()
+            try:
+                A, (F, G) = scorers.quantum_scores_with_features(Q, K, p, 16)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak - A.nbytes - F.nbytes - G.nbytes
+
+        small, large = excess(8), excess(64)
+        assert large <= 1.05 * small, (small, large)
+
+
 #: (Q shape, K shape, dA shape, depth, TILE_INPUTS, tiles) around the MLP
 #: scorer's query-row tiles: a tile holds TILE_INPUTS // (N * D) query rows,
 #: at least one, and whole (batch, head) items while those rows cover one.
@@ -850,6 +919,7 @@ class TestClassicalWorkingSet:
         out = vit._forward(model, images, caches=filled)
         layers = list(filled["layers"])
         expected = LAYER_CACHE | ({"attn_probs"} if scorers.KINDS[kind].scores else set())
+        expected |= {"scorer_saved"} if scorers.KINDS[kind].train_scores else set()
         assert [set(lc) for lc in layers] == [expected] * 2
         monkeypatch.setattr(vit, "_forward", lambda *_, caches: caches.update(filled) or out)
         vit.backward(model, images, np.array([0, 1, 0]))
