@@ -88,10 +88,12 @@ def oracle_bound():
 
 @pytest.fixture(autouse=True)
 def fresh_sampler_memo():
-    """Each test starts with an empty `score_sampled` memo: a test that patches
-    a gate must not leave its distributions to the next test, nor find another
-    test's."""
+    """Each test starts with empty `score_sampled` memos, the distributions and
+    the seed keys: a test that patches a gate must not leave its distributions
+    to the next test, nor find another test's, and a test that counts key
+    derivations counts its own."""
     circuit._sampling_probs.cache_clear()
+    circuit._philox_key.cache_clear()
 
 
 @pytest.fixture

@@ -8,6 +8,8 @@ analytic closed forms are checked against each other from independent routes.
 import dataclasses
 import itertools
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -665,6 +667,73 @@ class TestSampled:
         for q, k in inputs:
             for seed in (0, 1, 7919, 2**31 + 3):
                 for shots in (1, 25, 1600):
+                    got = circuit.score_sampled(q, k, p, shots, seed=seed)
+                    assert got == self.fresh_estimate(q, k, p, shots, seed)
+
+    @pytest.mark.parametrize(
+        "seed",
+        [7, np.int64(7), True, np.uint64(2**64 - 1), 2**64, 2**200 + 3, [1, 2], (1, 2), np.array([1, 2])],
+        ids=["int", "np-int64", "bool", "np-uint64-max", "2**64", "2**200+3", "list", "tuple", "array"],
+    )
+    def test_every_seed_a_fresh_generator_takes_draws_the_same(self, seed):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.1)
+        for _ in range(2):  # the second call finds an integer seed's key memoized
+            for shots in (1, 100, 1600):
+                got = circuit.score_sampled(0.3, -0.4, p, shots, seed=seed)
+                assert got == self.fresh_estimate(0.3, -0.4, p, shots, seed)
+        if isinstance(seed, list):
+            assert circuit.score_sampled(0.3, -0.4, p, 100, seed=seed) == 0.73
+
+    @pytest.mark.parametrize(
+        "seed, error",
+        [(-1, ValueError), (np.int64(-3), ValueError), (7.0, TypeError), (np.float64(7.0), TypeError),
+         ("7", TypeError), ([1, -2], ValueError), ([1, 2.0], TypeError)],
+        ids=["negative", "np-negative", "float", "np-float", "str", "list-negative", "list-float"],
+    )
+    def test_every_seed_a_fresh_generator_refuses_is_refused_the_same(self, seed, error):
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.1)
+        for seven in (7, np.int64(7)):  # 7.0 == 7 must not find 7's key
+            circuit.score_sampled(0.3, -0.4, p, 100, seed=seven)
+        with pytest.raises(error):
+            np.random.Philox(seed)
+        for _ in range(2):
+            with pytest.raises(error):
+                circuit.score_sampled(0.3, -0.4, p, 100, seed=seed)
+
+    def test_threads_draw_from_their_own_generators(self):
+        # Each thread resets and draws on its own generator: a reset from
+        # another thread between this thread's reset and its draw would move
+        # the draw off the fresh generator's. The switch interval is shortened
+        # so that threads switch between those two steps.
+        rng = np.random.default_rng(23)
+        jobs = [(random_params(rng), *rng.normal(0, 1.5, 2), 100 + 1000 * t) for t in range(4)]
+
+        def draw(job):
+            p, q, k, first_seed = job
+            return [circuit.score_sampled(q, k, p, 25, seed=first_seed + i) for i in range(200)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(draw, job) for job in jobs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for (p, q, k, first_seed), estimates in zip(jobs, results):
+            assert estimates == [
+                self.fresh_estimate(q, k, p, 25, first_seed + i) for i in range(200)
+            ]
+
+    def test_no_generator_state_leaks_into_the_next_draw(self):
+        # The same seed again after draws that leave the generator's counter
+        # and buffer mid-block, or with another shot count's binomial set-up,
+        # must still take a fresh generator's draws.
+        rng = np.random.default_rng(29)
+        p = random_params(rng)
+        for seed in (11, 2**64 + 11):
+            for q, k in rng.normal(0, 1.5, (2, 2)):
+                for shots in (1600, 1, 25):
                     got = circuit.score_sampled(q, k, p, shots, seed=seed)
                     assert got == self.fresh_estimate(q, k, p, shots, seed)
 

@@ -479,12 +479,29 @@ class TestShots:
         assert len(sampled) == 2 * 2 * 400
         assert len(builds) == 2
 
+    def test_one_generator_per_thread_and_one_key_per_seed(self, tmp_path, count_calls):
+        # The 1,600 estimates reset one generator; the 400 seeds are hashed
+        # once each and reused by both inputs and both shot counts.
+        philox = count_calls(np.random, "Philox")
+        argv = ["shots", "--shots", "25,100", "--reps", "400", "--inputs", "2"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert len(philox) <= 1
+        assert circuit._philox_key.cache_info().misses == 400
+
     def test_fixed_seed_csv_matches_reference_digest(self, tmp_path):
         # sha256 of the file the sampler wrote when it built every statevector afresh.
         argv = ["shots", "--shots", "25,100,400", "--reps", "200", "--inputs", "3", "--seed", "7"]
         assert cli.main([*argv, "--out", str(tmp_path)]) == 0
         digest = hashlib.sha256((tmp_path / "shots.csv").read_bytes()).hexdigest()
         assert digest == "486258c16013e2ee94e91076616830c3516a41dcb8ba8e1d3dbdb33e90b1f71c"
+
+    def test_seed_of_2_to_the_64_csv_matches_reference_digest(self, tmp_path):
+        # sha256 of the file written when every estimate built its own generator;
+        # the repetition seeds 2**64 + 7919 r lie beyond numpy's fixed-width ints.
+        argv = ["shots", "--shots", "25,100", "--reps", "50", "--inputs", "2", "--seed", str(2**64)]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "shots.csv").read_bytes()).hexdigest()
+        assert digest == "63b32bf89e04128b710a96e13edde594a5244401a2abb637badd123fa8af854c"
 
 
 class TestUsageErrorsBeforeAnyWork:
