@@ -633,25 +633,39 @@ _Z_MAPS = {
 }
 
 
-def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> np.ndarray:
-    """Vectorised noisy score over broadcastable input arrays.
+def score_coefficients(params: QpaParams, noise=None) -> np.ndarray:
+    """The coefficients c on `FOURIER_FREQS` of the score, clean or under ``noise``.
 
-    With <Z> -> t + s <Z> on each qubit, <ZZ> becomes
-    t^2 + t s (<ZI> + <IZ>) + s^2 <ZZ>, so the noisy mu stays on the Fourier
-    support of the clean one: c_0 = (1 + t^2) / 2 and
-    c_n = s^2 c_n(clean) + (t s / 2) cos(2 beta) ZS_n. BF, DP and PF have
-    t = 0 and only scale mu about 1/2: mu -> 1/2 + s^2 (mu - 1/2).
-    The density-matrix `score_noisy` is its oracle. A non-finite input
-    raises `ValueError`, as in `score`.
+    ``noise`` is None or a channel ``(name, gamma)``. With <Z> -> t + s <Z>
+    on each qubit, <ZZ> becomes t^2 + t s (<ZI> + <IZ>) + s^2 <ZZ>, so the
+    noisy mu stays on the Fourier support of the clean one:
+    c_0 = (1 + t^2) / 2 and c_n = s^2 c_n(clean) + (t s / 2) cos(2 beta) ZS_n.
+    BF, DP and PF have t = 0 and only scale mu about 1/2:
+    mu -> 1/2 + s^2 (mu - 1/2). `score_noisy_batch` and
+    `scorers.quantum_score_sum` both read it. Returns a complex array of
+    shape (8,).
     """
+    c, _ = fourier_coefficients(params.beta)
+    if noise is None:
+        return c
+    channel, gamma = noise
     if channel not in _Z_MAPS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {sorted(_Z_MAPS)}")
-    _check_one_set(params)
     gamma = float(gamma)
     if not (0.0 <= gamma <= 1.0):
         raise ValueError(f"gamma must lie in [0, 1], got {gamma!r}")
     t, s = _Z_MAPS[channel](gamma)
-    c, _ = fourier_coefficients(params.beta)
     c[0] = (1 + t * t) / 2
     c[1:] = s * s * c[1:] + t * s / 2 * np.cos(2 * params.beta) * _ZS
-    return _series(qs, ks, params, c)
+    return c
+
+
+def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> np.ndarray:
+    """Vectorised noisy score over broadcastable input arrays.
+
+    The series of `score_batch` with the noisy coefficients of
+    `score_coefficients`. The density-matrix `score_noisy` is its oracle. A
+    non-finite input raises `ValueError`, as in `score`.
+    """
+    _check_one_set(params)
+    return _series(qs, ks, params, score_coefficients(params, (channel, gamma)))

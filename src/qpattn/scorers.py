@@ -16,18 +16,22 @@ products of a query feature with a key feature. The training step scores a
 layer as a feature map followed by a product: `quantum_scores_with_features`
 builds the seven features of every input of Q and K once, forms the score
 matrix by one real GEMM of inner size 14 D per (batch, head) item, and
-returns the features, which the step keeps in its layer cache (3.9 MB at
-B=32, N=17; 11.5 MB at N=50; about 45 MB at N=197) and hands to
-`quantum_scores_backward`. The backward costs two GEMMs per item on those
-features, whose products it reduces as real arrays of 14 floats per input;
-the series' constant c_0 = 1/2 depends on no parameter and does not reach
-it. Inference (`qpa_scores`) still scores every (query, key, dimension)
-triple by a per-tile circuit call, because the benchmark's correctness hooks
-read those calls; this second path is temporary and goes once ROADMAP item 1
-moves the hooks. The circuit evaluates whatever it is given in one call, so
-the tiling policy lives here: every direction runs on tiles of
-`TILE_INPUTS` inputs per side, so its temporaries do not grow with the
-batch. `qpa_scores` calls the circuit once per tile of whole images and sums
+returns the features, which the step keeps in its layer cache and hands to
+`quantum_scores_backward` (at B=32, N=17 / 50 / 197: 3.9 / 11.5 / about
+45 MB for a layer that scores all N query rows, 2.1 / 5.8 / 22.7 MB for
+the ViT's last layer, which scores the CLS row alone). The backward costs
+two GEMMs per item on those features, whose products it reduces as real
+arrays of 14 floats per input; the series' constant c_0 = 1/2 depends on
+no parameter and does not reach it. Inference (`qpa_scores`) still scores
+every (query, key, dimension) triple by a per-tile circuit call, because
+the benchmark's correctness hooks read those calls; this second path is
+temporary and goes once ROADMAP item 1 moves the hooks. The mean score of
+a layer whose query side is the CLS row alone comes from the series'
+separable form (`quantum_score_sum`), which sums the per-pair scores of
+all N query rows from their features alone. The circuit evaluates whatever
+it is given in one call, so the tiling policy lives here: every direction
+runs on tiles of `TILE_INPUTS` inputs per side, so its temporaries do not
+grow with the batch. `qpa_scores` calls the circuit once per tile of whole images and sums
 that tile's per-pair scores over D into its slice of the score matrix before
 the next tile; the training forward writes each tile's features and scores,
 and the backward each tile's rows of dQ and dK.
@@ -151,8 +155,9 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     `circuit.fourier_features` builds at W[:, 0] and W[:, 1], are returned
     laid out (items, N, D, 7) for `quantum_scores_backward`, which then
     builds none of its own. They are the only arrays that grow with the
-    batch besides A (3.9 MB for a layer at B=32, H=2, N=17, D=16; 11.5 MB
-    at N=50; about 45 MB at N=197); F' is one tile's temporary. The items
+    batch besides A (at B=32, H=2, D=16 and N = 17 / 50 / 197 query and key
+    rows, 3.9 / 11.5 / about 45 MB; with the CLS row alone as the query
+    side, 2.1 / 5.8 / 22.7 MB); F' is one tile's temporary. The items
     run in the backward's tiles (`_tiles`). A equals `qpa_scores` to within
     rounding: the per-pair path sums each dimension's score, this one sums
     all 14 D products at once. Inputs are checked as in
@@ -177,6 +182,34 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
         A[tile] += depth * c[0].real
         del Fc  # one tile's F' alive at a time
     return A.reshape(np.shape(Q)[:-1] + (n_k,)), (F, G)
+
+
+def quantum_score_sum(
+    Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int, noise=None
+) -> float:
+    """The sum of all entries of ``qpa_scores(Q, K, params, depth, noise)``, in separable form.
+
+    mu = c_0 + Re sum_n c_n F_n(q) G_n(k) makes the sum over all N_q N_k
+    pairs of one (item, dimension) a product of sums:
+    N_q N_k c_0 + Re sum_n c_n (sum_i F_n(q_id)) (sum_j G_n(k_jd)), with the
+    clean or noisy coefficients of `circuit.score_coefficients`. So it
+    costs the features of each input, no per-pair work, and the features of
+    one tile at a time (`_tiles`). `vit.forward_with_stats` reads it for
+    the last layer, whose query side runs on the CLS row alone.
+    """
+    circuit._check_one_set(params)
+    c = circuit.score_coefficients(params, noise)
+    (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
+    circuit._check_finite(qs, ks)
+    W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+    products = np.zeros(7, dtype=np.complex128)
+    for tile in _tiles(items, max(n_q, n_k) * depth):
+        F = circuit.fourier_features(qs[tile], W[:, 0]).sum(axis=1)  # (tile, D, 7)
+        G = circuit.fourier_features(ks[tile], W[:, 1]).sum(axis=1)
+        F *= G
+        products += F.reshape(-1, 7).sum(axis=0)
+        del F, G  # one tile's features alive at a time
+    return float(items * n_q * n_k * depth * c[0].real + (c[1:] @ products).real)
 
 
 def _real_rows(H: np.ndarray) -> np.ndarray:
@@ -581,7 +614,9 @@ class ScorerKind:
     returns ``(dQ, dK, grads)`` with one gradient per key of ``p``. A kind
     with ``train_scores(Q, K, p, depth)`` scores the training step's forward
     by it instead: it returns ``(A, saved)``, and the step hands ``saved`` to
-    ``backward`` as a sixth argument. Linear attention has no ``scores``: it
+    ``backward`` as a sixth argument. A ``quantum`` kind's
+    ``score_sum(Q, K, p, depth, noise)`` is the sum of every per-pair score
+    of ``scores`` without the score matrix. Linear attention has no ``scores``: it
     skips the softmax and runs `linear_attention` instead. ``pinned`` names
     the circuit parameters that a quantum kind holds at 0 and does not train.
     """
@@ -591,6 +626,7 @@ class ScorerKind:
     scores: Callable | None = None
     backward: Callable | None = None
     train_scores: Callable | None = None
+    score_sum: Callable | None = None
     uses_depth: bool = False
     quantum: bool = False
     pinned: tuple[str, ...] = ()
@@ -613,6 +649,9 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
     def train_scores(Q, K, p, depth):
         return quantum_scores_with_features(Q, K, params(p), depth)
 
+    def score_sum(Q, K, p, depth, noise):
+        return quantum_score_sum(Q, K, params(p), depth, noise)
+
     def backward(Q, K, p, depth, dA, features=None):
         dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA, features)
         return dQ, dK, {"qpa": np.where(free, d_theta, 0.0)}
@@ -623,6 +662,7 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         scores=scores,
         backward=backward,
         train_scores=train_scores,
+        score_sum=score_sum,
         uses_depth=True,
         quantum=True,
         pinned=pinned,

@@ -5,13 +5,19 @@ convolutional patch embedding, a learnable CLS token and positional table,
 and a linear head on the CLS representation. Forward and backward are written
 directly in numpy; the quantum scorer enters backpropagation as a primitive
 whose forward and exact backward both come from the circuit's Fourier form.
-A scorer kind with a ``train_scores`` forward (the quantum kinds) scores
-the training step's layers with it: it builds the layer's Fourier features
-once, scores by their product, and the layer cache keeps the features for
-the backward (3.9 MB per layer at B=32, N=17; 11.5 MB at N=50; about 45 MB
-at N=197). `forward` and `forward_with_stats` keep the per-pair circuit
-calls that the benchmark's correctness hooks read, until ROADMAP item 1
-moves those hooks; the two forwards agree to within rounding.
+The head reads the CLS token alone, so the last encoder block runs its
+query side on the CLS row only: its Q projection, scores, softmax, merge,
+output projection with its residual, LN2 and FFN see one token, while its
+LN1, K and V and every earlier block see all N. An all-row statistic of the
+last layer's attention, such as the mean attention entropy of ROADMAP item
+8, would need its own pass. A scorer kind with a ``train_scores`` forward
+(the quantum kinds) scores the training step's layers with it: it builds
+the layer's Fourier features once, scores by their product, and the layer
+cache keeps the features for the backward (at B=32, N=17 / 50 / 197: 3.9 /
+11.5 / about 45 MB for a full layer, 2.1 / 5.8 / 22.7 MB for the last one).
+`forward` and `forward_with_stats` keep the per-pair circuit calls that the
+benchmark's correctness hooks read, until ROADMAP item 1 moves those hooks;
+the two forwards agree to within rounding.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
 which keeps the optimizer, checkpointing and finite-difference checks simple.
@@ -263,12 +269,13 @@ def _linear(x, w, b):
     return out
 
 
-def _linear_backward(dout, x, w):
+def _linear_param_grads(dout, x):
     do2 = dout.reshape(-1, dout.shape[-1])
-    dw = do2.T @ x.reshape(-1, x.shape[-1])
-    db = do2.sum(axis=0)
-    dx = dout @ w
-    return dx, dw, db
+    return do2.T @ x.reshape(-1, x.shape[-1]), do2.sum(axis=0)
+
+
+def _linear_backward(dout, x, w):
+    return (dout @ w, *_linear_param_grads(dout, x))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -292,10 +299,14 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
-    """Logits and the circuit-score sums; fills ``caches`` for `backward` if given.
+def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None, stats=False):
+    """Logits and, with ``stats``, the circuit-score sums; fills ``caches`` for `backward` if given.
 
-    Without ``caches``, each layer's arrays are dropped before the next starts.
+    The head reads only the CLS token of the last layer, so that layer runs
+    its query side on the CLS row alone: Q, the scores, the softmax, the
+    merge, `wo` with its residual, LN2 and the FFN. Its LN1, K and V, and
+    every earlier layer, run on all N tokens. Without ``caches``, each
+    layer's arrays are dropped before the next starts.
     """
     cfg = model.config
     P = model.params
@@ -316,10 +327,12 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
     mu_sum, mu_count = 0.0, 0
     for layer in range(cfg.num_layers):
         pre = f"layers.{layer}."
+        last = layer == cfg.num_layers - 1
+        rows = slice(0, 1) if last else slice(None)  # the query rows
         lc: dict = {}
         h, lc["ln1"] = _layernorm(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
         lc["h"] = h
-        q = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
+        q = _linear(h[:, rows], P[pre + "attn.wq"], P[pre + "attn.bq"])
         k = _linear(h, P[pre + "attn.wk"], P[pre + "attn.bk"])
         v = _linear(h, P[pre + "attn.wv"], P[pre + "attn.bv"])
         qh, kh, vh = (_split_heads(t, cfg.heads) for t in (q, k, v))
@@ -337,9 +350,14 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
                 A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
             else:
                 A = kind.scores(qh, kh, sp, cfg.depth, noise)
-            if kind.quantum:  # A sums `depth` per-pair scores
-                mu_sum += float(A.sum())
-                mu_count += A.size * cfg.depth
+            if stats and kind.quantum:  # A sums `depth` per-pair scores
+                if last:  # the scores of every query row, without their matrix
+                    q_all = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
+                    mu_sum += kind.score_sum(_split_heads(q_all, cfg.heads), kh, sp, cfg.depth, noise)
+                    del q_all
+                else:
+                    mu_sum += float(A.sum())
+                mu_count += A.size // qh.shape[-2] * h.shape[1] * cfg.depth  # all N query rows
             lc["attn_probs"] = scorers.row_softmax(A)
             del A  # the softmax is the score matrix's last use
             ctx = lc["attn_probs"] @ vh
@@ -348,7 +366,7 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None):
         del ctx
         lc["merged"] = merged
         attn_out = _linear(merged, P[pre + "attn.wo"], P[pre + "attn.bo"])
-        attn_out += x
+        attn_out += x[:, rows]
         x = attn_out
 
         h2, lc["ln2"] = _layernorm(x, P[pre + "ln2.g"], P[pre + "ln2.b"])
@@ -382,9 +400,15 @@ def forward(model: VitModel, images: np.ndarray, noise=None) -> np.ndarray:
 def forward_with_stats(model: VitModel, images: np.ndarray, noise=None):
     """Logits plus ``{"mu_sum", "mu_count"}``, the sum and count of the circuit scores.
 
-    Both are 0 for a classical scorer; their ratio is the mean score.
+    They run over every (query, key, dimension) triple of every layer. The
+    last layer scores only its CLS row, so its sum comes from the circuit's
+    separable form (`scorers.quantum_score_sum`): for each (image, head,
+    dimension), N^2 c_0 + Re sum_n c_n (sum_i F_n(q_id)) (sum_j G_n(k_jd)),
+    with Q projected from all N tokens; it equals the per-pair sum to within
+    rounding. Both are 0 for a classical scorer; their ratio is the mean
+    score.
     """
-    return _forward(model, images, noise=noise)
+    return _forward(model, images, noise=noise, stats=True)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -408,7 +432,12 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy loss and gradients for every parameter."""
+    """Mean cross-entropy loss and gradients for every parameter.
+
+    The last layer's query side holds the CLS row alone (`_forward`): its
+    dQ reaches that row of the LN1 output, and the residual that row of the
+    layer input; K, V and every earlier layer carry gradients for all N rows.
+    """
     cfg = model.config
     P = model.params
     kind = scorers.KINDS[cfg.scorer]
@@ -418,13 +447,10 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
 
     grads = {name: np.zeros_like(p) for name, p in P.items()}
 
-    x_final = caches.pop("x_final")
     dx_cls, grads["head.w"], grads["head.b"] = _linear_backward(
-        dlogits, x_final[:, 0], P["head.w"]
+        dlogits, caches.pop("x_final")[:, 0], P["head.w"]
     )
-    dx = np.zeros_like(x_final)
-    dx[:, 0] = dx_cls
-    del x_final
+    dx = dx_cls[:, None]  # the last layer's output is its CLS row alone
 
     # Each cached array is popped at its last read and each large gradient
     # deleted before the next large allocation, so only the layers not yet
@@ -478,25 +504,24 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
         h = lc.pop("h")
         dh = np.zeros_like(h)
         for dt, wname in ((dq, "wq"), (dk, "wk"), (dv, "wv")):
+            rows = slice(0, dt.shape[1])  # the last layer's query side holds the CLS row
             dpart, grads[pre + f"attn.{wname}"], grads[pre + f"attn.b{wname[1]}"] = (
-                _linear_backward(dt, h, P[pre + f"attn.{wname}"])
+                _linear_backward(dt, h[:, rows], P[pre + f"attn.{wname}"])
             )
-            dh += dpart
+            dh[:, rows] += dpart
         del dq, dk, dv, dpart, h
         dx_in, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = _layernorm_backward(
             dh, P[pre + "ln1.g"], lc.pop("ln1")
         )
         del dh
-        dx += dx_in
+        dx_in[:, : dx.shape[1]] += dx  # the residual, on the rows this layer output
+        dx = dx_in
         del dx_in
 
     # Token assembly: x = concat(cls, tokens) + pos.
     grads["pos"] = dx.sum(axis=0)
     grads["cls"] = dx[:, 0].sum(axis=0)
-    dtokens = dx[:, 1:]
-    _, grads["patch.w"], grads["patch.b"] = _linear_backward(
-        dtokens, caches["patches"], P["patch.w"]
-    )
+    grads["patch.w"], grads["patch.b"] = _linear_param_grads(dx[:, 1:], caches["patches"])
     return loss, grads
 
 

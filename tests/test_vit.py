@@ -141,24 +141,182 @@ class TestForward:
         assert np.abs(normed.var(axis=-1) - 1.0).max() < 1e-6
 
 
+def _all_tokens(model, images, labels=None, noise=None):
+    """Every layer on all N tokens: the algorithm before the CLS-only last block.
+
+    Returns the logits, each layer's per-head (Q, K), and with ``labels``
+    the loss and the gradients. Plain expressions over the layer primitives,
+    with every intermediate kept, as a reference for `vit._forward` and
+    `vit.backward`.
+    """
+    cfg, P = model.config, model.params
+    kind = scorers.KINDS[cfg.scorer]
+    tokens, patches = vit.patch_embed(images, cfg, P["patch.w"], P["patch.b"])
+    cls = np.broadcast_to(P["cls"], (len(images), 1, cfg.hidden_size))
+    x = np.concatenate([cls, tokens], axis=1) + P["pos"]
+    layers = []
+    for layer in range(cfg.num_layers):
+        pre = f"layers.{layer}."
+        c = {"x": x}
+        c["h"], c["ln1"] = vit._layernorm(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
+        c["qh"], c["kh"], c["vh"] = (
+            vit._split_heads(vit._linear(c["h"], P[pre + f"attn.w{n}"], P[pre + f"attn.b{n}"]), cfg.heads)
+            for n in "qkv"
+        )
+        c["sp"] = vit._layer_scorer_params(model, layer)
+        if kind.scores is None:
+            ctx = scorers.linear_attention(c["qh"], c["kh"], c["vh"])
+        else:
+            c["probs"] = scorers.row_softmax(kind.scores(c["qh"], c["kh"], c["sp"], cfg.depth, noise))
+            ctx = c["probs"] @ c["vh"]
+        c["merged"] = vit._merge_heads(ctx)
+        x_mid = x + vit._linear(c["merged"], P[pre + "attn.wo"], P[pre + "attn.bo"])
+        c["h2"], c["ln2"] = vit._layernorm(x_mid, P[pre + "ln2.g"], P[pre + "ln2.b"])
+        c["f1"] = vit._linear(c["h2"], P[pre + "ffn.w1"], P[pre + "ffn.b1"])
+        c["a1"], c["phi"] = vit._gelu(c["f1"])
+        x = x_mid + vit._linear(c["a1"], P[pre + "ffn.w2"], P[pre + "ffn.b2"])
+        layers.append(c)
+    logits = vit._linear(x[:, 0], P["head.w"], P["head.b"])
+    qk = [(c["qh"], c["kh"]) for c in layers]
+    if labels is None:
+        return logits, qk
+
+    loss, dlogits = vit.cross_entropy(logits, labels)
+    grads = {}
+    dx = np.zeros_like(x)
+    dx[:, 0], grads["head.w"], grads["head.b"] = vit._linear_backward(dlogits, x[:, 0], P["head.w"])
+    for layer in reversed(range(cfg.num_layers)):
+        pre, c = f"layers.{layer}.", layers[layer]
+        da1, grads[pre + "ffn.w2"], grads[pre + "ffn.b2"] = vit._linear_backward(dx, c["a1"], P[pre + "ffn.w2"])
+        df1 = vit._gelu_backward(da1, c["f1"], c["phi"])
+        dh2, grads[pre + "ffn.w1"], grads[pre + "ffn.b1"] = vit._linear_backward(df1, c["h2"], P[pre + "ffn.w1"])
+        dmid, grads[pre + "ln2.g"], grads[pre + "ln2.b"] = vit._layernorm_backward(
+            dh2, P[pre + "ln2.g"], c["ln2"]
+        )
+        dx = dx + dmid
+        dmerged, grads[pre + "attn.wo"], grads[pre + "attn.bo"] = vit._linear_backward(
+            dx, c["merged"], P[pre + "attn.wo"]
+        )
+        dctx = vit._split_heads(dmerged, cfg.heads)
+        if kind.scores is None:
+            dqkv = scorers.linear_attention_backward(c["qh"], c["kh"], c["vh"], dctx)
+        else:
+            dprobs = dctx @ np.swapaxes(c["vh"], -1, -2)
+            dvh = np.swapaxes(c["probs"], -1, -2) @ dctx
+            dA = scorers.row_softmax_backward(c["probs"], dprobs)
+            dqh, dkh, scorer_grads = kind.backward(c["qh"], c["kh"], c["sp"], cfg.depth, dA)
+            grads.update({pre + "scorer." + name: g for name, g in scorer_grads.items()})
+            dqkv = dqh, dkh, dvh
+        dh = 0
+        for n, dt in zip("qkv", dqkv):
+            dpart, grads[pre + f"attn.w{n}"], grads[pre + f"attn.b{n}"] = vit._linear_backward(
+                vit._merge_heads(dt), c["h"], P[pre + f"attn.w{n}"]
+            )
+            dh = dh + dpart
+        dx_in, grads[pre + "ln1.g"], grads[pre + "ln1.b"] = vit._layernorm_backward(
+            dh, P[pre + "ln1.g"], c["ln1"]
+        )
+        dx = dx + dx_in
+    grads["pos"] = dx.sum(axis=0)
+    grads["cls"] = dx[:, 0].sum(axis=0)
+    _, grads["patch.w"], grads["patch.b"] = vit._linear_backward(dx[:, 1:], patches, P["patch.w"])
+    return logits, qk, loss, grads
+
+
+def _circuit_params(model, layer):
+    # The circuit parameters a quantum layer scores with, the pinned ones at 0.
+    kind = scorers.KINDS[model.config.scorer]
+    theta = model.params[f"layers.{layer}.scorer.qpa"]
+    return circuit.QpaParams.from_array(np.where(np.isin(circuit.PARAM_NAMES, kind.pinned), 0.0, theta))
+
+
+class TestCLSOnlyLastLayer:
+    """The last layer runs its query side on the CLS row alone."""
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("kind", scorers.KINDS)
+    def test_matches_all_token_reference(self, kind, layers):
+        model = init_model(tiny_config(kind, num_layers=layers, patch_size=2), 14)
+        images = random_images(np.random.default_rng(15))
+        labels = np.array([0, 1, 1])
+        ref_logits, _, ref_loss, ref_grads = _all_tokens(model, images, labels)
+        logits = vit.forward(model, images)
+        loss, grads = vit.backward(model, images, labels)
+        assert np.abs(logits - ref_logits).max() <= 1e-12 * max(1.0, np.abs(ref_logits).max())
+        assert abs(loss - ref_loss) <= 1e-12 * max(1.0, abs(ref_loss))
+        assert list(grads) == list(model.params) and set(ref_grads) == set(grads)
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, ref in ref_grads.items():
+            assert grads[name].shape == ref.shape, name
+            assert np.abs(grads[name] - ref).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("kind", scorers.KINDS)
+    def test_last_scorer_gets_one_query_row(self, kind, monkeypatch):
+        config = tiny_config(kind, num_layers=3)
+        n = config.num_tokens
+        model = init_model(config, 16)
+        images = random_images(np.random.default_rng(17))
+        rows = []
+
+        def recorded(f):
+            def record(Q, K, *args):
+                rows.append((Q.shape[-2], K.shape[-2]))
+                return f(Q, K, *args)
+
+            return record
+
+        base = scorers.KINDS[kind]
+        if base.scores is None:
+            for name in ("linear_attention", "linear_attention_backward"):
+                monkeypatch.setattr(scorers, name, recorded(getattr(scorers, name)))
+        else:
+            fields = ("scores", "backward", "train_scores", "score_sum")
+            wrapped = {f: recorded(getattr(base, f)) for f in fields if getattr(base, f) is not None}
+            monkeypatch.setitem(scorers.KINDS, kind, dataclasses.replace(base, **wrapped))
+        vit.forward(model, images)
+        assert rows == [(n, n), (n, n), (1, n)]
+        rows.clear()
+        vit.backward(model, images, np.array([0, 1, 0]))
+        assert rows == [(n, n), (n, n), (1, n), (1, n), (n, n), (n, n)]
+        rows.clear()
+        vit.forward_with_stats(model, images)
+        # The mean score's sum reads every query row of the last layer.
+        assert rows == [(n, n), (n, n), (1, n)] + ([(n, n)] if base.quantum else [])
+
+    def test_training_step_computes_no_score_statistics(self, monkeypatch):
+        model = init_model(tiny_config("qpa", num_layers=2), 18)
+        images = random_images(np.random.default_rng(19))
+        sums = []
+        monkeypatch.setattr(scorers, "quantum_score_sum", lambda *a: sums.append(1) or 0.0)
+        vit.backward(model, images, np.array([0, 1, 0]))
+        vit.forward(model, images)
+        assert not sums
+        vit.forward_with_stats(model, images)
+        assert len(sums) == 1
+
+
 class TestMeanMu:
     NOISE = [None] + [(channel, 0.2) for channel in ("AD", "DP", "BF", "PF")]
 
     @pytest.mark.parametrize("kind", ["qpa", "qpa-ind"])
-    def test_mean_of_every_per_pair_score(self, kind, monkeypatch):
-        # forward_with_stats takes mean mu from the score matrices; it must be
-        # the mean of the per-pair scores the circuit returned.
+    def test_mean_of_every_per_pair_score(self, kind):
+        # forward_with_stats sums the scores of every (query, key, dimension)
+        # triple of every layer; the reference scores each layer's full Q and
+        # K pair by pair with the circuit.
         model = init_model(tiny_config(kind, num_layers=2), 4)
         images = random_images(np.random.default_rng(5))
+        depth = model.config.depth
         means = {}
         for noise in self.NOISE:
-            seen = []
-            name = "score_batch" if noise is None else "score_noisy_batch"
-            f = getattr(circuit, name)
-            monkeypatch.setattr(circuit, name, lambda *a, f=f: seen.append(f(*a)) or seen[-1])
             logits, extras = vit.forward_with_stats(model, images, noise=noise)
-            monkeypatch.undo()
-            per_pair = np.concatenate([mu.ravel() for mu in seen])
+            per_pair = []
+            for layer, (qh, kh) in enumerate(_all_tokens(model, images, noise=noise)[1]):
+                pairs = qh[..., :, None, :depth], kh[..., None, :, :depth], _circuit_params(model, layer)
+                if noise is None:
+                    per_pair.append(circuit.score_batch(*pairs).ravel())
+                else:
+                    per_pair.append(circuit.score_noisy_batch(*pairs, *noise).ravel())
+            per_pair = np.concatenate(per_pair)
             assert set(extras) == {"mu_sum", "mu_count"}
             assert extras["mu_count"] == per_pair.size == 2 * 3 * 2 * 5 * 5 * 4
             assert abs(extras["mu_sum"] - per_pair.sum()) <= 1e-12 * per_pair.size
@@ -341,34 +499,34 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "bf69d6aadce4ed24", "fc590fbf5e2c5499"),
-    ("qpa", 1): ("6e900635197dd0b4", "16e010bd891caec4", "c7e96ff5fa79fe6b"),
-    ("dot", 0): ("94a5ef27f5c36ef5", "980e4e72ce6e247e", "5f856fa5a899e2ec"),
-    ("dot", 1): ("82fd715b40798094", "2e492482f8cdee3e", "fc72f0c9838d0aba"),
-    ("mlp49", 0): ("cc5d1b66b47ec6a8", "37c8ff72bf680fb6", "ddf81e78766ad192"),
-    ("mlp49", 1): ("e320bd81cd0ae494", "3d16bdd0782411aa", "48cdb43d2393d32b"),
-    ("mlp585", 0): ("7dd9132b8e1ef00d", "23a65299d1c8a2f3", "cae69dfc5b5224af"),
-    ("mlp585", 1): ("fc751192e80627fc", "15b5992c31f51abb", "dc07a86a20ed718f"),
-    ("cosine", 0): ("3657f4e9fe6bb0c2", "88da1b8abc643a2a", "2d4c80e4a31fd779"),
-    ("cosine", 1): ("10f6333bcdeaea79", "f8ddf7fea862a1b5", "31bcc5301aa3443d"),
-    ("linear", 0): ("94a5ef27f5c36ef5", "77a1d2c5a04ad0aa", "9247e35d0a57fbbf"),
-    ("linear", 1): ("82fd715b40798094", "93f129243b139ded", "de39e13fb61b36bb"),
-    ("qpa-ind", 0): ("9e083236108b1465", "9cb275fffb9a3336", "a6515b2c190afa53"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "d462e453a450de73", "185eb44bbc7bc959"),
+    ("qpa", 0): ("9e083236108b1465", "061177a7e387fa80", "728abd32d49c8f6d"),
+    ("qpa", 1): ("6e900635197dd0b4", "f7fc155a534ab1b5", "9e720c4b2eb0960b"),
+    ("dot", 0): ("94a5ef27f5c36ef5", "3a1e92c22db62ab0", "72e8565151f3c667"),
+    ("dot", 1): ("82fd715b40798094", "093f4b6c350574c6", "a089805862343a7c"),
+    ("mlp49", 0): ("cc5d1b66b47ec6a8", "f91c7c6dede17c3e", "2d31a4ab23aff7ea"),
+    ("mlp49", 1): ("e320bd81cd0ae494", "cb28fc6abdd70c82", "c207542602ad8116"),
+    ("mlp585", 0): ("7dd9132b8e1ef00d", "eebaede5199b07dc", "7b5a200c2e7450c2"),
+    ("mlp585", 1): ("fc751192e80627fc", "b709798871e5beb2", "903dd7d571a9519a"),
+    ("cosine", 0): ("3657f4e9fe6bb0c2", "b63ea3bcf0c18de1", "e5be9b9dd3b930a6"),
+    ("cosine", 1): ("10f6333bcdeaea79", "1f54ae7e1b805299", "40e7de4fb4fc84b1"),
+    ("linear", 0): ("94a5ef27f5c36ef5", "778a839a61d25b92", "b3a768a89265a2db"),
+    ("linear", 1): ("82fd715b40798094", "64163d12b2cc75d9", "752b62089500d608"),
+    ("qpa-ind", 0): ("9e083236108b1465", "a329920e9468344e", "037189b3c609a508"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "11cdf69d67a01fe7", "de7c09604ea0c03f"),
 }
 
 # (logits, loss + grads) of one-layer quantum models with 36992 scored
 # (pair, dimension) entries per layer, a larger input than GOLDEN's.
 GOLDEN_CHUNKED = {
-    "qpa": ("f1b9849d99a34c0d", "3a680bb9f7d425d6"),
-    "qpa-ind": ("1a028b1567dccbc7", "6c124c17feb3eed1"),
+    "qpa": ("8e0c8ecb790cbf5d", "8a264a24011bbd41"),
+    "qpa-ind": ("dd57018d4797573b", "ff202a1f9bf34dd1"),
 }
 
 # (logits, loss + grads) of one-layer quantum models whose circuit forward and
 # backward each run in three tiles (`_tiled_case`).
 GOLDEN_TILED = {
-    "qpa": ("40092f04934caebc", "ccc98246f4036400"),
-    "qpa-ind": ("4ed49bf6bd576e0d", "0b9893206851bf9b"),
+    "qpa": ("9b6035f6c18e60fa", "e5f3b766c2e3fb55"),
+    "qpa-ind": ("03565ec272d67435", "37d9543cf47b90fd"),
 }
 
 
