@@ -505,11 +505,13 @@ def cmd_noise_sweep(args) -> int:
             f"but the checkpoint expects {expected}"
         )
 
-    base, _, _, base_mu = training.evaluate(model, valid_ds)
+    base, _, _, base_mu = training.evaluate(model, valid_ds, mean_mu=True)
     rows = []
     for channel in channels:
         for gamma in gammas:
-            noisy, _, _, mean_mu = training.evaluate(model, valid_ds, noise=(channel, gamma))
+            noisy, _, _, mean_mu = training.evaluate(
+                model, valid_ds, noise=(channel, gamma), mean_mu=True
+            )
             acc = noisy.accuracy
             rows.append(
                 {

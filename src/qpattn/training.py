@@ -259,29 +259,37 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None):
+def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None, *, mean_mu=False):
     """Metrics, per-sample max-softmax probs and correctness, and the mean circuit score.
 
-    Runs `vit.forward_with_stats` on batches of 64 images, so it holds one
-    batch's activations of one layer at a time. ``noise`` is a quantum channel
-    ``(name, gamma)`` as in `vit.forward`. The mean circuit score is None for
-    a classical scorer. Non-finite logits raise `FloatingPointError`.
+    Runs `vit.forward` on batches of 64 images, so it holds one batch's
+    activations of one layer at a time. ``noise`` is a quantum channel
+    ``(name, gamma)`` as in `vit.forward`. The mean circuit score is computed
+    only when ``mean_mu`` asks for it: each batch then runs
+    `vit.forward_with_stats`, whose logits equal `vit.forward`'s bit for bit
+    and whose sum over the last layer's scores costs nearly as much again as
+    the forward; `qpattn noise-sweep` is the one caller that asks. It is None
+    when not asked and for a classical scorer. Non-finite logits raise
+    `FloatingPointError`.
     """
     all_probs = []
     mu_sum, mu_count = 0.0, 0
     for start in range(0, dataset.n, 64):
         images = dataset.images[start : start + 64]
-        logits, extras = vit.forward_with_stats(model, images, noise=noise)
+        if mean_mu:
+            logits, extras = vit.forward_with_stats(model, images, noise=noise)
+            mu_sum += extras["mu_sum"]
+            mu_count += extras["mu_count"]
+        else:
+            logits = vit.forward(model, images, noise=noise)
         if not np.isfinite(logits).all():
             raise FloatingPointError("non-finite logits")
         all_probs.append(scorers.row_softmax(logits))
-        mu_sum += extras["mu_sum"]
-        mu_count += extras["mu_count"]
     probs = np.concatenate(all_probs, axis=0)
     predicted = probs.argmax(axis=1)
     metrics = compute_metrics(dataset.labels, predicted, probs[:, 1])
-    mean_mu = mu_sum / mu_count if mu_count else None
-    return metrics, probs.max(axis=1), predicted == dataset.labels, mean_mu
+    mu = mu_sum / mu_count if mu_count else None
+    return metrics, probs.max(axis=1), predicted == dataset.labels, mu
 
 
 def _diverged(epoch: int, step: int, cause: str) -> RuntimeError:

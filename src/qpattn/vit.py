@@ -28,7 +28,12 @@ again on the next step. Only `backward` keeps a cache: its forward stores
 only what it reads, and it frees each cached array after its last use.
 `forward` and `forward_with_stats` keep none, so inference holds one layer's
 arrays at a time whatever the depth; the extras of `forward_with_stats` hold
-the sum and the count of the circuit scores, not their mean. The layer
+the sum and the count of the circuit scores, not their mean. That sum needs
+the last layer's Q over all N tokens and the features of every query and
+key, nearly as much work again as the CLS-only forward, so only
+`qpattn noise-sweep` pays for it (through `training.evaluate(...,
+mean_mu=True)`); validation and every other evaluation run `forward`, whose
+logits are the same bit for bit. The layer
 primitives allocate only their outputs, finish in place, and never write into
 their arguments; they run the same operations in the same order as the plain
 expressions, so every result is bit for bit the same.
@@ -406,7 +411,9 @@ def forward_with_stats(model: VitModel, images: np.ndarray, noise=None):
     dimension), N^2 c_0 + Re sum_n c_n (sum_i F_n(q_id)) (sum_j G_n(k_jd)),
     with Q projected from all N tokens; it equals the per-pair sum to within
     rounding. Both are 0 for a classical scorer; their ratio is the mean
-    score.
+    score. The logits equal `forward`'s bit for bit. Its one caller is
+    `training.evaluate(..., mean_mu=True)`, which `qpattn noise-sweep` alone
+    asks for, since the sum costs nearly as much as the forward.
     """
     return _forward(model, images, noise=noise, stats=True)
 

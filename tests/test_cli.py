@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qpattn
-from qpattn import circuit, cli, qcore, vit
+from qpattn import circuit, cli, qcore, scorers, vit
 from qpattn.cli import CliError, parse_config_text, resolve_config
 from qpattn.data import synthetic_dataset
 
@@ -146,6 +146,17 @@ class TestTrain:
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         assert cli.main(["train", "--set", "bogus=1", "--out", str(tmp_path)]) == 2
 
+    def test_qpa_run_computes_no_mean_mu(self, tmp_path, count_calls):
+        # Neither the per-epoch validation nor the confidence strata read the
+        # mean circuit score, so neither pays for its separable sum.
+        stats = count_calls(vit, "forward_with_stats")
+        sums = count_calls(scorers, "quantum_score_sum")
+        forwards = count_calls(vit, "forward")
+        args = ["train", "--set", "scorer=qpa", *TINY, "--set", "epochs=2", "--out", str(tmp_path)]
+        assert cli.main(args) == 0
+        assert not stats and not sums
+        assert len(forwards) == 2 + 1  # one 12-image batch per epoch, one for the strata
+
     def test_dataset_built_once(self, tmp_path, monkeypatch):
         calls = []
 
@@ -207,6 +218,16 @@ class TestCompare:
             ["compare", "--set", "scorers=qpa,bogus", "--set", "seeds=1,2", *TINY, "--out", str(tmp_path)]
         )
         assert code == 2
+
+    def test_qpa_runs_compute_no_mean_mu(self, tmp_path, count_calls):
+        # In-process (one job), so the counters see every run's validation.
+        stats = count_calls(vit, "forward_with_stats")
+        sums = count_calls(scorers, "quantum_score_sum")
+        forwards = count_calls(vit, "forward")
+        args = ["compare", "--set", "scorers=qpa,dot", "--set", "seeds=1,2", *TINY]
+        assert cli.main([*args, "--set", "epochs=2", "--out", str(tmp_path)]) == 0
+        assert not stats and not sums
+        assert len(forwards) == 2 * 2 * 2  # runs x epochs, one batch each
 
     def test_dataset_built_once(self, tmp_path, monkeypatch):
         calls = []
@@ -308,6 +329,18 @@ class TestNoiseSweep:
             # confidences move with s.
             noisy_probs = cli.training.evaluate(model, valid_ds, noise=(channel, gamma))[1]
             assert np.abs(noisy_probs - max_probs).max() <= 1e-12, (channel, gamma)
+
+    def test_one_score_sum_per_setting_and_batch(self, tmp_path, qpa_checkpoint, count_calls):
+        # 70 validation images are two of the sweep's 64-image batches, and
+        # the clean model plus 4 channels at 2 strengths are 9 settings.
+        sums = count_calls(scorers, "quantum_score_sum")
+        stats = count_calls(vit, "forward_with_stats")
+        forwards = count_calls(vit, "forward")
+        split = ["--set", "n_per_class=40", "--set", "train_n=8", "--set", "valid_n=70"]
+        sweep = ["noise-sweep", "--checkpoint", str(qpa_checkpoint), "--gammas", "0.05,0.1"]
+        assert cli.main([*sweep, *TINY, *split, "--set", "seed=1", "--out", str(tmp_path)]) == 0
+        assert len(sums) == len(stats) == 9 * 2
+        assert not forwards
 
     def test_fixed_seed_csv_matches_reference_digest(self, tmp_path):
         # sha256 of the file the sweep wrote with its own 64-image loop, on a

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qpattn import training, vit
+from qpattn import scorers, training, vit
 from qpattn.data import SyntheticSpec, split, synthetic_dataset
 from qpattn.training import (
     Metrics,
@@ -391,6 +391,16 @@ class TestTrainLoop:
         # after the named epoch overflows.
         with pytest.raises(RuntimeError, match=f"^training diverged at {cause}$"):
             self.tiny_run(scorer=scorer, lr0=lr0, seed=seed)
+
+    def test_validation_computes_no_mean_mu(self, count_calls):
+        # Validation reads only the metrics, so it runs `vit.forward`: no
+        # separable sum of the last layer's scores.
+        stats = count_calls(vit, "forward_with_stats")
+        sums = count_calls(scorers, "quantum_score_sum")
+        forwards = count_calls(vit, "forward")
+        self.tiny_run(scorer="qpa", epochs=2)
+        assert not stats and not sums
+        assert len(forwards) == 2  # one batch of 12 images per epoch
 
     def test_learns_separable_task(self):
         result = self.tiny_run(lr0=0.3, epochs=15)

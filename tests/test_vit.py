@@ -332,7 +332,24 @@ class TestMeanMu:
         _, extras = vit.forward_with_stats(model, images)
         assert extras == {"mu_sum": 0.0, "mu_count": 0}
         dataset = ImageDataset(images, np.array([0, 1, 0]))
-        assert training.evaluate(model, dataset)[3] is None
+        assert training.evaluate(model, dataset, mean_mu=True)[3] is None
+
+    @pytest.mark.parametrize("kind, noise", [("qpa", None), ("qpa", ("AD", 0.2)), ("dot", None)])
+    def test_evaluate_computes_mean_mu_only_when_asked(self, kind, noise):
+        # The keyword changes only the fourth value: both forwards give the
+        # same logits bit for bit, over two of evaluate's 64-image batches.
+        model = init_model(tiny_config(kind), 4)
+        rng = np.random.default_rng(7)
+        dataset = ImageDataset(random_images(rng, n=70), rng.integers(0, 2, size=70))
+        plain = training.evaluate(model, dataset, noise=noise)
+        asked = training.evaluate(model, dataset, noise=noise, mean_mu=True)
+        assert plain[0] == asked[0]
+        assert np.array_equal(plain[1], asked[1]) and np.array_equal(plain[2], asked[2])
+        assert plain[3] is None
+        if kind == "dot":
+            assert asked[3] is None
+        else:
+            assert 0.0 < asked[3] < 1.0
 
 
 class TestBackward:
