@@ -36,7 +36,7 @@ its rows, axes where only k varies its columns. The training step's forward
 with `fourier_features` and sums the series over the D dimensions inside
 its GEMM; the backward differentiates the same series on those features;
 c_0 = 1/2 does not enter it. Inference keeps the per-pair calls until
-ROADMAP item 1 moves the benchmark hooks that read them. None of these
+ROADMAP item 5 moves the benchmark hooks that read them. None of these
 holds a tiling policy: the scorers (`scorers.qpa_scores`,
 `scorers.quantum_scores_with_features`, `scorers.quantum_scores_backward`)
 bound their own temporaries with tiles of `scorers.TILE_INPUTS` inputs per

@@ -20,12 +20,14 @@ returns the features, which the step keeps in its layer cache and hands to
 `quantum_scores_backward` (at B=32, N=17 / 50 / 197: 3.9 / 11.5 / about
 45 MB for a layer that scores all N query rows, 2.1 / 5.8 / 22.7 MB for
 the ViT's last layer, which scores the CLS row alone). The backward costs
-two GEMMs per item on those features, whose products it reduces as real
-arrays of 14 floats per input; the series' constant c_0 = 1/2 depends on
-no parameter and does not reach it. Inference (`qpa_scores`) still scores
-every (query, key, dimension) triple by a per-tile circuit call, because
-the benchmark's correctness hooks read those calls; this second path is
-temporary and goes once ROADMAP item 1 moves the hooks. The mean score of
+two GEMMs per item on those features, or one for the last layer, whose key
+side multiplies the saved features and scales each key row afterwards; it
+reduces the products as real arrays of 14 floats per input. The series'
+constant c_0 = 1/2 depends on no parameter and does not reach it.
+Inference (`qpa_scores`) still scores every (query, key, dimension) triple
+by a per-tile circuit call, because the benchmark's correctness hooks read
+those calls; this second path is temporary and goes once ROADMAP item 5
+moves the hooks. The mean score of
 a layer whose query side is the CLS row alone comes from the series'
 separable form (`quantum_score_sum`), which sums the per-pair scores of
 all N query rows from their features alone. The circuit evaluates whatever
@@ -163,7 +165,7 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     all 14 D products at once. Inputs are checked as in
     `circuit.score_batch`, before any feature is built. Inference keeps the
     per-pair `qpa_scores`, whose per-tile circuit calls the benchmark reads,
-    until ROADMAP item 1 moves those hooks; then it can use this product too.
+    until ROADMAP item 5 moves those hooks; then it can use this product too.
     """
     circuit._check_one_set(params)
     (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
@@ -236,10 +238,13 @@ def quantum_scores_backward(
     (`circuit.ANGLE_JACOBIAN`) and c depends on beta alone. The constant
     c_0 = 1/2 has no feature and no beta derivative, so it adds nothing to
     any gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
-    carry every other gradient. Their products with the features are reduced
-    as real (inputs, 14) arrays of (re, im) pairs: dQ and dK by a dot
-    product per row, so each row's value does not depend on the tiling, and
-    the parameter sums by one small matrix product per tile. Q, K
+    carry every other gradient. With one query row (the ViT's last layer,
+    which scores the CLS row alone) ``dA^T @ F(Q)`` is an outer product, so
+    the key side takes G(K) F(Q) instead, whose rows dK and the key sum then
+    scale by dA_j. The products with the features are reduced as real
+    (inputs, 14) arrays of (re, im) pairs: dQ and dK by a dot product per
+    row, so each row's value does not depend on the tiling, and the
+    parameter sums by one small matrix product per tile. Q, K
     and ``d_scores`` share their leading axes, which are flattened into
     items; the items run in tiles of at most `TILE_INPUTS` inputs per side:
     each tile writes its rows of dQ and dK and adds to the parameter sums,
@@ -267,18 +272,27 @@ def quantum_scores_backward(
             F, G = features[0][tile], features[1][tile]
         FH = _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
         FH *= F
-        GH = _complex_matmul(np.swapaxes(dA[tile], -1, -2), F)
-        GH *= G
+        if n_q == 1:
+            # The last layer's CLS row: dA^T F is dA_j F, so GH is G F and
+            # each key row's dA_j scales it after its reduction, with no
+            # outer product (a GEMM of inner size 1).
+            GH, k_scale = G * F, np.swapaxes(dA[tile], -1, -2)  # k_scale (items, N_k, 1)
+        else:
+            # A scale of 1.0 leaves every value bit for bit as it is.
+            GH, k_scale = _complex_matmul(np.swapaxes(dA[tile], -1, -2), F), 1.0
+            GH *= G
         # As real (inputs, 14) arrays of (re, im) pairs.
         FH, GH = (H.view(np.float64).reshape(-1, 2 * len(freqs)) for H in (FH, GH))
         # Row by row, without BLAS, so a row's sum does not depend on the tile.
         dq[tile] = np.einsum("mk,k->m", FH, q_weights).reshape(qs[tile].shape)
-        dk[tile] = np.einsum("mk,k->m", GH, k_weights).reshape(ks[tile].shape)
+        dk_rows = np.einsum("mk,k->m", GH, k_weights).reshape(ks[tile].shape)
+        np.multiply(dk_rows, k_scale, out=dk[tile])
+        del dk_rows  # before the key sum's scaled copy of the keys
         # One product gives both sum_id q_id FH and sum FH.
         q_sums = (np.stack([qs[tile].reshape(-1), np.ones(len(FH))]) @ FH).view(np.complex128)
         q_fh += q_sums[0]
         sum_fh += q_sums[1]
-        k_gh += (ks[tile].reshape(-1) @ GH).view(np.complex128)
+        k_gh += ((ks[tile] * k_scale).reshape(-1) @ GH).view(np.complex128)
         del F, G, FH, GH  # one tile's arrays alive at a time
     d_u = (1j * c[1:] * q_fh).real  # dL/du_n
     d_v = (1j * c[1:] * k_gh).real

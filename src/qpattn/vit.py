@@ -10,13 +10,13 @@ query side on the CLS row only: its Q projection, scores, softmax, merge,
 output projection with its residual, LN2 and FFN see one token, while its
 LN1, K and V and every earlier block see all N. An all-row statistic of the
 last layer's attention, such as the mean attention entropy of ROADMAP item
-8, would need its own pass. A scorer kind with a ``train_scores`` forward
+9, would need its own pass. A scorer kind with a ``train_scores`` forward
 (the quantum kinds) scores the training step's layers with it: it builds
 the layer's Fourier features once, scores by their product, and the layer
 cache keeps the features for the backward (at B=32, N=17 / 50 / 197: 3.9 /
 11.5 / about 45 MB for a full layer, 2.1 / 5.8 / 22.7 MB for the last one).
 `forward` and `forward_with_stats` keep the per-pair circuit calls that the
-benchmark's correctness hooks read, until ROADMAP item 1 moves those hooks;
+benchmark's correctness hooks read, until ROADMAP item 5 moves those hooks;
 the two forwards agree to within rounding.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
@@ -350,7 +350,7 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None, stats
             # The training step scores by the kind's product forward and keeps
             # what it saved for the backward. Inference keeps the per-pair
             # circuit calls that the benchmark's hooks read; this second path
-            # goes once ROADMAP item 1 moves those hooks.
+            # goes once ROADMAP item 5 moves those hooks.
             if caches is not None and kind.train_scores is not None:
                 A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
             else:
@@ -452,7 +452,9 @@ def backward(model: VitModel, images: np.ndarray, labels: np.ndarray):
     logits, _ = _forward(model, images, caches=caches)
     loss, dlogits = cross_entropy(logits, labels)
 
-    grads = {name: np.zeros_like(p) for name, p in P.items()}
+    # The keys in `param_spec` order. Every entry but a scorer's is assigned
+    # below; a scorer's adds to zeros, so a -0.0 gradient reads +0.0 as before.
+    grads = {name: np.zeros_like(p) if ".scorer." in name else None for name, p in P.items()}
 
     dx_cls, grads["head.w"], grads["head.b"] = _linear_backward(
         dlogits, caches.pop("x_final")[:, 0], P["head.w"]

@@ -516,6 +516,15 @@ BACKWARD_TILES = {
     "items-larger-than-a-tile": ((2, 1, 197, 24), 21, 2),
 }
 
+#: The ViT's last layer: the CLS row alone against every key. K shapes, depths
+#: and tiles as in BACKWARD_TILES; Q holds one query row, so a tile still
+#: holds TILE_INPUTS // (N * D) items: 5 tiles with a remainder, then one
+#: item per tile.
+CLS_BACKWARD_TILES = {
+    "cls-row-tiles-and-remainder": ((32, 2, 17, 16), 16, 5),
+    "cls-row-one-item-per-tile": ((2, 1, 197, 24), 21, 2),
+}
+
 
 def backward_case(shape, seed=26):
     rng = np.random.default_rng(seed)
@@ -523,6 +532,20 @@ def backward_case(shape, seed=26):
     Q, K = rng.normal(0, 1, size=(2, *shape))
     dA = rng.normal(size=shape[:-1] + shape[-2:-1])
     return Q, K, p, dA
+
+
+def tile_case(case):
+    # (Q, K, p, dA, depth, tiles) of a BACKWARD_TILES or CLS_BACKWARD_TILES
+    # case. A CLS-row case keeps the first query row, and its score gradient
+    # is exactly 0 at every fourth key.
+    if case in BACKWARD_TILES:
+        shape, depth, tiles = BACKWARD_TILES[case]
+        return (*backward_case(shape), depth, tiles)
+    shape, depth, tiles = CLS_BACKWARD_TILES[case]
+    Q, K, p, dA = backward_case(shape)
+    dA = dA[..., :1, :].copy()
+    dA[..., ::4] = 0.0
+    return Q[..., :1, :], K, p, dA, depth, tiles
 
 
 def rows_parameter_shift(parameter_shift_backward, Q, K, p, depth, dA, rows=40):
@@ -544,12 +567,11 @@ def close(got, ref, bound):
 class TestBackwardTiles:
     """`quantum_scores_backward` across tile boundaries."""
 
-    @pytest.mark.parametrize("case", BACKWARD_TILES)
+    @pytest.mark.parametrize("case", [*BACKWARD_TILES, *CLS_BACKWARD_TILES])
     def test_tiled_equals_single_tile_and_parameter_shift(
         self, case, monkeypatch, parameter_shift_backward, count_calls
     ):
-        shape, depth, tiles = BACKWARD_TILES[case]
-        Q, K, p, dA = backward_case(shape)
+        Q, K, p, dA, depth, tiles = tile_case(case)
         calls = count_calls(circuit, "fourier_features")
         dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, depth, dA)
         assert len(calls) == 2 * tiles  # a query and a key block per tile
@@ -730,10 +752,9 @@ class TestTrainingForward:
         assert np.array_equal(F, circuit.fourier_features(qs, W[:, 0]))
         assert np.array_equal(G, circuit.fourier_features(ks, W[:, 1]))
 
-    @pytest.mark.parametrize("case", BACKWARD_TILES)
+    @pytest.mark.parametrize("case", [*BACKWARD_TILES, *CLS_BACKWARD_TILES])
     def test_backward_reads_the_features_bit_for_bit(self, case, count_calls):
-        shape, depth, _ = BACKWARD_TILES[case]
-        Q, K, p, dA = backward_case(shape)
+        Q, K, p, dA, depth, _ = tile_case(case)
         built = scorers.quantum_scores_backward(Q, K, p, depth, dA)
         features = scorers.quantum_scores_with_features(Q, K, p, depth)[1]
         calls = count_calls(circuit, "fourier_features")

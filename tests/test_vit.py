@@ -516,8 +516,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "061177a7e387fa80", "728abd32d49c8f6d"),
-    ("qpa", 1): ("6e900635197dd0b4", "f7fc155a534ab1b5", "9e720c4b2eb0960b"),
+    ("qpa", 0): ("9e083236108b1465", "061177a7e387fa80", "e24b62867dc55c30"),
+    ("qpa", 1): ("6e900635197dd0b4", "f7fc155a534ab1b5", "e2e6870da27ad1d9"),
     ("dot", 0): ("94a5ef27f5c36ef5", "3a1e92c22db62ab0", "72e8565151f3c667"),
     ("dot", 1): ("82fd715b40798094", "093f4b6c350574c6", "a089805862343a7c"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "f91c7c6dede17c3e", "2d31a4ab23aff7ea"),
@@ -528,22 +528,22 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "1f54ae7e1b805299", "40e7de4fb4fc84b1"),
     ("linear", 0): ("94a5ef27f5c36ef5", "778a839a61d25b92", "b3a768a89265a2db"),
     ("linear", 1): ("82fd715b40798094", "64163d12b2cc75d9", "752b62089500d608"),
-    ("qpa-ind", 0): ("9e083236108b1465", "a329920e9468344e", "037189b3c609a508"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "11cdf69d67a01fe7", "de7c09604ea0c03f"),
+    ("qpa-ind", 0): ("9e083236108b1465", "a329920e9468344e", "682cad97eacf8c3a"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "11cdf69d67a01fe7", "c2ad49143832bfc7"),
 }
 
 # (logits, loss + grads) of one-layer quantum models with 36992 scored
 # (pair, dimension) entries per layer, a larger input than GOLDEN's.
 GOLDEN_CHUNKED = {
-    "qpa": ("8e0c8ecb790cbf5d", "8a264a24011bbd41"),
-    "qpa-ind": ("dd57018d4797573b", "ff202a1f9bf34dd1"),
+    "qpa": ("8e0c8ecb790cbf5d", "87ac758d32498fec"),
+    "qpa-ind": ("dd57018d4797573b", "1d36eb414715f360"),
 }
 
 # (logits, loss + grads) of one-layer quantum models whose circuit forward and
 # backward each run in three tiles (`_tiled_case`).
 GOLDEN_TILED = {
-    "qpa": ("9b6035f6c18e60fa", "e5f3b766c2e3fb55"),
-    "qpa-ind": ("03565ec272d67435", "37d9543cf47b90fd"),
+    "qpa": ("9b6035f6c18e60fa", "cf906120e7420e65"),
+    "qpa-ind": ("03565ec272d67435", "e23d8800285318d8"),
 }
 
 
