@@ -387,22 +387,33 @@ def fourier_features(x, w, out=None) -> np.ndarray:
     (lambda1, lambda2, alpha) gives the query features exp(i u_n q), and
     (lambda2, lambda1, alpha) the key features exp(i v_n k), with
     (u_n, v_n) = FOURIER_FREQS[n] @ W. The constant feature (n = 0) is 1 and
-    is left out. Only the three base phasors exp(i w_j x) take a tangent, in
-    one `phasors` call; the other features are their complex products. Every
-    product is formed in a contiguous array and then copied into its slot of
-    the C-contiguous result: numpy's complex multiply into a strided slot
-    costs several times a contiguous one. The tangent is odd, so the
-    features of -w are the complex conjugates of those of w, bit for bit.
-    ``out``, if given, is the C-contiguous complex x.shape + (7,) array the
-    features are written into, such as a tile of a larger feature array.
+    is left out. They are `_angle_features` at the angle vectors w x. The
+    tangent is odd, so the features of -w are the complex conjugates of
+    those of w, bit for bit. ``out``, if given, is the C-contiguous complex
+    x.shape + (7,) array the features are written into, such as a tile of a
+    larger feature array.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
         out = np.empty(x.shape + (7,), dtype=np.complex128)
     elif out.shape != x.shape + (7,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex128 array of shape x.shape + (7,)")
-    flat = out.reshape(x.size, 7)  # a view, since out is C-contiguous
-    e0, e1, e2 = phasors(np.multiply.outer(w, x.reshape(-1)))
+    return _angle_features(np.multiply.outer(w, x), out)
+
+
+def _angle_features(theta, out=None) -> np.ndarray:
+    # The features exp(i FOURIER_FREQS[n] . theta), n = 1..7, at angle vectors
+    # theta of shape (3, ...), as a theta.shape[1:] + (7,) array, written into
+    # ``out`` if given (C-contiguous complex128, unchecked). Only the three
+    # base phasors exp(i theta_j) take a tangent, in one `phasors` call; the
+    # other features are their complex products. Every product is formed in
+    # a contiguous array and then copied into its slot of the C-contiguous
+    # result: numpy's complex multiply into a strided slot costs several
+    # times a contiguous one.
+    if out is None:
+        out = np.empty(theta.shape[1:] + (7,), dtype=np.complex128)
+    flat = out.reshape(-1, 7)  # a view, since out is C-contiguous
+    e0, e1, e2 = phasors(theta.reshape(3, -1))
     plus = e1 * e2  # (0, 1, 1)
     minus = np.multiply(e1, np.conjugate(e2, out=e2), out=e2)  # (0, 1, -1)
     flat[:, 0] = e0  # (1, 0, 0)

@@ -18,10 +18,13 @@ builds the seven features of every input of Q and K once, forms the score
 matrix by one real GEMM of inner size 14 D per (batch, head) item, and
 returns the features, which the step keeps in its layer cache and hands to
 `quantum_scores_backward` (at B=32, N=17 / 50 / 197: 3.9 / 11.5 / about
-45 MB for a layer that scores all N query rows, 2.1 / 5.8 / 22.7 MB for
-the ViT's last layer, which scores the CLS row alone). The backward costs
-two GEMMs per item on those features, or one for the last layer, whose key
-side multiplies the saved features and scales each key row afterwards; it
+45 MB for a layer that scores all N query rows). The ViT's last layer
+scores the CLS row alone, so each (key, dimension) of an item is one pair:
+there the forward builds the seven features at each pair's angles, the
+products of its query and key features, reads each score as a row sum over
+them and returns them alone (1.9 / 5.7 / 22.6 MB). The backward costs two
+GEMMs per item on the features, or one on the pair features, whose rows
+also give each key's gradient once scaled by its score gradient; it
 reduces the products as real arrays of 14 floats per input. The series'
 constant c_0 = 1/2 depends on no parameter and does not reach it.
 Inference (`qpa_scores`) still scores every (query, key, dimension) triple
@@ -147,7 +150,7 @@ def qpa_scores(
 
 
 def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int):
-    """`qpa_scores` as the training step computes it: ``(A, (F, G))``.
+    """`qpa_scores` as the training step computes it: ``(A, (F, G))``, or ``(A, P)``.
 
     The series of `circuit.fourier_coefficients` makes a layer's score matrix
     a product of query features with key features:
@@ -158,11 +161,20 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     laid out (items, N, D, 7) for `quantum_scores_backward`, which then
     builds none of its own. They are the only arrays that grow with the
     batch besides A (at B=32, H=2, D=16 and N = 17 / 50 / 197 query and key
-    rows, 3.9 / 11.5 / about 45 MB; with the CLS row alone as the query
-    side, 2.1 / 5.8 / 22.7 MB); F' is one tile's temporary. The items
-    run in the backward's tiles (`_tiles`). A equals `qpa_scores` to within
-    rounding: the per-pair path sums each dimension's score, this one sums
-    all 14 D products at once. Inputs are checked as in
+    rows, 3.9 / 11.5 / about 45 MB); F' is one tile's temporary.
+
+    With one query row (the ViT's last layer, which scores the CLS row
+    alone) each (item, key, dimension) is one pair, so the call builds P,
+    laid out like G (items, N_k, D, 7): the seven features at each pair's
+    angle vector theta = W[:, 0] q_d + W[:, 1] k_jd,
+    P_n = exp(i FOURIER_FREQS[n] . theta) = F_n(q_d) G_n(k_jd), and reads
+    A = D c_0 + Re sum_{d,n} c_n P_jdn by a row sum per key. It returns P
+    alone (1.9 / 5.7 / 22.6 MB at B=32, H=2, D=16 and N_k = 17 / 50 / 197)
+    and builds neither F nor G.
+
+    The items run in the backward's tiles (`_tiles`). A equals `qpa_scores`
+    to within rounding: the per-pair path sums each dimension's score, this
+    one sums all 14 D products at once. Inputs are checked as in
     `circuit.score_batch`, before any feature is built. Inference keeps the
     per-pair `qpa_scores`, whose per-tile circuit calls the benchmark reads,
     until ROADMAP item 5 moves those hooks; then it can use this product too.
@@ -172,10 +184,23 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     circuit._check_finite(qs, ks)
     c = circuit.fourier_coefficients(params.beta)[0]
     W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+    A = np.empty((items, n_q, n_k))
+    tiles = _tiles(items, max(n_q, n_k) * depth)
+    if n_q == 1:
+        # Re(c z) is the dot product of z's (re, im) with conj(c)'s, for each
+        # of the D x 7 features of a pair row.
+        weights = np.tile(np.conjugate(c[1:]).view(np.float64), depth)
+        P = np.empty(ks.shape + (7,), dtype=np.complex128)
+        for tile in tiles:
+            _pair_features(qs[tile], ks[tile], W, out=P[tile])
+            rows = _real_rows(P[tile]).reshape(-1, len(weights))
+            # Row by row, without BLAS, so a row's sum does not depend on the tile.
+            np.einsum("mk,k->m", rows, weights, out=A[tile].reshape(-1))
+            A[tile] += depth * c[0].real
+        return A.reshape(np.shape(Q)[:-1] + (n_k,)), P
     F = np.empty(qs.shape + (7,), dtype=np.complex128)
     G = np.empty(ks.shape + (7,), dtype=np.complex128)
-    A = np.empty((items, n_q, n_k))
-    for tile in _tiles(items, max(n_q, n_k) * depth):
+    for tile in tiles:
         circuit.fourier_features(qs[tile], W[:, 0], out=F[tile])
         circuit.fourier_features(ks[tile], W[:, 1], out=G[tile])
         Fc = np.multiply(F[tile], c[1:])
@@ -184,6 +209,16 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
         A[tile] += depth * c[0].real
         del Fc  # one tile's F' alive at a time
     return A.reshape(np.shape(Q)[:-1] + (n_k,)), (F, G)
+
+
+def _pair_features(q: np.ndarray, k: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
+    # The features of one query row q (items, 1, D) against keys k
+    # (items, N_k, D), laid out like k's features (items, N_k, D, 7): each
+    # pair's angle vector theta = W[:, 0] q_d + W[:, 1] k_jd gives
+    # P_n = exp(i FOURIER_FREQS[n] . theta) = F_n(q_d) G_n(k_jd).
+    theta = np.multiply.outer(W[:, 1], k)
+    theta += np.multiply.outer(W[:, 0], q)
+    return circuit._angle_features(theta, out)
 
 
 def quantum_score_sum(
@@ -239,9 +274,11 @@ def quantum_scores_backward(
     c_0 = 1/2 has no feature and no beta derivative, so it adds nothing to
     any gradient. Two batched GEMMs, ``dA @ G(K)`` and ``dA^T @ F(Q)``,
     carry every other gradient. With one query row (the ViT's last layer,
-    which scores the CLS row alone) ``dA^T @ F(Q)`` is an outer product, so
-    the key side takes G(K) F(Q) instead, whose rows dK and the key sum then
-    scale by dA_j. The products with the features are reduced as real
+    which scores the CLS row alone) the pair features P = F(q) G(K) of
+    `quantum_scores_with_features` take the place of both: one GEMM
+    ``dA @ P`` per item gives the query side, and P's rows, scaled by dA_j
+    after their reduction, give dK and the key sum, with no outer product.
+    The products with the features are reduced as real
     (inputs, 14) arrays of (re, im) pairs: dQ and dK by a dot product per
     row, so each row's value does not depend on the tiling, and the
     parameter sums by one small matrix product per tile. Q, K
@@ -249,9 +286,10 @@ def quantum_scores_backward(
     items; the items run in tiles of at most `TILE_INPUTS` inputs per side:
     each tile writes its rows of dQ and dK and adds to the parameter sums,
     so only the outputs grow with the batch. ``features``, the ``(F, G)``
-    of `quantum_scores_with_features` on the same Q, K and parameters, are
-    read in place of building them, as the training step does; without it
-    each tile builds its own. `circuit.score_grad_batch` (parameter shift)
+    or P that `quantum_scores_with_features` returned on the same Q, K and
+    parameters, are read in place of building them, as the training step
+    does; without it each tile builds its own, bit for bit the same.
+    `circuit.score_grad_batch` (parameter shift)
     is its oracle in the tests.
     """
     (items, n_q, n_k), qs, ks, dA, dQ, dK, dq, dk = _flat_pairs(Q, K, depth, d_scores)
@@ -265,22 +303,24 @@ def quantum_scores_backward(
     k_weights = np.conjugate(1j * v * c[1:]).view(np.float64)
     q_fh, k_gh, sum_fh = (np.zeros(len(freqs), dtype=np.complex128) for _ in range(3))
     for tile in _tiles(items, max(n_q, n_k) * depth):
-        if features is None:
-            F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
-            G = circuit.fourier_features(ks[tile], W[:, 1])
-        else:
-            F, G = features[0][tile], features[1][tile]
-        FH = _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
-        FH *= F
         if n_q == 1:
-            # The last layer's CLS row: dA^T F is dA_j F, so GH is G F and
-            # each key row's dA_j scales it after its reduction, with no
-            # outer product (a GEMM of inner size 1).
-            GH, k_scale = G * F, np.swapaxes(dA[tile], -1, -2)  # k_scale (items, N_k, 1)
+            # The last layer's CLS row: the pair features P_jdn = F_n(q_d) G_n(k_jd)
+            # carry both sides, so FH = dA P, and each key row's dA_j scales
+            # its reduction of P.
+            GH = _pair_features(qs[tile], ks[tile], W) if features is None else features[tile]
+            FH, k_scale = _complex_matmul(dA[tile], GH), np.swapaxes(dA[tile], -1, -2)
         else:
+            if features is None:
+                F = circuit.fourier_features(qs[tile], W[:, 0])  # (items, N, D, 7)
+                G = circuit.fourier_features(ks[tile], W[:, 1])
+            else:
+                F, G = features[0][tile], features[1][tile]
+            FH = _complex_matmul(dA[tile], G)  # sum_j dA[i, j] F_n(q_id) G_n(k_jd)
+            FH *= F
             # A scale of 1.0 leaves every value bit for bit as it is.
             GH, k_scale = _complex_matmul(np.swapaxes(dA[tile], -1, -2), F), 1.0
             GH *= G
+            del F, G
         # As real (inputs, 14) arrays of (re, im) pairs.
         FH, GH = (H.view(np.float64).reshape(-1, 2 * len(freqs)) for H in (FH, GH))
         # Row by row, without BLAS, so a row's sum does not depend on the tile.
@@ -293,7 +333,7 @@ def quantum_scores_backward(
         q_fh += q_sums[0]
         sum_fh += q_sums[1]
         k_gh += ((ks[tile] * k_scale).reshape(-1) @ GH).view(np.complex128)
-        del F, G, FH, GH  # one tile's arrays alive at a time
+        del FH, GH  # one tile's arrays alive at a time
     d_u = (1j * c[1:] * q_fh).real  # dL/du_n
     d_v = (1j * c[1:] * k_gh).real
     jac = circuit.ANGLE_JACOBIAN  # (5, 3, 2): d W / d parameter

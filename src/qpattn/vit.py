@@ -14,7 +14,8 @@ last layer's attention, such as the mean attention entropy of ROADMAP item
 (the quantum kinds) scores the training step's layers with it: it builds
 the layer's Fourier features once, scores by their product, and the layer
 cache keeps the features for the backward (at B=32, N=17 / 50 / 197: 3.9 /
-11.5 / about 45 MB for a full layer, 2.1 / 5.8 / 22.7 MB for the last one).
+11.5 / about 45 MB for a full layer; the last one keeps only the features
+at each CLS-key pair's angles, 1.9 / 5.7 / 22.6 MB).
 `forward` and `forward_with_stats` keep the per-pair circuit calls that the
 benchmark's correctness hooks read, until ROADMAP item 5 moves those hooks;
 the two forwards agree to within rounding.

@@ -572,9 +572,10 @@ class TestBackwardTiles:
         self, case, monkeypatch, parameter_shift_backward, count_calls
     ):
         Q, K, p, dA, depth, tiles = tile_case(case)
-        calls = count_calls(circuit, "fourier_features")
+        calls = count_calls(circuit, "_angle_features")
         dQ, dK, d_params = scorers.quantum_scores_backward(Q, K, p, depth, dA)
-        assert len(calls) == 2 * tiles  # a query and a key block per tile
+        # A query and a key block per tile, or one block of CLS-key pairs.
+        assert len(calls) == (tiles if case in CLS_BACKWARD_TILES else 2 * tiles)
         monkeypatch.setattr(scorers, "TILE_INPUTS", 2**62)
         whole = scorers.quantum_scores_backward(Q, K, p, depth, dA)
         assert np.array_equal(dQ, whole[0]) and np.array_equal(dK, whole[1])
@@ -757,46 +758,80 @@ class TestTrainingForward:
         Q, K, p, dA, depth, _ = tile_case(case)
         built = scorers.quantum_scores_backward(Q, K, p, depth, dA)
         features = scorers.quantum_scores_with_features(Q, K, p, depth)[1]
-        calls = count_calls(circuit, "fourier_features")
+        calls = count_calls(circuit, "_angle_features")
         read = scorers.quantum_scores_backward(Q, K, p, depth, dA, features)
         assert not calls
         for got, ref in zip(read, built):
             assert np.array_equal(got, ref)
 
+    @pytest.mark.parametrize("case", CLS_BACKWARD_TILES)
+    def test_cls_row_matches_per_pair_scores(self, case, monkeypatch, count_calls):
+        # The last layer's CLS row: A from the features P at each CLS-key
+        # pair's angles, which the call returns in place of (F, G).
+        Q, K, p, _, depth, tiles = tile_case(case)
+        calls = count_calls(circuit, "_angle_features")
+        A, P = scorers.quantum_scores_with_features(Q, K, p, depth)
+        assert len(calls) == tiles  # one block of CLS-key pairs per tile
+        ref = scorers.qpa_scores(Q, K, p, depth)
+        assert A.shape == ref.shape and np.abs(A - ref).max() <= 1e-13
+        rng = np.random.default_rng(44)
+        for b, h, j in zip(*(rng.integers(n, size=20) for n in K.shape[:-1])):
+            mu = circuit.score(Q[b, h, 0, :depth], K[b, h, j, :depth], p)  # statevector
+            assert abs(A[b, h, 0, j] - mu.sum()) <= 1e-12
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 2**62)
+        whole, whole_P = scorers.quantum_scores_with_features(Q, K, p, depth)
+        assert np.array_equal(A, whole) and np.array_equal(P, whole_P)
+        W = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+        qs, ks = (X[..., :depth].reshape(len(P), -1, depth) for X in (Q, K))
+        FG = circuit.fourier_features(qs, W[:, 0]) * circuit.fourier_features(ks, W[:, 1])
+        # P rounds three phasors of the pair's angles, F G six: against a
+        # long-double exp, P is within 8.6e-16 and F G within 1.7e-15 here.
+        assert P.shape == FG.shape and np.abs(P - FG).max() <= 3e-15
+
     @pytest.mark.parametrize("side", ["q", "k"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_before_any_feature(self, side, bad, count_calls):
+        # A layer that scores all its query rows, then the CLS-row cases.
         Q, K = np.random.default_rng(40).normal(size=(2, 3, 2, 5, 4))
-        (Q if side == "q" else K)[2, 1, 4, 3] = bad
-        calls = count_calls(circuit, "fourier_features")
-        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
-        with pytest.raises(circuit.NonFiniteInputError, match=f"^{side} must be finite$"):
-            scorers.quantum_scores_with_features(Q, K, p, 4)
-        assert not calls
+        cases = [(Q, K, QpaParams(0.5, 0.1, -0.2, 0.3, 0.2), 4)]
+        for case in CLS_BACKWARD_TILES:
+            Q, K, p, _, depth, _ = tile_case(case)
+            cases.append((Q, K, p, depth))
+        calls = count_calls(circuit, "_angle_features")
+        for Q, K, p, depth in cases:
+            (Q if side == "q" else K)[-1, -1, -1, depth - 1] = bad
+            with pytest.raises(circuit.NonFiniteInputError, match=f"^{side} must be finite$"):
+                scorers.quantum_scores_with_features(Q, K, p, depth)
+            assert not calls, Q.shape
 
     def test_array_valued_parameters_raise(self):
         Q, K = np.random.default_rng(41).normal(size=(2, 2, 5, 4))
         p = QpaParams(np.array([0.5, 0.6]), 0.1, -0.2, 0.3, 0.2)
-        with pytest.raises(ValueError, match="one parameter set"):
-            scorers.quantum_scores_with_features(Q, K, p, 4)
+        for query_rows in (5, 1):  # the CLS row alone takes its own path
+            with pytest.raises(ValueError, match="one parameter set"):
+                scorers.quantum_scores_with_features(Q[..., :query_rows, :], K, p, 4)
 
     def test_working_memory_does_not_grow_with_the_batch(self):
-        # Traced peak of the call, less its outputs A, F and G, two heads,
-        # N=17, D=16: one tile's F' and feature temporaries.
+        # Traced peak of the call, less its outputs A and the features it
+        # saves (F and G, or P for the CLS row alone), two heads, N=17,
+        # D=16: one tile's temporaries.
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
 
-        def excess(batch):
+        def excess(batch, query_rows):
             Q, K = np.random.default_rng(42).normal(size=(2, batch, 2, 17, 16))
+            Q = Q[..., :query_rows, :].copy()
             tracemalloc.start()
             try:
-                A, (F, G) = scorers.quantum_scores_with_features(Q, K, p, 16)
+                A, saved = scorers.quantum_scores_with_features(Q, K, p, 16)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            return peak - A.nbytes - F.nbytes - G.nbytes
+            saved = saved if query_rows > 1 else (saved,)
+            return peak - A.nbytes - sum(x.nbytes for x in saved)
 
-        small, large = excess(8), excess(64)
-        assert large <= 1.05 * small, (small, large)
+        for query_rows in (17, 1):
+            small, large = excess(8, query_rows), excess(64, query_rows)
+            assert large <= 1.05 * small, (query_rows, small, large)
 
 
 #: (Q shape, K shape, dA shape, depth, TILE_INPUTS, tiles) around the MLP

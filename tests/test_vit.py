@@ -516,8 +516,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "061177a7e387fa80", "e24b62867dc55c30"),
-    ("qpa", 1): ("6e900635197dd0b4", "f7fc155a534ab1b5", "e2e6870da27ad1d9"),
+    ("qpa", 0): ("9e083236108b1465", "061177a7e387fa80", "69f3f129343cf05a"),
+    ("qpa", 1): ("6e900635197dd0b4", "f7fc155a534ab1b5", "af628273f1e5caa0"),
     ("dot", 0): ("94a5ef27f5c36ef5", "3a1e92c22db62ab0", "72e8565151f3c667"),
     ("dot", 1): ("82fd715b40798094", "093f4b6c350574c6", "a089805862343a7c"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "f91c7c6dede17c3e", "2d31a4ab23aff7ea"),
@@ -528,22 +528,22 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "1f54ae7e1b805299", "40e7de4fb4fc84b1"),
     ("linear", 0): ("94a5ef27f5c36ef5", "778a839a61d25b92", "b3a768a89265a2db"),
     ("linear", 1): ("82fd715b40798094", "64163d12b2cc75d9", "752b62089500d608"),
-    ("qpa-ind", 0): ("9e083236108b1465", "a329920e9468344e", "682cad97eacf8c3a"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "11cdf69d67a01fe7", "c2ad49143832bfc7"),
+    ("qpa-ind", 0): ("9e083236108b1465", "a329920e9468344e", "87631470763d9294"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "11cdf69d67a01fe7", "780c46a88437d868"),
 }
 
 # (logits, loss + grads) of one-layer quantum models with 36992 scored
 # (pair, dimension) entries per layer, a larger input than GOLDEN's.
 GOLDEN_CHUNKED = {
-    "qpa": ("8e0c8ecb790cbf5d", "87ac758d32498fec"),
-    "qpa-ind": ("dd57018d4797573b", "1d36eb414715f360"),
+    "qpa": ("8e0c8ecb790cbf5d", "d447e58da2336c1e"),
+    "qpa-ind": ("dd57018d4797573b", "27b703119f8f76d0"),
 }
 
 # (logits, loss + grads) of one-layer quantum models whose circuit forward and
 # backward each run in three tiles (`_tiled_case`).
 GOLDEN_TILED = {
-    "qpa": ("9b6035f6c18e60fa", "cf906120e7420e65"),
-    "qpa-ind": ("03565ec272d67435", "e23d8800285318d8"),
+    "qpa": ("9b6035f6c18e60fa", "f505c74ee47f2c14"),
+    "qpa-ind": ("03565ec272d67435", "cb3ba180f6d947ce"),
 }
 
 
@@ -608,12 +608,13 @@ class TestGolden:
     @pytest.mark.parametrize("kind", GOLDEN_TILED)
     def test_tiled_circuit_path_bit_identical(self, kind, monkeypatch, count_calls):
         model, images, labels = _tiled_case(kind)
-        calls = count_calls(circuit, "fourier_features")
+        calls = count_calls(circuit, "_angle_features")
         logits = vit.forward(model, images)
         assert len(calls) == 2 * 3  # a query and a key block per tile
         calls.clear()
         loss, grads = vit.backward(model, images, labels)
-        assert len(calls) == 2 * 3  # forward tiles; the backward reads their features
+        # One block of CLS-key pairs per forward tile; the backward reads them.
+        assert len(calls) == 3
         got = (_digest([("logits", logits)]), _digest([("loss", loss), *grads.items()]))
         assert got == GOLDEN_TILED[kind]
         # In one tile, only the circuit-parameter sums add up in another order.
