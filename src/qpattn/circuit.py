@@ -27,17 +27,26 @@ The fast path goes through the circuit's exact Fourier form: mu is a
 15-term Fourier series in (q, k) whose coefficients depend on beta alone
 (`fourier_coefficients`, `FOURIER_FREQS`, `ANGLE_JACOBIAN`): a constant c_0
 plus seven terms, each a query feature times a key feature
-(`fourier_features`, seven per input, built from three base phasors).
+(`fourier_features`, seven per input). In the base angles
+(a, b, c) = (x0, x1 + xe, x1 - xe) the seven frequencies are a, b, c,
+a+b, a+c, a-c and a-b, so three phasors, one tangent each, give them all.
 `score_batch` and `score_noisy_batch`, the inference attention forward,
-evaluate the series at every broadcast input pair they are given as one
-batched real GEMM of the two sides' features: axes where only q varies are
-its rows, axes where only k varies its columns. The training step's forward
+evaluate the series at every broadcast input pair they are given, by one
+of two evaluators chosen by the layout. Axes where only q varies are rows,
+axes where only k varies are columns. Where the rows or the columns hold
+one input per batch item (elementwise calls such as the lab's, and the
+ViT's CLS row against its keys), each pair is summed directly from the
+cosines and sines of its three base angles, with no feature array. Outer
+layouts (a layer that scores all N query rows) take one batched real GEMM
+of the two sides' features; that branch serves only them and goes with
+ROADMAP item 5. The training step's forward
 (`scorers.quantum_scores_with_features`) builds each layer's features once
-with `fourier_features` and sums the series over the D dimensions inside
-its GEMM; the backward differentiates the same series on those features;
-c_0 = 1/2 does not enter it. Inference keeps the per-pair calls until
-ROADMAP item 5 moves the benchmark hooks that read them. None of these
-holds a tiling policy: the scorers (`scorers.qpa_scores`,
+with `fourier_features` (or, for the CLS row, the features at each pair's
+angles) and sums the series over the D dimensions inside its GEMM; the
+backward differentiates the same series on those features; c_0 = 1/2 does
+not enter it. Inference keeps the per-pair calls until ROADMAP item 5
+moves the benchmark hooks that read them. None of these holds a tiling
+policy: the scorers (`scorers.qpa_scores`,
 `scorers.quantum_scores_with_features`, `scorers.quantum_scores_backward`)
 bound their own temporaries with tiles of `scorers.TILE_INPUTS` inputs per
 side.
@@ -302,8 +311,8 @@ def _shift(c, s, sign):
 # nonzero: the constant and seven conjugate pairs, one of each listed below.
 # ---------------------------------------------------------------------------
 
-#: Frequencies (a, b, c) of the terms exp(i (a x0 + b x1 + c xe)) of mu: the
-#: constant, then one of each conjugate pair.
+#: Frequencies (n0, n1, ne) of the terms exp(i (n0 x0 + n1 x1 + ne xe)) of mu:
+#: the constant, then one of each conjugate pair.
 FOURIER_FREQS = np.array(
     [(0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 1, -1), (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
 )
@@ -324,6 +333,21 @@ ANGLE_JACOBIAN = np.array(
     ],
     dtype=float,
 )
+
+_JACOBIAN_ROWS = ANGLE_JACOBIAN.reshape(5, 6)
+
+
+def _angle_map(params: QpaParams) -> np.ndarray:
+    # W = params . ANGLE_JACOBIAN, shape (3, 2), for one parameter set, by
+    # one small matrix product (a tensordot costs several times as much).
+    return (params.to_array() @ _JACOBIAN_ROWS).reshape(3, 2)
+
+
+#: The base angles (a, b, c) = (x0, x1 + xe, x1 - xe) as a map on the shifted
+#: angles x. In them FOURIER_FREQS[1:] are a, b, c, a+b, a+c, a-c and a-b, so
+#: three phasors give every feature: the base angles of the inputs (q, k) are
+#: _BASE_ANGLES @ W @ (q, k).
+_BASE_ANGLES = np.array([[1, 0, 0], [0, 1, 1], [0, 1, -1]], dtype=float)
 
 
 # The circuit measures mu = (1 + <ZZ>) / 2. Before the mixer the state is
@@ -369,15 +393,22 @@ def phasors(theta, out=None) -> np.ndarray:
     against 17-20 ns for each of cos and sin.
     """
     t = np.multiply(theta, 0.5, out=np.empty(np.shape(theta)))  # an array even when 0-d
-    np.tan(t, out=t)
     if out is None:
         out = np.empty(t.shape, dtype=np.complex128)
-    r = np.multiply(t, t, out=np.empty_like(t))
-    r += 1.0
-    np.divide(2.0, r, out=r)  # 2 / (1 + t^2) = 1 + cos(theta)
-    np.multiply(t, r, out=out.imag)
-    np.subtract(r, 1.0, out=out.real)
+    _cos_sin(t, out.real, out.imag)
     return out
+
+
+def _cos_sin(half, cos, sin) -> None:
+    # cos and sin of the angles 2 * half by the identity of `phasors`, one
+    # tangent each, written into ``cos`` and ``sin``. ``half`` is overwritten
+    # and may itself be ``sin``.
+    t = np.tan(half, out=half)
+    r = np.multiply(t, t, out=np.empty_like(t))  # an array even when 0-d
+    r += 1.0
+    np.divide(2.0, r, out=r)  # 2 / (1 + t^2) = 1 + cos
+    np.multiply(t, r, out=sin)
+    np.subtract(r, 1.0, out=cos)
 
 
 def fourier_features(x, w, out=None) -> np.ndarray:
@@ -387,7 +418,7 @@ def fourier_features(x, w, out=None) -> np.ndarray:
     (lambda1, lambda2, alpha) gives the query features exp(i u_n q), and
     (lambda2, lambda1, alpha) the key features exp(i v_n k), with
     (u_n, v_n) = FOURIER_FREQS[n] @ W. The constant feature (n = 0) is 1 and
-    is left out. They are `_angle_features` at the angle vectors w x. The
+    is left out. They are `_angle_features` at the base angles of w x. The
     tangent is odd, so the features of -w are the complex conjugates of
     those of w, bit for bit. ``out``, if given, is the C-contiguous complex
     x.shape + (7,) array the features are written into, such as a tile of a
@@ -398,47 +429,64 @@ def fourier_features(x, w, out=None) -> np.ndarray:
         out = np.empty(x.shape + (7,), dtype=np.complex128)
     elif out.shape != x.shape + (7,) or out.dtype != np.complex128 or not out.flags.c_contiguous:
         raise ValueError("out must be a C-contiguous complex128 array of shape x.shape + (7,)")
-    return _angle_features(np.multiply.outer(w, x), out)
+    return _angle_features(np.multiply.outer(_BASE_ANGLES @ w, x), out)
+
+
+def _pair_features(q: np.ndarray, k: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
+    # The features at each broadcast (q, k) pair's angle vector W @ (q, k),
+    # exp(i FOURIER_FREQS[n] . W (q, k)) = F_n(q) G_n(k), as a broadcast
+    # shape + (7,) array: the training step's last layer builds them for its
+    # CLS row q (items, 1, D) against keys k (items, N_k, D). q and k have
+    # the same number of axes.
+    return _angle_features(_pair_angles(q, k, _BASE_ANGLES @ W), out)
+
+
+def _pair_angles(q: np.ndarray, k: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # The angles B @ (q, k) of every broadcast pair of q and k, which have
+    # the same number of axes, as a (3,) + broadcast shape array.
+    theta = np.empty((3,) + np.broadcast_shapes(q.shape, k.shape))
+    np.multiply(B[:, 1].reshape((3,) + (1,) * k.ndim), k, out=theta)
+    theta += np.multiply.outer(B[:, 0], q)
+    return theta
 
 
 def _angle_features(theta, out=None) -> np.ndarray:
-    # The features exp(i FOURIER_FREQS[n] . theta), n = 1..7, at angle vectors
-    # theta of shape (3, ...), as a theta.shape[1:] + (7,) array, written into
-    # ``out`` if given (C-contiguous complex128, unchecked). Only the three
-    # base phasors exp(i theta_j) take a tangent, in one `phasors` call; the
-    # other features are their complex products. Every product is formed in
-    # a contiguous array and then copied into its slot of the C-contiguous
-    # result: numpy's complex multiply into a strided slot costs several
-    # times a contiguous one.
+    # The features at base angles theta = (a, b, c) of shape (3, ...), as a
+    # theta.shape[1:] + (7,) array, written into ``out`` if given
+    # (C-contiguous complex128, unchecked). The three base phasors, one
+    # `phasors` call, are features 1-3; each of the other four is one
+    # complex product of two of them. All seven are formed in contiguous
+    # planes, since numpy's complex multiply into a strided slot costs
+    # several times a contiguous one, and one transposing copy lays them out.
     if out is None:
         out = np.empty(theta.shape[1:] + (7,), dtype=np.complex128)
-    flat = out.reshape(-1, 7)  # a view, since out is C-contiguous
-    e0, e1, e2 = phasors(theta.reshape(3, -1))
-    plus = e1 * e2  # (0, 1, 1)
-    minus = np.multiply(e1, np.conjugate(e2, out=e2), out=e2)  # (0, 1, -1)
-    flat[:, 0] = e0  # (1, 0, 0)
-    flat[:, 1] = plus
-    flat[:, 2] = minus
-    flat[:, 3] = np.multiply(e0, plus, out=e1)  # (1, 1, 1)
-    flat[:, 4] = np.multiply(e0, minus, out=e1)  # (1, 1, -1)
-    flat[:, 5] = np.multiply(e0, np.conjugate(minus, out=minus), out=minus)  # (1, -1, 1)
-    flat[:, 6] = np.multiply(e0, np.conjugate(plus, out=plus), out=plus)  # (1, -1, -1)
+    planes = np.empty((7, out.size // 7), dtype=np.complex128)
+    a, b, c = phasors(theta.reshape(3, -1), out=planes[:3])
+    np.multiply(a, b, out=planes[3])  # a + b
+    np.multiply(a, c, out=planes[4])  # a + c
+    np.multiply(a, np.conjugate(c, out=planes[5]), out=planes[5])  # a - c
+    np.multiply(a, np.conjugate(b, out=planes[6]), out=planes[6])  # a - b
+    out.reshape(-1, 7)[...] = planes.T  # a view, since out is C-contiguous
     return out
 
 
 def _series(qs, ks, params: QpaParams, c: np.ndarray):
     # The series c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k) at every broadcast
-    # (q, k) pair, for the coefficients c on FOURIER_FREQS.
-    # Broadcast axes where only q varies are GEMM rows, axes where only k
-    # varies are GEMM columns, and the rest are batch axes, so all pairs come
-    # from a batched real GEMM (batch, rows, 14) @ (batch, 14, cols) over
-    # (re, im) pairs: with F' = conj(c F), Re(c F G) = Re F' Re G + Im F' Im G.
-    # F' is built as conj(c) times the query features of -W[:, 0], which are
-    # conj(F) bit for bit (`fourier_features`), so no conjugation pass is made.
-    # The per-pair output is returned transposed back to broadcast order.
-    # Callers that must bound the size of a call split it themselves
-    # (`scorers.TILE_INPUTS`).
-    W = np.tensordot(params.to_array(), ANGLE_JACOBIAN, axes=1)
+    # (q, k) pair, for the coefficients c on FOURIER_FREQS. Broadcast axes
+    # where only q varies are rows, axes where only k varies are columns and
+    # the rest are batch axes. Where the rows or the columns hold at most one
+    # input per batch item (elementwise layouts; the CLS row against its
+    # keys), each pair is summed directly (`_direct_series`): a GEMM with a
+    # unit side would cost a feature block per input and no saving. The
+    # pairs of outer layouts (which ROADMAP item 5 retires from inference)
+    # come from a batched real GEMM (batch, rows, 14) @ (batch, 14, cols) of
+    # the two sides' features over (re, im) pairs: with F' = conj(c F),
+    # Re(c F G) = Re F' Re G + Im F' Im G. F' is built as conj(c) times the
+    # query features of -W[:, 0], which are conj(F) bit for bit
+    # (`fourier_features`), and the per-pair output is transposed back to
+    # broadcast order. Callers that must bound the size of a call split it
+    # themselves (`scorers.TILE_INPUTS`).
+    W = _angle_map(params)
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
     _check_finite(qs, ks)
@@ -447,14 +495,51 @@ def _series(qs, ks, params: QpaParams, c: np.ndarray):
     ks = ks.reshape((1,) * (len(shape) - ks.ndim) + ks.shape)
     # 0: batch axis, 1: row axis (only q varies), 2: column axis (only k varies).
     role = [1 if k == 1 != q else 2 if q == 1 != k else 0 for q, k in zip(qs.shape, ks.shape)]
-    order = sorted(range(len(shape)), key=role.__getitem__)
     nb, nr, nc = (math.prod(n for n, r in zip(shape, role) if r == g) for g in range(3))
+    if min(nr, nc) <= 1:
+        return _direct_series(qs, ks, W, c)
+    order = sorted(range(len(shape)), key=role.__getitem__)
     F = fourier_features(qs.transpose(order).reshape(nb, nr), -W[:, 0])
     F *= np.conjugate(c[1:])
     G = fourier_features(ks.transpose(order).reshape(nb, nc), W[:, 1])
     mu = np.matmul(F.view(np.float64), G.view(np.float64).transpose(0, 2, 1))
     mu += c[0].real
     return mu.reshape([shape[a] for a in order]).transpose(np.argsort(order))
+
+
+def _direct_series(qs: np.ndarray, ks: np.ndarray, W: np.ndarray, c: np.ndarray) -> np.ndarray:
+    # The series at every broadcast pair of qs and ks (same number of axes)
+    # from the cosines and sines of its base angles (a, b, c), with no
+    # feature array:
+    #   mu = c_0 + Re(c_2 e^{ib}) + Re(c_3 e^{ic}) + Re(e^{ia} z),
+    #   z = c_1 + (c_4 + c_7) cos b + i (c_4 - c_7) sin b
+    #           + (c_5 + c_6) cos c + i (c_5 - c_6) sin c,
+    # where Re z, Im z and the rest of mu are weighted sums of the planes
+    # cos b, sin b, cos c and sin c.
+    half = _pair_angles(qs, ks, 0.5 * (_BASE_ANGLES @ W))
+    cos = np.empty_like(half)
+    _cos_sin(half, cos, half)
+    # Views of the planes, arrays even when 0-d.
+    (cos_a, cos_b, cos_c), (sin_a, sin_b, sin_c) = ([x[j, ...] for j in range(3)] for x in (cos, half))
+    c0, c1, c2, c3, c4, c5, c6, c7 = c.tolist()
+    z = [(c4 + c7, cos_b), (1j * (c4 - c7), sin_b), (c5 + c6, cos_c), (1j * (c5 - c6), sin_c)]
+    scratch = np.empty_like(cos_a)
+
+    def plane_sum(const, terms):
+        # const + the sum of weight * plane over the (weight, plane) terms.
+        (w0, p0), *rest = terms
+        total = np.multiply(p0, w0, out=np.empty_like(p0))
+        for weight, plane in rest:
+            total += np.multiply(plane, weight, out=scratch)
+        total += const
+        return total
+
+    z_re = plane_sum(c1.real, [(w.real, plane) for w, plane in z])
+    z_im = plane_sum(c1.imag, [(w.imag, plane) for w, plane in z])
+    mu = plane_sum(c0.real, [(c2.real, cos_b), (-c2.imag, sin_b), (c3.real, cos_c), (-c3.imag, sin_c)])
+    mu += np.multiply(cos_a, z_re, out=z_re)
+    mu -= np.multiply(sin_a, z_im, out=z_im)
+    return mu
 
 
 def _check_one_set(params: QpaParams) -> None:
@@ -467,8 +552,12 @@ def _check_one_set(params: QpaParams) -> None:
 def score_batch(qs, ks, params: QpaParams) -> np.ndarray:
     """Vectorised mu over broadcastable arrays of inputs, from the Fourier form.
 
-    A non-finite input raises `ValueError`, as in `score`; so do array-valued
-    parameters.
+    Returns one score per broadcast (q, k) pair. Where q or k holds one input
+    per batch item (an elementwise call, or one query row against its keys)
+    each pair is summed directly from three half-angle tangents; an outer
+    layout takes one batched GEMM of the two sides' features. A non-finite
+    input raises `ValueError`, as in `score`, before any tangent is taken;
+    so do array-valued parameters.
     """
     _check_one_set(params)
     return _series(qs, ks, params, fourier_coefficients(params.beta)[0])
@@ -674,9 +763,10 @@ def score_coefficients(params: QpaParams, noise=None) -> np.ndarray:
 def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> np.ndarray:
     """Vectorised noisy score over broadcastable input arrays.
 
-    The series of `score_batch` with the noisy coefficients of
-    `score_coefficients`. The density-matrix `score_noisy` is its oracle. A
-    non-finite input raises `ValueError`, as in `score`.
+    The series of `score_batch`, by the same evaluator for the same layout,
+    with the noisy coefficients of `score_coefficients`. The density-matrix
+    `score_noisy` is its oracle. A non-finite input raises `ValueError`, as
+    in `score`, before any tangent is taken.
     """
     _check_one_set(params)
     return _series(qs, ks, params, score_coefficients(params, (channel, gamma)))

@@ -20,9 +20,10 @@ returns the features, which the step keeps in its layer cache and hands to
 `quantum_scores_backward` (at B=32, N=17 / 50 / 197: 3.9 / 11.5 / about
 45 MB for a layer that scores all N query rows). The ViT's last layer
 scores the CLS row alone, so each (key, dimension) of an item is one pair:
-there the forward builds the seven features at each pair's angles, the
-products of its query and key features, reads each score as a row sum over
-them and returns them alone (1.9 / 5.7 / 22.6 MB). The backward costs two
+there the forward builds the seven features at each pair's angles
+(`circuit._pair_features`), the products of its query and key features,
+reads each score as a row sum over them and returns them alone
+(1.9 / 5.7 / 22.6 MB). The backward costs two
 GEMMs per item on the features, or one on the pair features, whose rows
 also give each key's gradient once scaled by its score gradient; it
 reduces the products as real arrays of 14 floats per input. The series'
@@ -30,7 +31,10 @@ constant c_0 = 1/2 depends on no parameter and does not reach it.
 Inference (`qpa_scores`) still scores every (query, key, dimension) triple
 by a per-tile circuit call, because the benchmark's correctness hooks read
 those calls; this second path is temporary and goes once ROADMAP item 5
-moves the hooks. The mean score of
+moves the hooks. In the last layer those calls have one query per
+(image, head, dimension), so the circuit sums each pair directly from
+three half-angle tangents and builds no features; only a layer that scores
+all N query rows takes the circuit's feature GEMM. The mean score of
 a layer whose query side is the CLS row alone comes from the series'
 separable form (`quantum_score_sum`), which sums the per-pair scores of
 all N query rows from their features alone. The circuit evaluates whatever
@@ -128,9 +132,12 @@ def qpa_scores(
     Q and K share their leading axes. The circuit scores one tile of whole
     images (slices of the first leading axis) per call, at most `TILE_INPUTS`
     inputs per side or one image, and each tile's per-pair scores
-    (tile, ..., N, N, D) are summed over D into its slice of A at once, so
-    no per-pair array of the whole batch is built. Q and K with no leading
-    axis are one tile.
+    (tile, ..., N_q, N_k, D) are summed over D into its slice of A at once,
+    so no per-pair array of the whole batch is built. Q and K with no
+    leading axis are one tile. With one query row (the ViT's last layer)
+    the circuit sums each pair directly, with no feature array; with several
+    query and key rows it takes the GEMM of their features
+    (`circuit.score_batch`).
     """
     Q, K = _pair_inputs(Q, K, depth)
     lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
@@ -183,7 +190,7 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
     circuit._check_finite(qs, ks)
     c = circuit.fourier_coefficients(params.beta)[0]
-    W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+    W = circuit._angle_map(params)
     A = np.empty((items, n_q, n_k))
     tiles = _tiles(items, max(n_q, n_k) * depth)
     if n_q == 1:
@@ -192,7 +199,7 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
         weights = np.tile(np.conjugate(c[1:]).view(np.float64), depth)
         P = np.empty(ks.shape + (7,), dtype=np.complex128)
         for tile in tiles:
-            _pair_features(qs[tile], ks[tile], W, out=P[tile])
+            circuit._pair_features(qs[tile], ks[tile], W, out=P[tile])
             rows = _real_rows(P[tile]).reshape(-1, len(weights))
             # Row by row, without BLAS, so a row's sum does not depend on the tile.
             np.einsum("mk,k->m", rows, weights, out=A[tile].reshape(-1))
@@ -209,16 +216,6 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
         A[tile] += depth * c[0].real
         del Fc  # one tile's F' alive at a time
     return A.reshape(np.shape(Q)[:-1] + (n_k,)), (F, G)
-
-
-def _pair_features(q: np.ndarray, k: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
-    # The features of one query row q (items, 1, D) against keys k
-    # (items, N_k, D), laid out like k's features (items, N_k, D, 7): each
-    # pair's angle vector theta = W[:, 0] q_d + W[:, 1] k_jd gives
-    # P_n = exp(i FOURIER_FREQS[n] . theta) = F_n(q_d) G_n(k_jd).
-    theta = np.multiply.outer(W[:, 1], k)
-    theta += np.multiply.outer(W[:, 0], q)
-    return circuit._angle_features(theta, out)
 
 
 def quantum_score_sum(
@@ -238,7 +235,7 @@ def quantum_score_sum(
     c = circuit.score_coefficients(params, noise)
     (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
     circuit._check_finite(qs, ks)
-    W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+    W = circuit._angle_map(params)
     products = np.zeros(7, dtype=np.complex128)
     for tile in _tiles(items, max(n_q, n_k) * depth):
         F = circuit.fourier_features(qs[tile], W[:, 0]).sum(axis=1)  # (tile, D, 7)
@@ -294,7 +291,7 @@ def quantum_scores_backward(
     """
     (items, n_q, n_k), qs, ks, dA, dQ, dK, dq, dk = _flat_pairs(Q, K, depth, d_scores)
     c, dc = circuit.fourier_coefficients(params.beta)
-    W = np.tensordot(params.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
+    W = circuit._angle_map(params)
     freqs = circuit.FOURIER_FREQS[1:]  # the constant c_0 has no feature
     u, v = (freqs @ W).T
     # Re(z a) is the dot product of z's (re, im) with conj(a)'s: the weights
@@ -307,7 +304,7 @@ def quantum_scores_backward(
             # The last layer's CLS row: the pair features P_jdn = F_n(q_d) G_n(k_jd)
             # carry both sides, so FH = dA P, and each key row's dA_j scales
             # its reduction of P.
-            GH = _pair_features(qs[tile], ks[tile], W) if features is None else features[tile]
+            GH = circuit._pair_features(qs[tile], ks[tile], W) if features is None else features[tile]
             FH, k_scale = _complex_matmul(dA[tile], GH), np.swapaxes(dA[tile], -1, -2)
         else:
             if features is None:

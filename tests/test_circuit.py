@@ -470,6 +470,16 @@ PAIR_LAYOUTS = {
 
 NOISE = [None] + [(channel, 0.13) for channel in sorted(qcore.CHANNELS)]
 
+#: (q shape, k shape, feature blocks one call builds): layouts whose rows or
+#: columns hold one input per batch item (elementwise; the CLS row against
+#: its keys) are summed pair by pair, and outer layouts take the GEMM of a
+#: query and a key feature block.
+FEATURE_BLOCKS = {
+    "elementwise-10000": ((10_000,), (10_000,), 0),
+    "cls-row-n50": ((2, 2, 1, 1, 16), (2, 2, 1, 50, 16), 0),
+    "attention-n197": ((1, 2, 197, 1, 16), (1, 2, 1, 197, 16), 2),
+}
+
 
 class TestPairGemm:
     """`score_batch` / `score_noisy_batch` on every broadcast layout."""
@@ -508,16 +518,14 @@ class TestPairGemm:
                 pair_scores(np.array([q, 0.3]), np.array([[k], [0.0]]), p, noise)
             assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize(
-        "q_shape, k_shape",
-        [((10_000,), (10_000,)), ((1, 2, 197, 1, 16), (1, 2, 1, 197, 16))],
-        ids=["elementwise-10000", "attention-n197"],
-    )
-    def test_one_gemm_per_call(self, q_shape, k_shape, count_calls):
+    @pytest.mark.parametrize("layout", FEATURE_BLOCKS)
+    def test_one_gemm_per_call(self, layout, count_calls):
         # The circuit holds no tiling policy: however many pairs it is given,
-        # one call builds each side's features once. The attention forward
-        # bounds its calls itself (`scorers.TILE_INPUTS`). The oracles check
-        # 500 of the pairs.
+        # an outer layout builds each side's features once, for one GEMM, and
+        # a layout with one input per batch item on a side builds none. The
+        # attention forward bounds its calls itself (`scorers.TILE_INPUTS`).
+        # The oracles check 500 of the pairs.
+        q_shape, k_shape, blocks = FEATURE_BLOCKS[layout]
         rng = np.random.default_rng(47)
         p = random_params(rng)
         qs = rng.normal(0, 1.5, size=q_shape)
@@ -525,13 +533,66 @@ class TestPairGemm:
         shape = np.broadcast_shapes(q_shape, k_shape)
         pick = tuple(rng.integers(n, size=500) for n in shape)
         q_at, k_at = (np.broadcast_to(x, shape)[pick] for x in (qs, ks))
-        calls = count_calls(circuit, "fourier_features")
+        calls = count_calls(circuit, "_angle_features")
         for n in NOISE:
             calls.clear()
             mu = pair_scores(qs, ks, p, n)
-            assert len(calls) == 2, n  # a query and a key block
+            assert len(calls) == blocks, n
             assert mu.shape == shape
             assert np.abs(mu[pick] - real_amplitude_mu(q_at, k_at, p, n)).max() <= 1e-13, n
+
+    @pytest.mark.parametrize("noise", NOISE, ids=lambda n: n[0] if n else "clean")
+    def test_direct_sum_and_gemm_agree_on_the_same_pairs(self, noise, count_calls):
+        # Row 0 of an outer call (the GEMM) against the CLS-row call on the
+        # same query and its elementwise form (both summed pair by pair).
+        rng = np.random.default_rng(50)
+        p = random_params(rng)
+        qs = rng.normal(0, 1.5, size=(2, 2, 5, 1, 16))
+        ks = rng.normal(0, 1.5, size=(2, 2, 1, 50, 16))
+        calls = count_calls(circuit, "_angle_features")
+        outer = pair_scores(qs, ks, p, noise)[:, :, :1]
+        assert len(calls) == 2
+        cls_row = pair_scores(qs[:, :, :1], ks, p, noise)
+        elementwise = pair_scores(np.broadcast_to(qs[:, :, :1], ks.shape).copy(), ks, p, noise)
+        assert len(calls) == 2  # neither built a feature
+        assert np.abs(cls_row - outer).max() <= 1e-13
+        assert np.array_equal(elementwise, cls_row)
+
+    @pytest.mark.parametrize("noise", NOISE, ids=lambda n: n[0] if n else "clean")
+    def test_odd_multiples_of_pi_and_large_inputs(self, noise):
+        # Half-angle tangents blow up where a base angle (a, b, c) is an odd
+        # multiple of pi; inputs up to 1e3 make angles of the same size.
+        rng = np.random.default_rng(51)
+        p = QpaParams(0.9, 0.2, -0.3, 1.4, 0.35)  # |dB/dq| >= 0.8 for each base angle
+        W = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN, 1)
+        B = np.array([[1, 0, 0], [0, 1, 1], [0, 1, -1]]) @ W  # (a, b, c) per unit q and k
+        ks = rng.uniform(-3, 3, size=(3, 40))
+        odd = np.pi * (2 * rng.integers(-100, 100, size=(3, 40)) + 1)
+        qs = (odd - B[:, 1:] * ks) / B[:, :1]  # base angle j of pair row j is odd
+        large = rng.uniform(-1e3, 1e3, size=(2, 200))
+        qs, ks = np.concatenate([qs.ravel(), large[0]]), np.concatenate([ks.ravel(), large[1]])
+        assert np.abs(qs).max() <= 1e3
+        ref = np.asarray(circuit.score(qs, ks, p) if noise is None else circuit.score_noisy(qs, ks, p, *noise))
+        direct = pair_scores(qs, ks, p, noise)
+        gemm = pair_scores(qs[:, None], ks[None, :], p, noise).diagonal()
+        assert np.isfinite(direct).all() and np.isfinite(gemm).all()
+        assert np.abs(direct - ref).max() <= 1e-12
+        assert np.abs(gemm - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("layout", FEATURE_BLOCKS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_before_any_tangent(self, layout, bad, count_calls):
+        q_shape, k_shape, _ = FEATURE_BLOCKS[layout]
+        rng = np.random.default_rng(52)
+        p = random_params(rng)
+        tangents = count_calls(circuit, "_cos_sin")  # every tangent of the series
+        for side in ("q", "k"):
+            qs, ks = rng.normal(size=q_shape), rng.normal(size=k_shape)
+            (qs if side == "q" else ks).flat[-1] = bad
+            for n in NOISE:
+                with pytest.raises(circuit.NonFiniteInputError, match=f"^{side} must be finite$"):
+                    pair_scores(qs, ks, p, n)
+        assert not tangents
 
     @settings(max_examples=80, deadline=None)
     @given(

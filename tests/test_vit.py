@@ -516,8 +516,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "061177a7e387fa80", "69f3f129343cf05a"),
-    ("qpa", 1): ("6e900635197dd0b4", "f7fc155a534ab1b5", "af628273f1e5caa0"),
+    ("qpa", 0): ("9e083236108b1465", "8ab522daaaaad1ce", "46fa3b502d9c5491"),
+    ("qpa", 1): ("6e900635197dd0b4", "1fb702a937df3706", "2f4e8820efb8461c"),
     ("dot", 0): ("94a5ef27f5c36ef5", "3a1e92c22db62ab0", "72e8565151f3c667"),
     ("dot", 1): ("82fd715b40798094", "093f4b6c350574c6", "a089805862343a7c"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "f91c7c6dede17c3e", "2d31a4ab23aff7ea"),
@@ -528,22 +528,22 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "1f54ae7e1b805299", "40e7de4fb4fc84b1"),
     ("linear", 0): ("94a5ef27f5c36ef5", "778a839a61d25b92", "b3a768a89265a2db"),
     ("linear", 1): ("82fd715b40798094", "64163d12b2cc75d9", "752b62089500d608"),
-    ("qpa-ind", 0): ("9e083236108b1465", "a329920e9468344e", "87631470763d9294"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "11cdf69d67a01fe7", "780c46a88437d868"),
+    ("qpa-ind", 0): ("9e083236108b1465", "a2767198640e9ed1", "a53598183b4ab9ed"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "50a1bfbe93cda84e", "28069b6e030fd507"),
 }
 
 # (logits, loss + grads) of one-layer quantum models with 36992 scored
 # (pair, dimension) entries per layer, a larger input than GOLDEN's.
 GOLDEN_CHUNKED = {
-    "qpa": ("8e0c8ecb790cbf5d", "d447e58da2336c1e"),
-    "qpa-ind": ("dd57018d4797573b", "27b703119f8f76d0"),
+    "qpa": ("a4fed77d7fa42f89", "ba8427e025799108"),
+    "qpa-ind": ("03ff3cff60b67ccb", "bb37f4a4586efbd5"),
 }
 
 # (logits, loss + grads) of one-layer quantum models whose circuit forward and
 # backward each run in three tiles (`_tiled_case`).
 GOLDEN_TILED = {
-    "qpa": ("9b6035f6c18e60fa", "f505c74ee47f2c14"),
-    "qpa-ind": ("03565ec272d67435", "cb3ba180f6d947ce"),
+    "qpa": ("9896f96bada3b1da", "364f0184f68b1c73"),
+    "qpa-ind": ("382db0dc3473cbb5", "62ca8ad00aecb980"),
 }
 
 
@@ -610,7 +610,7 @@ class TestGolden:
         model, images, labels = _tiled_case(kind)
         calls = count_calls(circuit, "_angle_features")
         logits = vit.forward(model, images)
-        assert len(calls) == 2 * 3  # a query and a key block per tile
+        assert not calls  # each CLS-row tile is summed pair by pair, with no features
         calls.clear()
         loss, grads = vit.backward(model, images, labels)
         # One block of CLS-key pairs per forward tile; the backward reads them.
