@@ -48,8 +48,7 @@ not enter it. Inference keeps the per-pair calls until ROADMAP item 5
 moves the benchmark hooks that read them. None of these holds a tiling
 policy: the scorers (`scorers.qpa_scores`,
 `scorers.quantum_scores_with_features`, `scorers.quantum_scores_backward`)
-bound their own temporaries with tiles of `scorers.TILE_INPUTS` inputs per
-side.
+bound their own temporaries with tiles sized from `scorers.TILE_INPUTS`.
 The coefficients are closed forms in beta: the mixer only weights the fixed
 Fourier coefficients of <ZZ> and <YY> on the state before it, and a noise
 channel adds those of <ZI> + <IZ>. A real-amplitude walk of the circuit that
@@ -450,24 +449,44 @@ def _pair_angles(q: np.ndarray, k: np.ndarray, B: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _angle_features(theta, out=None) -> np.ndarray:
-    # The features at base angles theta = (a, b, c) of shape (3, ...), as a
-    # theta.shape[1:] + (7,) array, written into ``out`` if given
-    # (C-contiguous complex128, unchecked). The three base phasors, one
-    # `phasors` call, are features 1-3; each of the other four is one
-    # complex product of two of them. All seven are formed in contiguous
+def _feature_planes(theta) -> np.ndarray:
+    # The features at base angles theta = (a, b, c) of shape (3, ...), as
+    # contiguous planes of shape (7,) + theta.shape[1:]. The three base
+    # phasors, one `phasors` call, are features 1-3; each of the other four
+    # is one complex product of two of them. They are formed in contiguous
     # planes, since numpy's complex multiply into a strided slot costs
-    # several times a contiguous one, and one transposing copy lays them out.
+    # several times a contiguous one.
+    planes = np.empty((7,) + theta.shape[1:], dtype=np.complex128)
+    flat = planes.reshape(7, -1)
+    a, b, c = phasors(theta.reshape(3, -1), out=flat[:3])
+    np.multiply(a, b, out=flat[3])  # a + b
+    np.multiply(a, c, out=flat[4])  # a + c
+    np.multiply(a, np.conjugate(c, out=flat[5]), out=flat[5])  # a - c
+    np.multiply(a, np.conjugate(b, out=flat[6]), out=flat[6])  # a - b
+    return planes
+
+
+def _angle_features(theta, out=None) -> np.ndarray:
+    # The features at base angles theta of `_feature_planes`, as a
+    # theta.shape[1:] + (7,) array, written into ``out`` if given
+    # (C-contiguous complex128, unchecked) by one transposing copy.
     if out is None:
         out = np.empty(theta.shape[1:] + (7,), dtype=np.complex128)
-    planes = np.empty((7, out.size // 7), dtype=np.complex128)
-    a, b, c = phasors(theta.reshape(3, -1), out=planes[:3])
-    np.multiply(a, b, out=planes[3])  # a + b
-    np.multiply(a, c, out=planes[4])  # a + c
-    np.multiply(a, np.conjugate(c, out=planes[5]), out=planes[5])  # a - c
-    np.multiply(a, np.conjugate(b, out=planes[6]), out=planes[6])  # a - b
-    out.reshape(-1, 7)[...] = planes.T  # a view, since out is C-contiguous
+    out.reshape(-1, 7)[...] = _feature_planes(theta).reshape(7, -1).T  # a view: out is C-contiguous
     return out
+
+
+def _feature_sums(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # `fourier_features(x, w).sum(axis=-3)` bit for bit, for x (..., N, D):
+    # each feature summed over N, as a C-contiguous (..., D, 7) array. The
+    # planes are summed before any layout, so only the sums are transposed.
+    # Both sums add the N terms of each slot one after another, because
+    # each reduces a middle axis over a contiguous inner one; the planes are
+    # summed as their (re, im) floats so that the inner axis has two or more
+    # entries even at D = 1.
+    planes = _feature_planes(np.multiply.outer(_BASE_ANGLES @ w, x))  # (7, ..., N, D)
+    sums = np.einsum("p...nk->p...k", planes.view(np.float64)).view(np.complex128)
+    return np.ascontiguousarray(np.moveaxis(sums, 0, -1))
 
 
 def _series(qs, ks, params: QpaParams, c: np.ndarray):

@@ -37,10 +37,16 @@ three half-angle tangents and builds no features; only a layer that scores
 all N query rows takes the circuit's feature GEMM. The mean score of
 a layer whose query side is the CLS row alone comes from the series'
 separable form (`quantum_score_sum`), which sums the per-pair scores of
-all N query rows from their features alone. The circuit evaluates whatever
-it is given in one call, so the tiling policy lives here: every direction
-runs on tiles of `TILE_INPUTS` inputs per side, so its temporaries do not
-grow with the batch. `qpa_scores` calls the circuit once per tile of whole images and sums
+all N query rows from the sums of their features over N, taken plane by
+plane before any layout (`circuit._feature_sums`). The circuit evaluates
+whatever it is given in one call, so the tiling policy lives here: every
+direction runs on tiles of `TILE_INPUTS` inputs per side, so its
+temporaries do not grow with the batch. The one exception is a
+`qpa_scores` call with one query row (or one key row), which the circuit
+sums pair by pair with no feature array: its tiles hold up to
+7 `TILE_INPUTS` pairs, as many as the complex features of one block of
+`TILE_INPUTS` inputs (17 images of N=50 at two heads and D=16).
+`qpa_scores` calls the circuit once per tile of whole images and sums
 that tile's per-pair scores over D into its slice of the score matrix before
 the next tile; the training forward writes each tile's features and scores,
 and the backward each tile's rows of dQ and dK.
@@ -73,8 +79,9 @@ COSINE_NORM_EPS = 1e-12
 LINEAR_ATTN_EPS = 1e-6
 
 #: Inputs per side in one tile of the quantum scorer's forward and backward
-#: and of the MLP scorers' query-row tiles: bounds their temporaries to a few
-#: MB whatever the batch. `_tiles` is its only reader.
+#: and of the MLP scorers' query-row tiles (seven times as many pairs in a
+#: `qpa_scores` tile that the circuit sums pair by pair): bounds their
+#: temporaries to a few MB whatever the batch. `_tiles` is its only reader.
 TILE_INPUTS = 4096
 
 
@@ -116,10 +123,11 @@ def _flat_pairs(Q, K, depth: int, *d_scores):
     return (items, n_q, n_k), qs, ks, d_scores[0].reshape(items, n_q, n_k), dQ, dK, dq, dk
 
 
-def _tiles(units: int, per_unit: int) -> list[slice]:
-    # Slices of whole units holding at most `TILE_INPUTS` inputs per side, of
-    # which a unit holds `per_unit`, and at least one unit.
-    step = max(1, TILE_INPUTS // max(per_unit, 1))
+def _tiles(units: int, per_unit: int, scale: int = 1) -> list[slice]:
+    # Slices of whole units holding at most `scale * TILE_INPUTS` entries (by
+    # default inputs per side), of which a unit holds `per_unit`, and at
+    # least one unit.
+    step = max(1, scale * TILE_INPUTS // max(per_unit, 1))
     return [slice(start, start + step) for start in range(0, units, step)]
 
 
@@ -130,21 +138,34 @@ def qpa_scores(
 
     ``noise`` optionally puts a channel ``(name, gamma)`` on the circuit.
     Q and K share their leading axes. The circuit scores one tile of whole
-    images (slices of the first leading axis) per call, at most `TILE_INPUTS`
-    inputs per side or one image, and each tile's per-pair scores
-    (tile, ..., N_q, N_k, D) are summed over D into its slice of A at once,
-    so no per-pair array of the whole batch is built. Q and K with no
-    leading axis are one tile. With one query row (the ViT's last layer)
-    the circuit sums each pair directly, with no feature array; with several
-    query and key rows it takes the GEMM of their features
-    (`circuit.score_batch`).
+    images (slices of the first leading axis) per call, and each tile's
+    per-pair scores (tile, ..., N_q, N_k, D) are summed over D into its
+    slice of A at once, so no per-pair array of the whole batch is built.
+    With several query and key rows the circuit takes the GEMM of their
+    features (`circuit.score_batch`), and a tile holds at most `TILE_INPUTS`
+    inputs per side. With one query row (the ViT's last layer) or one key
+    row it sums each pair on its own, with no feature array, so the tile
+    size cannot change a score: a tile holds at most 7 `TILE_INPUTS` pairs
+    (4 calls for 64 images at N=50, two heads and D=16). Either way a
+    tile holds at least one image. Q and K with no leading axis are one
+    tile.
     """
     Q, K = _pair_inputs(Q, K, depth)
+    # Checked once, before the tiles, so that a batch of no images refuses
+    # what the circuit refuses: array-valued parameters, an unknown channel
+    # or a strength outside [0, 1].
+    circuit._check_one_set(params)
+    circuit.score_coefficients(params, noise)
     lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
     qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]  # (..., N, 1, D), (..., 1, N, D)
     A = np.empty(lead + (n_q, n_k))
     tiles = [slice(None)]
-    if lead:  # the image axis stays a GEMM batch axis of every tile
+    if lead and min(n_q, n_k) <= 1:
+        # The circuit sums each pair on its own, with no feature array: a
+        # tile holds as many pairs as a block of TILE_INPUTS inputs holds
+        # features, seven per input.
+        tiles = _tiles(lead[0], math.prod(lead[1:]) * n_q * n_k * depth, 7)
+    elif lead:  # the image axis stays a GEMM batch axis of every tile
         tiles = _tiles(lead[0], math.prod(lead[1:]) * max(n_q, n_k) * depth)
     for tile in tiles:
         if noise is None:
@@ -228,8 +249,12 @@ def quantum_score_sum(
     N_q N_k c_0 + Re sum_n c_n (sum_i F_n(q_id)) (sum_j G_n(k_jd)), with the
     clean or noisy coefficients of `circuit.score_coefficients`. So it
     costs the features of each input, no per-pair work, and the features of
-    one tile at a time (`_tiles`). `vit.forward_with_stats` reads it for
-    the last layer, whose query side runs on the CLS row alone.
+    one tile of `TILE_INPUTS` inputs per side at a time (`_tiles`). Each
+    tile sums its features over N in the contiguous planes they are built
+    in, and lays out only the (tile, D, 7) sums (`circuit._feature_sums`);
+    each sum adds its N terms in order, bit for bit as the laid-out
+    features would. `vit.forward_with_stats` reads it for the last layer,
+    whose query side runs on the CLS row alone.
     """
     circuit._check_one_set(params)
     c = circuit.score_coefficients(params, noise)
@@ -238,8 +263,8 @@ def quantum_score_sum(
     W = circuit._angle_map(params)
     products = np.zeros(7, dtype=np.complex128)
     for tile in _tiles(items, max(n_q, n_k) * depth):
-        F = circuit.fourier_features(qs[tile], W[:, 0]).sum(axis=1)  # (tile, D, 7)
-        G = circuit.fourier_features(ks[tile], W[:, 1]).sum(axis=1)
+        F = circuit._feature_sums(qs[tile], W[:, 0])  # (tile, D, 7)
+        G = circuit._feature_sums(ks[tile], W[:, 1])
         F *= G
         products += F.reshape(-1, 7).sum(axis=0)
         del F, G  # one tile's features alive at a time

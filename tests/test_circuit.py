@@ -666,6 +666,20 @@ class TestFeatures:
             with pytest.raises(ValueError, match="out must be"):
                 circuit.fourier_features(xs, w, out=bad)
 
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (6, 1), (5, 50, 1), (1, 50, 1), (5, 50, 16), (3, 2, 9, 4), (0, 4, 3), (2, 0, 3)], ids=str
+    )
+    def test_feature_sums_equal_the_laid_out_sum_bit_for_bit(self, shape):
+        # `scorers.quantum_score_sum` reads these sums; the noise-sweep CSV
+        # prints its mean score to 12 decimals. D = 1 would reduce the last
+        # axis of complex planes, which numpy sums pairwise, not in order.
+        rng = np.random.default_rng(50)
+        for _ in range(5):
+            w, x = rng.normal(0, 1.5, size=3), rng.normal(0, 2, size=shape)
+            sums = circuit._feature_sums(x, w)
+            assert sums.flags.c_contiguous
+            assert np.array_equal(sums, circuit.fourier_features(x, w).sum(axis=-3))
+
     @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (2, 3, 5, 4)], ids=str)
     def test_negated_frequencies_give_conjugates_bit_for_bit(self, shape):
         # `_series` builds conj(F) as the features of -w; that rests on an odd tangent.

@@ -633,16 +633,40 @@ FORWARD_TILES = {
     "no-leading-axis": ((6, 4), (7, 4), 4, 1, 1),
 }
 
+#: The same where Q has one query row (the ViT's last layer) or K one key
+#: row: the circuit scores each pair on its own, so a tile holds
+#: 7 * TILE_INPUTS // (pairs per image) whole images, at least one, where an
+#: image has heads x N_q x N_k x D pairs.
+CLS_FORWARD_TILES = {
+    "cls-row-partial-last-tile": ((5, 2, 1, 4), (5, 2, 6, 4), 4, 14, 3),  # 48 per image: 2, 2, 1
+    "cls-row-image-larger-than-a-tile": ((3, 2, 1, 4), (3, 2, 9, 4), 3, 1, 3),
+    "one-key-row": ((4, 2, 6, 4), (4, 2, 1, 4), 3, 11, 2),  # 36 per image: 2, 2
+}
+
 FORWARD_NOISE = [None] + [(channel, 0.13) for channel in sorted(qcore.CHANNELS)]
+
+
+def forward_excess(batch, n_q, n_k, noise):
+    # Traced peak of a `qpa_scores` call, less its output, two heads, D=16.
+    p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+    rng = np.random.default_rng(38)
+    Q, K = rng.normal(size=(batch, 2, n_q, 16)), rng.normal(size=(batch, 2, n_k, 16))
+    tracemalloc.start()
+    try:
+        A = scorers.qpa_scores(Q, K, p, 16, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - A.nbytes
 
 
 class TestForwardTiles:
     """`qpa_scores` across image tiles."""
 
     @pytest.mark.parametrize("noise", FORWARD_NOISE, ids=lambda n: n[0] if n else "clean")
-    @pytest.mark.parametrize("case", FORWARD_TILES)
+    @pytest.mark.parametrize("case", [*FORWARD_TILES, *CLS_FORWARD_TILES])
     def test_tiled_equals_single_tile(self, case, noise, monkeypatch, count_calls):
-        q_shape, k_shape, depth, tile_inputs, tiles = FORWARD_TILES[case]
+        q_shape, k_shape, depth, tile_inputs, tiles = {**FORWARD_TILES, **CLS_FORWARD_TILES}[case]
         rng = np.random.default_rng(37)
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
@@ -663,24 +687,43 @@ class TestForwardTiles:
 
     @pytest.mark.parametrize("noise", [None, ("AD", 0.07)], ids=["clean", "AD"])
     def test_working_memory_does_not_grow_with_the_batch(self, noise):
-        # Traced peak of the call, less its output, two heads, D=16. Before the
-        # image tiles the whole batch's per-pair array was built: 39.6 MiB at
-        # B=64, N=50 with AD noise.
+        # Before the image tiles the whole batch's per-pair array was built:
+        # 39.6 MiB at B=64, N=50 with AD noise.
+        small = forward_excess(8, 17, 17, noise)
+        assert forward_excess(64, 17, 17, noise) <= 1.05 * small, small
+        assert forward_excess(64, 50, 50, noise) <= 4 * 2**20
+
+    @pytest.mark.parametrize("noise", [None, ("AD", 0.07)], ids=["clean", "AD"])
+    def test_cls_row_working_memory_does_not_grow_with_the_batch(self, noise):
+        # A tile of at most 7 * TILE_INPUTS pairs holds about 2.1 MiB of
+        # temporaries at N=50 (17 images of 1,600 pairs), at B=64 and B=128.
+        for batch in (64, 128):
+            assert forward_excess(batch, 1, 50, noise) <= 3 * 2**20, batch
+
+    @pytest.mark.parametrize("n, tiles", [(17, 2), (50, 4), (197, 16)])
+    def test_cls_row_tiles_at_the_vit_sizes(self, n, tiles, count_calls):
+        # 64 images, two heads, D=16: 52, 17 and 4 images per tile of
+        # 7 * 4096 = 28,672 pairs.
+        rng = np.random.default_rng(39)
+        Q, K = rng.normal(size=(64, 2, 1, 16)), rng.normal(size=(64, 2, n, 16))
+        calls = count_calls(circuit, "score_batch")
+        scorers.qpa_scores(Q, K, QpaParams(0.5, 0.1, -0.2, 0.3, 0.2), 16)
+        assert len(calls) == tiles
+
+    @pytest.mark.parametrize(
+        "score", [scorers.qpa_scores, scorers.quantum_score_sum], ids=["qpa_scores", "quantum_score_sum"]
+    )
+    def test_an_empty_batch_checks_its_noise_and_parameters(self, score):
+        # With no image there is no tile, so the checks come before the tiles.
+        Q, K = np.zeros((0, 2, 1, 4)), np.zeros((0, 2, 5, 4))
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
-
-        def excess(batch, n):
-            Q, K = np.random.default_rng(38).normal(size=(2, batch, 2, n, 16))
-            tracemalloc.start()
-            try:
-                A = scorers.qpa_scores(Q, K, p, 16, noise)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - A.nbytes
-
-        small = excess(8, 17)
-        assert excess(64, 17) <= 1.05 * small, small
-        assert excess(64, 50) <= 4 * 2**20
+        with pytest.raises(ValueError, match="unknown channel"):
+            score(Q, K, p, 4, ("XX", 0.1))
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            score(Q, K, p, 4, ("AD", 2.0))
+        with pytest.raises(ValueError, match="one parameter set"):
+            score(Q, K, QpaParams(np.array([0.5, 0.6]), 0.1, -0.2, 0.3, 0.2), 4)
+        score(Q, K, p, 4, ("AD", 0.1))  # a channel the circuit takes
 
 
 #: (Q shape, K shape, depth, TILE_INPUTS) of `quantum_score_sum` cases: the
@@ -690,7 +733,23 @@ SCORE_SUM_CASES = {
     "cls-row-one-tile": ((5, 2, 1, 4), (5, 2, 9, 4), 3, 2**62),
     "all-rows-tiled": ((3, 2, 9, 4), (3, 2, 9, 4), 4, 20),
     "no-leading-axis": ((6, 4), (4, 4), 2, 1),
+    "depth-one-tiled": ((3, 2, 50, 4), (3, 2, 50, 4), 1, 60),
 }
+
+
+def feature_layout_sum(Q, K, p, depth, noise):
+    # `quantum_score_sum` with each tile's features laid out (tile, N, D, 7)
+    # by `fourier_features` and then summed over N, the sums that
+    # `circuit._feature_sums` takes plane by plane.
+    c = circuit.score_coefficients(p, noise)
+    (items, n_q, n_k), qs, ks = scorers._flat_pairs(Q, K, depth)
+    W = circuit._angle_map(p)
+    products = np.zeros(7, dtype=np.complex128)
+    for tile in scorers._tiles(items, max(n_q, n_k) * depth):
+        F = circuit.fourier_features(qs[tile], W[:, 0]).sum(axis=1)
+        F *= circuit.fourier_features(ks[tile], W[:, 1]).sum(axis=1)
+        products += F.reshape(-1, 7).sum(axis=0)
+    return float(items * n_q * n_k * depth * c[0].real + (c[1:] @ products).real)
 
 
 class TestScoreSum:
@@ -713,6 +772,18 @@ class TestScoreSum:
         total = scorers.quantum_score_sum(Q, K, p, depth, noise)
         assert not batch_calls  # no per-pair scores
         assert abs(total - ref.sum()) <= 1e-12 * ref.size
+
+    @pytest.mark.parametrize("noise", FORWARD_NOISE, ids=lambda n: n[0] if n else "clean")
+    @pytest.mark.parametrize("case", SCORE_SUM_CASES)
+    def test_equals_the_feature_layout_sum_bit_for_bit(self, case, noise, monkeypatch):
+        # The noise-sweep CSV prints the mean score to 12 decimals, and its
+        # digest is pinned.
+        q_shape, k_shape, depth, tile_inputs = SCORE_SUM_CASES[case]
+        rng = np.random.default_rng(44)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
+        assert scorers.quantum_score_sum(Q, K, p, depth, noise) == feature_layout_sum(Q, K, p, depth, noise)
 
     def test_phase_flip_sum_equals_clean_bit_for_bit(self):
         Q, K = np.random.default_rng(42).normal(0, 1.5, size=(2, 4, 2, 7, 4))

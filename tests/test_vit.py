@@ -283,6 +283,20 @@ class TestCLSOnlyLastLayer:
         # The mean score's sum reads every query row of the last layer.
         assert rows == [(n, n), (n, n), (1, n)] + ([(n, n)] if base.quantum else [])
 
+    @pytest.mark.parametrize("noise", [None, ("AD", 0.05)], ids=["clean", "AD"])
+    def test_a_noise_sweep_batch_makes_at_most_four_circuit_calls(self, noise, count_calls):
+        # One 64-image batch at N=50, one layer, two heads, D=16: the CLS
+        # row's 1,600 pairs per image run in tiles of 17 images, where a
+        # tile of 4096 inputs per side would hold 2.
+        model = init_model(VitConfig(28, 1, 4, 1, 2, 32, 64, 2, scorer="qpa", depth=16), 5)
+        images = np.random.default_rng(6).uniform(0, 1, size=(64, 1, 28, 28))
+        calls = count_calls(circuit, "score_batch" if noise is None else "score_noisy_batch")
+        vit.forward_with_stats(model, images, noise=noise)
+        assert 1 <= len(calls) <= 4
+        calls.clear()
+        vit.forward(model, images, noise=noise)
+        assert 1 <= len(calls) <= 4
+
     def test_training_step_computes_no_score_statistics(self, monkeypatch):
         model = init_model(tiny_config("qpa", num_layers=2), 18)
         images = random_images(np.random.default_rng(19))
@@ -561,9 +575,10 @@ def _chunked_case(kind):
 
 
 def _tiled_case(kind):
-    # 16 images: per layer, the forward runs in 3 tiles of up to 7 whole
-    # images (4096 // (2 heads * 17 * 16) inputs per side) and the backward's
-    # 32 items in 3 tiles of up to 15.
+    # 16 images: the training forward and the backward run their 32 items in
+    # 3 tiles of up to 15 (4096 // (17 * 16) inputs per side). The inference
+    # forward scores the CLS row's pairs in one tile, which holds up to 52
+    # images (7 * 4096 // (2 heads * 17 * 16) pairs).
     config = VitConfig(16, 1, 4, 1, 2, 32, 16, 2, scorer=kind, depth=16)
     images = np.random.default_rng(103).uniform(0, 1, size=(16, 1, 16, 16))
     return init_model(config, 3), images, np.arange(16) % 2
@@ -617,6 +632,13 @@ class TestGolden:
         assert len(calls) == 3
         got = (_digest([("logits", logits)]), _digest([("loss", loss), *grads.items()]))
         assert got == GOLDEN_TILED[kind]
+        # The inference forward's CLS row fits one tile of pairs; in tiles of
+        # 2 images (7 * 160 // 544 pairs per image) it is the same bit for bit.
+        with monkeypatch.context() as m:
+            m.setattr(scorers, "TILE_INPUTS", 160)
+            pair_calls = count_calls(circuit, "score_batch")
+            assert np.array_equal(vit.forward(model, images), logits)
+            assert len(pair_calls) == 8
         # In one tile, only the circuit-parameter sums add up in another order.
         monkeypatch.setattr(scorers, "TILE_INPUTS", 2**62)
         assert np.array_equal(vit.forward(model, images), logits)
