@@ -30,22 +30,18 @@ plus seven terms, each a query feature times a key feature
 (`fourier_features`, seven per input). In the base angles
 (a, b, c) = (x0, x1 + xe, x1 - xe) the seven frequencies are a, b, c,
 a+b, a+c, a-c and a-b, so three phasors, one tangent each, give them all.
-`score_batch` and `score_noisy_batch`, the inference attention forward,
-evaluate the series at every broadcast input pair they are given, by one
-of two evaluators chosen by the layout. Axes where only q varies are rows,
-axes where only k varies are columns. Where the rows or the columns hold
-one input per batch item (elementwise calls such as the lab's, and the
-ViT's CLS row against its keys), each pair is summed directly from the
-cosines and sines of its three base angles, with no feature array. Outer
-layouts (a layer that scores all N query rows) take one batched real GEMM
-of the two sides' features; that branch serves only them and goes with
-ROADMAP item 5. The training step's forward
-(`scorers.quantum_scores_with_features`) builds each layer's features once
-with `fourier_features` (or, for the CLS row, the features at each pair's
-angles) and sums the series over the D dimensions inside its GEMM; the
-backward differentiates the same series on those features; c_0 = 1/2 does
-not enter it. Inference keeps the per-pair calls until ROADMAP item 5
-moves the benchmark hooks that read them. None of these holds a tiling
+`score_batch` and `score_noisy_batch` evaluate the series at every
+broadcast input pair they are given, each pair summed directly from the
+cosines and sines of its three base angles, with no feature array and no
+layout dispatch: the lab's elementwise calls, the ViT's CLS row against its
+keys at inference, and any outer layout the tests give. The attention
+layers that score all N query rows, in training and at inference alike,
+build each side's features once with `fourier_features` and sum the series
+over the D dimensions inside one GEMM of the two
+(`scorers.quantum_scores_with_features`, `scorers.qpa_scores`); the
+training step's last layer builds the features at each CLS-key pair's
+angles instead. The backward differentiates the same series on those
+features; c_0 = 1/2 does not enter it. None of these holds a tiling
 policy: the scorers (`scorers.qpa_scores`,
 `scorers.quantum_scores_with_features`, `scorers.quantum_scores_backward`)
 bound their own temporaries with tiles sized from `scorers.TILE_INPUTS`.
@@ -64,7 +60,6 @@ keeps an ``independent`` flag, as the reference the ablation is checked against.
 from __future__ import annotations
 
 import functools
-import math
 import numbers
 import threading
 from dataclasses import dataclass, fields
@@ -489,53 +484,23 @@ def _feature_sums(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(sums, 0, -1))
 
 
-def _series(qs, ks, params: QpaParams, c: np.ndarray):
+def _series(qs, ks, params: QpaParams, c: np.ndarray) -> np.ndarray:
     # The series c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k) at every broadcast
-    # (q, k) pair, for the coefficients c on FOURIER_FREQS. Broadcast axes
-    # where only q varies are rows, axes where only k varies are columns and
-    # the rest are batch axes. Where the rows or the columns hold at most one
-    # input per batch item (elementwise layouts; the CLS row against its
-    # keys), each pair is summed directly (`_direct_series`): a GEMM with a
-    # unit side would cost a feature block per input and no saving. The
-    # pairs of outer layouts (which ROADMAP item 5 retires from inference)
-    # come from a batched real GEMM (batch, rows, 14) @ (batch, 14, cols) of
-    # the two sides' features over (re, im) pairs: with F' = conj(c F),
-    # Re(c F G) = Re F' Re G + Im F' Im G. F' is built as conj(c) times the
-    # query features of -W[:, 0], which are conj(F) bit for bit
-    # (`fourier_features`), and the per-pair output is transposed back to
-    # broadcast order. Callers that must bound the size of a call split it
-    # themselves (`scorers.TILE_INPUTS`).
-    W = _angle_map(params)
-    qs = np.asarray(qs, dtype=float)
-    ks = np.asarray(ks, dtype=float)
-    _check_finite(qs, ks)
-    shape = np.broadcast_shapes(qs.shape, ks.shape)
-    qs = qs.reshape((1,) * (len(shape) - qs.ndim) + qs.shape)
-    ks = ks.reshape((1,) * (len(shape) - ks.ndim) + ks.shape)
-    # 0: batch axis, 1: row axis (only q varies), 2: column axis (only k varies).
-    role = [1 if k == 1 != q else 2 if q == 1 != k else 0 for q, k in zip(qs.shape, ks.shape)]
-    nb, nr, nc = (math.prod(n for n, r in zip(shape, role) if r == g) for g in range(3))
-    if min(nr, nc) <= 1:
-        return _direct_series(qs, ks, W, c)
-    order = sorted(range(len(shape)), key=role.__getitem__)
-    F = fourier_features(qs.transpose(order).reshape(nb, nr), -W[:, 0])
-    F *= np.conjugate(c[1:])
-    G = fourier_features(ks.transpose(order).reshape(nb, nc), W[:, 1])
-    mu = np.matmul(F.view(np.float64), G.view(np.float64).transpose(0, 2, 1))
-    mu += c[0].real
-    return mu.reshape([shape[a] for a in order]).transpose(np.argsort(order))
-
-
-def _direct_series(qs: np.ndarray, ks: np.ndarray, W: np.ndarray, c: np.ndarray) -> np.ndarray:
-    # The series at every broadcast pair of qs and ks (same number of axes)
-    # from the cosines and sines of its base angles (a, b, c), with no
+    # (q, k) pair, for the coefficients c on FOURIER_FREQS, summed pair by
+    # pair from the cosines and sines of its base angles (a, b, c), with no
     # feature array:
     #   mu = c_0 + Re(c_2 e^{ib}) + Re(c_3 e^{ic}) + Re(e^{ia} z),
     #   z = c_1 + (c_4 + c_7) cos b + i (c_4 - c_7) sin b
     #           + (c_5 + c_6) cos c + i (c_5 - c_6) sin c,
     # where Re z, Im z and the rest of mu are weighted sums of the planes
-    # cos b, sin b, cos c and sin c.
-    half = _pair_angles(qs, ks, 0.5 * (_BASE_ANGLES @ W))
+    # cos b, sin b, cos c and sin c. Callers that must bound the size of a
+    # call split it themselves (`scorers.TILE_INPUTS`).
+    qs = np.asarray(qs, dtype=float)
+    ks = np.asarray(ks, dtype=float)
+    _check_finite(qs, ks)
+    ndim = max(qs.ndim, ks.ndim)  # `_pair_angles` takes sides with the same number of axes
+    qs, ks = (x.reshape((1,) * (ndim - x.ndim) + x.shape) for x in (qs, ks))
+    half = _pair_angles(qs, ks, 0.5 * (_BASE_ANGLES @ _angle_map(params)))
     cos = np.empty_like(half)
     _cos_sin(half, cos, half)
     # Views of the planes, arrays even when 0-d.
@@ -571,12 +536,14 @@ def _check_one_set(params: QpaParams) -> None:
 def score_batch(qs, ks, params: QpaParams) -> np.ndarray:
     """Vectorised mu over broadcastable arrays of inputs, from the Fourier form.
 
-    Returns one score per broadcast (q, k) pair. Where q or k holds one input
-    per batch item (an elementwise call, or one query row against its keys)
-    each pair is summed directly from three half-angle tangents; an outer
-    layout takes one batched GEMM of the two sides' features. A non-finite
-    input raises `ValueError`, as in `score`, before any tangent is taken;
-    so do array-valued parameters.
+    Returns one score per broadcast (q, k) pair, each summed on its own
+    from three half-angle tangents, with no feature array, whatever the
+    layout. An outer layout (many queries against many keys) costs one sum
+    per pair, slower than the product of the two sides' features that the
+    attention layers that score all N query rows take
+    (`scorers.qpa_scores`), but fine for the lab and the tests. A
+    non-finite input raises `ValueError`, as in `score`, before any tangent
+    is taken; so do array-valued parameters.
     """
     _check_one_set(params)
     return _series(qs, ks, params, fourier_coefficients(params.beta)[0])
@@ -782,8 +749,8 @@ def score_coefficients(params: QpaParams, noise=None) -> np.ndarray:
 def score_noisy_batch(qs, ks, params: QpaParams, channel: str, gamma: float) -> np.ndarray:
     """Vectorised noisy score over broadcastable input arrays.
 
-    The series of `score_batch`, by the same evaluator for the same layout,
-    with the noisy coefficients of `score_coefficients`. The density-matrix
+    The series of `score_batch`, summed pair by pair as there, with the
+    noisy coefficients of `score_coefficients`. The density-matrix
     `score_noisy` is its oracle. A non-finite input raises `ValueError`, as
     in `score`, before any tangent is taken.
     """

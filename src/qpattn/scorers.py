@@ -28,13 +28,13 @@ GEMMs per item on the features, or one on the pair features, whose rows
 also give each key's gradient once scaled by its score gradient; it
 reduces the products as real arrays of 14 floats per input. The series'
 constant c_0 = 1/2 depends on no parameter and does not reach it.
-Inference (`qpa_scores`) still scores every (query, key, dimension) triple
-by a per-tile circuit call, because the benchmark's correctness hooks read
-those calls; this second path is temporary and goes once ROADMAP item 5
-moves the hooks. In the last layer those calls have one query per
-(image, head, dimension), so the circuit sums each pair directly from
-three half-angle tangents and builds no features; only a layer that scores
-all N query rows takes the circuit's feature GEMM. The mean score of
+Inference (`qpa_scores`) runs the same product (`_product_scores`) on every
+layer that scores all N query rows, with the clean or noisy coefficients
+of `circuit.score_coefficients`, and keeps one tile's features at a time.
+Only the last layer's CLS row, one query per (image, head, dimension),
+keeps per-tile circuit calls, which the benchmark's correctness hooks
+read: the circuit sums each pair directly from three half-angle tangents
+and builds no features. The mean score of
 a layer whose query side is the CLS row alone comes from the series'
 separable form (`quantum_score_sum`), which sums the per-pair scores of
 all N query rows from the sums of their features over N, taken plane by
@@ -46,10 +46,10 @@ temporaries do not grow with the batch. The one exception is a
 sums pair by pair with no feature array: its tiles hold up to
 7 `TILE_INPUTS` pairs, as many as the complex features of one block of
 `TILE_INPUTS` inputs (17 images of N=50 at two heads and D=16).
-`qpa_scores` calls the circuit once per tile of whole images and sums
-that tile's per-pair scores over D into its slice of the score matrix before
-the next tile; the training forward writes each tile's features and scores,
-and the backward each tile's rows of dQ and dK.
+There `qpa_scores` calls the circuit once per tile of whole images and
+sums that tile's per-pair scores over D into its slice of the score matrix
+before the next tile; the product writes each tile's scores (and, in
+training, its features), and the backward each tile's rows of dQ and dK.
 The MLP baselines score each (query, key, dimension) pair with a small MLP
 whose affine first layer splits into a per-query and a per-key term; both
 directions run on tiles of query rows under the same `TILE_INPUTS` budget,
@@ -136,18 +136,21 @@ def qpa_scores(
 ) -> np.ndarray:
     """Sum of per-dimension circuit scores: A[i, j] = sum_d mu(Q[i, d], K[j, d]).
 
-    ``noise`` optionally puts a channel ``(name, gamma)`` on the circuit.
-    Q and K share their leading axes. The circuit scores one tile of whole
+    ``noise`` optionally puts a channel ``(name, gamma)`` on the circuit,
+    through the coefficients of `circuit.score_coefficients`. Q and K share
+    their leading axes. With several query and several key rows (a ViT
+    layer that scores all N query rows) A is the training forward's product
+    of query features with key features (`_product_scores`), bit for bit
+    the A of `quantum_scores_with_features` on clean inputs, and only one
+    tile's features are alive at a time. With one query row (the ViT's last
+    layer) or one key row the circuit scores each pair on its own
+    (`circuit.score_batch`, `circuit.score_noisy_batch`), one tile of whole
     images (slices of the first leading axis) per call, and each tile's
     per-pair scores (tile, ..., N_q, N_k, D) are summed over D into its
     slice of A at once, so no per-pair array of the whole batch is built.
-    With several query and key rows the circuit takes the GEMM of their
-    features (`circuit.score_batch`), and a tile holds at most `TILE_INPUTS`
-    inputs per side. With one query row (the ViT's last layer) or one key
-    row it sums each pair on its own, with no feature array, so the tile
-    size cannot change a score: a tile holds at most 7 `TILE_INPUTS` pairs
-    (4 calls for 64 images at N=50, two heads and D=16). Either way a
-    tile holds at least one image. Q and K with no leading axis are one
+    The tile size cannot change such a score: a tile holds at most
+    7 `TILE_INPUTS` pairs (4 calls for 64 images at N=50, two heads and
+    D=16), and at least one image. Q and K with no leading axis are one
     tile.
     """
     Q, K = _pair_inputs(Q, K, depth)
@@ -155,18 +158,18 @@ def qpa_scores(
     # what the circuit refuses: array-valued parameters, an unknown channel
     # or a strength outside [0, 1].
     circuit._check_one_set(params)
-    circuit.score_coefficients(params, noise)
+    c = circuit.score_coefficients(params, noise)
     lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
+    if min(n_q, n_k) > 1:
+        _, qs, ks = _flat_pairs(Q, K, depth)
+        circuit._check_finite(qs, ks)
+        return _product_scores(qs, ks, params, c).reshape(lead + (n_q, n_k))
     qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]  # (..., N, 1, D), (..., 1, N, D)
     A = np.empty(lead + (n_q, n_k))
-    tiles = [slice(None)]
-    if lead and min(n_q, n_k) <= 1:
-        # The circuit sums each pair on its own, with no feature array: a
-        # tile holds as many pairs as a block of TILE_INPUTS inputs holds
-        # features, seven per input.
-        tiles = _tiles(lead[0], math.prod(lead[1:]) * n_q * n_k * depth, 7)
-    elif lead:  # the image axis stays a GEMM batch axis of every tile
-        tiles = _tiles(lead[0], math.prod(lead[1:]) * max(n_q, n_k) * depth)
+    # The circuit sums each pair on its own, with no feature array: a tile
+    # holds as many pairs as a block of TILE_INPUTS inputs holds features,
+    # seven per input.
+    tiles = _tiles(lead[0], math.prod(lead[1:]) * n_q * n_k * depth, 7) if lead else [slice(None)]
     for tile in tiles:
         if noise is None:
             mu = circuit.score_batch(qs[tile], ks[tile], params)
@@ -177,6 +180,31 @@ def qpa_scores(
     return A
 
 
+def _product_scores(qs, ks, params: QpaParams, c: np.ndarray, saved=None) -> np.ndarray:
+    # The score matrices (items, N_q, N_k) of (items, N_q, D) qs against
+    # (items, N_k, D) ks for the coefficients c on `circuit.FOURIER_FREQS`:
+    # A = D c_0 + Re F'(q) G(k)^T with F' = conj(c F), one real GEMM of inner
+    # size 14 D per item over the (re, im) pairs of the features F and G
+    # that `circuit.fourier_features` builds at W[:, 0] and W[:, 1];
+    # Re(c F G) = Re F' Re G + Im F' Im G. The items run in tiles (`_tiles`).
+    # Each tile's features are written into its slice of ``saved``, the
+    # (F, G) arrays the training step keeps, or dropped with the tile.
+    items, n_q, depth = qs.shape
+    n_k = ks.shape[1]
+    W = circuit._angle_map(params)
+    A = np.empty((items, n_q, n_k))
+    for tile in _tiles(items, max(n_q, n_k) * depth):
+        F, G = (None, None) if saved is None else (saved[0][tile], saved[1][tile])
+        F = circuit.fourier_features(qs[tile], W[:, 0], out=F)
+        G = circuit.fourier_features(ks[tile], W[:, 1], out=G)
+        Fc = np.multiply(F, c[1:])
+        np.conjugate(Fc, out=Fc)  # F'
+        np.matmul(_real_rows(Fc), np.swapaxes(_real_rows(G), -1, -2), out=A[tile])
+        A[tile] += depth * c[0].real
+        del F, G, Fc  # one tile's features alive at a time
+    return A
+
+
 def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int):
     """`qpa_scores` as the training step computes it: ``(A, (F, G))``, or ``(A, P)``.
 
@@ -184,12 +212,13 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     a product of query features with key features:
     A = D c_0 + Re F'(Q) G(K)^T with F' = conj(c F), one real GEMM of inner
     size 14 D per flattened (batch, head) item over the (re, im) pairs of
-    the D x 7 features of each input. F and G, the features
-    `circuit.fourier_features` builds at W[:, 0] and W[:, 1], are returned
-    laid out (items, N, D, 7) for `quantum_scores_backward`, which then
-    builds none of its own. They are the only arrays that grow with the
-    batch besides A (at B=32, H=2, D=16 and N = 17 / 50 / 197 query and key
-    rows, 3.9 / 11.5 / about 45 MB); F' is one tile's temporary.
+    the D x 7 features of each input (`_product_scores`, which `qpa_scores`
+    runs too). F and G, the features `circuit.fourier_features` builds at
+    W[:, 0] and W[:, 1], are returned laid out (items, N, D, 7) for
+    `quantum_scores_backward`, which then builds none of its own. They are
+    the only arrays that grow with the batch besides A (at B=32, H=2, D=16
+    and N = 17 / 50 / 197 query and key rows, 3.9 / 11.5 / about 45 MB);
+    F' is one tile's temporary.
 
     With one query row (the ViT's last layer, which scores the CLS row
     alone) each (item, key, dimension) is one pair, so the call builds P,
@@ -198,45 +227,33 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     P_n = exp(i FOURIER_FREQS[n] . theta) = F_n(q_d) G_n(k_jd), and reads
     A = D c_0 + Re sum_{d,n} c_n P_jdn by a row sum per key. It returns P
     alone (1.9 / 5.7 / 22.6 MB at B=32, H=2, D=16 and N_k = 17 / 50 / 197)
-    and builds neither F nor G.
+    and builds neither F nor G. That A equals the per-pair `qpa_scores` of
+    the CLS row to within rounding.
 
-    The items run in the backward's tiles (`_tiles`). A equals `qpa_scores`
-    to within rounding: the per-pair path sums each dimension's score, this
-    one sums all 14 D products at once. Inputs are checked as in
-    `circuit.score_batch`, before any feature is built. Inference keeps the
-    per-pair `qpa_scores`, whose per-tile circuit calls the benchmark reads,
-    until ROADMAP item 5 moves those hooks; then it can use this product too.
+    The items run in the backward's tiles (`_tiles`). Inputs are checked as
+    in `circuit.score_batch`, before any feature is built.
     """
     circuit._check_one_set(params)
     (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
     circuit._check_finite(qs, ks)
     c = circuit.fourier_coefficients(params.beta)[0]
-    W = circuit._angle_map(params)
-    A = np.empty((items, n_q, n_k))
-    tiles = _tiles(items, max(n_q, n_k) * depth)
     if n_q == 1:
         # Re(c z) is the dot product of z's (re, im) with conj(c)'s, for each
         # of the D x 7 features of a pair row.
         weights = np.tile(np.conjugate(c[1:]).view(np.float64), depth)
+        W = circuit._angle_map(params)
+        A = np.empty((items, n_q, n_k))
         P = np.empty(ks.shape + (7,), dtype=np.complex128)
-        for tile in tiles:
+        for tile in _tiles(items, max(n_q, n_k) * depth):
             circuit._pair_features(qs[tile], ks[tile], W, out=P[tile])
             rows = _real_rows(P[tile]).reshape(-1, len(weights))
             # Row by row, without BLAS, so a row's sum does not depend on the tile.
             np.einsum("mk,k->m", rows, weights, out=A[tile].reshape(-1))
             A[tile] += depth * c[0].real
         return A.reshape(np.shape(Q)[:-1] + (n_k,)), P
-    F = np.empty(qs.shape + (7,), dtype=np.complex128)
-    G = np.empty(ks.shape + (7,), dtype=np.complex128)
-    for tile in tiles:
-        circuit.fourier_features(qs[tile], W[:, 0], out=F[tile])
-        circuit.fourier_features(ks[tile], W[:, 1], out=G[tile])
-        Fc = np.multiply(F[tile], c[1:])
-        np.conjugate(Fc, out=Fc)  # F'; Re(c F G) = Re F' Re G + Im F' Im G
-        np.matmul(_real_rows(Fc), np.swapaxes(_real_rows(G[tile]), -1, -2), out=A[tile])
-        A[tile] += depth * c[0].real
-        del Fc  # one tile's F' alive at a time
-    return A.reshape(np.shape(Q)[:-1] + (n_k,)), (F, G)
+    saved = tuple(np.empty(x.shape + (7,), dtype=np.complex128) for x in (qs, ks))
+    A = _product_scores(qs, ks, params, c, saved)
+    return A.reshape(np.shape(Q)[:-1] + (n_k,)), saved
 
 
 def quantum_score_sum(

@@ -16,9 +16,11 @@ the layer's Fourier features once, scores by their product, and the layer
 cache keeps the features for the backward (at B=32, N=17 / 50 / 197: 3.9 /
 11.5 / about 45 MB for a full layer; the last one keeps only the features
 at each CLS-key pair's angles, 1.9 / 5.7 / 22.6 MB).
-`forward` and `forward_with_stats` keep the per-pair circuit calls that the
-benchmark's correctness hooks read, until ROADMAP item 5 moves those hooks;
-the two forwards agree to within rounding.
+`forward` and `forward_with_stats` score every layer that scores all N
+query rows by the same product, bit for bit, and keep one tile's features
+at a time; only the last layer's CLS row keeps the per-pair circuit calls
+that the benchmark's correctness hooks read. The two forwards agree to
+within rounding.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
 which keeps the optimizer, checkpointing and finite-difference checks simple.
@@ -351,9 +353,9 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None, stats
         else:
             sp = _layer_scorer_params(model, layer)
             # The training step scores by the kind's product forward and keeps
-            # what it saved for the backward. Inference keeps the per-pair
-            # circuit calls that the benchmark's hooks read; this second path
-            # goes once ROADMAP item 5 moves those hooks.
+            # what it saved for the backward. Inference scores a layer of all
+            # N query rows by the same product, and the last layer's CLS row
+            # by the per-pair circuit calls that the benchmark's hooks read.
             if caches is not None and kind.train_scores is not None:
                 A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
             else:

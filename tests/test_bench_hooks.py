@@ -143,11 +143,13 @@ def test_noise_sweep_calls_forward_with_stats_per_setting(monkeypatch, tmp_path)
 def test_tiled_forward_keeps_the_per_pair_calls_the_benchmark_reads(monkeypatch):
     # `attention_errors` takes the first `score_batch` call of a one-image
     # forward, indexes its broadcast inputs at [0] and recomputes every score
-    # from `circuit.score`; `pair_scores` keeps the per-pair result of the
-    # first `score_noisy_batch` call. One input per tile makes every image a
-    # tile of its own, larger than the tile budget.
+    # of the first softmax from `circuit.score`; `pair_scores` keeps the
+    # per-pair result of the first `score_noisy_batch` call. Every workload
+    # builds a one-layer model (`bench/workloads.py`: ``num_layers = 1``),
+    # whose only layer scores the CLS row. One input per tile makes every
+    # image a tile of its own, larger than the tile budget.
     monkeypatch.setattr(scorers, "TILE_INPUTS", 1)
-    config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer="qpa", depth=3)
+    config = vit.VitConfig(8, 1, 4, 1, 2, 8, 16, 2, scorer="qpa", depth=3)
     heads, n, depth = config.heads, 5, config.depth
     model = vit.init_model(config, 2)
     images = np.random.default_rng(3).uniform(0, 1, size=(2, 1, 8, 8))
@@ -157,16 +159,34 @@ def test_tiled_forward_keeps_the_per_pair_calls_the_benchmark_reads(monkeypatch)
     vit.forward(model, images[:1])
     (args, _, _) = clean[0]
     qs, ks = (np.asarray(a)[0] for a in np.broadcast_arrays(args[0], args[1]))
-    assert qs.shape == ks.shape == (heads, n, n, depth)
+    assert qs.shape == ks.shape == (heads, 1, n, depth)
     A = softmax[0][0][0][0]
-    rng = np.random.default_rng(4)
-    for h, i, j in zip(rng.integers(heads, size=8), rng.integers(n, size=8), rng.integers(n, size=8)):
+    assert A.shape == (heads, 1, n)
+    for h, i, j in np.ndindex(A.shape):
         expected = sum(circuit.score(float(q), float(k), args[2]) for q, k in zip(qs[h, i, j], ks[h, i, j]))
         assert abs(A[h, i, j] - expected) <= 1e-12
 
     noisy = []
     _recorder(monkeypatch, circuit, "score_noisy_batch", noisy)
     vit.forward_with_stats(model, images, noise=("AD", 0.1))
-    assert len(noisy) == 2 * config.num_layers  # one call per image and layer
+    assert len(noisy) == 2  # one call per image
     mu = np.asarray(noisy[0][2])
-    assert mu.shape == (1, heads, n, n, depth) and ((mu >= 0.0) & (mu <= 1.0)).all()
+    assert mu.shape == (1, heads, 1, n, depth) and ((mu >= 0.0) & (mu <= 1.0)).all()
+
+
+@pytest.mark.parametrize("noise", [None, ("AD", 0.1)], ids=["clean", "AD"])
+def test_only_the_last_layer_makes_per_pair_calls(monkeypatch, noise):
+    # Layers that score all N query rows take the feature product. In a
+    # multi-layer model the first per-pair call therefore comes from the
+    # last layer and the first softmax from layer 0: `attention_errors`
+    # cannot pair them there.
+    config = vit.VitConfig(8, 1, 4, 2, 2, 8, 16, 2, scorer="qpa", depth=3)
+    model = vit.init_model(config, 2)
+    images = np.random.default_rng(3).uniform(0, 1, size=(2, 1, 8, 8))
+    calls = []
+    _recorder(monkeypatch, circuit, "score_batch" if noise is None else "score_noisy_batch", calls)
+    vit.forward(model, images, noise=noise)
+    vit.forward_with_stats(model, images, noise=noise)
+    assert len(calls) == 2  # one tile per forward: both images fit
+    for args, _, _ in calls:
+        assert np.shape(args[0]) == (2, config.heads, 1, 1, config.depth)  # the CLS row alone

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from qpattn import circuit, qcore
+from qpattn import circuit, qcore, scorers
 from qpattn.circuit import QpaParams
 
 ORIGIN_MU = 0.8535533905932737  # cos^2(pi/8)
@@ -454,8 +454,8 @@ def pair_scores(qs, ks, p, noise=None):
     return circuit.score_noisy_batch(qs, ks, p, *noise)
 
 
-#: Broadcast layouts of (q, k) for the pair GEMM: which axes become its batch,
-#: rows and columns, including empty and degenerate ones.
+#: Broadcast layouts of (q, k), outer and elementwise, including empty and
+#: degenerate ones.
 PAIR_LAYOUTS = {
     "attention": ((2, 3, 5, 1, 4), (2, 3, 1, 6, 4)),  # (B, H, N, 1, D) x (B, H, 1, N, D)
     "rows-by-columns": ((5, 1), (1, 6)),
@@ -470,19 +470,21 @@ PAIR_LAYOUTS = {
 
 NOISE = [None] + [(channel, 0.13) for channel in sorted(qcore.CHANNELS)]
 
-#: (q shape, k shape, feature blocks one call builds): layouts whose rows or
-#: columns hold one input per batch item (elementwise; the CLS row against
-#: its keys) are summed pair by pair, and outer layouts take the GEMM of a
-#: query and a key feature block.
-FEATURE_BLOCKS = {
-    "elementwise-10000": ((10_000,), (10_000,), 0),
-    "cls-row-n50": ((2, 2, 1, 1, 16), (2, 2, 1, 50, 16), 0),
-    "attention-n197": ((1, 2, 197, 1, 16), (1, 2, 1, 197, 16), 2),
+#: (q shape, k shape) of large calls: elementwise, the CLS row against its
+#: keys, and an outer layout (every query row against every key).
+LARGE_LAYOUTS = {
+    "elementwise-10000": ((10_000,), (10_000,)),
+    "cls-row-n50": ((2, 2, 1, 1, 16), (2, 2, 1, 50, 16)),
+    "attention-n197": ((1, 2, 197, 1, 16), (1, 2, 1, 197, 16)),
 }
 
 
 class TestPairGemm:
-    """`score_batch` / `score_noisy_batch` on every broadcast layout."""
+    """`score_batch` / `score_noisy_batch` on every broadcast layout.
+
+    The name dates from when outer layouts took a feature GEMM; the circuit
+    now has one evaluator, the per-pair sum, and this is its broadcast test.
+    """
 
     @pytest.mark.parametrize("noise", NOISE, ids=lambda n: n[0] if n else "clean")
     @pytest.mark.parametrize("layout", PAIR_LAYOUTS)
@@ -518,14 +520,14 @@ class TestPairGemm:
                 pair_scores(np.array([q, 0.3]), np.array([[k], [0.0]]), p, noise)
             assert str(got.value) == str(expected.value)
 
-    @pytest.mark.parametrize("layout", FEATURE_BLOCKS)
-    def test_one_gemm_per_call(self, layout, count_calls):
-        # The circuit holds no tiling policy: however many pairs it is given,
-        # an outer layout builds each side's features once, for one GEMM, and
-        # a layout with one input per batch item on a side builds none. The
-        # attention forward bounds its calls itself (`scorers.TILE_INPUTS`).
-        # The oracles check 500 of the pairs.
-        q_shape, k_shape, blocks = FEATURE_BLOCKS[layout]
+    @pytest.mark.parametrize("layout", LARGE_LAYOUTS)
+    def test_no_layout_builds_a_feature(self, layout, count_calls):
+        # The circuit holds no tiling policy and no layout dispatch: however
+        # many pairs it is given, in whatever layout, it sums each pair from
+        # its base angles and builds no feature array. The attention forward
+        # bounds its calls itself (`scorers.TILE_INPUTS`). The oracles check
+        # 500 of the pairs.
+        q_shape, k_shape = LARGE_LAYOUTS[layout]
         rng = np.random.default_rng(47)
         p = random_params(rng)
         qs = rng.normal(0, 1.5, size=q_shape)
@@ -537,26 +539,31 @@ class TestPairGemm:
         for n in NOISE:
             calls.clear()
             mu = pair_scores(qs, ks, p, n)
-            assert len(calls) == blocks, n
+            assert not calls, n
             assert mu.shape == shape
             assert np.abs(mu[pick] - real_amplitude_mu(q_at, k_at, p, n)).max() <= 1e-13, n
 
     @pytest.mark.parametrize("noise", NOISE, ids=lambda n: n[0] if n else "clean")
-    def test_direct_sum_and_gemm_agree_on_the_same_pairs(self, noise, count_calls):
-        # Row 0 of an outer call (the GEMM) against the CLS-row call on the
-        # same query and its elementwise form (both summed pair by pair).
+    def test_direct_sum_and_gemm_agree_on_the_same_pairs(self, noise):
+        # The circuit sums every layout pair by pair, so row 0 of an outer
+        # call equals the CLS-row call on the same query, and its
+        # elementwise form, bit for bit. The attention layers that score
+        # all N query rows take one GEMM of the two sides' features
+        # (`scorers._product_scores`); with one dimension per item it gives
+        # the same pairs' scores to within rounding.
         rng = np.random.default_rng(50)
         p = random_params(rng)
         qs = rng.normal(0, 1.5, size=(2, 2, 5, 1, 16))
         ks = rng.normal(0, 1.5, size=(2, 2, 1, 50, 16))
-        calls = count_calls(circuit, "_angle_features")
-        outer = pair_scores(qs, ks, p, noise)[:, :, :1]
-        assert len(calls) == 2
+        outer = pair_scores(qs, ks, p, noise)
         cls_row = pair_scores(qs[:, :, :1], ks, p, noise)
         elementwise = pair_scores(np.broadcast_to(qs[:, :, :1], ks.shape).copy(), ks, p, noise)
-        assert len(calls) == 2  # neither built a feature
-        assert np.abs(cls_row - outer).max() <= 1e-13
+        assert np.array_equal(outer[:, :, :1], cls_row)
         assert np.array_equal(elementwise, cls_row)
+        # (batch, head, dimension) items of 5 queries and 50 keys, D = 1.
+        q_items, k_items = (np.moveaxis(x, -1, 2).reshape(-1, x.shape[2] * x.shape[3], 1) for x in (qs, ks))
+        gemm = scorers._product_scores(q_items, k_items, p, circuit.score_coefficients(p, noise))
+        assert np.abs(gemm - np.moveaxis(outer, -1, 2).reshape(gemm.shape)).max() <= 1e-13
 
     @pytest.mark.parametrize("noise", NOISE, ids=lambda n: n[0] if n else "clean")
     def test_odd_multiples_of_pi_and_large_inputs(self, noise):
@@ -573,16 +580,16 @@ class TestPairGemm:
         qs, ks = np.concatenate([qs.ravel(), large[0]]), np.concatenate([ks.ravel(), large[1]])
         assert np.abs(qs).max() <= 1e3
         ref = np.asarray(circuit.score(qs, ks, p) if noise is None else circuit.score_noisy(qs, ks, p, *noise))
-        direct = pair_scores(qs, ks, p, noise)
-        gemm = pair_scores(qs[:, None], ks[None, :], p, noise).diagonal()
-        assert np.isfinite(direct).all() and np.isfinite(gemm).all()
-        assert np.abs(direct - ref).max() <= 1e-12
-        assert np.abs(gemm - ref).max() <= 1e-12
+        elementwise = pair_scores(qs, ks, p, noise)
+        outer = pair_scores(qs[:, None], ks[None, :], p, noise).diagonal()
+        assert np.isfinite(elementwise).all() and np.isfinite(outer).all()
+        assert np.abs(elementwise - ref).max() <= 1e-12
+        assert np.abs(outer - ref).max() <= 1e-12
 
-    @pytest.mark.parametrize("layout", FEATURE_BLOCKS)
+    @pytest.mark.parametrize("layout", LARGE_LAYOUTS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_raises_before_any_tangent(self, layout, bad, count_calls):
-        q_shape, k_shape, _ = FEATURE_BLOCKS[layout]
+        q_shape, k_shape = LARGE_LAYOUTS[layout]
         rng = np.random.default_rng(52)
         p = random_params(rng)
         tangents = count_calls(circuit, "_cos_sin")  # every tangent of the series
@@ -645,7 +652,7 @@ class TestFeatures:
 
     @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (2, 3, 5, 4)], ids=str)
     def test_layout(self, shape):
-        # `_series` and the attention backward read the result through
+        # The attention product and its backward read the result through
         # `.view(np.float64)`, which needs a C-contiguous complex array.
         x = np.random.default_rng(47).normal(0, 2, size=shape)
         out = circuit.fourier_features(x, np.array([0.4, -1.1, 0.7]))
@@ -682,7 +689,7 @@ class TestFeatures:
 
     @pytest.mark.parametrize("shape", [(), (0,), (3, 0, 2), (2, 3, 5, 4)], ids=str)
     def test_negated_frequencies_give_conjugates_bit_for_bit(self, shape):
-        # `_series` builds conj(F) as the features of -w; that rests on an odd tangent.
+        # The property `fourier_features` states; it rests on an odd tangent.
         rng = np.random.default_rng(48)
         t = rng.normal(0, 3, size=10_000)
         assert np.array_equal(np.tan(-t), -np.tan(t)), "np.tan is not odd bit for bit on this build"

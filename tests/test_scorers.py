@@ -624,12 +624,13 @@ class TestBackwardTiles:
         assert large <= 1.05 * small, (small, large)
 
 
-#: (Q shape, K shape, depth, TILE_INPUTS, tiles) around the forward's image
-#: tiles: a tile holds TILE_INPUTS // (inputs per image and side) whole
-#: images, at least one, where an image has heads x N x D inputs per side.
+#: (Q shape, K shape, depth, TILE_INPUTS, tiles) around the forward's tiles
+#: where Q and K both have several rows: the product of query with key
+#: features runs on the backward's tiles of TILE_INPUTS // (N * D) whole
+#: (image, head) items, at least one.
 FORWARD_TILES = {
-    "partial-last-tile": ((5, 2, 6, 4), (5, 2, 6, 4), 4, 100, 3),  # 48 per image: 2, 2, 1
-    "image-larger-than-a-tile": ((3, 2, 9, 4), (3, 2, 9, 4), 3, 20, 3),
+    "partial-last-tile": ((5, 2, 6, 4), (5, 2, 6, 4), 4, 100, 3),  # 24 per item: 4, 4, 2
+    "image-larger-than-a-tile": ((3, 2, 9, 4), (3, 2, 9, 4), 3, 20, 6),  # one item per tile
     "no-leading-axis": ((6, 4), (7, 4), 4, 1, 1),
 }
 
@@ -675,23 +676,30 @@ class TestForwardTiles:
             ref, name = circuit.score_batch(*pairs).sum(axis=-1), "score_batch"
         else:
             ref, name = circuit.score_noisy_batch(*pairs, *noise).sum(axis=-1), "score_noisy_batch"
-        calls = count_calls(circuit, name)
+        # A CLS-row tile is one per-pair circuit call; a product tile builds
+        # a query and a key feature block.
+        per_tile = 1 if case in CLS_FORWARD_TILES else 2
+        calls = count_calls(circuit, name if per_tile == 1 else "_angle_features")
         monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
         A = scorers.qpa_scores(Q, K, p, depth, noise)
-        assert len(calls) == tiles
+        assert len(calls) == per_tile * tiles
         monkeypatch.setattr(scorers, "TILE_INPUTS", 2**62)
         whole = scorers.qpa_scores(Q, K, p, depth, noise)
-        assert len(calls) == tiles + 1
+        assert len(calls) == per_tile * (tiles + 1)
         assert A.shape == ref.shape and np.array_equal(A, whole)
         assert np.abs(A - ref).max() <= 1e-13
 
     @pytest.mark.parametrize("noise", [None, ("AD", 0.07)], ids=["clean", "AD"])
     def test_working_memory_does_not_grow_with_the_batch(self, noise):
         # Before the image tiles the whole batch's per-pair array was built:
-        # 39.6 MiB at B=64, N=50 with AD noise.
+        # 39.6 MiB at B=64, N=50 with AD noise. While the circuit still
+        # scored each pair of these layouts, a tile held at least one
+        # image's per-pair scores: 10.8 MiB at N=197. The feature product
+        # holds one tile's features, about 1.2 MiB at N=197.
         small = forward_excess(8, 17, 17, noise)
         assert forward_excess(64, 17, 17, noise) <= 1.05 * small, small
         assert forward_excess(64, 50, 50, noise) <= 4 * 2**20
+        assert forward_excess(64, 197, 197, noise) <= 2 * 2**20
 
     @pytest.mark.parametrize("noise", [None, ("AD", 0.07)], ids=["clean", "AD"])
     def test_cls_row_working_memory_does_not_grow_with_the_batch(self, noise):
@@ -812,13 +820,15 @@ class TestTrainingForward:
         rng = np.random.default_rng(37)
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
-        ref = scorers.qpa_scores(Q, K, p, depth)
+        ref = circuit.score_batch(Q[..., :, None, :depth], K[..., None, :, :depth], p).sum(axis=-1)
         monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
         calls = count_calls(circuit, "fourier_features")
         A, (F, G) = scorers.quantum_scores_with_features(Q, K, p, depth)
         items = len(F)
         assert len(calls) == 2 * len(scorers._tiles(items, max(q_shape[-2], k_shape[-2]) * depth))
         assert A.shape == ref.shape and np.abs(A - ref).max() <= 1e-13
+        # Inference runs the same product on the same tiles.
+        assert np.array_equal(A, scorers.qpa_scores(Q, K, p, depth))
         W = np.tensordot(p.to_array(), circuit.ANGLE_JACOBIAN, axes=1)
         qs, ks = (X[..., :depth].reshape(items, -1, depth) for X in (Q, K))
         assert np.array_equal(F, circuit.fourier_features(qs, W[:, 0]))

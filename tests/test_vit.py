@@ -530,8 +530,8 @@ def _digest(named) -> str:
 # kind bit for bit; they rest on this numpy/OpenBLAS build's rounding, so a
 # mismatch on another machine calls for re-deriving them at a trusted commit.
 GOLDEN = {
-    ("qpa", 0): ("9e083236108b1465", "8ab522daaaaad1ce", "46fa3b502d9c5491"),
-    ("qpa", 1): ("6e900635197dd0b4", "1fb702a937df3706", "2f4e8820efb8461c"),
+    ("qpa", 0): ("9e083236108b1465", "90d89d3758a1bae1", "46fa3b502d9c5491"),
+    ("qpa", 1): ("6e900635197dd0b4", "cfdfcae5cba92757", "2f4e8820efb8461c"),
     ("dot", 0): ("94a5ef27f5c36ef5", "3a1e92c22db62ab0", "72e8565151f3c667"),
     ("dot", 1): ("82fd715b40798094", "093f4b6c350574c6", "a089805862343a7c"),
     ("mlp49", 0): ("cc5d1b66b47ec6a8", "f91c7c6dede17c3e", "2d31a4ab23aff7ea"),
@@ -542,8 +542,8 @@ GOLDEN = {
     ("cosine", 1): ("10f6333bcdeaea79", "1f54ae7e1b805299", "40e7de4fb4fc84b1"),
     ("linear", 0): ("94a5ef27f5c36ef5", "778a839a61d25b92", "b3a768a89265a2db"),
     ("linear", 1): ("82fd715b40798094", "64163d12b2cc75d9", "752b62089500d608"),
-    ("qpa-ind", 0): ("9e083236108b1465", "a2767198640e9ed1", "a53598183b4ab9ed"),
-    ("qpa-ind", 1): ("6e900635197dd0b4", "50a1bfbe93cda84e", "28069b6e030fd507"),
+    ("qpa-ind", 0): ("9e083236108b1465", "118679c004230261", "a53598183b4ab9ed"),
+    ("qpa-ind", 1): ("6e900635197dd0b4", "1b7d370d9726ce8e", "28069b6e030fd507"),
 }
 
 # (logits, loss + grads) of one-layer quantum models with 36992 scored
@@ -691,21 +691,33 @@ class TestGolden:
             assert np.abs(grads[name] - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), name
 
     # The quantum logits digests above pin the Fourier-form forward's rounding;
-    # on the same inputs, the logits must agree with the real-amplitude evaluator.
+    # on the same inputs, the logits must agree with a kind whose every layer
+    # scores each (query, key, dimension) pair by the real-amplitude evaluator.
     @pytest.mark.parametrize(
         "case", _QUANTUM_CASES, ids=_case_id
     )
     def test_quantum_logits_match_real_amplitude(self, case, monkeypatch):
         model, images, _ = case[0](*case[1:])
         logits = vit.forward(model, images)
-        real_amplitude = circuit.score_grad_batch
-        monkeypatch.setattr(circuit, "score_batch", lambda *args: real_amplitude(*args)[0])
+        kind = scorers.KINDS[model.config.scorer]
+        free = np.isin(circuit.PARAM_NAMES, kind.pinned, invert=True)
+        layers = []
+
+        def real_amplitude_scores(Q, K, p, depth, noise):
+            layers.append(Q.shape[-2])
+            params = circuit.QpaParams.from_array(np.where(free, p["qpa"], 0.0))
+            return circuit.score_grad_batch(Q[..., :, None, :depth], K[..., None, :, :depth], params)[0].sum(axis=-1)
+
+        monkeypatch.setitem(scorers.KINDS, model.config.scorer, dataclasses.replace(kind, scores=real_amplitude_scores))
         ref = vit.forward(model, images)
+        assert len(layers) == model.config.num_layers  # the reference scored every layer
         assert np.abs(logits - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max())
 
     # The training step scores each quantum layer by the score-matrix product
-    # (`scorers.quantum_scores_with_features`), inference by the per-pair
-    # circuit calls; they differ only in the order of the sums over D.
+    # (`scorers.quantum_scores_with_features`). Inference runs the same
+    # product on the layers that score all N query rows, and scores the last
+    # layer's CLS row pair by pair; the two differ only in the order of that
+    # row's sums over D.
     @pytest.mark.parametrize(
         "case", _QUANTUM_CASES, ids=_case_id
     )
@@ -716,3 +728,28 @@ class TestGolden:
         assert all("scorer_saved" in lc for lc in caches["layers"])  # the product ran
         ref = vit.forward(model, images)
         assert np.abs(logits - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind, seed", [key for key in GOLDEN if scorers.KINDS[key[0]].quantum])
+    def test_first_layer_scores_equal_the_training_forward(self, kind, seed, monkeypatch):
+        # A two-layer model's first layer scores all N query rows: inference
+        # runs the training step's feature product, on the same tiles.
+        model, images, _ = _golden_case(kind, seed)
+        base = scorers.KINDS[kind]
+        seen = {"scores": [], "train_scores": []}
+
+        def record(name, first):
+            def wrapped(*args):
+                out = getattr(base, name)(*args)
+                seen[name].append(out[0] if first else out)
+                return out
+
+            return wrapped
+
+        reference = dataclasses.replace(
+            base, scores=record("scores", False), train_scores=record("train_scores", True)
+        )
+        monkeypatch.setitem(scorers.KINDS, kind, reference)
+        vit.forward(model, images)
+        vit._forward(model, images, caches={})
+        assert len(seen["scores"]) == len(seen["train_scores"]) == 2
+        assert np.array_equal(seen["scores"][0], seen["train_scores"][0])
