@@ -205,11 +205,11 @@ def _encoding_state_batch(qs, ks, params: QpaParams) -> np.ndarray:
 
 
 def _random_params(rng: np.random.Generator) -> QpaParams:
-    return QpaParams.from_array(rng.normal(0.0, 0.8, size=5))
+    return QpaParams.from_array(_param_values(rng))
 
 
 def _param_values(rng: np.random.Generator) -> np.ndarray:
-    return _random_params(rng).to_array()
+    return rng.normal(0.0, 0.8, size=5)
 
 
 def _draw_points(rng: np.random.Generator, n: int, *draws: Callable) -> list[np.ndarray]:

@@ -92,8 +92,7 @@ def fresh_sampler_memo():
     the seed keys: a test that patches a gate must not leave its distributions
     to the next test, nor find another test's, and a test that counts key
     derivations counts its own."""
-    circuit._sampling_probs.cache_clear()
-    circuit._philox_key.cache_clear()
+    circuit._clear_sampling_memos()
 
 
 @pytest.fixture

@@ -69,6 +69,25 @@ class TestQpaParams:
         with pytest.raises(ValueError):
             QpaParams(np.nan, 0, 0, 0, 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "wrap",
+        [float, np.float64, lambda v: np.array([0.1, v, 0.2]), lambda v: np.array(v)],
+        ids=["float", "np-float64", "array", "0-d-array"],
+    )
+    def test_refuses_non_finite_in_every_field_and_kind(self, bad, wrap):
+        # Float fields are checked without numpy, arrays with it: both refuse
+        # alike, naming the field.
+        for i, name in enumerate(circuit.PARAM_NAMES):
+            values = [0.5, 0.1, -0.2, 0.3, 0.1]
+            values[i] = wrap(bad)
+            with pytest.raises(ValueError, match=f"^parameter {name} must be finite$"):
+                QpaParams(*values)
+
+    def test_accepts_finite_values_of_every_kind(self):
+        for value in (0, 0.25, np.float64(-1e300), np.float32(2.0), np.array([0.1, -0.2]), True):
+            assert QpaParams(value, 0.1, -0.2, 0.3, 0.1).theta_s is value
+
     def test_array_round_trip(self):
         p = QpaParams(0.5, -0.1, 0.2, 0.3, -0.4)
         assert QpaParams.from_array(p.to_array()) == p
@@ -781,6 +800,20 @@ class TestSampled:
         for _ in range(2):
             with pytest.raises(error):
                 circuit.score_sampled(0.3, -0.4, p, 100, seed=seed)
+
+    def test_interleaved_seed_kinds_in_one_thread_take_fresh_draws(self):
+        # Each kind of seed in turn, on one thread: integer seeds reset the
+        # thread's generator through its one state template, the others build
+        # their own generator, and none may see another's key or leave its
+        # state behind.
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.1)
+        seeds = [7, np.int64(8), True, 2**64, [1, 2], np.random.SeedSequence(9)]
+        for _ in range(3):
+            for q, k in ((0.3, -0.4), (-1.1, 0.6)):
+                for seed in seeds:
+                    for shots in (1, 100, 1600):
+                        got = circuit.score_sampled(q, k, p, shots, seed=seed)
+                        assert got == self.fresh_estimate(q, k, p, shots, seed)
 
     def test_threads_draw_from_their_own_generators(self):
         # Each thread resets and draws on its own generator: a reset from

@@ -595,6 +595,43 @@ def _case_id(case):
     return "-".join((["tiled"] if case[0] is _tiled_case else []) + [str(a) for a in case[1:]])
 
 
+def _scored_layers(kind, seed, monkeypatch):
+    """Every quantum layer's (Q, K, circuit parameters, depth, A) of a GOLDEN
+    model's inference forward, then of its training forward, in call order."""
+    model, images, _ = _golden_case(kind, seed)
+    base = scorers.KINDS[kind]
+    free = np.isin(circuit.PARAM_NAMES, base.pinned, invert=True)
+    seen = []
+
+    def record(name, first):
+        def wrapped(Q, K, p, depth, *rest):
+            out = getattr(base, name)(Q, K, p, depth, *rest)
+            params = circuit.QpaParams.from_array(np.where(free, p["qpa"], 0.0))
+            A = out[0] if first else out
+            seen.append((name, Q.copy(), K.copy(), params, depth, A.copy()))
+            return out
+
+        return wrapped
+
+    reference = dataclasses.replace(
+        base, scores=record("scores", False), train_scores=record("train_scores", True)
+    )
+    monkeypatch.setitem(scorers.KINDS, kind, reference)
+    vit.forward(model, images)
+    vit._forward(model, images, caches={})
+    return seen
+
+
+def _statevector_errors(seen):
+    # Each layer's scores against one broadcast statevector `circuit.score`
+    # call over all its (query, key, dimension) pairs, summed over D.
+    errors = []
+    for _, Q, K, params, depth, A in seen:
+        ref = circuit.score(Q[..., :, None, :depth], K[..., None, :, :depth], params).sum(axis=-1)
+        errors.append(np.abs(A - ref).max() / max(1.0, np.abs(ref).max()))
+    return errors
+
+
 class TestGolden:
     @pytest.mark.parametrize("kind, seed", GOLDEN)
     def test_init_forward_backward_bit_identical(self, kind, seed):
@@ -753,3 +790,30 @@ class TestGolden:
         vit._forward(model, images, caches={})
         assert len(seen["scores"]) == len(seen["train_scores"]) == 2
         assert np.array_equal(seen["scores"][0], seen["train_scores"][0])
+
+    # The logits above can hide a first-layer score error: on these tiny
+    # models the attention carries little of them. Each layer's own score
+    # matrix is checked here, at inference and in the training forward.
+    @pytest.mark.parametrize("kind, seed", [key for key in GOLDEN if scorers.KINDS[key[0]].quantum])
+    def test_every_layer_scores_match_the_statevector(self, kind, seed, monkeypatch):
+        seen = _scored_layers(kind, seed, monkeypatch)
+        # The first layer scores all N query rows, the last the CLS row alone.
+        assert [(name, Q.shape[-2]) for name, Q, *_ in seen] == [
+            ("scores", 5), ("scores", 1), ("train_scores", 5), ("train_scores", 1)
+        ]
+        assert max(_statevector_errors(seen)) <= 1e-12
+
+    @pytest.mark.parametrize("kind, seed", [key for key in GOLDEN if scorers.KINDS[key[0]].quantum])
+    def test_every_layer_check_sees_a_first_layer_error(self, kind, seed, monkeypatch):
+        # The feature product that scores the first layer in both forwards,
+        # off by one part in a million: the check must see it there, and the
+        # last layer, scored from the shifted Q and K, must still pass.
+        product = scorers._product_scores
+        monkeypatch.setattr(
+            scorers, "_product_scores", lambda *args: product(*args) * (1 + 1e-6)
+        )
+        first, last, train_first, train_last = _statevector_errors(
+            _scored_layers(kind, seed, monkeypatch)
+        )
+        assert min(first, train_first) > 1e-12
+        assert max(last, train_last) <= 1e-12
