@@ -36,9 +36,11 @@ keeps per-tile circuit calls, which the benchmark's correctness hooks
 read: the circuit sums each pair directly from three half-angle tangents
 and builds no features. The mean score of
 a layer whose query side is the CLS row alone comes from the series'
-separable form (`quantum_score_sum`), which sums the per-pair scores of
-all N query rows from the sums of their features over N, taken plane by
-plane before any layout (`circuit._feature_sums`). The circuit evaluates
+separable form, which sums the per-pair scores of all N query rows from
+the sums of their features over N, taken plane by plane before any layout
+(`circuit._feature_sums`). Its feature products depend on no noise channel
+(`score_sum_terms`), so a noise sweep builds them once and weighs them by
+each setting's coefficients (`quantum_score_sum`). The circuit evaluates
 whatever it is given in one call, so the tiling policy lives here: every
 direction runs on tiles of `TILE_INPUTS` inputs per side, so its
 temporaries do not grow with the batch. The one exception is a
@@ -68,6 +70,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -256,25 +259,36 @@ def quantum_scores_with_features(Q: np.ndarray, K: np.ndarray, params: QpaParams
     return A.reshape(np.shape(Q)[:-1] + (n_k,)), saved
 
 
-def quantum_score_sum(
-    Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int, noise=None
-) -> float:
-    """The sum of all entries of ``qpa_scores(Q, K, params, depth, noise)``, in separable form.
+class ScoreSumTerms(NamedTuple):
+    """The noise-independent terms of a separable score sum (`score_sum_terms`).
+
+    ``pairs`` counts the (query, key, dimension) triples; ``products`` holds
+    the seven complex sums over items and dimensions of
+    (sum_i F_n(q_id)) (sum_j G_n(k_jd)).
+    """
+
+    pairs: int
+    products: np.ndarray
+
+
+def score_sum_terms(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int) -> ScoreSumTerms:
+    """The terms of the sum of every entry of `qpa_scores`, which no noise channel changes.
 
     mu = c_0 + Re sum_n c_n F_n(q) G_n(k) makes the sum over all N_q N_k
-    pairs of one (item, dimension) a product of sums:
-    N_q N_k c_0 + Re sum_n c_n (sum_i F_n(q_id)) (sum_j G_n(k_jd)), with the
-    clean or noisy coefficients of `circuit.score_coefficients`. So it
-    costs the features of each input, no per-pair work, and the features of
-    one tile of `TILE_INPUTS` inputs per side at a time (`_tiles`). Each
-    tile sums its features over N in the contiguous planes they are built
-    in, and lays out only the (tile, D, 7) sums (`circuit._feature_sums`);
-    each sum adds its N terms in order, bit for bit as the laid-out
-    features would. `vit.forward_with_stats` reads it for the last layer,
-    whose query side runs on the CLS row alone.
+    pairs of one (item, dimension) a product of sums, and every channel of
+    `circuit.score_coefficients` keeps the clean Fourier support: only c
+    changes. So the sum is N_q N_k c_0 + Re sum_n c_n (sum_i F_n(q_id))
+    (sum_j G_n(k_jd)) per (item, dimension), and these terms are its pair
+    count and its seven feature products, for `quantum_score_sum` to weigh
+    by each setting's c. They cost the features of each input, no per-pair
+    work, and the features of one tile of `TILE_INPUTS` inputs per side at a
+    time (`_tiles`). Each tile sums its features over N in the contiguous
+    planes they are built in, and lays out only the (tile, D, 7) sums
+    (`circuit._feature_sums`); each sum adds its N terms in order, bit for
+    bit as the laid-out features would. `vit.forward_with_stats` reads them
+    for the last layer, whose query side runs on the CLS row alone.
     """
     circuit._check_one_set(params)
-    c = circuit.score_coefficients(params, noise)
     (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
     circuit._check_finite(qs, ks)
     W = circuit._angle_map(params)
@@ -285,7 +299,19 @@ def quantum_score_sum(
         F *= G
         products += F.reshape(-1, 7).sum(axis=0)
         del F, G  # one tile's features alive at a time
-    return float(items * n_q * n_k * depth * c[0].real + (c[1:] @ products).real)
+    return ScoreSumTerms(items * n_q * n_k * depth, products)
+
+
+def quantum_score_sum(terms: ScoreSumTerms, params: QpaParams, noise=None) -> float:
+    """The sum of all entries of ``qpa_scores(Q, K, params, depth, noise)``.
+
+    ``terms`` is ``score_sum_terms(Q, K, params, depth)``; this weighs them
+    by the clean or noisy coefficients of `circuit.score_coefficients`, so
+    one set of terms serves every noise setting.
+    """
+    circuit._check_one_set(params)
+    c = circuit.score_coefficients(params, noise)
+    return float(terms.pairs * c[0].real + (c[1:] @ terms.products).real)
 
 
 def _real_rows(H: np.ndarray) -> np.ndarray:
@@ -708,8 +734,9 @@ class ScorerKind:
     with ``train_scores(Q, K, p, depth)`` scores the training step's forward
     by it instead: it returns ``(A, saved)``, and the step hands ``saved`` to
     ``backward`` as a sixth argument. A ``quantum`` kind's
-    ``score_sum(Q, K, p, depth, noise)`` is the sum of every per-pair score
-    of ``scores`` without the score matrix. Linear attention has no ``scores``: it
+    ``score_sum(score_sum_terms(Q, K, p, depth), p, noise)`` is the sum of
+    every per-pair score of ``scores`` without the score matrix; the terms
+    depend on no noise channel. Linear attention has no ``scores``: it
     skips the softmax and runs `linear_attention` instead. ``pinned`` names
     the circuit parameters that a quantum kind holds at 0 and does not train.
     """
@@ -719,6 +746,7 @@ class ScorerKind:
     scores: Callable | None = None
     backward: Callable | None = None
     train_scores: Callable | None = None
+    score_sum_terms: Callable | None = None
     score_sum: Callable | None = None
     uses_depth: bool = False
     quantum: bool = False
@@ -742,8 +770,11 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
     def train_scores(Q, K, p, depth):
         return quantum_scores_with_features(Q, K, params(p), depth)
 
-    def score_sum(Q, K, p, depth, noise):
-        return quantum_score_sum(Q, K, params(p), depth, noise)
+    def terms(Q, K, p, depth):
+        return score_sum_terms(Q, K, params(p), depth)
+
+    def score_sum(terms, p, noise):
+        return quantum_score_sum(terms, params(p), noise)
 
     def backward(Q, K, p, depth, dA, features=None):
         dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA, features)
@@ -755,6 +786,7 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         scores=scores,
         backward=backward,
         train_scores=train_scores,
+        score_sum_terms=terms,
         score_sum=score_sum,
         uses_depth=True,
         quantum=True,

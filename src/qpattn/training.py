@@ -259,37 +259,70 @@ class TrainResult:
     stopped_early: bool = False
 
 
-def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None, *, mean_mu=False):
-    """Metrics, per-sample max-softmax probs and correctness, and the mean circuit score.
+#: Images per forward of `evaluate` and `noise_sweep`.
+EVAL_BATCH = 64
+
+
+def _summary(dataset: ImageDataset, probs: list[np.ndarray]):
+    # Metrics, max-softmax probs and correctness from the batches' softmax rows.
+    probs = np.concatenate(probs, axis=0)
+    predicted = probs.argmax(axis=1)
+    metrics = compute_metrics(dataset.labels, predicted, probs[:, 1])
+    return metrics, probs.max(axis=1), predicted == dataset.labels
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    if not np.isfinite(logits).all():
+        raise FloatingPointError("non-finite logits")
+    return scorers.row_softmax(logits)
+
+
+def evaluate(model: vit.VitModel, dataset: ImageDataset, noise=None):
+    """Metrics, per-sample max-softmax probs and per-sample correctness.
 
     Runs `vit.forward` on batches of 64 images, so it holds one batch's
     activations of one layer at a time. ``noise`` is a quantum channel
-    ``(name, gamma)`` as in `vit.forward`. The mean circuit score is computed
-    only when ``mean_mu`` asks for it: each batch then runs
-    `vit.forward_with_stats`, whose logits equal `vit.forward`'s bit for bit
-    and whose sum over the last layer's scores costs nearly as much again as
-    the forward; `qpattn noise-sweep` is the one caller that asks. It is None
-    when not asked and for a classical scorer. Non-finite logits raise
-    `FloatingPointError`.
+    ``(name, gamma)`` as in `vit.forward`. It computes no mean circuit
+    score; `noise_sweep` does, for every setting of a sweep at once.
+    Non-finite logits raise `FloatingPointError`.
     """
-    all_probs = []
-    mu_sum, mu_count = 0.0, 0
-    for start in range(0, dataset.n, 64):
-        images = dataset.images[start : start + 64]
-        if mean_mu:
-            logits, extras = vit.forward_with_stats(model, images, noise=noise)
-            mu_sum += extras["mu_sum"]
-            mu_count += extras["mu_count"]
-        else:
-            logits = vit.forward(model, images, noise=noise)
-        if not np.isfinite(logits).all():
-            raise FloatingPointError("non-finite logits")
-        all_probs.append(scorers.row_softmax(logits))
-    probs = np.concatenate(all_probs, axis=0)
-    predicted = probs.argmax(axis=1)
-    metrics = compute_metrics(dataset.labels, predicted, probs[:, 1])
-    mu = mu_sum / mu_count if mu_count else None
-    return metrics, probs.max(axis=1), predicted == dataset.labels, mu
+    probs = [
+        _softmax_rows(vit.forward(model, dataset.images[start : start + EVAL_BATCH], noise=noise))
+        for start in range(0, dataset.n, EVAL_BATCH)
+    ]
+    return _summary(dataset, probs)
+
+
+def noise_sweep(model: vit.VitModel, dataset: ImageDataset, noises):
+    """`evaluate` under each setting of ``noises``, with each setting's mean circuit score.
+
+    ``noises`` lists settings as `vit.forward` takes them: None for the
+    clean circuit, or a channel ``(name, gamma)``. Returns one
+    ``(metrics, max_probs, correct, mean_mu)`` per setting, in that order;
+    ``mean_mu`` is None for a classical scorer. Each 64-image batch runs
+    under every setting, in order, before the next batch, through one
+    `vit.forward_with_stats` call per setting that shares a dict made for
+    that batch alone: a one-layer model builds the batch's score-sum
+    features once for all settings (the sum costs nearly as much as the
+    forward), a deeper one once per setting. Each setting sums its batches
+    in order, so every result equals a sweep of one setting bit for bit.
+    Non-finite logits raise `FloatingPointError`.
+    """
+    noises = list(noises)
+    probs = [[] for _ in noises]
+    mu_sums, mu_counts = [0.0] * len(noises), [0] * len(noises)
+    for start in range(0, dataset.n, EVAL_BATCH):
+        images = dataset.images[start : start + EVAL_BATCH]
+        shared: dict = {}  # this batch's score-sum terms, dropped with the batch
+        for i, noise in enumerate(noises):
+            logits, extras = vit.forward_with_stats(model, images, noise, shared=shared)
+            probs[i].append(_softmax_rows(logits))
+            mu_sums[i] += extras["mu_sum"]
+            mu_counts[i] += extras["mu_count"]
+    return [
+        (*_summary(dataset, p), s / n if n else None)
+        for p, s, n in zip(probs, mu_sums, mu_counts)
+    ]
 
 
 def _diverged(epoch: int, step: int, cause: str) -> RuntimeError:

@@ -36,12 +36,15 @@ the last layer's Q over all N tokens and the features of every query and
 key: on a 64-image batch of a one-layer model (two heads, D=16, one
 process on a 2-vCPU x86-64 host) it adds about 2.4 ms to a 2.6 ms forward
 at N=17 and 6 ms to a 7 ms forward at N=50, so only
-`qpattn noise-sweep` pays for it (through `training.evaluate(...,
-mean_mu=True)`); validation and every other evaluation run `forward`, whose
-logits are the same bit for bit. The layer
-primitives allocate only their outputs, finish in place, and never write into
-their arguments; they run the same operations in the same order as the plain
-expressions, so every result is bit for bit the same.
+`qpattn noise-sweep` pays for it (through `training.noise_sweep`);
+validation and every other evaluation run `forward`, whose logits are the
+same bit for bit. No noise channel changes that sum's feature products,
+only the coefficients that weigh them, and a one-layer model's last layer
+sees no noisy layer before it: the sweep's calls for one batch share a
+dict, so such a model builds them once per batch for all its settings.
+The layer primitives allocate only their outputs, finish in place, and
+never write into their arguments; they run the same operations in the same
+order as the plain expressions, so every result is bit for bit the same.
 """
 
 from __future__ import annotations
@@ -309,14 +312,17 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None, stats=False):
+def _forward(
+    model: VitModel, images: np.ndarray, noise=None, caches=None, stats=False, shared=None
+):
     """Logits and, with ``stats``, the circuit-score sums; fills ``caches`` for `backward` if given.
 
     The head reads only the CLS token of the last layer, so that layer runs
     its query side on the CLS row alone: Q, the scores, the softmax, the
     merge, `wo` with its residual, LN2 and the FFN. Its LN1, K and V, and
     every earlier layer, run on all N tokens. Without ``caches``, each
-    layer's arrays are dropped before the next starts.
+    layer's arrays are dropped before the next starts. ``shared`` is
+    `forward_with_stats`' per-batch dict of score-sum terms.
     """
     cfg = model.config
     P = model.params
@@ -362,9 +368,17 @@ def _forward(model: VitModel, images: np.ndarray, noise=None, caches=None, stats
                 A = kind.scores(qh, kh, sp, cfg.depth, noise)
             if stats and kind.quantum:  # A sums `depth` per-pair scores
                 if last:  # the scores of every query row, without their matrix
-                    q_all = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
-                    mu_sum += kind.score_sum(_split_heads(q_all, cfg.heads), kh, sp, cfg.depth, noise)
-                    del q_all
+                    # A first layer's input depends on no noise channel, so
+                    # its terms serve every setting of the batch.
+                    memo = shared if shared is not None and cfg.num_layers == 1 else {}
+                    terms = memo.get("score_sum_terms")
+                    if terms is None:
+                        q_all = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
+                        qh_all = _split_heads(q_all, cfg.heads)
+                        terms = kind.score_sum_terms(qh_all, kh, sp, cfg.depth)
+                        memo["score_sum_terms"] = terms
+                        del q_all, qh_all
+                    mu_sum += kind.score_sum(terms, sp, noise)
                 else:
                     mu_sum += float(A.sum())
                 mu_count += A.size // qh.shape[-2] * h.shape[1] * cfg.depth  # all N query rows
@@ -407,20 +421,32 @@ def forward(model: VitModel, images: np.ndarray, noise=None) -> np.ndarray:
     return _forward(model, images, noise=noise)[0]
 
 
-def forward_with_stats(model: VitModel, images: np.ndarray, noise=None):
+def forward_with_stats(model: VitModel, images: np.ndarray, noise=None, shared=None):
     """Logits plus ``{"mu_sum", "mu_count"}``, the sum and count of the circuit scores.
 
     They run over every (query, key, dimension) triple of every layer. The
     last layer scores only its CLS row, so its sum comes from the circuit's
-    separable form (`scorers.quantum_score_sum`): for each (image, head,
-    dimension), N^2 c_0 + Re sum_n c_n (sum_i F_n(q_id)) (sum_j G_n(k_jd)),
-    with Q projected from all N tokens; it equals the per-pair sum to within
-    rounding. Both are 0 for a classical scorer; their ratio is the mean
-    score. The logits equal `forward`'s bit for bit. Its one caller is
-    `training.evaluate(..., mean_mu=True)`, which `qpattn noise-sweep` alone
-    asks for, since the sum costs nearly as much as the forward.
+    separable form: for each (image, head, dimension),
+    N^2 c_0 + Re sum_n c_n (sum_i F_n(q_id)) (sum_j G_n(k_jd)), with Q
+    projected from all N tokens (`scorers.score_sum_terms`) and c the
+    setting's coefficients (`scorers.quantum_score_sum`); it equals the
+    per-pair sum to within rounding. Both are 0 for a classical scorer;
+    their ratio is the mean score. The logits equal `forward`'s bit for bit.
+
+    ``shared`` is an optional dict for the calls that evaluate one batch of
+    one model under several noise settings. In a one-layer model the last
+    layer's input depends on no noise, and neither do the feature products
+    of its sum: the first call stores them there and later calls weigh
+    them by their own coefficients, skipping the all-N query projection
+    and the features, with the same result bit for bit. A deeper model
+    computes them on every call. A dict serves one batch of one model;
+    `training.noise_sweep` makes a new one for each batch.
     """
-    return _forward(model, images, noise=noise, stats=True)
+    if shared is not None:
+        owner = shared.setdefault("owner", (model, images))
+        if owner[0] is not model or owner[1] is not images:
+            raise ValueError("a shared dict serves the calls of one image batch of one model")
+    return _forward(model, images, noise=noise, stats=True, shared=shared)
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray):

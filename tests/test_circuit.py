@@ -696,7 +696,7 @@ class TestFeatures:
         "shape", [(1, 1), (6, 1), (5, 50, 1), (1, 50, 1), (5, 50, 16), (3, 2, 9, 4), (0, 4, 3), (2, 0, 3)], ids=str
     )
     def test_feature_sums_equal_the_laid_out_sum_bit_for_bit(self, shape):
-        # `scorers.quantum_score_sum` reads these sums; the noise-sweep CSV
+        # `scorers.score_sum_terms` reads these sums; the noise-sweep CSV
         # prints its mean score to 12 decimals. D = 1 would reduce the last
         # axis of complex planes, which numpy sums pairwise, not in order.
         rng = np.random.default_rng(50)

@@ -323,7 +323,7 @@ class TestNoiseSweep:
 
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cli.scorers, "qpa_scores", scaled)
-                metrics, max_probs, _, _ = cli.training.evaluate(model, valid_ds)
+                metrics, max_probs, _ = cli.training.evaluate(model, valid_ds)
             assert row["val_accuracy"] == f"{metrics.accuracy:.6f}", (channel, gamma)
             # At these gammas no channel flips a prediction of this model; its
             # confidences move with s.
@@ -352,6 +352,16 @@ class TestNoiseSweep:
         assert cli.main([*sweep, "--set", "seed=1", "--out", str(tmp_path / "sweep")]) == 0
         digest = hashlib.sha256((tmp_path / "sweep" / "noise_sweep.csv").read_bytes()).hexdigest()
         assert digest == "5b0d1627a15f381ae1afe0497bc13d5753bed5db7ebc068b27b58fee2fe9ee0e"
+
+    def test_one_layer_csv_matches_reference_digest(self, tmp_path, qpa_checkpoint):
+        # sha256 of the file written before the sweep shared a batch's
+        # score-sum terms across its settings, on the one-layer checkpoint,
+        # over 70 validation images (two batches) at two strengths.
+        split = ["--set", "n_per_class=40", "--set", "train_n=8", "--set", "valid_n=70"]
+        sweep = ["noise-sweep", "--checkpoint", str(qpa_checkpoint), "--gammas", "0.05,0.1"]
+        assert cli.main([*sweep, *TINY, *split, "--set", "seed=1", "--out", str(tmp_path)]) == 0
+        digest = hashlib.sha256((tmp_path / "noise_sweep.csv").read_bytes()).hexdigest()
+        assert digest == "91e5d9896dffb28475b2097f200ae435add29691899c987ce4830fe00e862a7c"
 
     @pytest.mark.parametrize("noise_std", ["nan", "inf", "-0.5"])
     def test_bad_noise_std_refused_before_output(self, tmp_path, capsys, qpa_checkpoint, noise_std):
@@ -828,3 +838,25 @@ def test_cli_import_leaves_out_scipy_stats():
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=False)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, count_calls):
+    # The parser keeps no state between parses, so one per process serves
+    # every call; a usage error after a good call still exits 2, and the
+    # help text is the one a fresh parser gives.
+    cli._parser.cache_clear()
+    builds = count_calls(cli, "build_parser")
+    args = ["shots", "--shots", "4", "--reps", "2", "--inputs", "1"]
+    assert cli.main([*args, "--out", str(tmp_path / "a")]) == 0
+    assert cli.main([*args, "--out", str(tmp_path / "b")]) == 0
+    assert (tmp_path / "a" / "shots.csv").read_bytes() == (tmp_path / "b" / "shots.csv").read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["shots", "--bogus"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --bogus\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    assert len(builds) == 1
+    assert capsys.readouterr().out == cli.build_parser().format_help()

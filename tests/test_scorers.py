@@ -661,6 +661,11 @@ def forward_excess(batch, n_q, n_k, noise):
     return peak - A.nbytes
 
 
+def score_sum(Q, K, p, depth, noise=None):
+    # `qpa_scores`' arguments to the sum of its entries, in the two steps.
+    return scorers.quantum_score_sum(scorers.score_sum_terms(Q, K, p, depth), p, noise)
+
+
 class TestForwardTiles:
     """`qpa_scores` across image tiles."""
 
@@ -719,7 +724,7 @@ class TestForwardTiles:
         assert len(calls) == tiles
 
     @pytest.mark.parametrize(
-        "score", [scorers.qpa_scores, scorers.quantum_score_sum], ids=["qpa_scores", "quantum_score_sum"]
+        "score", [scorers.qpa_scores, score_sum], ids=["qpa_scores", "quantum_score_sum"]
     )
     def test_an_empty_batch_checks_its_noise_and_parameters(self, score):
         # With no image there is no tile, so the checks come before the tiles.
@@ -734,7 +739,7 @@ class TestForwardTiles:
         score(Q, K, p, 4, ("AD", 0.1))  # a channel the circuit takes
 
 
-#: (Q shape, K shape, depth, TILE_INPUTS) of `quantum_score_sum` cases: the
+#: (Q shape, K shape, depth, TILE_INPUTS) of score-sum cases: the
 #: last layer's CLS row against every key, in tiles and in one, and N_q > N_k.
 SCORE_SUM_CASES = {
     "cls-row-tiled": ((5, 2, 1, 4), (5, 2, 9, 4), 4, 40),
@@ -746,7 +751,7 @@ SCORE_SUM_CASES = {
 
 
 def feature_layout_sum(Q, K, p, depth, noise):
-    # `quantum_score_sum` with each tile's features laid out (tile, N, D, 7)
+    # `score_sum` with each tile's features laid out (tile, N, D, 7)
     # by `fourier_features` and then summed over N, the sums that
     # `circuit._feature_sums` takes plane by plane.
     c = circuit.score_coefficients(p, noise)
@@ -761,7 +766,7 @@ def feature_layout_sum(Q, K, p, depth, noise):
 
 
 class TestScoreSum:
-    """`quantum_score_sum`, the separable sum of every per-pair score."""
+    """`score_sum_terms` and `quantum_score_sum`, the separable sum of every per-pair score."""
 
     @pytest.mark.parametrize("noise", FORWARD_NOISE, ids=lambda n: n[0] if n else "clean")
     @pytest.mark.parametrize("case", SCORE_SUM_CASES)
@@ -777,7 +782,7 @@ class TestScoreSum:
             ref = circuit.score_noisy_batch(*pairs, *noise)
         monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
         batch_calls = count_calls(circuit, "score_batch") + count_calls(circuit, "score_noisy_batch")
-        total = scorers.quantum_score_sum(Q, K, p, depth, noise)
+        total = score_sum(Q, K, p, depth, noise)
         assert not batch_calls  # no per-pair scores
         assert abs(total - ref.sum()) <= 1e-12 * ref.size
 
@@ -791,24 +796,36 @@ class TestScoreSum:
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
         monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
-        assert scorers.quantum_score_sum(Q, K, p, depth, noise) == feature_layout_sum(Q, K, p, depth, noise)
+        assert score_sum(Q, K, p, depth, noise) == feature_layout_sum(Q, K, p, depth, noise)
+
+    def test_one_set_of_terms_serves_every_setting(self):
+        # The terms hold no coefficient, and weighing them leaves them as
+        # they were, so a noise sweep can build them once per batch.
+        Q, K = np.random.default_rng(45).normal(0, 1.5, size=(2, 3, 2, 9, 4))
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        terms = scorers.score_sum_terms(Q, K, p, 4)
+        products = terms.products.copy()
+        assert terms.pairs == 3 * 2 * 9 * 9 * 4
+        for noise in FORWARD_NOISE:
+            assert scorers.quantum_score_sum(terms, p, noise) == score_sum(Q, K, p, 4, noise)
+        assert np.array_equal(terms.products, products)
 
     def test_phase_flip_sum_equals_clean_bit_for_bit(self):
         Q, K = np.random.default_rng(42).normal(0, 1.5, size=(2, 4, 2, 7, 4))
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
-        clean = scorers.quantum_score_sum(Q, K, p, 4)
-        assert scorers.quantum_score_sum(Q, K, p, 4, ("PF", 0.3)) == clean
+        clean = score_sum(Q, K, p, 4)
+        assert score_sum(Q, K, p, 4, ("PF", 0.3)) == clean
 
     def test_refuses_what_the_circuit_refuses(self):
         Q, K = np.random.default_rng(43).normal(size=(2, 2, 3, 4))
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         with pytest.raises(ValueError, match="unknown channel"):
-            scorers.quantum_score_sum(Q, K, p, 4, ("XX", 0.1))
+            score_sum(Q, K, p, 4, ("XX", 0.1))
         with pytest.raises(ValueError, match="gamma must lie in"):
-            scorers.quantum_score_sum(Q, K, p, 4, ("AD", 1.5))
+            score_sum(Q, K, p, 4, ("AD", 1.5))
         K[1, 2, 3] = np.nan
         with pytest.raises(circuit.NonFiniteInputError):
-            scorers.quantum_score_sum(Q, K, p, 4)
+            score_sum(Q, K, p, 4)
 
 
 class TestTrainingForward:

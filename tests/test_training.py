@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qpattn import scorers, training, vit
-from qpattn.data import SyntheticSpec, split, synthetic_dataset
+from qpattn import circuit, scorers, training, vit
+from qpattn.data import ImageDataset, SyntheticSpec, split, synthetic_dataset
 from qpattn.training import (
     Metrics,
     TrainConfig,
@@ -405,3 +405,49 @@ class TestTrainLoop:
     def test_learns_separable_task(self):
         result = self.tiny_run(lr0=0.3, epochs=15)
         assert result.best_accuracy >= 0.9
+
+
+class TestNoiseSweep:
+    """`noise_sweep`: every setting per batch, sharing what no noise changes."""
+
+    NOISES = [None] + [(channel, gamma) for channel in ("AD", "DP", "BF", "PF") for gamma in (0.05, 0.1)]
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_feature_sums_once_per_batch_of_a_one_layer_model(self, num_layers, monkeypatch, count_calls):
+        # 70 images are two 64-image batches. Each `vit.forward_with_stats`
+        # call that builds the last layer's score-sum terms sums the query and
+        # the key features in one tile each: two `_feature_sums` calls. A
+        # one-layer model builds them once per batch, a deeper one once per
+        # (setting, batch), and every call gives what a call of its own gives.
+        config = vit.VitConfig(8, 1, 4, num_layers, 2, 8, 16, 2, scorer="qpa", depth=4)
+        model = vit.init_model(config, 3)
+        rng = np.random.default_rng(4)
+        dataset = ImageDataset(rng.uniform(0, 1, size=(70, 1, 8, 8)), rng.integers(0, 2, size=70))
+        standalone = vit.forward_with_stats
+        calls = []
+
+        def recorded(model, images, noise=None, shared=None):
+            out = standalone(model, images, noise, shared=shared)
+            calls.append((images, noise, out))
+            return out
+
+        monkeypatch.setattr(vit, "forward_with_stats", recorded)
+        sums = count_calls(circuit, "_feature_sums")
+        results = training.noise_sweep(model, dataset, self.NOISES)
+        assert len(sums) == 2 * 2 * (1 if num_layers == 1 else len(self.NOISES))
+        assert [noise for _, noise, _ in calls] == self.NOISES * 2  # batch by batch
+        sums.clear()
+        for i, (images, noise, (logits, extras)) in enumerate(calls):
+            assert len(images) == (64 if i < len(self.NOISES) else 6)
+            alone_logits, alone = standalone(model, images, noise)
+            assert np.array_equal(logits, alone_logits)
+            assert extras["mu_sum"] == alone["mu_sum"] and extras["mu_count"] == alone["mu_count"]
+        assert len(sums) == 2 * len(calls)  # without a shared dict, every call builds them
+        for noise, (metrics, max_probs, correct, mean_mu) in zip(self.NOISES, results):
+            plain = training.evaluate(model, dataset, noise=noise)
+            assert metrics == plain[0]
+            assert np.array_equal(max_probs, plain[1]) and np.array_equal(correct, plain[2])
+            totals = [out[1] for _, n, out in calls if n == noise]
+            assert mean_mu == (totals[0]["mu_sum"] + totals[1]["mu_sum"]) / (
+                totals[0]["mu_count"] + totals[1]["mu_count"]
+            )

@@ -270,7 +270,7 @@ class TestCLSOnlyLastLayer:
             for name in ("linear_attention", "linear_attention_backward"):
                 monkeypatch.setattr(scorers, name, recorded(getattr(scorers, name)))
         else:
-            fields = ("scores", "backward", "train_scores", "score_sum")
+            fields = ("scores", "backward", "train_scores", "score_sum_terms")
             wrapped = {f: recorded(getattr(base, f)) for f in fields if getattr(base, f) is not None}
             monkeypatch.setitem(scorers.KINDS, kind, dataclasses.replace(base, **wrapped))
         vit.forward(model, images)
@@ -346,24 +346,33 @@ class TestMeanMu:
         _, extras = vit.forward_with_stats(model, images)
         assert extras == {"mu_sum": 0.0, "mu_count": 0}
         dataset = ImageDataset(images, np.array([0, 1, 0]))
-        assert training.evaluate(model, dataset, mean_mu=True)[3] is None
+        assert training.noise_sweep(model, dataset, [None])[0][3] is None
 
     @pytest.mark.parametrize("kind, noise", [("qpa", None), ("qpa", ("AD", 0.2)), ("dot", None)])
-    def test_evaluate_computes_mean_mu_only_when_asked(self, kind, noise):
-        # The keyword changes only the fourth value: both forwards give the
-        # same logits bit for bit, over two of evaluate's 64-image batches.
+    def test_noise_sweep_adds_the_mean_mu_to_evaluate(self, kind, noise):
+        # A sweep setting's first three values are `evaluate`'s bit for bit
+        # (both forwards give the same logits), over two 64-image batches.
         model = init_model(tiny_config(kind), 4)
         rng = np.random.default_rng(7)
         dataset = ImageDataset(random_images(rng, n=70), rng.integers(0, 2, size=70))
         plain = training.evaluate(model, dataset, noise=noise)
-        asked = training.evaluate(model, dataset, noise=noise, mean_mu=True)
-        assert plain[0] == asked[0]
-        assert np.array_equal(plain[1], asked[1]) and np.array_equal(plain[2], asked[2])
-        assert plain[3] is None
+        (swept,) = training.noise_sweep(model, dataset, [noise])
+        assert plain[0] == swept[0]
+        assert np.array_equal(plain[1], swept[1]) and np.array_equal(plain[2], swept[2])
         if kind == "dot":
-            assert asked[3] is None
+            assert swept[3] is None
         else:
-            assert 0.0 < asked[3] < 1.0
+            assert 0.0 < swept[3] < 1.0
+
+    def test_a_shared_dict_serves_one_batch_of_one_model(self):
+        model = init_model(tiny_config("qpa"), 8)
+        images = random_images(np.random.default_rng(9))
+        shared: dict = {}
+        vit.forward_with_stats(model, images, shared=shared)
+        with pytest.raises(ValueError, match="one image batch of one model"):
+            vit.forward_with_stats(model, images.copy(), shared=shared)
+        with pytest.raises(ValueError, match="one image batch of one model"):
+            vit.forward_with_stats(init_model(tiny_config("qpa"), 8), images, shared=shared)
 
 
 class TestBackward:
