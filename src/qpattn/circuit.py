@@ -36,7 +36,11 @@ a+b, a+c, a-c and a-b, so three phasors, one tangent each, give them all.
 broadcast input pair they are given, each pair summed directly from the
 cosines and sines of its three base angles, with no feature array and no
 layout dispatch: the lab's elementwise calls, the ViT's CLS row against its
-keys at inference, and any outer layout the tests give. The attention
+keys at inference, and any outer layout the tests give. That sum takes
+the half-angle tangents of each pair's base angles, which no noise channel
+changes (`_pair_tangents`), and weighs them by the coefficients
+(`_tangent_series`), so `scorers.pair_tangents` keeps the tangents of a
+batch for several noise settings. The attention
 layers that score all N query rows, in training and at inference alike,
 build each side's features once with `fourier_features` and sum the series
 over the D dimensions inside one GEMM of the two
@@ -404,7 +408,14 @@ def _cos_sin(half, cos, sin) -> None:
     # tangent each, written into ``cos`` and ``sin``. ``half`` is overwritten
     # and may itself be ``sin``.
     t = np.tan(half, out=half)
-    r = np.multiply(t, t, out=np.empty_like(t))  # an array even when 0-d
+    _tangent_cos_sin(t, cos, sin, np.empty_like(t))  # an array even when 0-d
+
+
+def _tangent_cos_sin(t, cos, sin, r) -> None:
+    # cos and sin of the angles whose half-angle tangents are ``t``, written
+    # into ``cos`` and ``sin``; ``r`` holds 2 / (1 + t^2) on the way and may
+    # be ``cos`` itself, and ``sin`` may be ``t``.
+    np.multiply(t, t, out=r)
     r += 1.0
     np.divide(2.0, r, out=r)  # 2 / (1 + t^2) = 1 + cos
     np.multiply(t, r, out=sin)
@@ -441,10 +452,11 @@ def _pair_features(q: np.ndarray, k: np.ndarray, W: np.ndarray, out=None) -> np.
     return _angle_features(_pair_angles(q, k, _BASE_ANGLES @ W), out)
 
 
-def _pair_angles(q: np.ndarray, k: np.ndarray, B: np.ndarray) -> np.ndarray:
+def _pair_angles(q: np.ndarray, k: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     # The angles B @ (q, k) of every broadcast pair of q and k, which have
-    # the same number of axes, as a (3,) + broadcast shape array.
-    theta = np.empty((3,) + np.broadcast_shapes(q.shape, k.shape))
+    # the same number of axes, as a (3,) + broadcast shape array, written
+    # into ``out`` if given.
+    theta = np.empty((3,) + np.broadcast_shapes(q.shape, k.shape)) if out is None else out
     np.multiply(B[:, 1].reshape((3,) + (1,) * k.ndim), k, out=theta)
     theta += np.multiply.outer(B[:, 0], q)
     return theta
@@ -493,40 +505,68 @@ def _feature_sums(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _series(qs, ks, params: QpaParams, c: np.ndarray) -> np.ndarray:
     # The series c_0 + Re sum_{n>=1} c_n F_n(q) G_n(k) at every broadcast
     # (q, k) pair, for the coefficients c on FOURIER_FREQS, summed pair by
-    # pair from the cosines and sines of its base angles (a, b, c), with no
-    # feature array:
-    #   mu = c_0 + Re(c_2 e^{ib}) + Re(c_3 e^{ic}) + Re(e^{ia} z),
-    #   z = c_1 + (c_4 + c_7) cos b + i (c_4 - c_7) sin b
-    #           + (c_5 + c_6) cos c + i (c_5 - c_6) sin c,
-    # where Re z, Im z and the rest of mu are weighted sums of the planes
-    # cos b, sin b, cos c and sin c. Callers that must bound the size of a
-    # call split it themselves (`scorers.TILE_INPUTS`).
+    # pair from the tangents of its half base angles (`_pair_tangents`) by
+    # `_tangent_series`, with no feature array. It holds eight floats per
+    # pair: the three tangents, whose b and c planes become sines, four
+    # planes and the result. Callers that must bound the size of a call
+    # split it themselves (`scorers.TILE_INPUTS`).
     qs = np.asarray(qs, dtype=float)
     ks = np.asarray(ks, dtype=float)
     _check_finite(qs, ks)
     ndim = max(qs.ndim, ks.ndim)  # `_pair_angles` takes sides with the same number of axes
     qs, ks = (x.reshape((1,) * (ndim - x.ndim) + x.shape) for x in (qs, ks))
-    half = _pair_angles(qs, ks, 0.5 * (_BASE_ANGLES @ _angle_map(params)))
-    cos = np.empty_like(half)
-    _cos_sin(half, cos, half)
-    # Views of the planes, arrays even when 0-d.
-    (cos_a, cos_b, cos_c), (sin_a, sin_b, sin_c) = ([x[j, ...] for j in range(3)] for x in (cos, half))
+    t = _pair_tangents(qs, ks, params)
+    work = np.empty((4,) + t.shape[1:])
+    planes = [t[1, ...], t[2, ...], *(work[j, ...] for j in range(4))]  # views, arrays even when 0-d
+    return _tangent_series(t, c, planes, np.empty(t.shape[1:]))
+
+
+def _pair_tangents(qs: np.ndarray, ks: np.ndarray, params: QpaParams, out=None) -> np.ndarray:
+    # The tangents of the half base angles (a, b, c) / 2 of every broadcast
+    # pair of float arrays qs and ks, which have the same number of axes and
+    # are finite (the caller checks them), as a (3,) + broadcast shape array,
+    # written into ``out`` if given. No noise channel changes them: they are
+    # the part of a pair's score that `_tangent_series` weighs by c.
+    half = _pair_angles(qs, ks, 0.5 * (_BASE_ANGLES @ _angle_map(params)), out)
+    return np.tan(half, out=half)
+
+
+def _tangent_series(t: np.ndarray, c: np.ndarray, planes, out: np.ndarray) -> np.ndarray:
+    # The series of `_series` at every pair of the half-angle tangents
+    # t = (t_a, t_b, t_c) of its base angles, a (3,) + shape array:
+    #   mu = c_0 + Re(c_2 e^{ib}) + Re(c_3 e^{ic}) + Re(e^{ia} z),
+    #   z = c_1 + (c_4 + c_7) cos b + i (c_4 - c_7) sin b
+    #           + (c_5 + c_6) cos c + i (c_5 - c_6) sin c,
+    # where Re z, Im z and the rest of mu are weighted sums of the planes
+    # cos b, sin b, cos c and sin c. ``planes`` are six arrays of that shape
+    # for sin b, sin c, cos b, cos c, Re z and Im z; the first two may be t_b
+    # and t_c, which are then overwritten, and t is otherwise only read.
+    # ``out`` is the scratch of the two z sums and then receives mu. The
+    # last sum writes each product into the plane it reads for the last
+    # time, and cos a and sin a go into planes no longer read.
+    sin_b, sin_c, cos_b, cos_c, z_re, z_im = planes
+    t_a, t_b, t_c = (t[j, ...] for j in range(3))  # views, arrays even when 0-d
+    _tangent_cos_sin(t_b, cos_b, sin_b, cos_b)
+    _tangent_cos_sin(t_c, cos_c, sin_c, cos_c)
     c0, c1, c2, c3, c4, c5, c6, c7 = c.tolist()
     z = [(c4 + c7, cos_b), (1j * (c4 - c7), sin_b), (c5 + c6, cos_c), (1j * (c5 - c6), sin_c)]
-    scratch = np.empty_like(cos_a)
 
-    def plane_sum(const, terms):
-        # const + the sum of weight * plane over the (weight, plane) terms.
+    def plane_sum(const, terms, total, scratch=None):
+        # const + the sum of weight * plane over the (weight, plane) terms,
+        # written into ``total``; each product after the first goes into
+        # ``scratch``, or into its own plane without one.
         (w0, p0), *rest = terms
-        total = np.multiply(p0, w0, out=np.empty_like(p0))
+        np.multiply(p0, w0, out=total)
         for weight, plane in rest:
-            total += np.multiply(plane, weight, out=scratch)
+            total += np.multiply(plane, weight, out=plane if scratch is None else scratch)
         total += const
         return total
 
-    z_re = plane_sum(c1.real, [(w.real, plane) for w, plane in z])
-    z_im = plane_sum(c1.imag, [(w.imag, plane) for w, plane in z])
-    mu = plane_sum(c0.real, [(c2.real, cos_b), (-c2.imag, sin_b), (c3.real, cos_c), (-c3.imag, sin_c)])
+    plane_sum(c1.real, [(w.real, plane) for w, plane in z], z_re, out)
+    plane_sum(c1.imag, [(w.imag, plane) for w, plane in z], z_im, out)
+    mu = plane_sum(c0.real, [(c2.real, cos_b), (-c2.imag, sin_b), (c3.real, cos_c), (-c3.imag, sin_c)], out)
+    cos_a, sin_a = cos_c, sin_b
+    _tangent_cos_sin(t_a, cos_a, sin_a, cos_a)
     mu += np.multiply(cos_a, z_re, out=z_re)
     mu -= np.multiply(sin_a, z_im, out=z_im)
     return mu

@@ -40,7 +40,10 @@ separable form, which sums the per-pair scores of all N query rows from
 the sums of their features over N, taken plane by plane before any layout
 (`circuit._feature_sums`). Its feature products depend on no noise channel
 (`score_sum_terms`), so a noise sweep builds them once and weighs them by
-each setting's coefficients (`quantum_score_sum`). The circuit evaluates
+each setting's coefficients (`quantum_score_sum`); in the same way it
+takes the CLS row's pair tangents once (`pair_tangents`) and weighs them
+per setting (`tangent_scores`), bit for bit the per-tile circuit calls'
+scores. The circuit evaluates
 whatever it is given in one call, so the tiling policy lives here: every
 direction runs on tiles of `TILE_INPUTS` inputs per side, so its
 temporaries do not grow with the batch. The one exception is a
@@ -167,12 +170,8 @@ def qpa_scores(
         _, qs, ks = _flat_pairs(Q, K, depth)
         circuit._check_finite(qs, ks)
         return _product_scores(qs, ks, params, c).reshape(lead + (n_q, n_k))
-    qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]  # (..., N, 1, D), (..., 1, N, D)
+    qs, ks, tiles = _pair_tiles(Q, K, depth)
     A = np.empty(lead + (n_q, n_k))
-    # The circuit sums each pair on its own, with no feature array: a tile
-    # holds as many pairs as a block of TILE_INPUTS inputs holds features,
-    # seven per input.
-    tiles = _tiles(lead[0], math.prod(lead[1:]) * n_q * n_k * depth, 7) if lead else [slice(None)]
     for tile in tiles:
         if noise is None:
             mu = circuit.score_batch(qs[tile], ks[tile], params)
@@ -180,6 +179,85 @@ def qpa_scores(
             mu = circuit.score_noisy_batch(qs[tile], ks[tile], params, *noise)
         mu.sum(axis=-1, out=A[tile])
         del mu  # one tile's scores alive at a time
+    return A
+
+
+def _pair_tiles(Q, K, depth: int):
+    # The per-pair layout of a `qpa_scores` call with one query row or one
+    # key row: qs (..., N_q, 1, D), ks (..., 1, N_k, D) and the tiles of the
+    # first leading axis the circuit scores them in. A tile holds as many
+    # pairs as a block of TILE_INPUTS inputs holds features, seven per input.
+    lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
+    qs, ks = Q[..., :, None, :depth], K[..., None, :, :depth]
+    tiles = _tiles(lead[0], math.prod(lead[1:]) * n_q * n_k * depth, 7) if lead else [slice(None)]
+    return qs, ks, tiles
+
+
+class PairTangents(NamedTuple):
+    """The noise-free half of a `qpa_scores` call with one query row (`pair_tangents`).
+
+    ``shape`` is the score matrix's; ``tiles`` pairs each tile of
+    `qpa_scores` (a slice of the first leading axis) with the half-angle
+    tangents of its pairs, a (3, tile, ..., N_q, N_k, D) block of one
+    buffer that holds the whole batch.
+    """
+
+    shape: tuple
+    tiles: list
+
+
+def pair_tangents(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int) -> PairTangents:
+    """What a one-query-row `qpa_scores` computes before any coefficient: each pair's tangents.
+
+    The circuit scores a pair from the tangents of its three half base
+    angles, which no noise channel changes, weighed by the setting's
+    coefficients (`circuit.score_coefficients`). This takes the tangents of
+    every pair of the CLS row against its keys, tile by tile as `qpa_scores`
+    scores them, into one (3,) + pairs buffer (2.5 MB for 64 images at N=50,
+    two heads and D=16); `tangent_scores` weighs them for any setting. The
+    inputs are checked tile by tile as `qpa_scores` checks them, so a
+    non-finite input raises the same `ValueError` before any tangent is
+    taken. Q and K share their leading axes, with one query row or one key
+    row.
+    """
+    Q, K = _pair_inputs(Q, K, depth)
+    circuit._check_one_set(params)
+    lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
+    if min(n_q, n_k) > 1:
+        raise ValueError(f"pair tangents take one query row or one key row, got {n_q} and {n_k}")
+    qs, ks, tiles = _pair_tiles(Q, K, depth)
+    for tile in tiles:
+        circuit._check_finite(qs[tile], ks[tile])
+    # Each tile's block is contiguous, laid out as `circuit._series` lays
+    # out the tangents of the same tile.
+    buffer = np.empty(3 * math.prod(np.broadcast_shapes(qs.shape, ks.shape)))
+    blocks, start = [], 0
+    for tile in tiles:
+        shape = np.broadcast_shapes(qs[tile].shape, ks[tile].shape)
+        t = buffer[start : start + 3 * math.prod(shape)].reshape((3,) + shape)
+        start += t.size
+        blocks.append((tile, circuit._pair_tangents(qs[tile], ks[tile], params, out=t)))
+    return PairTangents(lead + (n_q, n_k), blocks)
+
+
+def tangent_scores(tangents: PairTangents, params: QpaParams, noise=None) -> np.ndarray:
+    """``qpa_scores(Q, K, params, depth, noise)`` from ``pair_tangents(Q, K, params, depth)``.
+
+    Each tile's per-pair scores are the circuit's series weighed by the
+    clean or noisy coefficients of `circuit.score_coefficients`, bit for
+    bit those of `circuit.score_batch` and `circuit.score_noisy_batch`, and
+    are summed over D into the tile's slice of A. One set of tangents
+    serves every noise setting; only seven planes of one tile are
+    allocated, once per call.
+    """
+    circuit._check_one_set(params)
+    c = circuit.score_coefficients(params, noise)
+    A = np.empty(tangents.shape)
+    work = np.empty((7, max((t[0].size for _, t in tangents.tiles), default=0)))
+    for tile, t in tangents.tiles:
+        planes = work[:, : t[0].size].reshape((7,) + t.shape[1:])
+        mu = circuit._tangent_series(t, c, list(planes[:6]), planes[6])
+        mu.sum(axis=-1, out=A[tile])
     return A
 
 
@@ -285,17 +363,24 @@ def score_sum_terms(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int)
     time (`_tiles`). Each tile sums its features over N in the contiguous
     planes they are built in, and lays out only the (tile, D, 7) sums
     (`circuit._feature_sums`); each sum adds its N terms in order, bit for
-    bit as the laid-out features would. `vit.forward_with_stats` reads them
-    for the last layer, whose query side runs on the CLS row alone.
+    bit as the laid-out features would. A tile copies its own items of Q
+    and K, so a layout whose leading axes do not flatten without a copy
+    (the ViT's heads split from the hidden axis) is never copied whole.
+    `vit.forward_with_stats` reads them for the last layer, whose query side
+    runs on the CLS row alone.
     """
+    Q, K = _pair_inputs(Q, K, depth)
     circuit._check_one_set(params)
-    (items, n_q, n_k), qs, ks = _flat_pairs(Q, K, depth)
+    lead, n_q, n_k = Q.shape[:-2] or (1,), Q.shape[-2], K.shape[-2]
+    qs, ks = (X[..., :depth].reshape(lead + (X.shape[-2], depth)) for X in (Q, K))  # views
     circuit._check_finite(qs, ks)
+    items = math.prod(lead)
     W = circuit._angle_map(params)
     products = np.zeros(7, dtype=np.complex128)
     for tile in _tiles(items, max(n_q, n_k) * depth):
-        F = circuit._feature_sums(qs[tile], W[:, 0])  # (tile, D, 7)
-        G = circuit._feature_sums(ks[tile], W[:, 1])
+        rows = np.unravel_index(np.arange(items)[tile], lead)  # the tile's items, as (tile, N, D) copies
+        F = circuit._feature_sums(qs[rows], W[:, 0])  # (tile, D, 7)
+        G = circuit._feature_sums(ks[rows], W[:, 1])
         F *= G
         products += F.reshape(-1, 7).sum(axis=0)
         del F, G  # one tile's features alive at a time
@@ -736,7 +821,10 @@ class ScorerKind:
     ``backward`` as a sixth argument. A ``quantum`` kind's
     ``score_sum(score_sum_terms(Q, K, p, depth), p, noise)`` is the sum of
     every per-pair score of ``scores`` without the score matrix; the terms
-    depend on no noise channel. Linear attention has no ``scores``: it
+    depend on no noise channel. Likewise, with one query row,
+    ``tangent_scores(pair_tangents(Q, K, p, depth), p, noise)`` is
+    ``scores(Q, K, p, depth, noise)`` bit for bit, and the tangents depend
+    on no noise channel. Linear attention has no ``scores``: it
     skips the softmax and runs `linear_attention` instead. ``pinned`` names
     the circuit parameters that a quantum kind holds at 0 and does not train.
     """
@@ -748,6 +836,8 @@ class ScorerKind:
     train_scores: Callable | None = None
     score_sum_terms: Callable | None = None
     score_sum: Callable | None = None
+    pair_tangents: Callable | None = None
+    tangent_scores: Callable | None = None
     uses_depth: bool = False
     quantum: bool = False
     pinned: tuple[str, ...] = ()
@@ -776,6 +866,12 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
     def score_sum(terms, p, noise):
         return quantum_score_sum(terms, params(p), noise)
 
+    def tangents(Q, K, p, depth):
+        return pair_tangents(Q, K, params(p), depth)
+
+    def scores_from_tangents(tangents, p, noise):
+        return tangent_scores(tangents, params(p), noise)
+
     def backward(Q, K, p, depth, dA, features=None):
         dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA, features)
         return dQ, dK, {"qpa": np.where(free, d_theta, 0.0)}
@@ -788,6 +884,8 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         train_scores=train_scores,
         score_sum_terms=terms,
         score_sum=score_sum,
+        pair_tangents=tangents,
+        tangent_scores=scores_from_tangents,
         uses_depth=True,
         quantum=True,
         pinned=pinned,

@@ -302,10 +302,12 @@ def noise_sweep(model: vit.VitModel, dataset: ImageDataset, noises):
     ``mean_mu`` is None for a classical scorer. Each 64-image batch runs
     under every setting, in order, before the next batch, through one
     `vit.forward_with_stats` call per setting that shares a dict made for
-    that batch alone: a one-layer model builds the batch's score-sum
-    features once for all settings (the sum costs nearly as much as the
-    forward), a deeper one once per setting. Each setting sums its batches
-    in order, so every result equals a sweep of one setting bit for bit.
+    that batch alone: a one-layer model computes the batch's front (patch
+    embedding, LN1, Q, K and V), the CLS row's pair tangents and the
+    score-sum features once for all settings, and each later setting only
+    weighs them (`vit.forward_with_stats`); a deeper one computes them per
+    setting. Each setting sums its batches in order, so every result equals
+    a sweep of one setting bit for bit.
     Non-finite logits raise `FloatingPointError`.
     """
     noises = list(noises)

@@ -19,8 +19,9 @@ at each CLS-key pair's angles, 1.9 / 5.7 / 22.6 MB).
 `forward` and `forward_with_stats` score every layer that scores all N
 query rows by the same product, bit for bit, and keep one tile's features
 at a time; only the last layer's CLS row keeps the per-pair circuit calls
-that the benchmark's correctness hooks read. The two forwards agree to
-within rounding.
+that the benchmark's correctness hooks read (a noise sweep's shared batch
+takes the same series from kept pair tangents, below). The two forwards
+agree to within rounding.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
 which keeps the optimizer, checkpointing and finite-difference checks simple.
@@ -34,14 +35,22 @@ arrays at a time whatever the depth; the extras of `forward_with_stats` hold
 the sum and the count of the circuit scores, not their mean. That sum needs
 the last layer's Q over all N tokens and the features of every query and
 key: on a 64-image batch of a one-layer model (two heads, D=16, one
-process on a 2-vCPU x86-64 host) it adds about 2.4 ms to a 2.6 ms forward
-at N=17 and 6 ms to a 7 ms forward at N=50, so only
+process on a 2-vCPU x86-64 host) it adds about 2.5 ms to a 2.5 ms forward
+at N=17 and 7 ms to a 5.5 ms forward at N=50, so only
 `qpattn noise-sweep` pays for it (through `training.noise_sweep`);
 validation and every other evaluation run `forward`, whose logits are the
-same bit for bit. No noise channel changes that sum's feature products,
-only the coefficients that weigh them, and a one-layer model's last layer
-sees no noisy layer before it: the sweep's calls for one batch share a
-dict, so such a model builds them once per batch for all its settings.
+same bit for bit. A noise channel changes only the coefficients that weigh
+the circuit's Fourier terms, and a one-layer model's only layer sees no
+noisy layer before it. So the sweep's calls for one batch share a dict, in
+which such a model's first call keeps what its later settings read: the
+layer input's CLS row, V, the half-angle tangents of every CLS-key pair
+(`scorers.pair_tangents`) and the score-sum terms, 3.3 MB for 64 images
+at N=50. The patch embedding, LN1, the Q, K and V projections, the
+tangents and the sum's features are computed once per batch; each later
+setting weighs the tangents by its coefficients (`scorers.tangent_scores`)
+and runs the softmax, the merge and the rest on the CLS row alone. On a
+64-image N=50 batch (two heads, D=16, same host, in-process medians) a
+later setting takes about 2.1 ms and the batch's first about 14 ms.
 The layer primitives allocate only their outputs, finish in place, and
 never write into their arguments; they run the same operations in the same
 order as the plain expressions, so every result is bit for bit the same.
@@ -53,6 +62,7 @@ import json
 import numbers
 import zipfile
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtr
@@ -312,6 +322,16 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
+class _SharedLayer(NamedTuple):
+    # What the later settings of a shared one-layer batch read: the layer
+    # input's CLS row (the residual), V by head, the CLS row's pair tangents
+    # and the score-sum terms. None of them depends on a noise channel.
+    cls_row: np.ndarray
+    vh: np.ndarray
+    tangents: scorers.PairTangents
+    terms: scorers.ScoreSumTerms
+
+
 def _forward(
     model: VitModel, images: np.ndarray, noise=None, caches=None, stats=False, shared=None
 ):
@@ -322,22 +342,28 @@ def _forward(
     merge, `wo` with its residual, LN2 and the FFN. Its LN1, K and V, and
     every earlier layer, run on all N tokens. Without ``caches``, each
     layer's arrays are dropped before the next starts. ``shared`` is
-    `forward_with_stats`' per-batch dict of score-sum terms.
+    `forward_with_stats`' per-batch dict: a quantum one-layer model's first
+    call stores the layer's `_SharedLayer` there, and later calls start
+    from it.
     """
     cfg = model.config
     P = model.params
     kind = scorers.KINDS[cfg.scorer]
     if noise is not None and not kind.quantum:
         raise ValueError("noise injection requires a quantum scorer")
-    tokens, patches = patch_embed(images, cfg, P["patch.w"], P["patch.b"])
-    B = tokens.shape[0]
-    cls = np.broadcast_to(P["cls"], (B, 1, cfg.hidden_size))
-    x = np.concatenate([cls, tokens], axis=1)
-    x += P["pos"]
-    del tokens
-    if caches is not None:
-        caches.update(patches=patches, layers=[])
-    del patches
+    # A one-layer model's only layer sees no noise before its scores.
+    memo = shared if shared is not None and cfg.num_layers == 1 and kind.quantum else None
+    kept = None if memo is None else memo.get("layer")
+    if kept is None:
+        tokens, patches = patch_embed(images, cfg, P["patch.w"], P["patch.b"])
+        B = tokens.shape[0]
+        cls = np.broadcast_to(P["cls"], (B, 1, cfg.hidden_size))
+        x = np.concatenate([cls, tokens], axis=1)
+        x += P["pos"]
+        del tokens
+        if caches is not None:
+            caches.update(patches=patches, layers=[])
+        del patches
 
     # Each layer caches exactly what `backward` reads, and nothing it does not.
     mu_sum, mu_count = 0.0, 0
@@ -346,45 +372,57 @@ def _forward(
         last = layer == cfg.num_layers - 1
         rows = slice(0, 1) if last else slice(None)  # the query rows
         lc: dict = {}
-        h, lc["ln1"] = _layernorm(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
-        lc["h"] = h
-        q = _linear(h[:, rows], P[pre + "attn.wq"], P[pre + "attn.bq"])
-        k = _linear(h, P[pre + "attn.wk"], P[pre + "attn.bk"])
-        v = _linear(h, P[pre + "attn.wv"], P[pre + "attn.bv"])
-        qh, kh, vh = (_split_heads(t, cfg.heads) for t in (q, k, v))
-        lc.update(qh=qh, kh=kh, vh=vh)
-
-        if kind.scores is None:
-            ctx = scorers.linear_attention(qh, kh, vh)
+        sp = _layer_scorer_params(model, layer)
+        if kept is not None:  # a later setting of a shared batch: this setting's weighing only
+            x, vh = kept.cls_row, kept.vh
+            A = kind.tangent_scores(kept.tangents, sp, noise)
+            mu_sum += kind.score_sum(kept.terms, sp, noise)
         else:
-            sp = _layer_scorer_params(model, layer)
-            # The training step scores by the kind's product forward and keeps
-            # what it saved for the backward. Inference scores a layer of all
-            # N query rows by the same product, and the last layer's CLS row
-            # by the per-pair circuit calls that the benchmark's hooks read.
-            if caches is not None and kind.train_scores is not None:
-                A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
+            h, ln1 = _layernorm(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
+            if caches is not None:
+                lc.update(ln1=ln1, h=h)
+            del ln1
+            if last:  # only the CLS row's residual is read from here on
+                x = x[:, :1].copy()
+            q = _linear(h[:, rows], P[pre + "attn.wq"], P[pre + "attn.bq"])
+            k = _linear(h, P[pre + "attn.wk"], P[pre + "attn.bk"])
+            v = _linear(h, P[pre + "attn.wv"], P[pre + "attn.bv"])
+            qh, kh, vh = (_split_heads(t, cfg.heads) for t in (q, k, v))
+            lc.update(qh=qh, kh=kh, vh=vh)
+            if kind.scores is None:
+                ctx = scorers.linear_attention(qh, kh, vh)
             else:
-                A = kind.scores(qh, kh, sp, cfg.depth, noise)
-            if stats and kind.quantum:  # A sums `depth` per-pair scores
-                if last:  # the scores of every query row, without their matrix
-                    # A first layer's input depends on no noise channel, so
-                    # its terms serve every setting of the batch.
-                    memo = shared if shared is not None and cfg.num_layers == 1 else {}
-                    terms = memo.get("score_sum_terms")
-                    if terms is None:
-                        q_all = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
-                        qh_all = _split_heads(q_all, cfg.heads)
-                        terms = kind.score_sum_terms(qh_all, kh, sp, cfg.depth)
-                        memo["score_sum_terms"] = terms
-                        del q_all, qh_all
-                    mu_sum += kind.score_sum(terms, sp, noise)
+                # The training step scores by the kind's product forward and
+                # keeps what it saved for the backward. Inference scores a
+                # layer of all N query rows by the same product, and the last
+                # layer's CLS row by the per-pair circuit calls that the
+                # benchmark's hooks read, or, in a shared batch, by the same
+                # series from pair tangents that later settings reuse.
+                if caches is not None and kind.train_scores is not None:
+                    A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
+                elif memo is not None:
+                    tangents = kind.pair_tangents(qh, kh, sp, cfg.depth)
+                    A = kind.tangent_scores(tangents, sp, noise)
                 else:
-                    mu_sum += float(A.sum())
-                mu_count += A.size // qh.shape[-2] * h.shape[1] * cfg.depth  # all N query rows
+                    A = kind.scores(qh, kh, sp, cfg.depth, noise)
+                if stats and kind.quantum:  # A sums `depth` per-pair scores
+                    if last:  # the scores of every query row, without their matrix
+                        q_all = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
+                        terms = kind.score_sum_terms(_split_heads(q_all, cfg.heads), kh, sp, cfg.depth)
+                        del q_all
+                        mu_sum += kind.score_sum(terms, sp, noise)
+                        if memo is not None:  # stored whole, once every part is built
+                            memo["layer"] = _SharedLayer(x, vh, tangents, terms)
+                    else:
+                        mu_sum += float(A.sum())
+            del h, q, k, v, qh, kh
+        if kind.scores is not None:
+            if stats and kind.quantum:  # all N query rows of every key
+                mu_count += A.size // A.shape[-2] * A.shape[-1] * cfg.depth
             lc["attn_probs"] = scorers.row_softmax(A)
             del A  # the softmax is the score matrix's last use
             ctx = lc["attn_probs"] @ vh
+        del vh
 
         merged = _merge_heads(ctx)
         del ctx
@@ -404,7 +442,7 @@ def _forward(
         if caches is not None:
             caches["layers"].append(lc)
         # Without caches this frees the layer's arrays before the next starts.
-        del lc, h, q, k, v, qh, kh, vh, merged, attn_out, h2, f1, a1, phi, ffn_out
+        del lc, merged, attn_out, h2, f1, a1, phi, ffn_out
 
     if caches is not None:
         caches["x_final"] = x
@@ -434,13 +472,22 @@ def forward_with_stats(model: VitModel, images: np.ndarray, noise=None, shared=N
     their ratio is the mean score. The logits equal `forward`'s bit for bit.
 
     ``shared`` is an optional dict for the calls that evaluate one batch of
-    one model under several noise settings. In a one-layer model the last
-    layer's input depends on no noise, and neither do the feature products
-    of its sum: the first call stores them there and later calls weigh
-    them by their own coefficients, skipping the all-N query projection
-    and the features, with the same result bit for bit. A deeper model
-    computes them on every call. A dict serves one batch of one model;
-    `training.noise_sweep` makes a new one for each batch.
+    one model under several noise settings. In a quantum one-layer model
+    nothing before the scores' coefficients depends on the setting, so the
+    first call computes once, for every later call: the patch embedding,
+    LN1, the Q, K and V projections, the half-angle tangents of every
+    CLS-key pair (`scorers.pair_tangents`, in place of the per-pair circuit
+    calls) and the feature products of the sum. It keeps only the layer
+    input's CLS row, V, the tangents and the sum's terms (3.3 MB for 64
+    images at N=50, two heads, D=16), and stores them only once all are
+    built, so a failed call leaves nothing a later one reads. Later calls
+    weigh the tangents and the terms by their own coefficients
+    (`scorers.tangent_scores`, `scorers.quantum_score_sum`) and run the rest
+    of the layer on the CLS row: about 2.1 ms a call against 14 ms for the
+    first (64 images, N=50), with the same results bit for bit. A deeper
+    model computes everything on every call, since its last layer sees
+    noisy ones. A dict serves one batch of one model; `training.noise_sweep`
+    makes a new one for each batch.
     """
     if shared is not None:
         owner = shared.setdefault("owner", (model, images))

@@ -739,6 +739,64 @@ class TestForwardTiles:
         score(Q, K, p, 4, ("AD", 0.1))  # a channel the circuit takes
 
 
+class TestPairTangents:
+    """`pair_tangents` and `tangent_scores`, a one-query-row `qpa_scores` in two steps."""
+
+    @pytest.mark.parametrize("case", CLS_FORWARD_TILES)
+    def test_weighs_to_qpa_scores_bit_for_bit_in_every_setting(self, case, monkeypatch, count_calls):
+        q_shape, k_shape, depth, tile_inputs, tiles = CLS_FORWARD_TILES[case]
+        rng = np.random.default_rng(46)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
+        monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
+        built = count_calls(circuit, "_pair_tangents")
+        tangents = scorers.pair_tangents(Q, K, p, depth)
+        assert len(built) == len(tangents.tiles) == tiles  # one block per `qpa_scores` tile
+        kept = [t.copy() for _, t in tangents.tiles]
+        per_pair = count_calls(circuit, "score_batch")
+        noisy = count_calls(circuit, "score_noisy_batch")
+        for noise in FORWARD_NOISE:
+            A = scorers.tangent_scores(tangents, p, noise)
+            assert not per_pair and not noisy  # no per-pair circuit call
+            assert np.array_equal(A, scorers.qpa_scores(Q, K, p, depth, noise))
+            per_pair.clear()
+            noisy.clear()
+        # Weighing builds no tangents (each `qpa_scores` call takes its own)
+        # and leaves the kept ones as they were.
+        assert len(built) == tiles * (1 + len(FORWARD_NOISE))
+        assert all(np.array_equal(t, before) for (_, t), before in zip(tangents.tiles, kept))
+
+    def test_refuses_several_query_and_key_rows(self):
+        Q = np.zeros((2, 2, 3, 4))
+        with pytest.raises(ValueError, match="one query row or one key row"):
+            scorers.pair_tangents(Q, Q, QpaParams(0.5, 0.1, -0.2, 0.3, 0.2), 4)
+
+    @pytest.mark.parametrize("side", ["q", "k"])
+    def test_non_finite_input_raises_before_any_tangent(self, side, monkeypatch, count_calls):
+        # As in `qpa_scores`, whose tiles check their own inputs in order:
+        # the bad input sits in the last tile, so no tangent may come first.
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        rng = np.random.default_rng(47)
+        Q, K = rng.normal(size=(5, 2, 1, 4)), rng.normal(size=(5, 2, 6, 4))
+        (Q if side == "q" else K)[4, 1, 0, 2] = np.inf
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 14)  # 2, 2 and 1 images
+        with pytest.raises(circuit.NonFiniteInputError) as expected:
+            scorers.qpa_scores(Q, K, p, 4, ("AD", 0.1))
+        built = count_calls(circuit, "_pair_tangents")
+        with pytest.raises(circuit.NonFiniteInputError) as got:
+            scorers.pair_tangents(Q, K, p, 4)
+        assert str(got.value) == str(expected.value) == f"{side} must be finite"
+        assert not built
+
+    def test_an_empty_batch(self):
+        Q, K = np.zeros((0, 2, 1, 4)), np.zeros((0, 2, 5, 4))
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        A = scorers.tangent_scores(scorers.pair_tangents(Q, K, p, 4), p, ("AD", 0.1))
+        assert A.shape == (0, 2, 1, 5)
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            scorers.tangent_scores(scorers.pair_tangents(Q, K, p, 4), p, ("AD", 2.0))
+
+
 #: (Q shape, K shape, depth, TILE_INPUTS) of score-sum cases: the
 #: last layer's CLS row against every key, in tiles and in one, and N_q > N_k.
 SCORE_SUM_CASES = {

@@ -451,3 +451,44 @@ class TestNoiseSweep:
             assert mean_mu == (totals[0]["mu_sum"] + totals[1]["mu_sum"]) / (
                 totals[0]["mu_count"] + totals[1]["mu_count"]
             )
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_a_one_layer_batch_shares_its_front_and_pair_tangents_across_tiles(
+        self, num_layers, monkeypatch, count_calls
+    ):
+        # At 12 inputs per tile a CLS-row tile holds two images (84 pairs,
+        # 40 per image), so the 70 images are 32 + 3 tiles. A one-layer model
+        # embeds each batch and takes each tile's pair tangents once for all
+        # nine settings and makes no per-pair circuit call; a deeper one does
+        # everything per (setting, batch). Every call gives what a call of
+        # its own gives, and such a call keeps its per-tile circuit calls.
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 12)
+        config = vit.VitConfig(8, 1, 4, num_layers, 2, 8, 16, 2, scorer="qpa", depth=4)
+        model = vit.init_model(config, 5)
+        rng = np.random.default_rng(6)
+        dataset = ImageDataset(rng.uniform(0, 1, size=(70, 1, 8, 8)), rng.integers(0, 2, size=70))
+        standalone = vit.forward_with_stats
+        calls = []
+
+        def recorded(model, images, noise=None, shared=None):
+            out = standalone(model, images, noise, shared=shared)
+            calls.append((images, noise, out))
+            return out
+
+        monkeypatch.setattr(vit, "forward_with_stats", recorded)
+        embeds = count_calls(vit, "patch_embed")
+        tangents = count_calls(circuit, "_pair_tangents")
+        clean = count_calls(circuit, "score_batch")
+        noisy = count_calls(circuit, "score_noisy_batch")
+        training.noise_sweep(model, dataset, self.NOISES)
+        tiles, settings = 32 + 3, 1 if num_layers == 1 else len(self.NOISES)
+        assert len(embeds) == 2 * settings
+        assert len(tangents) == tiles * settings
+        assert (len(clean), len(noisy)) == ((0, 0) if num_layers == 1 else (tiles, tiles * 8))
+        for counts in (embeds, tangents, clean, noisy):
+            counts.clear()
+        for images, noise, (logits, extras) in calls:
+            alone_logits, alone = standalone(model, images, noise)
+            assert np.array_equal(logits, alone_logits) and extras == alone
+        assert len(embeds) == len(calls) == 2 * len(self.NOISES)
+        assert (len(clean), len(noisy)) == (tiles, tiles * 8)

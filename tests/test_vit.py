@@ -374,6 +374,55 @@ class TestMeanMu:
         with pytest.raises(ValueError, match="one image batch of one model"):
             vit.forward_with_stats(init_model(tiny_config("qpa"), 8), images, shared=shared)
 
+    def test_a_shared_first_call_refuses_a_non_finite_key_as_a_call_of_its_own(self, count_calls):
+        # Before any tangent is taken, and the dict the failed calls leave
+        # behind holds nothing a later call builds on: once the bias is
+        # mended in place, the same dict gives a call of its own's results.
+        model = init_model(tiny_config("qpa"), 10)
+        images = random_images(np.random.default_rng(11))
+        bk = model.params["layers.0.attn.bk"]
+        finite = bk.copy()
+        bk[1] = np.inf
+        with pytest.raises(circuit.NonFiniteInputError) as alone:
+            vit.forward_with_stats(model, images, ("AD", 0.1))
+        tangents = count_calls(circuit, "_pair_tangents")
+        shared: dict = {}
+        for noise in (None, ("AD", 0.1)):
+            with pytest.raises(circuit.NonFiniteInputError) as got:
+                vit.forward_with_stats(model, images, noise, shared=shared)
+            assert str(got.value) == str(alone.value) == "k must be finite"
+        assert not tangents
+        bk[...] = finite
+        embeds = count_calls(vit, "patch_embed")
+        logits, extras = vit.forward_with_stats(model, images, ("AD", 0.1), shared=shared)
+        assert len(embeds) == 1 and tangents
+        alone_logits, alone_extras = vit.forward_with_stats(model, images, ("AD", 0.1))
+        assert np.array_equal(logits, alone_logits) and extras == alone_extras
+
+    def test_a_shared_first_call_that_fails_after_its_tangents_keeps_none_of_it(
+        self, monkeypatch, count_calls
+    ):
+        model = init_model(tiny_config("qpa"), 12)
+        images = random_images(np.random.default_rng(13))
+        base = scorers.KINDS["qpa"]
+
+        def failing(*args):
+            raise FloatingPointError("score-sum terms")
+
+        monkeypatch.setitem(scorers.KINDS, "qpa", dataclasses.replace(base, score_sum_terms=failing))
+        tangents = count_calls(circuit, "_pair_tangents")
+        shared: dict = {}
+        with pytest.raises(FloatingPointError):
+            vit.forward_with_stats(model, images, shared=shared)
+        assert tangents  # taken before the failure
+        monkeypatch.setitem(scorers.KINDS, "qpa", base)
+        tangents.clear()
+        embeds = count_calls(vit, "patch_embed")
+        logits, extras = vit.forward_with_stats(model, images, ("DP", 0.2), shared=shared)
+        assert len(embeds) == 1 and tangents  # built again, from the images
+        alone_logits, alone_extras = vit.forward_with_stats(model, images, ("DP", 0.2))
+        assert np.array_equal(logits, alone_logits) and extras == alone_extras
+
 
 class TestBackward:
     @pytest.mark.parametrize("scorer", ["qpa", "dot", "mlp49", "mlp585", "cosine", "linear", "qpa-ind"])
