@@ -41,9 +41,11 @@ the sums of their features over N, taken plane by plane before any layout
 (`circuit._feature_sums`). Its feature products depend on no noise channel
 (`score_sum_terms`), so a noise sweep builds them once and weighs them by
 each setting's coefficients (`quantum_score_sum`); in the same way it
-takes the CLS row's pair tangents once (`pair_tangents`) and weighs them
-per setting (`tangent_scores`), bit for bit the per-tile circuit calls'
-scores. The circuit evaluates
+turns the CLS row's pair tangents into the cosine and sine planes of each
+pair's base angles once, scoring its first setting on the way
+(`pair_planes`), and weighs the planes for each later setting
+(`plane_scores`), bit for bit the per-tile circuit calls' scores: a later
+setting takes no tangent, cosine or sine. The circuit evaluates
 whatever it is given in one call, so the tiling policy lives here: every
 direction runs on tiles of `TILE_INPUTS` inputs per side, so its
 temporaries do not grow with the batch. The one exception is a
@@ -193,72 +195,89 @@ def _pair_tiles(Q, K, depth: int):
     return qs, ks, tiles
 
 
-class PairTangents(NamedTuple):
-    """The noise-free half of a `qpa_scores` call with one query row (`pair_tangents`).
+class PairPlanes(NamedTuple):
+    """The noise-free half of a `qpa_scores` call with one query row (`pair_planes`).
 
     ``shape`` is the score matrix's; ``tiles`` pairs each tile of
-    `qpa_scores` (a slice of the first leading axis) with the half-angle
-    tangents of its pairs, a (3, tile, ..., N_q, N_k, D) block of one
-    buffer that holds the whole batch.
+    `qpa_scores` (a slice of the first leading axis) with the sine and
+    cosine planes of its pairs' base angles, a (6, tile, ..., N_q, N_k, D)
+    block of one buffer that holds the whole batch: sin a, sin b, sin c,
+    cos a, cos b and cos c.
     """
 
     shape: tuple
     tiles: list
 
 
-def pair_tangents(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int) -> PairTangents:
-    """What a one-query-row `qpa_scores` computes before any coefficient: each pair's tangents.
+def pair_planes(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int, noise=None):
+    """``qpa_scores(Q, K, params, depth, noise)`` with one query row, and each pair's planes kept.
 
-    The circuit scores a pair from the tangents of its three half base
-    angles, which no noise channel changes, weighed by the setting's
-    coefficients (`circuit.score_coefficients`). This takes the tangents of
-    every pair of the CLS row against its keys, tile by tile as `qpa_scores`
-    scores them, into one (3,) + pairs buffer (2.5 MB for 64 images at N=50,
-    two heads and D=16); `tangent_scores` weighs them for any setting. The
-    inputs are checked tile by tile as `qpa_scores` checks them, so a
-    non-finite input raises the same `ValueError` before any tangent is
-    taken. Q and K share their leading axes, with one query row or one key
-    row.
+    The circuit scores a pair by weighing the cosines and sines of its
+    three base angles, which no noise channel changes, by the setting's
+    coefficients (`circuit.score_coefficients`). This scores every pair of
+    the CLS row against its keys tile by tile as `qpa_scores` does, by the
+    same operations, and returns ``(A, planes)``: the score matrix, bit for
+    bit `qpa_scores`', and the `PairPlanes` that `plane_scores` weighs for
+    any other setting. Each tile's half-angle tangents go into the first
+    three rows of its block of one (6,) + pairs buffer (4.9 MB for 64
+    images at N=50, two heads and D=16) and become the sines there, the
+    cosines go into the other three, and the tile is weighed while its
+    block is still in cache. The inputs are checked tile by tile as
+    `qpa_scores` checks them, so a non-finite input raises the same
+    `ValueError` before any tangent is taken. Q and K share their leading
+    axes, with one query row or one key row.
     """
     Q, K = _pair_inputs(Q, K, depth)
     circuit._check_one_set(params)
+    c = circuit.score_coefficients(params, noise)
     lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
     if min(n_q, n_k) > 1:
-        raise ValueError(f"pair tangents take one query row or one key row, got {n_q} and {n_k}")
+        raise ValueError(f"pair planes take one query row or one key row, got {n_q} and {n_k}")
     qs, ks, tiles = _pair_tiles(Q, K, depth)
     for tile in tiles:
         circuit._check_finite(qs[tile], ks[tile])
-    # Each tile's block is contiguous, laid out as `circuit._series` lays
-    # out the tangents of the same tile.
-    buffer = np.empty(3 * math.prod(np.broadcast_shapes(qs.shape, ks.shape)))
+    shapes = [np.broadcast_shapes(qs[tile].shape, ks[tile].shape) for tile in tiles]
+    buffer = np.empty(6 * sum(math.prod(shape) for shape in shapes))
+    A = np.empty(lead + (n_q, n_k))
+    work = np.empty((3, max((math.prod(shape) for shape in shapes), default=0)))
     blocks, start = [], 0
-    for tile in tiles:
-        shape = np.broadcast_shapes(qs[tile].shape, ks[tile].shape)
-        t = buffer[start : start + 3 * math.prod(shape)].reshape((3,) + shape)
-        start += t.size
-        blocks.append((tile, circuit._pair_tangents(qs[tile], ks[tile], params, out=t)))
-    return PairTangents(lead + (n_q, n_k), blocks)
+    for tile, shape in zip(tiles, shapes):
+        block = buffer[start : start + 6 * math.prod(shape)].reshape((6,) + shape)  # contiguous
+        start += block.size
+        circuit._pair_tangents(qs[tile], ks[tile], params, out=block[:3])
+        circuit._tangent_planes([block[j, ...] for j in range(6)])
+        _weigh_planes(block, c, work, A[tile])
+        blocks.append((tile, block))
+    return A, PairPlanes(A.shape, blocks)
 
 
-def tangent_scores(tangents: PairTangents, params: QpaParams, noise=None) -> np.ndarray:
-    """``qpa_scores(Q, K, params, depth, noise)`` from ``pair_tangents(Q, K, params, depth)``.
+def plane_scores(planes: PairPlanes, params: QpaParams, noise=None) -> np.ndarray:
+    """``qpa_scores(Q, K, params, depth, noise)`` from ``pair_planes(Q, K, params, depth)[1]``.
 
-    Each tile's per-pair scores are the circuit's series weighed by the
-    clean or noisy coefficients of `circuit.score_coefficients`, bit for
-    bit those of `circuit.score_batch` and `circuit.score_noisy_batch`, and
-    are summed over D into the tile's slice of A. One set of tangents
-    serves every noise setting; only seven planes of one tile are
-    allocated, once per call.
+    Each tile's per-pair scores are its planes weighed by the clean or
+    noisy coefficients of `circuit.score_coefficients`, bit for bit those of
+    `circuit.score_batch` and `circuit.score_noisy_batch`, and are summed
+    over D into the tile's slice of A. No tangent, cosine or sine is taken
+    and the planes are only read, so one set serves every noise setting;
+    the weighing's three scratch planes of one tile are allocated once per
+    call.
     """
     circuit._check_one_set(params)
     c = circuit.score_coefficients(params, noise)
-    A = np.empty(tangents.shape)
-    work = np.empty((7, max((t[0].size for _, t in tangents.tiles), default=0)))
-    for tile, t in tangents.tiles:
-        planes = work[:, : t[0].size].reshape((7,) + t.shape[1:])
-        mu = circuit._tangent_series(t, c, list(planes[:6]), planes[6])
-        mu.sum(axis=-1, out=A[tile])
+    A = np.empty(planes.shape)
+    work = np.empty((3, max((block[0].size for _, block in planes.tiles), default=0)))
+    for tile, block in planes.tiles:
+        _weigh_planes(block, c, work, A[tile])
     return A
+
+
+def _weigh_planes(block: np.ndarray, c: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
+    # A tile's per-pair scores from its (6,) + pairs block of planes for the
+    # coefficients c, summed over D into ``out``, through three scratch
+    # planes at the head of the rows of ``work``.
+    size = block[0].size
+    scratch = [w[:size].reshape(block.shape[1:]) for w in work]
+    circuit._plane_series([block[j, ...] for j in range(6)], c, scratch).sum(axis=-1, out=out)
 
 
 def _product_scores(qs, ks, params: QpaParams, c: np.ndarray, saved=None) -> np.ndarray:
@@ -822,9 +841,11 @@ class ScorerKind:
     ``score_sum(score_sum_terms(Q, K, p, depth), p, noise)`` is the sum of
     every per-pair score of ``scores`` without the score matrix; the terms
     depend on no noise channel. Likewise, with one query row,
-    ``tangent_scores(pair_tangents(Q, K, p, depth), p, noise)`` is
-    ``scores(Q, K, p, depth, noise)`` bit for bit, and the tangents depend
-    on no noise channel. Linear attention has no ``scores``: it
+    ``pair_planes(Q, K, p, depth, noise)`` returns ``(A, planes)``, A being
+    ``scores(Q, K, p, depth, noise)`` bit for bit, and
+    ``plane_scores(planes, p, other)`` is ``scores(Q, K, p, depth, other)``
+    bit for bit: the planes (the cosines and sines of each pair's base
+    angles) depend on no noise channel. Linear attention has no ``scores``: it
     skips the softmax and runs `linear_attention` instead. ``pinned`` names
     the circuit parameters that a quantum kind holds at 0 and does not train.
     """
@@ -836,8 +857,8 @@ class ScorerKind:
     train_scores: Callable | None = None
     score_sum_terms: Callable | None = None
     score_sum: Callable | None = None
-    pair_tangents: Callable | None = None
-    tangent_scores: Callable | None = None
+    pair_planes: Callable | None = None
+    plane_scores: Callable | None = None
     uses_depth: bool = False
     quantum: bool = False
     pinned: tuple[str, ...] = ()
@@ -866,11 +887,11 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
     def score_sum(terms, p, noise):
         return quantum_score_sum(terms, params(p), noise)
 
-    def tangents(Q, K, p, depth):
-        return pair_tangents(Q, K, params(p), depth)
+    def planes(Q, K, p, depth, noise):
+        return pair_planes(Q, K, params(p), depth, noise)
 
-    def scores_from_tangents(tangents, p, noise):
-        return tangent_scores(tangents, params(p), noise)
+    def scores_from_planes(planes, p, noise):
+        return plane_scores(planes, params(p), noise)
 
     def backward(Q, K, p, depth, dA, features=None):
         dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA, features)
@@ -884,8 +905,8 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         train_scores=train_scores,
         score_sum_terms=terms,
         score_sum=score_sum,
-        pair_tangents=tangents,
-        tangent_scores=scores_from_tangents,
+        pair_planes=planes,
+        plane_scores=scores_from_planes,
         uses_depth=True,
         quantum=True,
         pinned=pinned,

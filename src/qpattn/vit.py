@@ -20,7 +20,7 @@ at each CLS-key pair's angles, 1.9 / 5.7 / 22.6 MB).
 query rows by the same product, bit for bit, and keep one tile's features
 at a time; only the last layer's CLS row keeps the per-pair circuit calls
 that the benchmark's correctness hooks read (a noise sweep's shared batch
-takes the same series from kept pair tangents, below). The two forwards
+takes the same series from kept pair planes, below). The two forwards
 agree to within rounding.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
@@ -43,14 +43,16 @@ same bit for bit. A noise channel changes only the coefficients that weigh
 the circuit's Fourier terms, and a one-layer model's only layer sees no
 noisy layer before it. So the sweep's calls for one batch share a dict, in
 which such a model's first call keeps what its later settings read: the
-layer input's CLS row, V, the half-angle tangents of every CLS-key pair
-(`scorers.pair_tangents`) and the score-sum terms, 3.3 MB for 64 images
-at N=50. The patch embedding, LN1, the Q, K and V projections, the
-tangents and the sum's features are computed once per batch; each later
-setting weighs the tangents by its coefficients (`scorers.tangent_scores`)
-and runs the softmax, the merge and the rest on the CLS row alone. On a
-64-image N=50 batch (two heads, D=16, same host, in-process medians) a
-later setting takes about 2.1 ms and the batch's first about 14 ms.
+layer input's CLS row, V, the cosine and sine planes of the base angles
+of every CLS-key pair (`scorers.pair_planes`) and the score-sum terms,
+5.8 MB for 64 images at N=50 (the planes 4.9 MB, V 0.8 MB). The patch
+embedding, LN1, the Q, K and V projections, the pair tangents, their
+cosines and sines, and the sum's features are computed once per batch;
+each later setting only weighs the planes by its coefficients
+(`scorers.plane_scores`, three scratch planes of one tile) and runs the
+softmax, the merge and the rest on the CLS row alone. On a 64-image N=50
+batch (two heads, D=16, same host, in-process medians) a later setting
+takes about 1.6 ms and the batch's first about 14 ms.
 The layer primitives allocate only their outputs, finish in place, and
 never write into their arguments; they run the same operations in the same
 order as the plain expressions, so every result is bit for bit the same.
@@ -324,11 +326,12 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 
 class _SharedLayer(NamedTuple):
     # What the later settings of a shared one-layer batch read: the layer
-    # input's CLS row (the residual), V by head, the CLS row's pair tangents
-    # and the score-sum terms. None of them depends on a noise channel.
+    # input's CLS row (the residual), V by head, the cosine and sine planes
+    # of the CLS row's pairs and the score-sum terms. None of them depends
+    # on a noise channel.
     cls_row: np.ndarray
     vh: np.ndarray
-    tangents: scorers.PairTangents
+    planes: scorers.PairPlanes
     terms: scorers.ScoreSumTerms
 
 
@@ -375,7 +378,7 @@ def _forward(
         sp = _layer_scorer_params(model, layer)
         if kept is not None:  # a later setting of a shared batch: this setting's weighing only
             x, vh = kept.cls_row, kept.vh
-            A = kind.tangent_scores(kept.tangents, sp, noise)
+            A = kind.plane_scores(kept.planes, sp, noise)
             mu_sum += kind.score_sum(kept.terms, sp, noise)
         else:
             h, ln1 = _layernorm(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
@@ -397,12 +400,11 @@ def _forward(
                 # layer of all N query rows by the same product, and the last
                 # layer's CLS row by the per-pair circuit calls that the
                 # benchmark's hooks read, or, in a shared batch, by the same
-                # series from pair tangents that later settings reuse.
+                # series from pair planes that later settings reuse.
                 if caches is not None and kind.train_scores is not None:
                     A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
                 elif memo is not None:
-                    tangents = kind.pair_tangents(qh, kh, sp, cfg.depth)
-                    A = kind.tangent_scores(tangents, sp, noise)
+                    A, planes = kind.pair_planes(qh, kh, sp, cfg.depth, noise)
                 else:
                     A = kind.scores(qh, kh, sp, cfg.depth, noise)
                 if stats and kind.quantum:  # A sums `depth` per-pair scores
@@ -412,7 +414,7 @@ def _forward(
                         del q_all
                         mu_sum += kind.score_sum(terms, sp, noise)
                         if memo is not None:  # stored whole, once every part is built
-                            memo["layer"] = _SharedLayer(x, vh, tangents, terms)
+                            memo["layer"] = _SharedLayer(x, vh, planes, terms)
                     else:
                         mu_sum += float(A.sum())
             del h, q, k, v, qh, kh
@@ -475,16 +477,17 @@ def forward_with_stats(model: VitModel, images: np.ndarray, noise=None, shared=N
     one model under several noise settings. In a quantum one-layer model
     nothing before the scores' coefficients depends on the setting, so the
     first call computes once, for every later call: the patch embedding,
-    LN1, the Q, K and V projections, the half-angle tangents of every
-    CLS-key pair (`scorers.pair_tangents`, in place of the per-pair circuit
-    calls) and the feature products of the sum. It keeps only the layer
-    input's CLS row, V, the tangents and the sum's terms (3.3 MB for 64
-    images at N=50, two heads, D=16), and stores them only once all are
-    built, so a failed call leaves nothing a later one reads. Later calls
-    weigh the tangents and the terms by their own coefficients
-    (`scorers.tangent_scores`, `scorers.quantum_score_sum`) and run the rest
-    of the layer on the CLS row: about 2.1 ms a call against 14 ms for the
-    first (64 images, N=50), with the same results bit for bit. A deeper
+    LN1, the Q, K and V projections, the cosine and sine planes of every
+    CLS-key pair's base angles (`scorers.pair_planes`, in place of the
+    per-pair circuit calls) and the feature products of the sum. It keeps
+    only the layer input's CLS row, V, the planes and the sum's terms
+    (5.8 MB for 64 images at N=50, two heads, D=16), and stores them only
+    once all are built, so a failed call leaves nothing a later one reads.
+    Later calls take no tangent, cosine or sine: they weigh the planes and
+    the terms by their own coefficients (`scorers.plane_scores`,
+    `scorers.quantum_score_sum`) and run the rest of the layer on the CLS
+    row: about 1.6 ms a call against 14 ms for the first (64 images,
+    N=50), with the same results bit for bit. A deeper
     model computes everything on every call, since its last layer sees
     noisy ones. A dict serves one batch of one model; `training.noise_sweep`
     makes a new one for each batch.

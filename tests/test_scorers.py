@@ -740,7 +740,8 @@ class TestForwardTiles:
 
 
 class TestPairTangents:
-    """`pair_tangents` and `tangent_scores`, a one-query-row `qpa_scores` in two steps."""
+    """`pair_planes` and `plane_scores`, a one-query-row `qpa_scores` in two steps: each pair's
+    tangents turned into planes once, and the planes weighed per setting."""
 
     @pytest.mark.parametrize("case", CLS_FORWARD_TILES)
     def test_weighs_to_qpa_scores_bit_for_bit_in_every_setting(self, case, monkeypatch, count_calls):
@@ -750,26 +751,42 @@ class TestPairTangents:
         Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
         monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
         built = count_calls(circuit, "_pair_tangents")
-        tangents = scorers.pair_tangents(Q, K, p, depth)
-        assert len(built) == len(tangents.tiles) == tiles  # one block per `qpa_scores` tile
-        kept = [t.copy() for _, t in tangents.tiles]
+        first, planes = scorers.pair_planes(Q, K, p, depth)
+        assert len(built) == len(planes.tiles) == tiles  # one block per `qpa_scores` tile
+        kept = [t.copy() for _, t in planes.tiles]
         per_pair = count_calls(circuit, "score_batch")
         noisy = count_calls(circuit, "score_noisy_batch")
+        trig = count_calls(circuit, "_tangent_cos_sin")
         for noise in FORWARD_NOISE:
-            A = scorers.tangent_scores(tangents, p, noise)
-            assert not per_pair and not noisy  # no per-pair circuit call
+            A = scorers.plane_scores(planes, p, noise)
+            assert not per_pair and not noisy and not trig  # no circuit call, no cosine or sine
             assert np.array_equal(A, scorers.qpa_scores(Q, K, p, depth, noise))
+            if noise is None:  # the setting `pair_planes` scored on the way
+                assert np.array_equal(first, A)
             per_pair.clear()
             noisy.clear()
+            trig.clear()
         # Weighing builds no tangents (each `qpa_scores` call takes its own)
-        # and leaves the kept ones as they were.
+        # and leaves the kept planes as they were.
         assert len(built) == tiles * (1 + len(FORWARD_NOISE))
-        assert all(np.array_equal(t, before) for (_, t), before in zip(tangents.tiles, kept))
+        assert all(np.array_equal(t, before) for (_, t), before in zip(planes.tiles, kept))
+
+    def test_planes_are_the_cosines_and_sines_of_the_base_angles(self):
+        # sin a, sin b, sin c, cos a, cos b, cos c of each (image, head,
+        # key, dimension), to within rounding of the half-angle identity.
+        rng = np.random.default_rng(48)
+        p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
+        Q, K = rng.normal(0, 1.5, size=(3, 2, 1, 4)), rng.normal(0, 1.5, size=(3, 2, 5, 4))
+        ((_, block),) = scorers.pair_planes(Q, K, p, 3)[1].tiles
+        B = circuit._BASE_ANGLES @ circuit._angle_map(p)
+        theta = circuit._pair_angles(Q[..., :, None, :3], K[..., None, :, :3], B)
+        assert block.shape == (6, 3, 2, 1, 5, 3)
+        assert np.abs(block - np.concatenate([np.sin(theta), np.cos(theta)])).max() <= 1e-14
 
     def test_refuses_several_query_and_key_rows(self):
         Q = np.zeros((2, 2, 3, 4))
         with pytest.raises(ValueError, match="one query row or one key row"):
-            scorers.pair_tangents(Q, Q, QpaParams(0.5, 0.1, -0.2, 0.3, 0.2), 4)
+            scorers.pair_planes(Q, Q, QpaParams(0.5, 0.1, -0.2, 0.3, 0.2), 4)
 
     @pytest.mark.parametrize("side", ["q", "k"])
     def test_non_finite_input_raises_before_any_tangent(self, side, monkeypatch, count_calls):
@@ -784,17 +801,20 @@ class TestPairTangents:
             scorers.qpa_scores(Q, K, p, 4, ("AD", 0.1))
         built = count_calls(circuit, "_pair_tangents")
         with pytest.raises(circuit.NonFiniteInputError) as got:
-            scorers.pair_tangents(Q, K, p, 4)
+            scorers.pair_planes(Q, K, p, 4)
         assert str(got.value) == str(expected.value) == f"{side} must be finite"
         assert not built
 
     def test_an_empty_batch(self):
         Q, K = np.zeros((0, 2, 1, 4)), np.zeros((0, 2, 5, 4))
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
-        A = scorers.tangent_scores(scorers.pair_tangents(Q, K, p, 4), p, ("AD", 0.1))
-        assert A.shape == (0, 2, 1, 5)
+        first, planes = scorers.pair_planes(Q, K, p, 4, ("AD", 0.1))
+        A = scorers.plane_scores(planes, p, ("AD", 0.1))
+        assert A.shape == first.shape == (0, 2, 1, 5)
         with pytest.raises(ValueError, match="gamma must lie in"):
-            scorers.tangent_scores(scorers.pair_tangents(Q, K, p, 4), p, ("AD", 2.0))
+            scorers.plane_scores(planes, p, ("AD", 2.0))
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            scorers.pair_planes(Q, K, p, 4, ("AD", 2.0))
 
 
 #: (Q shape, K shape, depth, TILE_INPUTS) of score-sum cases: the

@@ -4,6 +4,7 @@ parameter accounting, checkpoint round trips."""
 import dataclasses
 import hashlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -422,6 +423,55 @@ class TestMeanMu:
         assert len(embeds) == 1 and tangents  # built again, from the images
         alone_logits, alone_extras = vit.forward_with_stats(model, images, ("DP", 0.2))
         assert np.array_equal(logits, alone_logits) and extras == alone_extras
+
+    def test_a_later_setting_only_weighs_the_kept_planes(self, monkeypatch, count_calls):
+        # At 12 inputs per tile the 3 images are two CLS tiles (2 + 1). The
+        # first call of a shared batch turns each pair's tangents into its
+        # planes; a later setting takes no tangent, cosine or sine, leaves
+        # the planes as they were and gives what a call of its own gives.
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 12)
+        model = init_model(tiny_config("qpa"), 14)
+        images = random_images(np.random.default_rng(15))
+        shared: dict = {}
+        vit.forward_with_stats(model, images, shared=shared)
+        tiles = shared["layer"].planes.tiles
+        kept = [block.copy() for _, block in tiles]
+        assert len(kept) == 2
+        calls = [count_calls(np, "tan"), count_calls(circuit, "_pair_tangents"),
+                 count_calls(circuit, "_tangent_cos_sin")]
+        for noise in self.NOISE:
+            logits, extras = vit.forward_with_stats(model, images, noise, shared=shared)
+            assert not any(calls)
+            assert all(np.array_equal(block, before) for (_, block), before in zip(tiles, kept))
+            alone_logits, alone = vit.forward_with_stats(model, images, noise)
+            assert all(calls)  # a call of its own takes them
+            assert np.array_equal(logits, alone_logits) and extras == alone
+            for counts in calls:
+                counts.clear()
+
+    def test_a_shared_batch_keeps_its_planes_and_v_and_a_later_call_one_tile(self):
+        # 64 images, N=50, two heads, D=16 (102,400 CLS-key pairs). The first
+        # call keeps six planes per pair (4.9 MB) and V (0.8 MB), with little
+        # besides; a later call's peak is the weighing's three scratch planes
+        # of one tile (17 images, 0.65 MB) and the score matrix.
+        model = init_model(VitConfig(28, 1, 4, 1, 2, 32, 64, 2, scorer="qpa", depth=16), 16)
+        images = random_images(np.random.default_rng(17), n=64, size=28)
+        pairs, per_image = 64 * 2 * 50 * 16, 2 * 50 * 16
+        planes, v, A = 6 * pairs * 8, pairs * 8, 64 * 2 * 50 * 8
+        scratch = 3 * (7 * scorers.TILE_INPUTS // per_image) * per_image * 8
+        shared: dict = {}
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vit.forward_with_stats(model, images, shared=shared)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            vit.forward_with_stats(model, images, ("AD", 0.05), shared=shared)
+            later = tracemalloc.get_traced_memory()[1] - before - kept
+        finally:
+            tracemalloc.stop()
+        assert planes + v <= kept <= planes + v + 2**16, kept
+        assert later <= scratch + A + 2**16, later
 
 
 class TestBackward:
