@@ -40,8 +40,9 @@ keys at inference, and any outer layout the tests give. That sum has a
 noise-free half, which turns the half-angle tangents of each pair's base
 angles (`_pair_tangents`) into their cosine and sine planes
 (`_tangent_planes`), and a weighing of those six planes by the
-coefficients (`_plane_series`), so `scorers.pair_planes` keeps the planes
-of a batch and each further noise setting only weighs them. The attention
+coefficients (`_plane_series`). `scorers.pair_planes` runs the first half
+alone and keeps a batch's planes, and `scorers.plane_scores` weighs them
+for each noise setting, the first included. The attention
 layers that score all N query rows, in training and at inference alike,
 build each side's features once with `fourier_features` and sum the series
 over the D dimensions inside one GEMM of the two

@@ -40,12 +40,11 @@ separable form, which sums the per-pair scores of all N query rows from
 the sums of their features over N, taken plane by plane before any layout
 (`circuit._feature_sums`). Its feature products depend on no noise channel
 (`score_sum_terms`), so a noise sweep builds them once and weighs them by
-each setting's coefficients (`quantum_score_sum`); in the same way it
-turns the CLS row's pair tangents into the cosine and sine planes of each
-pair's base angles once, scoring its first setting on the way
-(`pair_planes`), and weighs the planes for each later setting
-(`plane_scores`), bit for bit the per-tile circuit calls' scores: a later
-setting takes no tangent, cosine or sine. The circuit evaluates
+each setting's coefficients (`quantum_score_sum`). In the same way it
+builds the cosine and sine planes of the base angles of each CLS-key pair
+once (`pair_planes`), and weighs them for every setting, the first
+included (`plane_scores`), bit for bit the per-tile circuit calls' scores:
+a weighing takes no tangent, cosine or sine. The circuit evaluates
 whatever it is given in one call, so the tiling policy lives here: every
 direction runs on tiles of `TILE_INPUTS` inputs per side, so its
 temporaries do not grow with the batch. The one exception is a
@@ -209,28 +208,25 @@ class PairPlanes(NamedTuple):
     tiles: list
 
 
-def pair_planes(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int, noise=None):
-    """``qpa_scores(Q, K, params, depth, noise)`` with one query row, and each pair's planes kept.
+def pair_planes(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int) -> PairPlanes:
+    """The noise-free half of ``qpa_scores(Q, K, params, depth, noise)`` with one query row.
 
     The circuit scores a pair by weighing the cosines and sines of its
     three base angles, which no noise channel changes, by the setting's
-    coefficients (`circuit.score_coefficients`). This scores every pair of
-    the CLS row against its keys tile by tile as `qpa_scores` does, by the
-    same operations, and returns ``(A, planes)``: the score matrix, bit for
-    bit `qpa_scores`', and the `PairPlanes` that `plane_scores` weighs for
-    any other setting. Each tile's half-angle tangents go into the first
-    three rows of its block of one (6,) + pairs buffer (4.9 MB for 64
-    images at N=50, two heads and D=16) and become the sines there, the
-    cosines go into the other three, and the tile is weighed while its
-    block is still in cache. The inputs are checked tile by tile as
+    coefficients (`circuit.score_coefficients`). This builds those planes
+    for every pair of the CLS row against its keys, in `qpa_scores`' tiles,
+    and returns them as `PairPlanes` for `plane_scores` to weigh for any
+    setting. Each tile's half-angle tangents go into the first three rows
+    of its block of one (6,) + pairs buffer (4.9 MB for 64 images at N=50,
+    two heads and D=16) and become the sines there, and the cosines go
+    into the other three. The inputs are checked tile by tile as
     `qpa_scores` checks them, so a non-finite input raises the same
     `ValueError` before any tangent is taken. Q and K share their leading
     axes, with one query row or one key row.
     """
     Q, K = _pair_inputs(Q, K, depth)
     circuit._check_one_set(params)
-    c = circuit.score_coefficients(params, noise)
-    lead, n_q, n_k = Q.shape[:-2], Q.shape[-2], K.shape[-2]
+    n_q, n_k = Q.shape[-2], K.shape[-2]
     if min(n_q, n_k) > 1:
         raise ValueError(f"pair planes take one query row or one key row, got {n_q} and {n_k}")
     qs, ks, tiles = _pair_tiles(Q, K, depth)
@@ -238,21 +234,18 @@ def pair_planes(Q: np.ndarray, K: np.ndarray, params: QpaParams, depth: int, noi
         circuit._check_finite(qs[tile], ks[tile])
     shapes = [np.broadcast_shapes(qs[tile].shape, ks[tile].shape) for tile in tiles]
     buffer = np.empty(6 * sum(math.prod(shape) for shape in shapes))
-    A = np.empty(lead + (n_q, n_k))
-    work = np.empty((3, max((math.prod(shape) for shape in shapes), default=0)))
     blocks, start = [], 0
     for tile, shape in zip(tiles, shapes):
         block = buffer[start : start + 6 * math.prod(shape)].reshape((6,) + shape)  # contiguous
         start += block.size
         circuit._pair_tangents(qs[tile], ks[tile], params, out=block[:3])
-        circuit._tangent_planes([block[j, ...] for j in range(6)])
-        _weigh_planes(block, c, work, A[tile])
+        circuit._tangent_planes(list(block))
         blocks.append((tile, block))
-    return A, PairPlanes(A.shape, blocks)
+    return PairPlanes(Q.shape[:-1] + (n_k,), blocks)
 
 
 def plane_scores(planes: PairPlanes, params: QpaParams, noise=None) -> np.ndarray:
-    """``qpa_scores(Q, K, params, depth, noise)`` from ``pair_planes(Q, K, params, depth)[1]``.
+    """``qpa_scores(Q, K, params, depth, noise)`` from ``pair_planes(Q, K, params, depth)``.
 
     Each tile's per-pair scores are its planes weighed by the clean or
     noisy coefficients of `circuit.score_coefficients`, bit for bit those of
@@ -267,17 +260,9 @@ def plane_scores(planes: PairPlanes, params: QpaParams, noise=None) -> np.ndarra
     A = np.empty(planes.shape)
     work = np.empty((3, max((block[0].size for _, block in planes.tiles), default=0)))
     for tile, block in planes.tiles:
-        _weigh_planes(block, c, work, A[tile])
+        scratch = [w[: block[0].size].reshape(block.shape[1:]) for w in work]
+        circuit._plane_series(list(block), c, scratch).sum(axis=-1, out=A[tile])
     return A
-
-
-def _weigh_planes(block: np.ndarray, c: np.ndarray, work: np.ndarray, out: np.ndarray) -> None:
-    # A tile's per-pair scores from its (6,) + pairs block of planes for the
-    # coefficients c, summed over D into ``out``, through three scratch
-    # planes at the head of the rows of ``work``.
-    size = block[0].size
-    scratch = [w[:size].reshape(block.shape[1:]) for w in work]
-    circuit._plane_series([block[j, ...] for j in range(6)], c, scratch).sum(axis=-1, out=out)
 
 
 def _product_scores(qs, ks, params: QpaParams, c: np.ndarray, saved=None) -> np.ndarray:
@@ -837,17 +822,13 @@ class ScorerKind:
     returns ``(dQ, dK, grads)`` with one gradient per key of ``p``. A kind
     with ``train_scores(Q, K, p, depth)`` scores the training step's forward
     by it instead: it returns ``(A, saved)``, and the step hands ``saved`` to
-    ``backward`` as a sixth argument. A ``quantum`` kind's
-    ``score_sum(score_sum_terms(Q, K, p, depth), p, noise)`` is the sum of
-    every per-pair score of ``scores`` without the score matrix; the terms
-    depend on no noise channel. Likewise, with one query row,
-    ``pair_planes(Q, K, p, depth, noise)`` returns ``(A, planes)``, A being
-    ``scores(Q, K, p, depth, noise)`` bit for bit, and
-    ``plane_scores(planes, p, other)`` is ``scores(Q, K, p, depth, other)``
-    bit for bit: the planes (the cosines and sines of each pair's base
-    angles) depend on no noise channel. Linear attention has no ``scores``: it
-    skips the softmax and runs `linear_attention` instead. ``pinned`` names
-    the circuit parameters that a quantum kind holds at 0 and does not train.
+    ``backward`` as a sixth argument. A quantum kind's ``circuit_params(p)``
+    is the `QpaParams` its circuit scores with, the ``pinned`` ones at 0 (the
+    parameters it does not train), for the module functions that split a
+    score into a noise-free half and a weighing per setting:
+    `score_sum_terms` and `quantum_score_sum` for the sum of every score,
+    `pair_planes` and `plane_scores` for one query row. Linear attention has
+    no ``scores``: it skips the softmax and runs `linear_attention` instead.
     """
 
     shapes: Callable[[int], dict[str, tuple]]
@@ -855,13 +836,13 @@ class ScorerKind:
     scores: Callable | None = None
     backward: Callable | None = None
     train_scores: Callable | None = None
-    score_sum_terms: Callable | None = None
-    score_sum: Callable | None = None
-    pair_planes: Callable | None = None
-    plane_scores: Callable | None = None
+    circuit_params: Callable[[dict[str, np.ndarray]], QpaParams] | None = None
     uses_depth: bool = False
-    quantum: bool = False
     pinned: tuple[str, ...] = ()
+
+    @property
+    def quantum(self) -> bool:
+        return self.circuit_params is not None
 
 
 def _no_params(*_):
@@ -881,18 +862,6 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
     def train_scores(Q, K, p, depth):
         return quantum_scores_with_features(Q, K, params(p), depth)
 
-    def terms(Q, K, p, depth):
-        return score_sum_terms(Q, K, params(p), depth)
-
-    def score_sum(terms, p, noise):
-        return quantum_score_sum(terms, params(p), noise)
-
-    def planes(Q, K, p, depth, noise):
-        return pair_planes(Q, K, params(p), depth, noise)
-
-    def scores_from_planes(planes, p, noise):
-        return plane_scores(planes, params(p), noise)
-
     def backward(Q, K, p, depth, dA, features=None):
         dQ, dK, d_theta = quantum_scores_backward(Q, K, params(p), depth, dA, features)
         return dQ, dK, {"qpa": np.where(free, d_theta, 0.0)}
@@ -903,12 +872,8 @@ def _quantum_kind(pinned: tuple[str, ...] = ()) -> ScorerKind:
         scores=scores,
         backward=backward,
         train_scores=train_scores,
-        score_sum_terms=terms,
-        score_sum=score_sum,
-        pair_planes=planes,
-        plane_scores=scores_from_planes,
+        circuit_params=params,
         uses_depth=True,
-        quantum=True,
         pinned=pinned,
     )
 

@@ -305,11 +305,9 @@ def noise_sweep(model: vit.VitModel, dataset: ImageDataset, noises):
     that batch alone: a one-layer model computes the batch's front (patch
     embedding, LN1, Q, K and V), the cosine and sine planes of the CLS
     row's pairs and the score-sum features once for all settings, and each
-    later setting only weighs them (`vit.forward_with_stats`; about 1.6 ms
-    a setting against 14 ms for the first at 64 images, N=50, so a default
-    25-setting sweep of one batch takes about 55 ms); a deeper one computes
-    them per setting. Each setting sums its batches in order, so every
-    result equals a sweep of one setting bit for bit.
+    setting only weighs them (`vit.forward_with_stats`); a deeper one
+    computes them per setting. Each setting sums its batches in order, so
+    every result equals a sweep of one setting bit for bit.
     Non-finite logits raise `FloatingPointError`.
     """
     noises = list(noises)

@@ -20,7 +20,7 @@ at each CLS-key pair's angles, 1.9 / 5.7 / 22.6 MB).
 query rows by the same product, bit for bit, and keep one tile's features
 at a time; only the last layer's CLS row keeps the per-pair circuit calls
 that the benchmark's correctness hooks read (a noise sweep's shared batch
-takes the same series from kept pair planes, below). The two forwards
+weighs the same series' kept pair planes instead, below). The two forwards
 agree to within rounding.
 
 Parameters live in a flat ``{name: ndarray}`` dict (gradient dicts mirror it),
@@ -42,17 +42,14 @@ validation and every other evaluation run `forward`, whose logits are the
 same bit for bit. A noise channel changes only the coefficients that weigh
 the circuit's Fourier terms, and a one-layer model's only layer sees no
 noisy layer before it. So the sweep's calls for one batch share a dict, in
-which such a model's first call keeps what its later settings read: the
+which such a model's first call keeps the layer's noise-free half: the
 layer input's CLS row, V, the cosine and sine planes of the base angles
-of every CLS-key pair (`scorers.pair_planes`) and the score-sum terms,
-5.8 MB for 64 images at N=50 (the planes 4.9 MB, V 0.8 MB). The patch
-embedding, LN1, the Q, K and V projections, the pair tangents, their
-cosines and sines, and the sum's features are computed once per batch;
-each later setting only weighs the planes by its coefficients
-(`scorers.plane_scores`, three scratch planes of one tile) and runs the
-softmax, the merge and the rest on the CLS row alone. On a 64-image N=50
-batch (two heads, D=16, same host, in-process medians) a later setting
-takes about 1.6 ms and the batch's first about 14 ms.
+of every CLS-key pair (`scorers.pair_planes`) and the score-sum terms. The
+patch embedding, LN1, the Q, K and V projections, the planes and the sum's
+features are computed once per batch. Every call of the batch, the first
+included, then weighs the planes and the terms by its own coefficients
+(`scorers.plane_scores`, `scorers.quantum_score_sum`) and runs the
+softmax, the merge and the rest on the CLS row alone.
 The layer primitives allocate only their outputs, finish in place, and
 never write into their arguments; they run the same operations in the same
 order as the plain expressions, so every result is bit for bit the same.
@@ -325,10 +322,10 @@ def _layer_scorer_params(model: VitModel, layer: int) -> dict[str, np.ndarray]:
 
 
 class _SharedLayer(NamedTuple):
-    # What the later settings of a shared one-layer batch read: the layer
-    # input's CLS row (the residual), V by head, the cosine and sine planes
-    # of the CLS row's pairs and the score-sum terms. None of them depends
-    # on a noise channel.
+    # What every call of a shared one-layer batch reads: the layer input's
+    # CLS row (the residual), V by head, the cosine and sine planes of the
+    # CLS row's pairs and the score-sum terms. None of them depends on a
+    # noise channel.
     cls_row: np.ndarray
     vh: np.ndarray
     planes: scorers.PairPlanes
@@ -346,8 +343,8 @@ def _forward(
     every earlier layer, run on all N tokens. Without ``caches``, each
     layer's arrays are dropped before the next starts. ``shared`` is
     `forward_with_stats`' per-batch dict: a quantum one-layer model's first
-    call stores the layer's `_SharedLayer` there, and later calls start
-    from it.
+    call stores the layer's `_SharedLayer` there, and every call, the first
+    included, weighs it.
     """
     cfg = model.config
     P = model.params
@@ -376,11 +373,8 @@ def _forward(
         rows = slice(0, 1) if last else slice(None)  # the query rows
         lc: dict = {}
         sp = _layer_scorer_params(model, layer)
-        if kept is not None:  # a later setting of a shared batch: this setting's weighing only
-            x, vh = kept.cls_row, kept.vh
-            A = kind.plane_scores(kept.planes, sp, noise)
-            mu_sum += kind.score_sum(kept.terms, sp, noise)
-        else:
+        theta = kind.circuit_params(sp) if kind.quantum else None  # the circuit's, pinned ones at 0
+        if kept is None:
             h, ln1 = _layernorm(x, P[pre + "ln1.g"], P[pre + "ln1.b"])
             if caches is not None:
                 lc.update(ln1=ln1, h=h)
@@ -392,32 +386,36 @@ def _forward(
             v = _linear(h, P[pre + "attn.wv"], P[pre + "attn.bv"])
             qh, kh, vh = (_split_heads(t, cfg.heads) for t in (q, k, v))
             lc.update(qh=qh, kh=kh, vh=vh)
+            # The training step scores by the kind's product forward and keeps
+            # what it saved for the backward. Inference scores a layer of all
+            # N query rows by the same product, and the last layer's CLS row
+            # by the per-pair circuit calls that the benchmark's hooks read;
+            # a shared batch's first call builds the CLS row's pair planes,
+            # which it weighs below as every later call does.
             if kind.scores is None:
                 ctx = scorers.linear_attention(qh, kh, vh)
+            elif caches is not None and kind.train_scores is not None:
+                A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
+            elif memo is not None:
+                planes = scorers.pair_planes(qh, kh, theta, cfg.depth)
             else:
-                # The training step scores by the kind's product forward and
-                # keeps what it saved for the backward. Inference scores a
-                # layer of all N query rows by the same product, and the last
-                # layer's CLS row by the per-pair circuit calls that the
-                # benchmark's hooks read, or, in a shared batch, by the same
-                # series from pair planes that later settings reuse.
-                if caches is not None and kind.train_scores is not None:
-                    A, lc["scorer_saved"] = kind.train_scores(qh, kh, sp, cfg.depth)
-                elif memo is not None:
-                    A, planes = kind.pair_planes(qh, kh, sp, cfg.depth, noise)
-                else:
-                    A = kind.scores(qh, kh, sp, cfg.depth, noise)
-                if stats and kind.quantum:  # A sums `depth` per-pair scores
-                    if last:  # the scores of every query row, without their matrix
-                        q_all = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
-                        terms = kind.score_sum_terms(_split_heads(q_all, cfg.heads), kh, sp, cfg.depth)
-                        del q_all
-                        mu_sum += kind.score_sum(terms, sp, noise)
-                        if memo is not None:  # stored whole, once every part is built
-                            memo["layer"] = _SharedLayer(x, vh, planes, terms)
+                A = kind.scores(qh, kh, sp, cfg.depth, noise)
+            if stats and kind.quantum:  # A sums `depth` per-pair scores
+                if last:  # the scores of every query row, without their matrix
+                    q_all = _linear(h, P[pre + "attn.wq"], P[pre + "attn.bq"])
+                    terms = scorers.score_sum_terms(_split_heads(q_all, cfg.heads), kh, theta, cfg.depth)
+                    del q_all
+                    if memo is not None:  # stored whole, once every part is built
+                        kept = memo["layer"] = _SharedLayer(x, vh, planes, terms)
                     else:
-                        mu_sum += float(A.sum())
+                        mu_sum += scorers.quantum_score_sum(terms, theta, noise)
+                else:
+                    mu_sum += float(A.sum())
             del h, q, k, v, qh, kh
+        if kept is not None:  # a shared batch, its first call included: this setting's weighing
+            x, vh = kept.cls_row, kept.vh
+            A = scorers.plane_scores(kept.planes, theta, noise)
+            mu_sum += scorers.quantum_score_sum(kept.terms, theta, noise)
         if kind.scores is not None:
             if stats and kind.quantum:  # all N query rows of every key
                 mu_count += A.size // A.shape[-2] * A.shape[-1] * cfg.depth
@@ -480,14 +478,12 @@ def forward_with_stats(model: VitModel, images: np.ndarray, noise=None, shared=N
     LN1, the Q, K and V projections, the cosine and sine planes of every
     CLS-key pair's base angles (`scorers.pair_planes`, in place of the
     per-pair circuit calls) and the feature products of the sum. It keeps
-    only the layer input's CLS row, V, the planes and the sum's terms
-    (5.8 MB for 64 images at N=50, two heads, D=16), and stores them only
-    once all are built, so a failed call leaves nothing a later one reads.
-    Later calls take no tangent, cosine or sine: they weigh the planes and
-    the terms by their own coefficients (`scorers.plane_scores`,
-    `scorers.quantum_score_sum`) and run the rest of the layer on the CLS
-    row: about 1.6 ms a call against 14 ms for the first (64 images,
-    N=50), with the same results bit for bit. A deeper
+    only the layer input's CLS row, V, the planes and the sum's terms, and
+    stores them only once all are built, so a failed call leaves nothing a
+    later one reads. Every call, the first included, then weighs the planes
+    and the terms by its own coefficients (`scorers.plane_scores`,
+    `scorers.quantum_score_sum`) and runs the rest of the layer on the CLS
+    row, with the same results bit for bit as a call of its own. A deeper
     model computes everything on every call, since its last layer sees
     noisy ones. A dict serves one batch of one model; `training.noise_sweep`
     makes a new one for each batch.

@@ -611,7 +611,7 @@ class TestPairGemm:
         q_shape, k_shape = LARGE_LAYOUTS[layout]
         rng = np.random.default_rng(52)
         p = random_params(rng)
-        tangents = count_calls(circuit, "_cos_sin")  # every tangent of the series
+        tangents = count_calls(circuit, "_pair_tangents")  # every tangent of the series
         for side in ("q", "k"):
             qs, ks = rng.normal(size=q_shape), rng.normal(size=k_shape)
             (qs if side == "q" else ks).flat[-1] = bad

@@ -751,7 +751,7 @@ class TestPairTangents:
         Q, K = rng.normal(0, 1.5, size=q_shape), rng.normal(0, 1.5, size=k_shape)
         monkeypatch.setattr(scorers, "TILE_INPUTS", tile_inputs)
         built = count_calls(circuit, "_pair_tangents")
-        first, planes = scorers.pair_planes(Q, K, p, depth)
+        planes = scorers.pair_planes(Q, K, p, depth)
         assert len(built) == len(planes.tiles) == tiles  # one block per `qpa_scores` tile
         kept = [t.copy() for _, t in planes.tiles]
         per_pair = count_calls(circuit, "score_batch")
@@ -761,8 +761,6 @@ class TestPairTangents:
             A = scorers.plane_scores(planes, p, noise)
             assert not per_pair and not noisy and not trig  # no circuit call, no cosine or sine
             assert np.array_equal(A, scorers.qpa_scores(Q, K, p, depth, noise))
-            if noise is None:  # the setting `pair_planes` scored on the way
-                assert np.array_equal(first, A)
             per_pair.clear()
             noisy.clear()
             trig.clear()
@@ -777,7 +775,7 @@ class TestPairTangents:
         rng = np.random.default_rng(48)
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
         Q, K = rng.normal(0, 1.5, size=(3, 2, 1, 4)), rng.normal(0, 1.5, size=(3, 2, 5, 4))
-        ((_, block),) = scorers.pair_planes(Q, K, p, 3)[1].tiles
+        ((_, block),) = scorers.pair_planes(Q, K, p, 3).tiles
         B = circuit._BASE_ANGLES @ circuit._angle_map(p)
         theta = circuit._pair_angles(Q[..., :, None, :3], K[..., None, :, :3], B)
         assert block.shape == (6, 3, 2, 1, 5, 3)
@@ -808,13 +806,11 @@ class TestPairTangents:
     def test_an_empty_batch(self):
         Q, K = np.zeros((0, 2, 1, 4)), np.zeros((0, 2, 5, 4))
         p = QpaParams(0.5, 0.1, -0.2, 0.3, 0.2)
-        first, planes = scorers.pair_planes(Q, K, p, 4, ("AD", 0.1))
+        planes = scorers.pair_planes(Q, K, p, 4)
         A = scorers.plane_scores(planes, p, ("AD", 0.1))
-        assert A.shape == first.shape == (0, 2, 1, 5)
+        assert A.shape == planes.shape == (0, 2, 1, 5)
         with pytest.raises(ValueError, match="gamma must lie in"):
             scorers.plane_scores(planes, p, ("AD", 2.0))
-        with pytest.raises(ValueError, match="gamma must lie in"):
-            scorers.pair_planes(Q, K, p, 4, ("AD", 2.0))
 
 
 #: (Q shape, K shape, depth, TILE_INPUTS) of score-sum cases: the
@@ -1321,3 +1317,28 @@ class TestKindTable:
         assert set(grads) == set(p)
         for key, g in grads.items():
             assert np.shape(g) == p[key].shape, key
+
+    def test_circuit_params_are_the_stored_ones_with_the_pinned_at_zero(self, name):
+        kind = scorers.KINDS[name]
+        if name not in ("qpa", "qpa-ind"):
+            assert kind.circuit_params is None and not kind.quantum
+            return
+        assert kind.quantum
+        rng = np.random.default_rng(24)
+        pinned = np.isin(circuit.PARAM_NAMES, ("gamma_d", "gamma_s"))
+        for _ in range(3):
+            p = {"qpa": rng.normal(size=5)}
+            theta = kind.circuit_params(p).to_array()
+            if name == "qpa":
+                assert np.array_equal(theta, p["qpa"])
+            else:
+                assert np.array_equal(theta, np.where(pinned, 0.0, p["qpa"]))
+                assert not theta[pinned].any()
+            # The kind's scores are `qpa_scores` at those parameters, on a layer
+            # of all N query rows and on a CLS row alike.
+            for n_q in (3, 1):
+                Q = rng.normal(size=(2, self.HEADS, n_q, 4))
+                K = rng.normal(size=(2, self.HEADS, 3, 4))
+                for noise in (None, ("AD", 0.1)):
+                    A = scorers.qpa_scores(Q, K, kind.circuit_params(p), 4, noise)
+                    assert np.array_equal(kind.scores(Q, K, p, 4, noise), A)

@@ -271,9 +271,10 @@ class TestCLSOnlyLastLayer:
             for name in ("linear_attention", "linear_attention_backward"):
                 monkeypatch.setattr(scorers, name, recorded(getattr(scorers, name)))
         else:
-            fields = ("scores", "backward", "train_scores", "score_sum_terms")
+            fields = ("scores", "backward", "train_scores")
             wrapped = {f: recorded(getattr(base, f)) for f in fields if getattr(base, f) is not None}
             monkeypatch.setitem(scorers.KINDS, kind, dataclasses.replace(base, **wrapped))
+            monkeypatch.setattr(scorers, "score_sum_terms", recorded(scorers.score_sum_terms))
         vit.forward(model, images)
         assert rows == [(n, n), (n, n), (1, n)]
         rows.clear()
@@ -405,18 +406,18 @@ class TestMeanMu:
     ):
         model = init_model(tiny_config("qpa"), 12)
         images = random_images(np.random.default_rng(13))
-        base = scorers.KINDS["qpa"]
+        terms = scorers.score_sum_terms
 
         def failing(*args):
             raise FloatingPointError("score-sum terms")
 
-        monkeypatch.setitem(scorers.KINDS, "qpa", dataclasses.replace(base, score_sum_terms=failing))
+        monkeypatch.setattr(scorers, "score_sum_terms", failing)
         tangents = count_calls(circuit, "_pair_tangents")
         shared: dict = {}
         with pytest.raises(FloatingPointError):
             vit.forward_with_stats(model, images, shared=shared)
         assert tangents  # taken before the failure
-        monkeypatch.setitem(scorers.KINDS, "qpa", base)
+        monkeypatch.setattr(scorers, "score_sum_terms", terms)
         tangents.clear()
         embeds = count_calls(vit, "patch_embed")
         logits, extras = vit.forward_with_stats(model, images, ("DP", 0.2), shared=shared)
@@ -448,6 +449,28 @@ class TestMeanMu:
             assert np.array_equal(logits, alone_logits) and extras == alone
             for counts in calls:
                 counts.clear()
+
+    def test_every_call_of_a_shared_batch_weighs_the_kept_planes(self, monkeypatch, count_calls):
+        # At 12 inputs per tile the 3 images are two CLS tiles (2 + 1). Every
+        # call of a shared batch, the first included, scores the CLS row by
+        # one weighing of the kept planes and by no per-pair circuit call,
+        # and the batch builds its planes once.
+        monkeypatch.setattr(scorers, "TILE_INPUTS", 12)
+        model = init_model(tiny_config("qpa"), 20)
+        images = random_images(np.random.default_rng(21))
+        built = count_calls(scorers, "pair_planes")
+        weighed = count_calls(scorers, "plane_scores")
+        per_pair = [count_calls(circuit, "score_batch"), count_calls(circuit, "score_noisy_batch")]
+        shared: dict = {}
+        for noise in self.NOISE:
+            logits, extras = vit.forward_with_stats(model, images, noise, shared=shared)
+            assert len(weighed) == 1 and not any(per_pair)
+            assert len(shared["layer"].planes.tiles) == 2
+            alone_logits, alone = vit.forward_with_stats(model, images, noise)
+            assert np.array_equal(logits, alone_logits) and extras == alone
+            for counts in (weighed, *per_pair):
+                counts.clear()
+        assert len(built) == 1
 
     def test_a_shared_batch_keeps_its_planes_and_v_and_a_later_call_one_tile(self):
         # 64 images, N=50, two heads, D=16 (102,400 CLS-key pairs). The first
